@@ -59,6 +59,7 @@ from .synthesis import (
     add_noise,
     assemble_padp,
     cfr_to_cir,
+    cir_to_cfr,
     pdp,
     simulate_padp,
     synth_cfr,

@@ -78,8 +78,8 @@ class AntennaPattern:
     table: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.g_max <= 0:
-            raise ValueError("g_max must be positive")
+        if not 0.0 < self.g_max < np.inf:
+            raise ValueError(f"g_max must be positive and finite, got {self.g_max!r}")
         if not 0.0 < self.hpbw <= np.pi:
             raise ValueError("hpbw must be in (0, pi]")
         if self.kind is PatternKind.GAUSSIAN_BEAM:

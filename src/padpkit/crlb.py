@@ -103,43 +103,58 @@ def _theta_from_mpcs(mpcs, cfg):
     return np.asarray(theta)
 
 
+def _jacobian_factors(mpcs, arr, pat, cfg):
+    """Rank-1 factors of the Jacobian: scan-axis ``u`` (m, 4L), frequency-axis ``v`` (k, 4L).
+
+    Column i of the Jacobian is ``outer(u[:, i], v[:, i]).ravel()``: every
+    derivative of one arrival's term is its gain profile (or the gain's
+    angle derivative) times its delay ramp (or the ramp's delay derivative).
+    """
+    freqs = cfg.freqs
+    fbar = float(np.mean(freqs))
+    base = 2.0 * np.pi * (freqs - fbar)
+    steer = arr.steering_angles
+    u_cols, v_cols = [], []
+    for mpc in mpcs:
+        offsets = wrap_pm_pi(steer - mpc.phi)
+        c = (
+            np.sqrt(cfg.pu)
+            * cfg.g_tx
+            * mpc.alpha
+            * np.exp(1j * (mpc.phase - fbar * 2.0 * np.pi * mpc.tau))
+        )
+        g = c * gain(pat, offsets)
+        ramp = np.exp(-1j * base * mpc.tau)
+        # (amplitude * alpha, phase, angle, delay)
+        u_cols += [g, 1j * g, -_dlog_gain(pat, offsets) * g, g]
+        v_cols += [ramp, ramp, ramp, -1j * base * ramp]
+    return np.stack(u_cols, axis=1), np.stack(v_cols, axis=1)
+
+
 def jacobian(mpcs, arr, pat, cfg):
     """Analytic derivatives dS/dtheta, shape (m*k, 4L) complex.
 
     Amplitude columns are pre-scaled by alpha (normalized-amplitude
-    parameterization).
+    parameterization).  Materialized from ``_jacobian_factors``, the
+    factors ``fim`` uses.
     """
-    freqs = cfg.freqs
-    base = 2.0 * np.pi * (freqs - freqs.mean())
-    steer = arr.steering_angles
-    cols = []
-    for mpc in mpcs:
-        offsets = wrap_pm_pi(steer - mpc.phi)
-        g = gain(pat, offsets)
-        ramp = np.exp(-2j * np.pi * (freqs - freqs.mean()) * mpc.tau)
-        s = (
-            np.sqrt(cfg.pu)
-            * cfg.g_tx
-            * mpc.alpha
-            * np.exp(1j * (mpc.phase - float(np.mean(freqs)) * 2.0 * np.pi * mpc.tau))
-            * np.outer(g, ramp)
-        )
-        d_amp = s  # d/d(alpha) * alpha
-        d_phase = 1j * s
-        d_phi = (-_dlog_gain(pat, offsets))[:, None] * s
-        d_tau = (-1j * base)[None, :] * s
-        cols.extend([d_amp.ravel(), d_phase.ravel(), d_phi.ravel(), d_tau.ravel()])
-    return np.stack(cols, axis=1)
+    u, v = _jacobian_factors(mpcs, arr, pat, cfg)
+    return (u[:, None, :] * v[None, :, :]).reshape(-1, u.shape[1])
 
 
 def fim(mpcs, arr, pat, cfg):
-    """Fisher information matrix, real symmetric (4L, 4L)."""
+    """Fisher information matrix, real symmetric (4L, 4L).
+
+    With Jacobian columns outer(u_i, v_i), the sum over (m, k) factors:
+    F_ij = (2 / sigma2) Re[(u_i^H u_j) (v_i^H v_j)], so the (m*k, 4L)
+    Jacobian is never formed.
+    """
     if not mpcs:
         raise ValueError("at least one arrival required")
     if cfg.sigma2 <= 0:
         raise ValueError("sigma2 must be positive for a finite Fisher matrix")
-    d = jacobian(mpcs, arr, pat, cfg)
-    f = (2.0 / cfg.sigma2) * np.real(d.conj().T @ d)
+    u, v = _jacobian_factors(mpcs, arr, pat, cfg)
+    f = (2.0 / cfg.sigma2) * np.real((u.conj().T @ u) * (v.conj().T @ v))
     return 0.5 * (f + f.T)
 
 

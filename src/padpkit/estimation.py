@@ -91,6 +91,19 @@ class MpcEstimate:
     delay_index: int | None = field(default=None, repr=False)
 
 
+def _median(v):
+    """Median of a non-empty 1-D array, bit-identical to ``np.median``.
+
+    One partition around the upper middle element: for even n the lower
+    middle element is the largest of the half below it.
+    """
+    n = v.size
+    part = np.partition(v, n // 2)
+    if n % 2:
+        return float(part[n // 2])
+    return float(0.5 * (part[: n // 2].max() + part[n // 2]))
+
+
 def noise_threshold(values, pk):
     """Detection threshold from a robust noise-floor estimate.
 
@@ -106,7 +119,7 @@ def noise_threshold(values, pk):
     vmax = float(np.max(v))
     if vmax <= 0.0:
         return 0.0
-    sigma2_hat = float(np.median(v)) / np.log(2.0)
+    sigma2_hat = _median(v) / np.log(2.0)
     floor = sigma2_hat * np.log(max(v.size, 2))
     thr = floor * 10.0 ** (pk.noise_floor_db_offset / 10.0)
     return max(thr, vmax * RELATIVE_FLOOR)

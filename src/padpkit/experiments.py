@@ -192,6 +192,7 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
     """
     threads = int(os.environ.get("PADPKIT_THREADS", "1") or 1)
     c_o2 = o2_deembed_constant(pat, arr.m)
+    keep_cfr = Method.HAED_PLUS in mc.methods
     rows = []
     for si, sweep_value in enumerate(mc.sweep_values):
         sigma2 = _sigma2_for_point(mc, cfg, pat, sweep_value)
@@ -202,7 +203,7 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
                 np.random.SeedSequence(entropy=mc.base_seed, spawn_key=(_si, ti))
             )
             mpcs = _trial_mpcs(mc, _cfg, _val, rng)
-            padp = simulate_padp(mpcs, arr, pat, _cfg, seed=rng)
+            padp = simulate_padp(mpcs, arr, pat, _cfg, seed=rng, keep_cfr=keep_cfr)
             record = {}
             for method in mc.methods:
                 try:
@@ -228,6 +229,7 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
             records = [one_trial(ti) for ti in range(mc.trials)]
 
         n_truth = len(mc.mpcs)
+        crlbs = _crlb_overlay(mc, cfg_pt, arr, pat, sweep_value, n_truth)
         for method in mc.methods:
             samples = {ti: ([], [], []) for ti in range(n_truth)}
             misses = {ti: 0 for ti in range(n_truth)}
@@ -241,7 +243,6 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
                             samples[ti][axis].append(errs[ti][axis])
                     else:
                         misses[ti] += 1
-            crlbs = _crlb_overlay(mc, cfg_pt, arr, pat, sweep_value, n_truth)
             for ti in range(n_truth):
                 for axis, param in enumerate(("phi_deg", "amp_norm", "tau_ns")):
                     stats = ErrorStats.from_samples(
@@ -317,6 +318,7 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
     samples = {m: {"phi_deg": [], "power_db": []} for m in methods}
     misses = {m: 0 for m in methods}
     lo, hi = cfg0.k // 4, 3 * cfg0.k // 4
+    keep_cfr = Method.HAED_PLUS in methods
     for i in range(n_mpcs):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         truth = MpcTruth(
@@ -325,7 +327,7 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
             tau=int(rng.integers(lo, hi)) * cfg0.delta_tau,
             phi=rng.uniform(0.0, 2.0 * np.pi),
         )
-        padp = simulate_padp([truth], arr, pat, cfg0, seed=rng)
+        padp = simulate_padp([truth], arr, pat, cfg0, seed=rng, keep_cfr=keep_cfr)
         ests = _run_methods(padp, pat, methods, PeakConfig(), c_o2, 16)
         for method in methods:
             matched, _ = associate(ests[method], [truth], cfg0.delta_tau, pat.hpbw)

@@ -62,14 +62,20 @@ def parse_scenario(text, base_dir=None):
         raise ScenarioError("top level: expected an object")
 
     snd = _need(doc, "sounding", dict, "$")
-    cfg = SoundingConfig(
-        fc=_need(snd, "fc_hz", float, "sounding"),
-        bw=_need(snd, "bw_hz", float, "sounding"),
-        k=_need(snd, "k", int, "sounding"),
-        pu=float(snd.get("pu", 1.0)),
-        sigma2=float(snd.get("sigma2", 0.0)),
-        g_tx=float(snd.get("g_tx", 1.0)),
-    )
+    fc = _need(snd, "fc_hz", float, "sounding")
+    bw = _need(snd, "bw_hz", float, "sounding")
+    k = _need(snd, "k", int, "sounding")
+    try:
+        cfg = SoundingConfig(
+            fc=fc,
+            bw=bw,
+            k=k,
+            pu=float(snd.get("pu", 1.0)),
+            sigma2=float(snd.get("sigma2", 0.0)),
+            g_tx=float(snd.get("g_tx", 1.0)),
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"sounding: {exc}") from exc
 
     arr_doc = _need(doc, "array", dict, "$")
     arr = ArrayConfig(m=_need(arr_doc, "m", int, "array"))

@@ -5,9 +5,10 @@ Per scan direction m the noise-free received spectrum is
     S_m(f_k) = sqrt(Pu) * g_tx * sum_l alpha_l e^{j phase_l}
                * g_rx(steer_m - phi_l) * exp(-j 2 pi f_k tau_l),
 
-complex white Gaussian noise of spectral height sigma2 is added per sample,
-and the delay-domain response is h_m(tau_j) = K^{-1/2} * sum_k Y_m(f_k)
-exp(+j 2 pi f_k tau_j) on the delay grid tau_j = j / bw.
+the received spectrum is Y_m = S_m + W_m with complex white Gaussian noise
+W_m of spectral height sigma2 per sample, and the delay-domain response is
+h_m(tau_j) = K^{-1/2} * sum_k Y_m(f_k) exp(+j 2 pi f_k tau_j) on the delay
+grid tau_j = j / bw.
 
 Grid convention: the K frequency points are laid out with step bw / K
 starting at fc - bw/2 (half-open band).  That step makes the delay bins
@@ -15,14 +16,34 @@ starting at fc - bw/2 (half-open band).  That step makes the delay bins
 precision) and an on-grid arrival occupies a single delay bin with zero
 leakage.  The transform is evaluated with an FFT plus the absolute
 frequency phase ramp, identical to the direct sum.
+
+``simulate_padp`` works in the delay domain, in this order:
+
+1. the noise-free responses are sum_l w_ml * T(r_l), where w_ml is the
+   scan-direction weight of arrival l, r_l its length-K frequency ramp and
+   T the delay transform: the transform is linear, so one length-K
+   transform per arrival replaces one per scan direction;
+2. the noise is drawn directly in delay: T is unitary, so it maps white
+   noise of height sigma2 to white noise of the same height and the same
+   distribution, and drawing it after the transform is exact, not an
+   approximation;
+3. the power map is |h|^2, and the spectra are recovered with the inverse
+   transform (``cir_to_cfr``) only when the caller asks for them.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .angles import wrap_pm_pi, wrap_two_pi
 from .antenna import gain
+
+
+def _require_finite(**fields):
+    for name, val in fields.items():
+        if not math.isfinite(val):
+            raise ValueError(f"{name} must be finite, got {val!r}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +63,7 @@ class SoundingConfig:
     g_tx: float = 1.0
 
     def __post_init__(self):
+        _require_finite(fc=self.fc, bw=self.bw, pu=self.pu, sigma2=self.sigma2, g_tx=self.g_tx)
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if self.bw <= 0:
@@ -102,6 +124,7 @@ class MpcTruth:
     phi: float
 
     def __post_init__(self):
+        _require_finite(alpha=self.alpha, phase=self.phase, tau=self.tau, phi=self.phi)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.tau < 0:
@@ -113,8 +136,8 @@ class MpcTruth:
 class Padp:
     """Power-angle-delay profile: an (m, k) non-negative power map plus grids.
 
-    ``cfr`` optionally retains the complex received spectra the map was
-    computed from; band-limited delay interpolation needs it (power samples
+    ``cfr`` optionally carries the complex received spectra behind the
+    map; band-limited delay interpolation needs it (power samples
     alone undersample the squared response), so estimators that refine the
     delay axis require a Padp carrying it.
     """
@@ -147,32 +170,49 @@ class Padp:
         return float(self.delays[1] - self.delays[0])
 
 
-def synth_cfr(mpcs, arr, pat, cfg):
-    """Noise-free received spectra for all scan directions, (m, k) complex."""
+def _arrival_terms(mpcs, arr, pat, cfg):
+    """Rank-L factors of the noise-free spectra: (m, L) weights and (L, k) ramps.
+
+    The spectra are ``weights @ ramps``; the weights carry transmit power,
+    antenna gains and the complex amplitudes, the ramps the delays.
+    """
     if not mpcs:
         raise ValueError("at least one multipath component required")
-    freqs = cfg.freqs
     steer = arr.steering_angles
     coeff = np.array([m.alpha * np.exp(1j * m.phase) for m in mpcs])
     gains = np.stack([gain(pat, wrap_pm_pi(steer - m.phi)) for m in mpcs], axis=1)
-    ramps = np.exp(-2j * np.pi * np.outer([m.tau for m in mpcs], freqs))
-    return np.sqrt(cfg.pu) * cfg.g_tx * ((gains * coeff) @ ramps)
+    ramps = np.exp(-2j * np.pi * np.outer([m.tau for m in mpcs], cfg.freqs))
+    return np.sqrt(cfg.pu) * cfg.g_tx * (gains * coeff), ramps
+
+
+def synth_cfr(mpcs, arr, pat, cfg):
+    """Noise-free received spectra for all scan directions, (m, k) complex."""
+    weights, ramps = _arrival_terms(mpcs, arr, pat, cfg)
+    return weights @ ramps
 
 
 def add_noise(s, sigma2, seed):
     """Add circularly symmetric white Gaussian noise of spectral height sigma2.
 
     Real and imaginary parts each carry variance sigma2/2.  Deterministic
-    for a given seed (int, SeedSequence or Generator).
+    for a given seed (int, SeedSequence or Generator).  Returns a new
+    array; ``s`` is not modified.
     """
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be non-negative")
+    if not 0.0 <= sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2!r}")
     if sigma2 == 0:
         return np.array(s, copy=True)
     rng = np.random.default_rng(seed)
-    scale = np.sqrt(sigma2 / 2.0)
-    w = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
-    return s + scale * w
+    # one draw of interleaved (re, im) pairs, viewed as complex and
+    # scaled and shifted in place: no further (m, k) temporaries
+    w = rng.standard_normal((*np.shape(s), 2)).view(np.complex128)[..., 0]
+    w *= np.sqrt(sigma2 / 2.0)
+    w += s
+    return w
+
+
+def _band_start_ramp(cfg):
+    return np.exp(2j * np.pi * (cfg.fc - 0.5 * cfg.bw) * cfg.delays)
 
 
 def cfr_to_cir(y, cfg, method="fft"):
@@ -191,8 +231,15 @@ def cfr_to_cir(y, cfg, method="fft"):
         return (y @ kernel) / np.sqrt(k)
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
-    ramp = np.exp(2j * np.pi * (cfg.fc - 0.5 * cfg.bw) * cfg.delays)
-    return np.sqrt(k) * np.fft.ifft(y, axis=-1) * ramp
+    return np.sqrt(k) * np.fft.ifft(y, axis=-1) * _band_start_ramp(cfg)
+
+
+def cir_to_cfr(h, cfg):
+    """Received spectra from delay-domain responses: the inverse of ``cfr_to_cir``."""
+    h = np.asarray(h)
+    if h.shape[-1] != cfg.k:
+        raise ValueError("response length must equal cfg.k")
+    return np.fft.fft(h * _band_start_ramp(cfg).conj(), axis=-1, norm="ortho")
 
 
 def pdp(h):
@@ -211,8 +258,13 @@ def assemble_padp(pdps, arr, cfg, cfr=None):
 
 
 def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True):
-    """Full synthesis pipeline: spectra -> noise -> delay domain -> Padp."""
-    s = synth_cfr(mpcs, arr, pat, cfg)
-    y = add_noise(s, cfg.sigma2, seed)
-    h = cfr_to_cir(y, cfg)
-    return assemble_padp(pdp(h), arr, cfg, cfr=y if keep_cfr else None)
+    """Full synthesis pipeline: delay responses -> noise -> Padp.
+
+    Works in the delay domain (see the module docstring); with
+    ``keep_cfr`` the noisy spectra are recovered by the inverse transform
+    and attached as ``Padp.cfr`` (haed+ needs them).  Power-only callers
+    pass ``keep_cfr=False`` and skip that transform.
+    """
+    weights, ramps = _arrival_terms(mpcs, arr, pat, cfg)
+    h = add_noise(weights @ cfr_to_cir(ramps, cfg), cfg.sigma2, seed)
+    return assemble_padp(pdp(h), arr, cfg, cfr=cir_to_cfr(h, cfg) if keep_cfr else None)

@@ -62,6 +62,9 @@ def test_pattern_validation():
         AntennaPattern.gaussian(-1.0, np.radians(10.0))
     with pytest.raises(ValueError):
         AntennaPattern.gaussian(100.0, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="g_max"):
+            AntennaPattern.gaussian(bad, np.radians(10.0))
     # kappa must be consistent with hpbw
     with pytest.raises(ValueError):
         AntennaPattern(

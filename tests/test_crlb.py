@@ -51,6 +51,23 @@ def test_jacobian_matches_finite_differences(pat10):
         assert np.max(np.abs(fd - ana)) / np.max(np.abs(ana)) < 1e-5
 
 
+@pytest.mark.parametrize("n_mpcs", [1, 2])
+@pytest.mark.parametrize("tabulated", [False, True])
+def test_fim_equals_materialized_jacobian_product(pat10, n_mpcs, tabulated):
+    """The factored Fisher matrix equals 2/sigma2 Re(J^H J) of the full Jacobian."""
+    pat = pat10
+    if tabulated:
+        ang = np.radians(np.arange(-180.0, 180.0, 0.02))
+        pat = AntennaPattern.from_table(ang, gain(pat10, ang))
+    mpcs = [_one(13.0, alpha=1.3), _one(27.0, alpha=0.8, tau=30e-9, phase=1.9)][:n_mpcs]
+    jac = jacobian(mpcs, ARR, pat, CFG)
+    ref = (2.0 / CFG.sigma2) * np.real(jac.conj().T @ jac)
+    got = fim(mpcs, ARR, pat, CFG)
+    # relative to the information scale of each entry's row and column
+    scale = 1.0 / np.sqrt(np.diag(ref))
+    assert np.max(np.abs(got - ref) * np.outer(scale, scale)) < 1e-12
+
+
 def test_fim_sigma2_scaling(pat10):
     mpcs = [_one(13.0)]
     f1 = fim(mpcs, ARR, pat10, CFG)

@@ -63,6 +63,20 @@ def test_noise_threshold_zero_map():
     assert noise_threshold(np.zeros((4, 5)), PeakConfig()) == 0.0
 
 
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (36, 1001), (36, 1000)])
+@pytest.mark.parametrize("ties", [False, True])
+def test_noise_threshold_uses_exact_median(shape, ties):
+    """The partition median gives the same bits as the np.median formula."""
+    rng = np.random.default_rng(5)
+    v = rng.exponential(0.3, size=shape)
+    if ties:
+        v = np.round(v, 1)  # a handful of distinct values, each repeated many times
+    pk = PeakConfig()
+    ref_floor = float(np.median(v)) / np.log(2.0) * np.log(max(v.size, 2))
+    ref = max(ref_floor * 10.0 ** (pk.noise_floor_db_offset / 10.0), float(v.max()) * 1e-12)
+    assert noise_threshold(v, pk) == ref
+
+
 def test_peak_config_validation():
     with pytest.raises(ValueError):
         PeakConfig(noise_floor_db_offset=0.0)

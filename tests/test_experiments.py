@@ -121,6 +121,27 @@ def test_run_sweep_threaded_matches_serial(arr36, pat10, monkeypatch):
         np.testing.assert_array_equal(ra.stats.cdf, rb.stats.cdf)
 
 
+@pytest.mark.parametrize(
+    "methods, want_cfr",
+    [((Method.O1, Method.O2, Method.HAED), False), ((Method.HAED, Method.HAED_PLUS), True)],
+)
+def test_spectra_built_only_for_haed_plus(arr36, pat10, monkeypatch, methods, want_cfr):
+    import padpkit.experiments as exp
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        padp = simulate(*args, **kwargs)
+        seen.append(padp.cfr is not None)
+        return padp
+
+    simulate = exp.simulate_padp
+    monkeypatch.setattr(exp, "simulate_padp", spy)
+    run_sweep(_small_mc(trials=2, methods=methods), CFG, arr36, pat10)
+    uniform_offset_study(2, seed=0, cfg=CFG, arr=arr36, pat=pat10, methods=methods)
+    assert seen and set(seen) == {want_cfr}
+
+
 def test_estimator_failure_counts_as_miss(arr36, pat10, monkeypatch):
     import padpkit.experiments as exp
 

@@ -357,6 +357,32 @@ def test_cli_offset_study(tmp_path):
     assert len(lines) == 1 + 3 * 2
 
 
+@pytest.mark.parametrize(
+    "section, key, field",
+    [
+        ("sounding", "bw_hz", "bw"),
+        ("sounding", "fc_hz", "fc"),
+        ("sounding", "sigma2", "sigma2"),
+        ("mpcs", "alpha", "alpha"),
+        ("mpcs", "tau_ns", "tau"),
+        ("mpcs", "phi_deg", "phi"),
+        ("pattern", "g_max_db", "g_max"),
+    ],
+)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_cli_simulate_rejects_non_finite_scenario(tmp_path, capsys, section, key, field, bad):
+    """Python's json reads NaN and Infinity; the scenario boundary must not."""
+    doc = json.loads(json.dumps(SCENARIO))
+    (doc["mpcs"][0] if section == "mpcs" else doc[section])[key] = bad
+    sc = scenario_file(tmp_path, doc)
+    assert "NaN" in sc.read_text() or "Infinity" in sc.read_text()
+    out = tmp_path / "sim.padp"
+    rc = main(["simulate", "--scenario", str(sc), "--out", str(out)])
+    assert rc == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_bad_inputs(tmp_path, capsys):
     sc = scenario_file(tmp_path)
     padp_path = tmp_path / "sim.padp"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from padpkit import (
+    AntennaPattern,
     ArrayConfig,
     MpcTruth,
     Padp,
@@ -9,6 +10,7 @@ from padpkit import (
     add_noise,
     assemble_padp,
     cfr_to_cir,
+    cir_to_cfr,
     pdp,
     simulate_padp,
     synth_cfr,
@@ -38,6 +40,24 @@ def test_config_validation():
         MpcTruth(alpha=0.0, phase=0.0, tau=0.0, phi=0.0)
     with pytest.raises(ValueError):
         MpcTruth(alpha=1.0, phase=0.0, tau=-1e-9, phi=0.0)
+
+
+@pytest.mark.parametrize("field", ["fc", "bw", "pu", "sigma2", "g_tx"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sounding_config_rejects_non_finite(field, bad):
+    kw = dict(fc=37.5e9, bw=2e9, k=16, pu=1.0, sigma2=0.1, g_tx=1.0)
+    kw[field] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SoundingConfig(**kw)
+
+
+@pytest.mark.parametrize("field", ["alpha", "phase", "tau", "phi"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mpc_truth_rejects_non_finite(field, bad):
+    kw = dict(alpha=1.0, phase=0.0, tau=1e-9, phi=0.0)
+    kw[field] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        MpcTruth(**kw)
 
 
 def test_mpc_phi_wrapped():
@@ -91,6 +111,12 @@ def test_noise_determinism():
     np.testing.assert_array_equal(a, b)
     c = add_noise(s, 2.0, seed=124)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_noise_rejects_bad_sigma2(bad):
+    with pytest.raises(ValueError, match="sigma2"):
+        add_noise(np.zeros(4, dtype=complex), bad, seed=0)
 
 
 def test_noise_moments():
@@ -187,3 +213,68 @@ def test_padp_validation():
         Padp(values=np.ones((2, 3)), angles=np.zeros(3), delays=np.zeros(3))
     with pytest.raises(ValueError):
         Padp(values=-np.ones((2, 3)), angles=np.zeros(2), delays=np.zeros(3))
+
+
+def _tabulated_copy(pat):
+    ang = np.radians(np.arange(-180.0, 180.0, 0.02))
+    return AntennaPattern.from_table(ang, gain(pat, ang))
+
+
+@pytest.mark.parametrize(
+    "taus_ns, tabulated",
+    [((25.0,), False), ((25.37,), False), ((25.0, 31.81), False), ((25.37,), True)],
+    ids=["on_grid", "off_grid", "two_arrivals", "tabulated"],
+)
+def test_noise_free_delay_synthesis_matches_spectral_path(
+    taus_ns, tabulated, cfg_full, arr36, pat10
+):
+    """The delay-domain order reproduces spectra -> transform -> |h|^2."""
+    phis = np.radians([13.0, 200.0])
+    mpcs = [
+        MpcTruth(alpha=1.0 - 0.4 * i, phase=0.4 + 1.6 * i, tau=t * 1e-9, phi=phis[i])
+        for i, t in enumerate(taus_ns)
+    ]
+    pat = _tabulated_copy(pat10) if tabulated else pat10
+    got = simulate_padp(mpcs, arr36, pat, cfg_full, seed=0).values
+    ref = pdp(cfr_to_cir(synth_cfr(mpcs, arr36, pat, cfg_full), cfg_full))
+    assert np.max(np.abs(got - ref)) / np.max(ref) < 1e-12
+
+
+def test_kept_spectra_reproduce_the_map(cfg_small, arr36, pat10, mpc_13deg):
+    cfg = SoundingConfig(fc=cfg_small.fc, bw=cfg_small.bw, k=cfg_small.k, sigma2=0.5)
+    p = simulate_padp([mpc_13deg], arr36, pat10, cfg, seed=3, keep_cfr=True)
+    back = pdp(cfr_to_cir(p.cfr, cfg))
+    assert np.max(np.abs(back - p.values)) / np.max(p.values) < 1e-12
+    h = cfr_to_cir(p.cfr, cfg)
+    np.testing.assert_allclose(cir_to_cfr(h, cfg), p.cfr, rtol=0, atol=1e-12 * np.abs(p.cfr).max())
+
+
+def test_keep_cfr_does_not_change_values(cfg_small, arr36, pat10, mpc_13deg):
+    cfg = SoundingConfig(fc=cfg_small.fc, bw=cfg_small.bw, k=cfg_small.k, sigma2=0.5)
+    with_cfr = simulate_padp([mpc_13deg], arr36, pat10, cfg, seed=11, keep_cfr=True)
+    without = simulate_padp([mpc_13deg], arr36, pat10, cfg, seed=11, keep_cfr=False)
+    assert without.cfr is None and with_cfr.cfr is not None
+    np.testing.assert_array_equal(without.values, with_cfr.values)
+
+
+def test_delay_domain_noise_is_white_with_height_sigma2(pat10):
+    """Noise drawn in delay has the spectral-model statistics in both domains.
+
+    Same sample count and bounds as ``test_noise_moments``; the noise is
+    recovered as the noisy minus the noise-free response.
+    """
+    cfg = SoundingConfig(fc=37.5e9, bw=2e9, k=1000, sigma2=1.0)
+    arr = ArrayConfig(m=1000)
+    mpcs = [MpcTruth(alpha=1.0, phase=0.4, tau=25e-9, phi=np.radians(13.0))]
+    p = simulate_padp(mpcs, arr, pat10, cfg, seed=0, keep_cfr=True)
+    s = synth_cfr(mpcs, arr, pat10, cfg)
+    w_freq = p.cfr - s
+    w_delay = cfr_to_cir(p.cfr, cfg) - cfr_to_cir(s, cfg)
+    for w in (w_delay, w_freq):
+        power = np.mean(np.abs(w) ** 2)
+        assert power == pytest.approx(1.0, abs=0.01)
+        assert abs(np.mean(w.real)) < 0.005 and abs(np.mean(w.imag)) < 0.005
+        assert np.var(w.real) == pytest.approx(0.5, abs=0.005)
+        assert np.var(w.imag) == pytest.approx(0.5, abs=0.005)
+        adjacent = np.mean(w[:, 1:] * np.conj(w[:, :-1]))
+        assert abs(adjacent) / power < 0.01
