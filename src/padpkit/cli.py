@@ -14,15 +14,14 @@ import numpy as np
 from . import io
 from .antenna import AntennaPattern, load_pattern_csv
 from .crlb import crlb_from_fim, fim
-from .estimation import (
-    Method,
-    PeakConfig,
-    estimate_haed,
-    estimate_o1,
-    estimate_o2,
-    haed_plus_refine,
+from .estimation import Method, PeakConfig
+from .experiments import (
+    MonteCarloConfig,
+    apply_sweep,
+    run_method,
+    run_sweep,
+    uniform_offset_study,
 )
-from .experiments import MonteCarloConfig, run_sweep, uniform_offset_study
 from .synthesis import simulate_padp
 
 
@@ -79,22 +78,15 @@ def _cmd_estimate(args):
         padp = replace(padp, cfr=np.asarray(cfr, dtype=np.complex128))
     pattern = _load_pattern_for_estimate(args)
     methods = io.parse_methods(args.methods)
+    if Method.HAED_PLUS in methods and padp.cfr is None:
+        raise ValueError(
+            "haed+ needs complex spectra: pass --cfr (power-only PADP files "
+            "cannot support band-limited delay interpolation)"
+        )
     pk = PeakConfig(noise_floor_db_offset=args.threshold_db)
     estimates = []
     for method in methods:
-        if method is Method.O1:
-            estimates += estimate_o1(padp, pattern, pk)
-        elif method is Method.O2:
-            estimates += estimate_o2(padp, pattern, pk)
-        elif method is Method.HAED:
-            estimates += estimate_haed(padp, pattern, pk)
-        elif method is Method.HAED_PLUS:
-            if padp.cfr is None:
-                raise ValueError(
-                    "haed+ needs complex spectra: pass --cfr (power-only PADP files "
-                    "cannot support band-limited delay interpolation)"
-                )
-            estimates += haed_plus_refine(padp, estimate_haed(padp, pattern, pk), args.upsample)
+        estimates += run_method(method, padp, pattern, pk, "ring_mean", args.upsample)
     io.write_estimates_csv(args.out, estimates)
     manifest = io.build_manifest(
         inputs={"padp_manifest": header.get("manifest", {})},
@@ -105,20 +97,19 @@ def _cmd_estimate(args):
     return 0
 
 
+_SWEEP_NAMES = {
+    "output-snr": "output_snr_db",
+    "separation": "angular_separation_deg",
+    "true-angle": "true_angle_deg",
+}
+
+
 def _cmd_crlb(args):
     scenario = io.load_scenario(args.scenario)
     values = _parse_values(args.values)
     entries = []
     for value in values:
-        mpcs = list(scenario.mpcs)
-        if args.sweep == "separation":
-            if len(mpcs) != 2:
-                raise ValueError("separation sweep needs a two-arrival scenario")
-            mpcs[1] = replace(mpcs[1], phi=mpcs[0].phi + np.radians(value))
-        elif args.sweep == "true-angle":
-            mpcs[0] = replace(mpcs[0], phi=np.radians(value))
-        else:
-            raise ValueError(f"unknown sweep {args.sweep!r}")
+        mpcs = apply_sweep(scenario.mpcs, _SWEEP_NAMES[args.sweep], value)
         report = crlb_from_fim(
             fim(mpcs, scenario.array, scenario.pattern, scenario.sounding)
         )
@@ -131,13 +122,6 @@ def _cmd_crlb(args):
     io.write_manifest_sidecar(args.out, manifest)
     print(f"wrote {args.out} ({len(entries)} sweep points)", file=sys.stderr)
     return 0
-
-
-_SWEEP_NAMES = {
-    "output-snr": "output_snr_db",
-    "separation": "angular_separation_deg",
-    "true-angle": "true_angle_deg",
-}
 
 
 def _cmd_montecarlo(args):

@@ -141,28 +141,47 @@ def associate(estimates, truths, delay_gate, angle_gate):
     return matched, len(estimates) - len(used)
 
 
-def _run_methods(padp, pat, methods, pk, c_o2, upsample):
-    out = {}
-    for method in methods:
-        if method is Method.O1:
-            out[method] = estimate_o1(padp, pat, pk)
-        elif method is Method.O2:
-            out[method] = estimate_o2(padp, pat, pk, deembed=c_o2)
-        elif method is Method.HAED:
-            out[method] = estimate_haed(padp, pat, pk)
-        elif method is Method.HAED_PLUS:
-            out[method] = haed_plus_refine(padp, estimate_haed(padp, pat, pk), upsample)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    return out
+def run_method(method, padp, pat, pk, c_o2, upsample):
+    """Estimates of one method on one PADP.
+
+    ``c_o2`` is the o-2 de-embedding constant or convention name and
+    ``upsample`` the haed+ interpolation factor.  Estimators are looked up
+    by their module-global names at call time, so rebinding one (a tracer,
+    a test's monkeypatch) takes effect here.
+    """
+    if method is Method.O1:
+        return estimate_o1(padp, pat, pk)
+    if method is Method.O2:
+        return estimate_o2(padp, pat, pk, deembed=c_o2)
+    if method is Method.HAED:
+        return estimate_haed(padp, pat, pk)
+    if method is Method.HAED_PLUS:
+        return haed_plus_refine(padp, estimate_haed(padp, pat, pk), upsample)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def apply_sweep(mpcs, variable, value):
+    """The arrivals at one sweep point, as a new list.
+
+    ``angular_separation_deg`` places the second of exactly two arrivals
+    ``value`` degrees from the first; ``true_angle_deg`` sets the first
+    arrival's angle to ``value`` degrees; ``output_snr_db`` changes only
+    the noise height, so the arrivals are returned unchanged.
+    """
+    mpcs = list(mpcs)
+    if variable == "angular_separation_deg":
+        if len(mpcs) != 2:
+            raise ValueError("separation sweeps need exactly two arrivals")
+        mpcs[1] = replace(mpcs[1], phi=mpcs[0].phi + np.radians(value))
+    elif variable == "true_angle_deg":
+        mpcs[0] = replace(mpcs[0], phi=np.radians(value))
+    elif variable != "output_snr_db":
+        raise ValueError(f"unknown sweep variable {variable!r}")
+    return mpcs
 
 
 def _trial_mpcs(mc, cfg, sweep_value, rng):
-    mpcs = list(mc.mpcs)
-    if mc.sweep_variable == "angular_separation_deg":
-        mpcs[1] = replace(mpcs[1], phi=mpcs[0].phi + np.radians(sweep_value))
-    elif mc.sweep_variable == "true_angle_deg":
-        mpcs[0] = replace(mpcs[0], phi=np.radians(sweep_value))
+    mpcs = apply_sweep(mc.mpcs, mc.sweep_variable, sweep_value)
     if mc.randomize_angle:
         mpcs = [replace(m, phi=rng.uniform(0.0, 2.0 * np.pi)) for m in mpcs]
     if mc.off_grid_delay:
@@ -207,7 +226,7 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
             record = {}
             for method in mc.methods:
                 try:
-                    ests = _run_methods(padp, pat, [method], mc.peak, c_o2, mc.upsample)[method]
+                    ests = run_method(method, padp, pat, mc.peak, c_o2, mc.upsample)
                     matched, extra = associate(ests, mpcs, _cfg.delta_tau, pat.hpbw)
                 except Exception:
                     matched, extra = {}, 0
@@ -270,6 +289,7 @@ def _crlb_overlay(mc, cfg_pt, arr, pat, sweep_value, n_truth):
         # the Fisher matrix is not defined, so skip the overlay
         return {ti: (0.0, 0.0, np.nan) for ti in range(n_truth)}
     gamma_i = mc.mpcs[0].alpha ** 2 * cfg_pt.pu / cfg_pt.sigma2
+    mpcs = apply_sweep(mc.mpcs, mc.sweep_variable, sweep_value)
     if n_truth == 1 and pat.kind is PatternKind.GAUSSIAN_BEAM:
         if mc.randomize_angle:
             grid = np.linspace(0.0, arr.asi, 181)
@@ -280,17 +300,9 @@ def _crlb_overlay(mc, cfg_pt, arr, pat, sweep_value, n_truth):
                 [np.sqrt(crlb_single_alpha(gamma_i, cfg_pt, arr, pat, a)) for a in grid]
             )
         else:
-            phi = (
-                np.radians(sweep_value)
-                if mc.sweep_variable == "true_angle_deg"
-                else mc.mpcs[0].phi
-            )
-            sphi = np.sqrt(crlb_single_phi(gamma_i, cfg_pt, arr, pat, phi))
-            salpha = np.sqrt(crlb_single_alpha(gamma_i, cfg_pt, arr, pat, phi))
+            sphi = np.sqrt(crlb_single_phi(gamma_i, cfg_pt, arr, pat, mpcs[0].phi))
+            salpha = np.sqrt(crlb_single_alpha(gamma_i, cfg_pt, arr, pat, mpcs[0].phi))
         return {0: (float(np.degrees(sphi)), float(salpha), np.nan)}
-    mpcs = list(mc.mpcs)
-    if mc.sweep_variable == "angular_separation_deg":
-        mpcs[1] = replace(mpcs[1], phi=mpcs[0].phi + np.radians(sweep_value))
     report = crlb_from_fim(fim(mpcs, arr, pat, cfg_pt))
     out = {}
     for ti in range(n_truth):
@@ -328,9 +340,9 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
             phi=rng.uniform(0.0, 2.0 * np.pi),
         )
         padp = simulate_padp([truth], arr, pat, cfg0, seed=rng, keep_cfr=keep_cfr)
-        ests = _run_methods(padp, pat, methods, PeakConfig(), c_o2, 16)
         for method in methods:
-            matched, _ = associate(ests[method], [truth], cfg0.delta_tau, pat.hpbw)
+            ests = run_method(method, padp, pat, PeakConfig(), c_o2, 16)
+            matched, _ = associate(ests, [truth], cfg0.delta_tau, pat.hpbw)
             if 0 not in matched:
                 misses[method] += 1
                 continue

@@ -188,8 +188,23 @@ def write_padp(path, padp, manifest=None, scale="linear"):
         fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
 
 
+def _header_field(header, key, kind, path):
+    """A numeric PADP header field: an int, or (``kind`` float) any finite number."""
+    if key not in header:
+        raise ValueError(f"{path}: PADP header: {key}: missing required field")
+    val = header[key]
+    ok = isinstance(val, int) or (kind is float and isinstance(val, float) and np.isfinite(val))
+    if isinstance(val, bool) or not ok:
+        raise ValueError(f"{path}: PADP header: {key}: expected a finite {kind.__name__}, got {val!r}")
+    return kind(val)
+
+
 def read_padp(path):
-    """Read a PADP file back into a (Padp, header) pair (no complex spectra)."""
+    """Read a PADP file back into a (Padp, header) pair (no complex spectra).
+
+    The header is validated first; a malformed one raises ``ValueError``
+    naming the field.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
@@ -197,19 +212,32 @@ def read_padp(path):
         header = json.loads(header_line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: bad PADP header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: bad PADP header: expected an object")
     if header.get("format") != PADP_MAGIC:
         raise ValueError(f"{path}: not a PADP file (format={header.get('format')!r})")
-    m, k = int(header["m"]), int(header["k"])
+    m = _header_field(header, "m", int, path)
+    k = _header_field(header, "k", int, path)
+    delay_step_ns = _header_field(header, "delay_step_ns", float, path)
+    scale = header.get("scale", "linear")
+    if m < 3:
+        raise ValueError(f"{path}: PADP header: m: must be >= 3, got {m}")
+    if k < 2:
+        raise ValueError(f"{path}: PADP header: k: must be >= 2, got {k}")
+    if delay_step_ns <= 0:
+        raise ValueError(f"{path}: PADP header: delay_step_ns: must be positive")
+    if scale not in ("linear", "db"):
+        raise ValueError(f"{path}: PADP header: scale: expected 'linear' or 'db', got {scale!r}")
     values = np.frombuffer(blob, dtype="<f8")
     if values.size != m * k:
         raise ValueError(f"{path}: payload has {values.size} values, header says {m}x{k}")
     values = values.reshape(m, k).astype(np.float64)
-    if header.get("scale") == "db":
+    if scale == "db":
         values = 10.0 ** (values / 10.0)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: payload contains non-finite values")
     angles = 2.0 * np.pi * np.arange(m) / m
-    delays = np.arange(k) * float(header["delay_step_ns"]) * 1e-9
+    delays = np.arange(k) * delay_step_ns * 1e-9
     return Padp(values=values, angles=angles, delays=delays), header
 
 

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from padpkit import MpcTruth, SoundingConfig
+from padpkit import AntennaPattern, MpcTruth, SoundingConfig, crlb_from_fim, fim, gain
 from padpkit.angles import circular_delta
-from padpkit.estimation import Method, MpcEstimate
+from padpkit.estimation import Method, MpcEstimate, PeakConfig, estimate_haed
 from padpkit.experiments import (
     ErrorStats,
     MonteCarloConfig,
+    apply_sweep,
     associate,
     rmsee,
+    run_method,
     run_sweep,
     uniform_offset_study,
 )
@@ -206,3 +208,102 @@ def test_uniform_offset_study_basics(arr36, pat10):
     )
     with pytest.raises(ValueError):
         uniform_offset_study(0, seed=1, cfg=CFG, arr=arr36, pat=pat10)
+
+
+def test_apply_sweep_rules():
+    a = MpcTruth(alpha=1.0, phase=0.0, tau=16e-9, phi=np.radians(10.0))
+    b = MpcTruth(alpha=0.5, phase=1.0, tau=32e-9, phi=np.radians(200.0))
+    sep = apply_sweep((a, b), "angular_separation_deg", 30.0)
+    assert sep[0] == a and sep[1].phi == pytest.approx(np.radians(40.0)) and sep[1].tau == b.tau
+    ang = apply_sweep((a, b), "true_angle_deg", 5.0)
+    assert ang[0].phi == np.radians(5.0) and ang[0].tau == a.tau and ang[1] == b
+    assert apply_sweep((a, b), "output_snr_db", 20.0) == [a, b]
+    with pytest.raises(ValueError, match="two arrivals"):
+        apply_sweep((a,), "angular_separation_deg", 30.0)
+    with pytest.raises(ValueError, match="unknown sweep variable"):
+        apply_sweep((a,), "bogus", 1.0)
+
+
+@pytest.mark.parametrize("two_arrivals", [False, True])
+def test_fim_overlay_follows_true_angle_sweep(arr36, pat10, two_arrivals):
+    """The Fisher-matrix overlay (tabulated pattern, or two arrivals) uses the swept angle."""
+    cfg = SoundingConfig(fc=37.5e9, bw=2e9, k=129, pu=1.0, sigma2=1.0)
+    mpcs = [MpcTruth(alpha=1.0, phase=0.3, tau=16e-9, phi=0.0)]
+    pat = pat10
+    if two_arrivals:
+        mpcs.append(MpcTruth(alpha=0.7, phase=1.1, tau=40e-9, phi=np.radians(120.0)))
+    else:
+        ang = np.radians(np.arange(-180.0, 180.0, 0.05))
+        pat = AntennaPattern.from_table(ang, gain(pat10, ang))
+    mc = MonteCarloConfig(
+        trials=1,
+        sweep_variable="true_angle_deg",
+        sweep_values=(0.0, 5.0),
+        mpcs=tuple(mpcs),
+        methods=(Method.HAED,),
+    )
+    rows = run_sweep(mc, cfg, arr36, pat)
+    for value in mc.sweep_values:
+        swept = [MpcTruth(alpha=1.0, phase=0.3, tau=16e-9, phi=np.radians(value))] + mpcs[1:]
+        report = crlb_from_fim(fim(swept, arr36, pat, cfg))
+        got = [r for r in rows if r.sweep_value == value and r.param.startswith("phi_deg")]
+        assert len(got) == len(mpcs)
+        for r in got:
+            want = np.degrees(np.sqrt(report.value("phi", r.truth_index)))
+            assert r.sqrt_crlb == pytest.approx(want, rel=1e-12)
+    first = {r.sweep_value: r.sqrt_crlb for r in rows if r.param in ("phi_deg", "phi_deg:0")}
+    assert first[0.0] != pytest.approx(first[5.0], rel=1e-3)
+
+
+def test_run_method_matches_estimators(arr36, pat10):
+    cfg = SoundingConfig(fc=37.5e9, bw=2e9, k=129, pu=1.0, sigma2=0.05)
+    from padpkit import haed_plus_refine, simulate_padp
+    from padpkit.estimation import estimate_o1, estimate_o2
+
+    truth = MpcTruth(alpha=1.0, phase=0.4, tau=16.3e-9, phi=np.radians(13.0))
+    padp = simulate_padp([truth], arr36, pat10, cfg, seed=2)
+    pk = PeakConfig()
+    haed = estimate_haed(padp, pat10, pk)
+    want = {
+        Method.O1: estimate_o1(padp, pat10, pk),
+        Method.O2: estimate_o2(padp, pat10, pk, deembed="ring_min"),
+        Method.HAED: haed,
+        Method.HAED_PLUS: haed_plus_refine(padp, haed, 8),
+    }
+    for method, ests in want.items():
+        assert run_method(method, padp, pat10, pk, "ring_min", 8) == ests
+    with pytest.raises(ValueError, match="unknown method"):
+        run_method("o3", padp, pat10, pk, "ring_min", 8)
+
+
+def _plus_mc(methods, trials=3):
+    return MonteCarloConfig(
+        trials=trials,
+        sweep_variable="output_snr_db",
+        sweep_values=(30.0,),
+        mpcs=(MpcTruth(alpha=1.0, phase=0.0, tau=32e-9, phi=np.radians(13.0)),),
+        off_grid_delay=True,
+        methods=methods,
+    )
+
+
+def _phi_rows(rows):
+    return {r.method: r for r in rows if r.param == "phi_deg"}
+
+
+def test_method_failures_stay_isolated(arr36, pat10, monkeypatch):
+    import padpkit.experiments as exp
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic estimator failure")
+
+    methods = (Method.O1, Method.HAED, Method.HAED_PLUS)
+    monkeypatch.setattr(exp, "haed_plus_refine", boom)
+    rows = _phi_rows(run_sweep(_plus_mc(methods), CFG, arr36, pat10))
+    assert rows[Method.HAED_PLUS].stats.misses == 3
+    assert rows[Method.HAED].stats.n == 3 and rows[Method.O1].stats.n == 3
+    monkeypatch.undo()
+    monkeypatch.setattr(exp, "estimate_haed", boom)
+    rows = _phi_rows(run_sweep(_plus_mc(methods), CFG, arr36, pat10))
+    assert rows[Method.HAED].stats.misses == 3 and rows[Method.HAED_PLUS].stats.misses == 3
+    assert rows[Method.O1].stats.n == 3

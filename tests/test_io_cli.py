@@ -109,6 +109,42 @@ def test_padp_file_errors(tmp_path):
         read_padp(path)
 
 
+def _drop(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop("delay_step_ns"), "PADP header: delay_step_ns:"),
+        (_drop("m"), "PADP header: m:"),
+        (_drop("k"), "PADP header: k:"),
+        (lambda h: [h], "PADP header: expected an object"),
+        (lambda h: {**h, "scale": "dbm"}, "PADP header: scale:"),
+        (lambda h: {**h, "k": 1}, "PADP header: k:"),
+        (lambda h: {**h, "m": "36"}, "PADP header: m:"),
+        (lambda h: {**h, "delay_step_ns": -0.5}, "PADP header: delay_step_ns:"),
+        (lambda h: {**h, "delay_step_ns": float("nan")}, "PADP header: delay_step_ns:"),
+    ],
+    ids=["no-step", "no-m", "no-k", "list", "scale-dbm", "k-1", "m-str", "step-neg", "step-nan"],
+)
+def test_padp_header_validation(tmp_path, capsys, edit, message):
+    padp, _ = _tiny_padp()
+    path = tmp_path / "bad.padp"
+    write_padp(path, padp)
+    line, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(edit(json.loads(line))).encode() + b"\n" + payload)
+    with pytest.raises(ValueError, match=message):
+        read_padp(path)
+    rc = main(
+        ["estimate", "--padp", str(path), "--gmax-db", "20", "--hpbw-deg", "10",
+         "--out", str(tmp_path / "est.csv")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("padpkit: error:") and message in err
+
+
 def test_estimates_csv_schema(tmp_path):
     padp, pat = _tiny_padp()
     from padpkit.estimation import estimate_haed, estimate_o1
