@@ -6,8 +6,11 @@ noise of spectral height sigma2 is
 
     F_ij = (2 / sigma2) * Re sum_{m,k} conj(dS/dtheta_i) * dS/dtheta_j,
 
-with analytic derivatives of the noise-free signal.  Two conventions keep
-the single-arrival matrix interpretable:
+with analytic derivatives of the noise-free signal.  The signal model
+itself lives in ``synthesis._arrival_terms``, the same forward model the
+simulator draws from; this module only chooses its phase reference and
+adds the derivative factors.  Two conventions keep the single-arrival
+matrix interpretable:
 
 * the delay derivative is referenced to the mean grid frequency (phase is
   the value at band centre), which decouples phase from delay exactly;
@@ -33,6 +36,7 @@ import numpy as np
 
 from .angles import wrap_pm_pi
 from .antenna import PatternKind, gain
+from .synthesis import _arrival_terms, _truth_params
 
 CONDITION_LIMIT = 1e12
 PARAM_NAMES = ("amp_norm", "phase", "phi", "tau")
@@ -77,58 +81,45 @@ def signal_model(theta, arr, pat, cfg):
     """Noise-free signal for a flat parameter vector (4L values).
 
     Layout per arrival: (alpha, phase_at_band_centre, phi, tau).  Returns
-    the (m, k) complex matrix.  This is the function the Fisher matrix
-    differentiates; the test suite checks the analytic derivatives against
-    finite differences of it.
+    the (m, k) complex matrix: the synthesis forward model
+    (``synthesis._arrival_terms``) with its phase referenced to the band
+    centre.  This is the function the Fisher matrix differentiates; the
+    test suite checks the analytic derivatives against finite differences
+    of it.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.size % 4:
         raise ValueError("theta length must be a multiple of 4")
-    freqs = cfg.freqs
-    base = freqs - freqs.mean()
-    steer = arr.steering_angles
-    out = np.zeros((arr.m, cfg.k), dtype=np.complex128)
-    for l in range(theta.size // 4):
-        alpha, phase, phi, tau = theta[4 * l : 4 * l + 4]
-        g = gain(pat, wrap_pm_pi(steer - phi))
-        out += alpha * np.exp(1j * phase) * np.outer(g, np.exp(-2j * np.pi * base * tau))
-    return np.sqrt(cfg.pu) * cfg.g_tx * out
+    fbar = float(np.mean(cfg.freqs))
+    weights, ramps = _arrival_terms(*theta.reshape(-1, 4).T, arr, pat, cfg, fbar)
+    return weights @ ramps
 
 
 def _theta_from_mpcs(mpcs, cfg):
-    fbar = float(np.mean(cfg.freqs))
-    theta = []
-    for m in mpcs:
-        theta.extend([m.alpha, m.phase - 2.0 * np.pi * fbar * m.tau, m.phi, m.tau])
-    return np.asarray(theta)
+    alpha, phase, phi, tau = _truth_params(mpcs)
+    phase = phase - 2.0 * np.pi * float(np.mean(cfg.freqs)) * tau
+    return np.stack([alpha, phase, phi, tau], axis=1).ravel()
 
 
 def _jacobian_factors(mpcs, arr, pat, cfg):
     """Rank-1 factors of the Jacobian: scan-axis ``u`` (m, 4L), frequency-axis ``v`` (k, 4L).
 
     Column i of the Jacobian is ``outer(u[:, i], v[:, i]).ravel()``: every
-    derivative of one arrival's term is its gain profile (or the gain's
-    angle derivative) times its delay ramp (or the ramp's delay derivative).
+    derivative of one arrival's term is its weight column (or that times
+    the log-gain's angle derivative) times its delay ramp (or the ramp's
+    delay derivative).  Weights and ramps are those of ``signal_model`` at
+    ``_theta_from_mpcs(mpcs, cfg)``.
     """
-    freqs = cfg.freqs
-    fbar = float(np.mean(freqs))
-    base = 2.0 * np.pi * (freqs - fbar)
-    steer = arr.steering_angles
-    u_cols, v_cols = [], []
-    for mpc in mpcs:
-        offsets = wrap_pm_pi(steer - mpc.phi)
-        c = (
-            np.sqrt(cfg.pu)
-            * cfg.g_tx
-            * mpc.alpha
-            * np.exp(1j * (mpc.phase - fbar * 2.0 * np.pi * mpc.tau))
-        )
-        g = c * gain(pat, offsets)
-        ramp = np.exp(-1j * base * mpc.tau)
-        # (amplitude * alpha, phase, angle, delay)
-        u_cols += [g, 1j * g, -_dlog_gain(pat, offsets) * g, g]
-        v_cols += [ramp, ramp, ramp, -1j * base * ramp]
-    return np.stack(u_cols, axis=1), np.stack(v_cols, axis=1)
+    theta = _theta_from_mpcs(mpcs, cfg).reshape(-1, 4)
+    fbar = float(np.mean(cfg.freqs))
+    g, ramps = _arrival_terms(*theta.T, arr, pat, cfg, fbar)
+    dlog = _dlog_gain(pat, wrap_pm_pi(arr.steering_angles[:, None] - theta[:, 2]))
+    r = ramps.T
+    dr = -1j * (2.0 * np.pi * (cfg.freqs - fbar))[:, None] * r
+    # per arrival: (amplitude * alpha, phase, angle, delay)
+    u = np.stack([g, 1j * g, -dlog * g, g], axis=2).reshape(arr.m, -1)
+    v = np.stack([r, r, r, dr], axis=2).reshape(cfg.k, -1)
+    return u, v
 
 
 def jacobian(mpcs, arr, pat, cfg):

@@ -74,8 +74,8 @@ class MpcEstimate:
     """One extracted multipath component.
 
     tau in seconds, phi wrapped to [0, 2*pi), power linear and
-    antenna-de-embedded.  The contrast fields (chi_hat, eps, side,
-    raw_power) are populated by the in-beam refinement only.
+    antenna-de-embedded.  The contrast fields (chi_hat, eps, side) are
+    populated by the in-beam refinement only.
     """
 
     tau: float
@@ -86,7 +86,6 @@ class MpcEstimate:
     eps: float | None = None
     side: Side | None = None
     clamped: bool = False
-    raw_power: float | None = None
     scan_index: int | None = field(default=None, repr=False)
     delay_index: int | None = field(default=None, repr=False)
 
@@ -164,12 +163,6 @@ def o2_deembed_constant(pat, m, convention="ring_mean"):
     raise ValueError(f"unknown de-embedding convention {convention!r}")
 
 
-def _column_angle(padp, j):
-    """Steering angle of the strongest direction in delay column j (ties: lowest row)."""
-    m_star = int(np.argmax(padp.values[:, j]))
-    return float(padp.angles[m_star]), m_star
-
-
 def _delay_peaks(profile, pk):
     idx = kernels.local_maxima_1d(profile, noise_threshold(profile, pk))
     if pk.max_peaks is not None and idx.size > pk.max_peaks:
@@ -178,24 +171,31 @@ def _delay_peaks(profile, pk):
     return idx
 
 
-def estimate_o1(padp, pat, pk=PeakConfig()):
-    """Strongest-direction synthesis estimator."""
-    profile = synth_omni_max(padp)
-    g0_sq = power_gain(pat, 0.0)
+def _omni_estimates(padp, profile, divisor, method, pk):
+    """Delay peaks of an omnidirectional profile, de-embedded by ``divisor``.
+
+    Each peak takes the steering angle of the strongest direction in its
+    delay column (ties: lowest row).
+    """
     out = []
     for j in _delay_peaks(profile, pk):
-        angle, m_star = _column_angle(padp, j)
+        m_star = int(np.argmax(padp.values[:, j]))
         out.append(
             MpcEstimate(
                 tau=float(padp.delays[j]),
-                phi=angle,
-                power=float(profile[j] / g0_sq),
-                method=Method.O1,
+                phi=float(padp.angles[m_star]),
+                power=float(profile[j] / divisor),
+                method=method,
                 scan_index=m_star,
                 delay_index=int(j),
             )
         )
     return sorted(out, key=lambda e: (e.tau, e.phi))
+
+
+def estimate_o1(padp, pat, pk=PeakConfig()):
+    """Strongest-direction synthesis estimator."""
+    return _omni_estimates(padp, synth_omni_max(padp), power_gain(pat, 0.0), Method.O1, pk)
 
 
 def estimate_o2(padp, pat, pk=PeakConfig(), deembed="ring_mean"):
@@ -204,25 +204,11 @@ def estimate_o2(padp, pat, pk=PeakConfig(), deembed="ring_mean"):
     ``deembed`` is a convention name for ``o2_deembed_constant`` or a
     precomputed constant (callers running many profiles should precompute).
     """
-    profile = synth_omni_sum(padp)
     if isinstance(deembed, str):
         c_o2 = o2_deembed_constant(pat, len(padp.angles), deembed)
     else:
         c_o2 = float(deembed)
-    out = []
-    for j in _delay_peaks(profile, pk):
-        angle, m_star = _column_angle(padp, j)
-        out.append(
-            MpcEstimate(
-                tau=float(padp.delays[j]),
-                phi=angle,
-                power=float(profile[j] / c_o2),
-                method=Method.O2,
-                scan_index=m_star,
-                delay_index=int(j),
-            )
-        )
-    return sorted(out, key=lambda e: (e.tau, e.phi))
+    return _omni_estimates(padp, synth_omni_sum(padp), c_o2, Method.O2, pk)
 
 
 def coarse_peaks_2d(padp, pk=PeakConfig()):
@@ -242,7 +228,7 @@ def coarse_peaks_2d(padp, pk=PeakConfig()):
     return peaks
 
 
-def haed_refine(padp, coarse, pat, use_closed_form=True, grid_step=None):
+def haed_refine(padp, coarse, pat):
     """Refine coarse 2-D peaks into angle/power estimates inside the beam.
 
     For each coarse peak the contrast chi = (P - P_adj) / (P + P_adj) is
@@ -253,11 +239,12 @@ def haed_refine(padp, coarse, pat, use_closed_form=True, grid_step=None):
     the refined offset and de-embedded by the boresight gain, i.e.
     P / g**2(eps).  Contrasts at +-1 (an adjacent power underflowing to
     zero) are clamped and flagged, and a flagged offset is clipped into
-    [-hpbw/2, hpbw/2].
+    [-hpbw/2, hpbw/2].  Gaussian beams invert in closed form, tabulated
+    patterns by grid search.
     """
     m_total = len(padp.angles)
     spacing = padp.asi
-    closed = use_closed_form and pat.kind is PatternKind.GAUSSIAN_BEAM
+    closed = pat.kind is PatternKind.GAUSSIAN_BEAM
     tiny = np.finfo(np.float64).tiny
     half = 0.5 * pat.hpbw
     out = []
@@ -275,7 +262,7 @@ def haed_refine(padp, coarse, pat, use_closed_form=True, grid_step=None):
                 eps = half if side is Side.MINUS else -half
                 clamped = True
         else:
-            eps = invert_chi_tabulated(chi_used, side, pat, grid_step=grid_step, spacing=spacing)
+            eps = invert_chi_tabulated(chi_used, side, pat, spacing=spacing)
         if clamped:
             eps = float(np.clip(eps, -half, half))
         roll_off = power_gain(pat, eps)
@@ -289,7 +276,6 @@ def haed_refine(padp, coarse, pat, use_closed_form=True, grid_step=None):
                 eps=float(eps),
                 side=side,
                 clamped=clamped,
-                raw_power=float(val * power_gain(pat, 0.0) / roll_off),
                 scan_index=int(m),
                 delay_index=int(j),
             )
@@ -297,9 +283,9 @@ def haed_refine(padp, coarse, pat, use_closed_form=True, grid_step=None):
     return sorted(out, key=lambda e: (e.tau, e.phi))
 
 
-def estimate_haed(padp, pat, pk=PeakConfig(), use_closed_form=True, grid_step=None):
+def estimate_haed(padp, pat, pk=PeakConfig()):
     """Coarse 2-D peak search followed by in-beam refinement."""
-    return haed_refine(padp, coarse_peaks_2d(padp, pk), pat, use_closed_form, grid_step)
+    return haed_refine(padp, coarse_peaks_2d(padp, pk), pat)
 
 
 def _row_power(cfr_row, delta_f, taus):
@@ -352,7 +338,6 @@ def haed_plus_refine(padp, estimates, upsample=16):
                 est,
                 tau=tau_hat,
                 power=est.power * (p_hat / on_grid),
-                raw_power=(est.raw_power * (p_hat / on_grid) if est.raw_power else None),
                 method=Method.HAED_PLUS,
             )
         )

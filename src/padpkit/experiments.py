@@ -68,7 +68,10 @@ class MonteCarloConfig:
 
 @dataclass(frozen=True)
 class ErrorStats:
-    """Summary of one error-sample population."""
+    """Summary of one error-sample population.
+
+    ``failures`` counts trials whose estimator raised; they are also misses.
+    """
 
     rmsee: float
     mean_err: float
@@ -78,12 +81,13 @@ class ErrorStats:
     n: int
     misses: int = 0
     false_alarms: int = 0
+    failures: int = 0
 
     @classmethod
-    def from_samples(cls, samples, misses=0, false_alarms=0):
+    def from_samples(cls, samples, misses=0, false_alarms=0, failures=0):
         s = np.asarray(samples, dtype=np.float64)
         if s.size == 0:
-            return cls(np.nan, np.nan, np.nan, np.nan, s, 0, misses, false_alarms)
+            return cls(np.nan, np.nan, np.nan, np.nan, s, 0, misses, false_alarms, failures)
         return cls(
             rmsee=rmsee(s),
             mean_err=float(np.mean(s)),
@@ -93,6 +97,7 @@ class ErrorStats:
             n=int(s.size),
             misses=misses,
             false_alarms=false_alarms,
+            failures=failures,
         )
 
 
@@ -207,7 +212,9 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
 
     Returns a list of ``SweepRow``; angle errors are in degrees
     (circularly wrapped), amplitude errors are normalized (alpha ratio
-    minus one), delays in nanoseconds.
+    minus one), delays in nanoseconds.  A method that raises on a trial
+    misses every arrival of that trial and is counted in
+    ``ErrorStats.failures``; the other methods of the trial are unaffected.
     """
     threads = int(os.environ.get("PADPKIT_THREADS", "1") or 1)
     c_o2 = o2_deembed_constant(pat, arr.m)
@@ -225,11 +232,12 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
             padp = simulate_padp(mpcs, arr, pat, _cfg, seed=rng, keep_cfr=keep_cfr)
             record = {}
             for method in mc.methods:
+                failed = False
                 try:
                     ests = run_method(method, padp, pat, mc.peak, c_o2, mc.upsample)
                     matched, extra = associate(ests, mpcs, _cfg.delta_tau, pat.hpbw)
                 except Exception:
-                    matched, extra = {}, 0
+                    matched, extra, failed = {}, 0, True
                 errs = {}
                 for ti_truth, est in matched.items():
                     truth = mpcs[ti_truth]
@@ -238,7 +246,7 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
                         _amp_error(est.power, truth, _cfg),
                         (est.tau - truth.tau) * 1e9,
                     )
-                record[method] = (errs, extra)
+                record[method] = (errs, extra, failed)
             return record
 
         if threads > 1:
@@ -252,10 +260,11 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
         for method in mc.methods:
             samples = {ti: ([], [], []) for ti in range(n_truth)}
             misses = {ti: 0 for ti in range(n_truth)}
-            false_alarms = 0
+            false_alarms = failures = 0
             for record in records:
-                errs, extra = record[method]
+                errs, extra, failed = record[method]
                 false_alarms += extra
+                failures += failed
                 for ti in range(n_truth):
                     if ti in errs:
                         for axis in range(3):
@@ -265,7 +274,7 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
             for ti in range(n_truth):
                 for axis, param in enumerate(("phi_deg", "amp_norm", "tau_ns")):
                     stats = ErrorStats.from_samples(
-                        samples[ti][axis], misses=misses[ti], false_alarms=false_alarms
+                        samples[ti][axis], misses[ti], false_alarms, failures
                     )
                     rows.append(
                         SweepRow(

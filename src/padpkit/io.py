@@ -315,7 +315,10 @@ def write_crlb_csv(path, sweep_variable, entries):
 
 
 def write_sweep_csv(path, sweep_rows):
-    """Monte Carlo sweep table matching the run_sweep output."""
+    """Monte Carlo sweep table matching the run_sweep output.
+
+    ``false_alarms`` and ``failures`` count per method and sweep point.
+    """
     rows = [
         (
             r.sweep_value,
@@ -326,14 +329,13 @@ def write_sweep_csv(path, sweep_rows):
             r.stats.mc_stderr,
             r.sqrt_crlb,
             r.stats.misses,
+            r.stats.false_alarms,
+            r.stats.failures,
         )
         for r in sweep_rows
     ]
-    _write_csv(
-        path,
-        ["sweep_value", "method", "param", "rmsee", "mean_err", "mc_stderr", "sqrt_crlb", "misses"],
-        rows,
-    )
+    header = ["sweep_value", "method", "param", "rmsee", "mean_err", "mc_stderr", "sqrt_crlb"]
+    _write_csv(path, header + ["misses", "false_alarms", "failures"], rows)
 
 
 def write_offset_csv(path, study):

@@ -170,24 +170,32 @@ class Padp:
         return float(self.delays[1] - self.delays[0])
 
 
-def _arrival_terms(mpcs, arr, pat, cfg):
-    """Rank-L factors of the noise-free spectra: (m, L) weights and (L, k) ramps.
+def _arrival_terms(alpha, phase, phi, tau, arr, pat, cfg, f_ref):
+    """The scan signal model, as rank-L factors: (m, L) weights and (L, k) ramps.
 
-    The spectra are ``weights @ ramps``; the weights carry transmit power,
-    antenna gains and the complex amplitudes, the ramps the delays.
+    Arrival l contributes sqrt(pu) * g_tx * alpha_l e^{j phase_l}
+    * g(steer_m - phi_l) * exp(-j 2 pi (f_k - f_ref) tau_l), so ``phase``
+    is the arrival's phase at frequency ``f_ref``: 0 for ``MpcTruth``, the
+    band centre for the Fisher parameterization (``crlb``).  The spectra
+    are ``weights @ ramps``; the weights carry transmit power, antenna
+    gains and the complex amplitudes, the ramps the delays.
     """
-    if not mpcs:
+    if np.size(alpha) == 0:
         raise ValueError("at least one multipath component required")
-    steer = arr.steering_angles
-    coeff = np.array([m.alpha * np.exp(1j * m.phase) for m in mpcs])
-    gains = np.stack([gain(pat, wrap_pm_pi(steer - m.phi)) for m in mpcs], axis=1)
-    ramps = np.exp(-2j * np.pi * np.outer([m.tau for m in mpcs], cfg.freqs))
+    coeff = alpha * np.exp(1j * phase)
+    gains = gain(pat, wrap_pm_pi(arr.steering_angles[:, None] - phi))
+    ramps = np.exp(-2j * np.pi * np.outer(tau, cfg.freqs - f_ref))
     return np.sqrt(cfg.pu) * cfg.g_tx * (gains * coeff), ramps
+
+
+def _truth_params(mpcs):
+    """(alpha, phase, phi, tau) arrays of MpcTruth arrivals, for ``_arrival_terms``."""
+    return np.array([(m.alpha, m.phase, m.phi, m.tau) for m in mpcs]).reshape(-1, 4).T
 
 
 def synth_cfr(mpcs, arr, pat, cfg):
     """Noise-free received spectra for all scan directions, (m, k) complex."""
-    weights, ramps = _arrival_terms(mpcs, arr, pat, cfg)
+    weights, ramps = _arrival_terms(*_truth_params(mpcs), arr, pat, cfg, 0.0)
     return weights @ ramps
 
 
@@ -265,6 +273,6 @@ def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True):
     and attached as ``Padp.cfr`` (haed+ needs them).  Power-only callers
     pass ``keep_cfr=False`` and skip that transform.
     """
-    weights, ramps = _arrival_terms(mpcs, arr, pat, cfg)
+    weights, ramps = _arrival_terms(*_truth_params(mpcs), arr, pat, cfg, 0.0)
     h = add_noise(weights @ cfr_to_cir(ramps, cfg), cfg.sigma2, seed)
     return assemble_padp(pdp(h), arr, cfg, cfr=cir_to_cfr(h, cfg) if keep_cfr else None)

@@ -154,6 +154,7 @@ def test_estimator_failure_counts_as_miss(arr36, pat10, monkeypatch):
     rows = run_sweep(_small_mc(trials=3, methods=(Method.O1,)), CFG, arr36, pat10)
     for r in rows:
         assert r.stats.misses == 3 and r.stats.n == 0
+        assert r.stats.failures == 3
 
 
 def test_zero_noise_sweep_is_exact(arr36, pat10):
@@ -302,8 +303,12 @@ def test_method_failures_stay_isolated(arr36, pat10, monkeypatch):
     rows = _phi_rows(run_sweep(_plus_mc(methods), CFG, arr36, pat10))
     assert rows[Method.HAED_PLUS].stats.misses == 3
     assert rows[Method.HAED].stats.n == 3 and rows[Method.O1].stats.n == 3
+    assert rows[Method.HAED_PLUS].stats.failures == 3
+    assert rows[Method.HAED].stats.failures == rows[Method.O1].stats.failures == 0
     monkeypatch.undo()
     monkeypatch.setattr(exp, "estimate_haed", boom)
     rows = _phi_rows(run_sweep(_plus_mc(methods), CFG, arr36, pat10))
     assert rows[Method.HAED].stats.misses == 3 and rows[Method.HAED_PLUS].stats.misses == 3
     assert rows[Method.O1].stats.n == 3
+    assert rows[Method.HAED].stats.failures == rows[Method.HAED_PLUS].stats.failures == 3
+    assert rows[Method.O1].stats.failures == 0

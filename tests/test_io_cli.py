@@ -360,7 +360,9 @@ def test_cli_montecarlo_and_repro(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
     lines = out1.read_text().strip().split("\n")
-    assert lines[0] == "sweep_value,method,param,rmsee,mean_err,mc_stderr,sqrt_crlb,misses"
+    assert lines[0] == (
+        "sweep_value,method,param,rmsee,mean_err,mc_stderr,sqrt_crlb,misses,false_alarms,failures"
+    )
     assert len(lines) == 1 + 2 * 2 * 3
     manifest = json.loads((tmp_path / "mc1.csv.manifest.json").read_text())
     assert manifest["seed"] == 3 and manifest["config"]["trials"] == 5
