@@ -44,19 +44,14 @@ def _parse_values(spec):
 def _cmd_simulate(args):
     scenario = io.load_scenario(args.scenario)
     padp = simulate_padp(
-        scenario.mpcs,
-        scenario.array,
-        scenario.pattern,
-        scenario.sounding,
-        seed=args.seed,
-        keep_cfr=bool(args.cfr_out),
+        scenario.mpcs, scenario.array, scenario.pattern, scenario.sounding, seed=args.seed
     )
     manifest = io.build_manifest(
         seed=args.seed, inputs={"scenario_sha256": scenario.sha256}
     )
     io.write_padp(args.out, padp, manifest=manifest)
     if args.cfr_out:
-        np.save(args.cfr_out, padp.cfr)
+        np.save(args.cfr_out, padp.spectra())
     print(f"wrote {args.out} ({padp.values.shape[0]}x{padp.values.shape[1]})", file=sys.stderr)
     return 0
 
@@ -71,14 +66,40 @@ def _load_pattern_for_estimate(args):
     raise ValueError("give --scenario, --pattern-csv, or both --gmax-db and --hpbw-deg")
 
 
+def _with_spectra(padp, path):
+    """``padp`` carrying the delay responses of the .npy spectra at ``path``.
+
+    The responses are ``ifft(cfr, norm="ortho")``, referenced to band start
+    0.  The spectra must be finite and their power must reproduce the PADP
+    values (within 1e-9 of the map maximum).
+    """
+    cfr = np.load(path)
+    if not isinstance(cfr, np.ndarray) or cfr.dtype.kind not in "biufc":
+        raise ValueError("--cfr: expected a .npy array of complex spectra")
+    cfr = cfr.astype(np.complex128)
+    if cfr.shape != padp.values.shape:
+        raise ValueError(
+            f"--cfr: spectra of shape {cfr.shape} do not match the PADP {padp.values.shape}"
+        )
+    if not np.all(np.isfinite(cfr)):
+        raise ValueError("--cfr: spectra contain non-finite values")
+    h = np.fft.ifft(cfr, axis=-1, norm="ortho")
+    mismatch = float(np.max(np.abs(np.abs(h) ** 2 - padp.values)))
+    if not mismatch <= 1e-9 * float(np.max(padp.values)):
+        raise ValueError(
+            f"--cfr: spectra do not reproduce the PADP values (largest power difference "
+            f"{mismatch:.3g}, map maximum {float(np.max(padp.values)):.3g})"
+        )
+    return replace(padp, h=h, f_start=0.0)
+
+
 def _cmd_estimate(args):
     padp, header = io.read_padp(args.padp)
     if args.cfr:
-        cfr = np.load(args.cfr)
-        padp = replace(padp, cfr=np.asarray(cfr, dtype=np.complex128))
+        padp = _with_spectra(padp, args.cfr)
     pattern = _load_pattern_for_estimate(args)
     methods = io.parse_methods(args.methods)
-    if Method.HAED_PLUS in methods and padp.cfr is None:
+    if Method.HAED_PLUS in methods and padp.h is None:
         raise ValueError(
             "haed+ needs complex spectra: pass --cfr (power-only PADP files "
             "cannot support band-limited delay interpolation)"

@@ -14,8 +14,9 @@ Three estimators share the PADP input:
   closed form (Gaussian beam) or by grid search on the tabulated pattern,
   and corrects the power by the pattern roll-off at the refined offset.
   ``haed_plus_refine`` additionally re-reads delay and power on a
-  band-limited interpolation of the aligned row (needs the complex
-  spectra, which power-only PADPs cannot supply).
+  band-limited interpolation of the aligned row.  It needs the complex
+  delay responses (``Padp.h``), which power-only PADPs cannot supply, and
+  turns only the rows holding peaks into spectra.
 
 Powers are reported de-embedded (boresight gain removed) so the three
 methods share units; for a unit-amplitude arrival the de-embedded peak is
@@ -23,6 +24,7 @@ K * pu * g_tx**2.
 """
 
 import enum
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -300,36 +302,64 @@ def _row_power(cfr_row, delta_f, taus):
     return np.abs(h) ** 2
 
 
+@functools.lru_cache(maxsize=8)
+def _subbin_kernel(k, upsample):
+    """(2U+1, k) phases exp(j 2 pi n u / (k U)) for offsets u = -U..U (U = upsample).
+
+    Read-only, because the cached array is shared between threads.
+    """
+    n_u = np.outer(np.arange(-upsample, upsample + 1), np.arange(k))
+    kernel = np.exp(2j * np.pi * n_u / (k * upsample))
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _subbin_powers(cfr_row, j, upsample):
+    """``_row_power`` at the taus (j + u/U) * dtau, u = -U..U, through the cached kernel.
+
+    The phase of delay bin j, exp(j 2 pi j n / k), is factored into the
+    row, so the kernel depends only on (k, U).
+    """
+    k = cfr_row.shape[0]
+    bin_phase = np.exp(2j * np.pi * (j * np.arange(k) % k) / k)
+    h = _subbin_kernel(k, upsample) @ (cfr_row * bin_phase) / np.sqrt(k)
+    return np.abs(h) ** 2
+
+
 def haed_plus_refine(padp, estimates, upsample=16):
     """Re-read delay and power on an upsampled band-limited interpolation.
 
     Scans ``upsample`` times finer than the delay grid across the peak's
-    +-1 bin window, then sharpens the maximum with a parabolic vertex
-    step.  Angles are kept from the input estimates; powers are rescaled
-    by the interpolated/on-grid peak ratio, preserving the de-embedding.
-    Requires a Padp carrying the complex spectra (``cfr``).
+    +-1 bin window around its grid delay, then sharpens the maximum with a
+    parabolic vertex step.  Angles are kept from the input estimates;
+    powers are rescaled by the interpolated/on-grid peak ratio, preserving
+    the de-embedding.  Requires a Padp carrying its delay responses
+    (``h``); only the distinct rows holding peaks are turned into spectra.
     """
     if upsample < 2:
         raise ValueError("upsample must be >= 2")
-    if padp.cfr is None:
-        raise ValueError("haed_plus_refine needs a Padp with complex spectra (cfr)")
+    if padp.h is None:
+        raise ValueError("haed_plus_refine needs a Padp carrying its delay responses (h)")
+    if any(e.scan_index is None or e.delay_index is None for e in estimates):
+        raise ValueError("estimates must carry scan/delay indices (haed output)")
+    rows = sorted({e.scan_index for e in estimates})
+    spectra = dict(zip(rows, padp.spectra(rows)))
     delta_tau = padp.delta_tau
     delta_f = 1.0 / (padp.values.shape[1] * delta_tau)
+    step = delta_tau / upsample
     out = []
     for est in estimates:
-        if est.scan_index is None or est.delay_index is None:
-            raise ValueError("estimates must carry scan/delay indices (haed output)")
-        row = padp.cfr[est.scan_index]
+        row = spectra[est.scan_index]
         on_grid = padp.values[est.scan_index, est.delay_index]
-        taus = est.tau + np.arange(-upsample, upsample + 1) * (delta_tau / upsample)
-        powers = _row_power(row, delta_f, taus)
+        taus = padp.delays[est.delay_index] + np.arange(-upsample, upsample + 1) * step
+        powers = _subbin_powers(row, est.delay_index, upsample)
         best = int(np.argmax(powers))
         tau_hat, p_hat = float(taus[best]), float(powers[best])
         if 0 < best < len(taus) - 1:
             pl, p0, pr = powers[best - 1], powers[best], powers[best + 1]
             denom = pl - 2.0 * p0 + pr
             if denom < 0:
-                vertex = taus[best] + 0.5 * (pl - pr) / denom * (delta_tau / upsample)
+                vertex = taus[best] + 0.5 * (pl - pr) / denom * step
                 p_vertex = float(_row_power(row, delta_f, np.array([vertex]))[0])
                 if p_vertex > p_hat:
                     tau_hat, p_hat = float(vertex), p_vertex

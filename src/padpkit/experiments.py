@@ -212,13 +212,14 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
 
     Returns a list of ``SweepRow``; angle errors are in degrees
     (circularly wrapped), amplitude errors are normalized (alpha ratio
-    minus one), delays in nanoseconds.  A method that raises on a trial
-    misses every arrival of that trial and is counted in
-    ``ErrorStats.failures``; the other methods of the trial are unaffected.
+    minus one), delays in nanoseconds.  A method that raises ``ValueError``
+    (the estimators' failure type, which covers ``ChiSaturationError`` and
+    ``SingularFimError``) on a trial misses every arrival of that trial and
+    is counted in ``ErrorStats.failures``; the other methods of the trial
+    are unaffected.  Any other exception is a bug and propagates.
     """
     threads = int(os.environ.get("PADPKIT_THREADS", "1") or 1)
     c_o2 = o2_deembed_constant(pat, arr.m)
-    keep_cfr = Method.HAED_PLUS in mc.methods
     rows = []
     for si, sweep_value in enumerate(mc.sweep_values):
         sigma2 = _sigma2_for_point(mc, cfg, pat, sweep_value)
@@ -229,14 +230,14 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
                 np.random.SeedSequence(entropy=mc.base_seed, spawn_key=(_si, ti))
             )
             mpcs = _trial_mpcs(mc, _cfg, _val, rng)
-            padp = simulate_padp(mpcs, arr, pat, _cfg, seed=rng, keep_cfr=keep_cfr)
+            padp = simulate_padp(mpcs, arr, pat, _cfg, seed=rng)
             record = {}
             for method in mc.methods:
                 failed = False
                 try:
                     ests = run_method(method, padp, pat, mc.peak, c_o2, mc.upsample)
                     matched, extra = associate(ests, mpcs, _cfg.delta_tau, pat.hpbw)
-                except Exception:
+                except ValueError:
                     matched, extra, failed = {}, 0, True
                 errs = {}
                 for ti_truth, est in matched.items():
@@ -339,7 +340,6 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
     samples = {m: {"phi_deg": [], "power_db": []} for m in methods}
     misses = {m: 0 for m in methods}
     lo, hi = cfg0.k // 4, 3 * cfg0.k // 4
-    keep_cfr = Method.HAED_PLUS in methods
     for i in range(n_mpcs):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         truth = MpcTruth(
@@ -348,7 +348,7 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
             tau=int(rng.integers(lo, hi)) * cfg0.delta_tau,
             phi=rng.uniform(0.0, 2.0 * np.pi),
         )
-        padp = simulate_padp([truth], arr, pat, cfg0, seed=rng, keep_cfr=keep_cfr)
+        padp = simulate_padp([truth], arr, pat, cfg0, seed=rng)
         for method in methods:
             ests = run_method(method, padp, pat, PeakConfig(), c_o2, 16)
             matched, _ = associate(ests, [truth], cfg0.delta_tau, pat.hpbw)

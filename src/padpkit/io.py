@@ -200,10 +200,11 @@ def _header_field(header, key, kind, path):
 
 
 def read_padp(path):
-    """Read a PADP file back into a (Padp, header) pair (no complex spectra).
+    """Read a PADP file back into a (Padp, header) pair (no delay responses).
 
     The header is validated first; a malformed one raises ``ValueError``
-    naming the field.
+    naming the field.  ``asi_deg`` and ``scale`` may be missing; a given
+    ``asi_deg`` must equal 360/m, because scans cover the full circle.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -228,6 +229,13 @@ def read_padp(path):
         raise ValueError(f"{path}: PADP header: delay_step_ns: must be positive")
     if scale not in ("linear", "db"):
         raise ValueError(f"{path}: PADP header: scale: expected 'linear' or 'db', got {scale!r}")
+    if "asi_deg" in header:
+        asi_deg = _header_field(header, "asi_deg", float, path)
+        if not np.isclose(asi_deg, 360.0 / m, rtol=1e-9, atol=0.0):
+            raise ValueError(
+                f"{path}: PADP header: asi_deg: {asi_deg!r} disagrees with 360/m = {360.0 / m:.12g}"
+                " (only full-circle scans are supported)"
+            )
     values = np.frombuffer(blob, dtype="<f8")
     if values.size != m * k:
         raise ValueError(f"{path}: payload has {values.size} values, header says {m}x{k}")

@@ -27,8 +27,11 @@ frequency phase ramp, identical to the direct sum.
    noise of height sigma2 to white noise of the same height and the same
    distribution, and drawing it after the transform is exact, not an
    approximation;
-3. the power map is |h|^2, and the spectra are recovered with the inverse
-   transform (``cir_to_cfr``) only when the caller asks for them.
+3. the power map is |h|^2, and the responses h ride along on the Padp
+   (``Padp.h``): nothing rebuilds the full-map spectra.  Estimators that
+   need spectra (haed+) transform only the rows they read
+   (``Padp.spectra``), and all rows are transformed only where spectra
+   leave the program (``simulate --cfr-out``).
 """
 
 import math
@@ -136,16 +139,21 @@ class MpcTruth:
 class Padp:
     """Power-angle-delay profile: an (m, k) non-negative power map plus grids.
 
-    ``cfr`` optionally carries the complex received spectra behind the
-    map; band-limited delay interpolation needs it (power samples
-    alone undersample the squared response), so estimators that refine the
-    delay axis require a Padp carrying it.
+    ``h`` optionally carries the complex delay responses behind the map
+    (``values`` is |h|**2), referenced to the band start frequency
+    ``f_start`` in Hz: h_m(tau_j) = K^{-1/2} sum_n Y_m[n]
+    exp(j 2 pi (f_start + n/(K dtau)) tau_j) for the row's spectrum Y_m.
+    Simulated maps use fc - bw/2; responses built from stored spectra as
+    ``ifft(cfr, norm="ortho")`` use 0.  Band-limited delay interpolation
+    needs them (power samples alone undersample the squared response), so
+    estimators that refine the delay axis require a Padp carrying them.
     """
 
     values: np.ndarray
     angles: np.ndarray
     delays: np.ndarray
-    cfr: np.ndarray | None = field(default=None, repr=False)
+    h: np.ndarray | None = field(default=None, repr=False)
+    f_start: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -155,8 +163,8 @@ class Padp:
             raise ValueError("grid lengths must match the value matrix")
         if not np.all(np.isfinite(v)) or np.any(v < 0):
             raise ValueError("values must be finite and non-negative")
-        if self.cfr is not None and self.cfr.shape != v.shape:
-            raise ValueError("cfr must match the value matrix shape")
+        if self.h is not None and self.h.shape != v.shape:
+            raise ValueError("h must match the value matrix shape")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "angles", np.asarray(self.angles, dtype=np.float64))
         object.__setattr__(self, "delays", np.asarray(self.delays, dtype=np.float64))
@@ -168,6 +176,15 @@ class Padp:
     @property
     def delta_tau(self):
         return float(self.delays[1] - self.delays[0])
+
+    def spectra(self, rows=slice(None)):
+        """Complex spectra of the scan ``rows`` (all by default), from ``h``.
+
+        The inverse of the delay transform, applied to those rows only.
+        """
+        if self.h is None:
+            raise ValueError("Padp carries no delay responses (h)")
+        return _spectra(self.h[rows], self.f_start, self.delays)
 
 
 def _arrival_terms(alpha, phase, phi, tau, arr, pat, cfg, f_ref):
@@ -219,8 +236,18 @@ def add_noise(s, sigma2, seed):
     return w
 
 
-def _band_start_ramp(cfg):
-    return np.exp(2j * np.pi * (cfg.fc - 0.5 * cfg.bw) * cfg.delays)
+def _band_start(cfg):
+    return cfg.fc - 0.5 * cfg.bw
+
+
+def _band_start_ramp(f_start, delays):
+    return np.exp(2j * np.pi * f_start * delays)
+
+
+def _spectra(h, f_start, delays):
+    """Spectra behind delay responses referenced to band start ``f_start``."""
+    ramp = _band_start_ramp(f_start, delays)
+    return np.fft.fft(h * ramp.conj(), axis=-1, norm="ortho")
 
 
 def cfr_to_cir(y, cfg, method="fft"):
@@ -239,7 +266,7 @@ def cfr_to_cir(y, cfg, method="fft"):
         return (y @ kernel) / np.sqrt(k)
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
-    return np.sqrt(k) * np.fft.ifft(y, axis=-1) * _band_start_ramp(cfg)
+    return np.sqrt(k) * np.fft.ifft(y, axis=-1) * _band_start_ramp(_band_start(cfg), cfg.delays)
 
 
 def cir_to_cfr(h, cfg):
@@ -247,32 +274,40 @@ def cir_to_cfr(h, cfg):
     h = np.asarray(h)
     if h.shape[-1] != cfg.k:
         raise ValueError("response length must equal cfg.k")
-    return np.fft.fft(h * _band_start_ramp(cfg).conj(), axis=-1, norm="ortho")
+    return _spectra(h, _band_start(cfg), cfg.delays)
 
 
 def pdp(h):
     """Power delay profile(s): squared magnitude of delay-domain responses."""
-    return np.abs(h) ** 2
+    p = np.abs(h)
+    p **= 2  # in place: one map-sized temporary fewer per call
+    return p
 
 
-def assemble_padp(pdps, arr, cfg, cfr=None):
-    """Stack per-direction PDPs into a Padp in steering-angle order."""
+def assemble_padp(pdps, arr, cfg, h=None):
+    """Stack per-direction PDPs into a Padp in steering-angle order.
+
+    ``h``, when given, are the delay responses behind the PDPs, referenced
+    to the band start of ``cfg``.
+    """
     v = np.asarray(pdps, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] != arr.m:
         raise ValueError(f"expected {arr.m} rows of equal length, got shape {v.shape}")
     if v.shape[1] != cfg.k:
         raise ValueError("row length must equal cfg.k")
-    return Padp(values=v, angles=arr.steering_angles, delays=cfg.delays, cfr=cfr)
+    return Padp(
+        values=v, angles=arr.steering_angles, delays=cfg.delays, h=h, f_start=_band_start(cfg)
+    )
 
 
 def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True):
     """Full synthesis pipeline: delay responses -> noise -> Padp.
 
-    Works in the delay domain (see the module docstring); with
-    ``keep_cfr`` the noisy spectra are recovered by the inverse transform
-    and attached as ``Padp.cfr`` (haed+ needs them).  Power-only callers
-    pass ``keep_cfr=False`` and skip that transform.
+    Works in the delay domain (see the module docstring).  The noisy delay
+    responses are attached as ``Padp.h`` (haed+ needs them); that adds no
+    copy and no transform.  ``keep_cfr=False`` leaves ``h`` off, so the
+    Padp carries the power map only.
     """
     weights, ramps = _arrival_terms(*_truth_params(mpcs), arr, pat, cfg, 0.0)
     h = add_noise(weights @ cfr_to_cir(ramps, cfg), cfg.sigma2, seed)
-    return assemble_padp(pdp(h), arr, cfg, cfr=cir_to_cfr(h, cfg) if keep_cfr else None)
+    return assemble_padp(pdp(h), arr, cfg, h=h if keep_cfr else None)

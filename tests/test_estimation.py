@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padpkit import (
     AntennaPattern,
@@ -18,6 +20,9 @@ from padpkit.estimation import (
     estimate_haed,
     estimate_o1,
     estimate_o2,
+    _row_power,
+    _subbin_kernel,
+    _subbin_powers,
     haed_plus_refine,
     haed_refine,
     noise_threshold,
@@ -296,10 +301,62 @@ def test_haed_plus_requires_cfr(cfg, arr36, pat10):
     padp, _ = _padp_for(13.0, cfg, arr36, pat10)
     stripped = Padp(values=padp.values, angles=padp.angles, delays=padp.delays)
     ests = estimate_haed(padp, pat10)
-    with pytest.raises(ValueError, match="cfr"):
+    with pytest.raises(ValueError, match=r"delay responses \(h\)"):
         haed_plus_refine(stripped, ests)
     with pytest.raises(ValueError, match="upsample"):
         haed_plus_refine(padp, ests, upsample=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(2, 1024),
+    upsample=st.integers(2, 32),
+    bin_frac=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-6.0, 6.0),
+)
+def test_cached_kernel_matches_row_power(k, upsample, bin_frac, seed, log_scale):
+    """The cached sub-bin kernel reads the powers ``_row_power`` reads at haed+'s taus.
+
+    The tolerance is 1e-12 of the row energy, the largest value |h|**2 can
+    take: ``_row_power``'s own phase rounding grows with (delay bin x
+    frequency index), to about 2e-12 of the window maximum at k = 1001.
+    """
+    j = int(bin_frac * k)
+    rng = np.random.default_rng(seed)
+    row = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * 10.0**log_scale
+    delta_tau = 0.5e-9
+    taus = (np.arange(k) * delta_tau)[j] + np.arange(-upsample, upsample + 1) * (
+        delta_tau / upsample
+    )
+    want = _row_power(row, 1.0 / (k * delta_tau), taus)
+    got = _subbin_powers(row, j, upsample)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.sum(np.abs(row) ** 2))
+
+
+def test_subbin_kernel_is_cached_and_read_only():
+    kernel = _subbin_kernel(129, 16)
+    assert kernel.shape == (33, 129)
+    assert _subbin_kernel(129, 16) is kernel
+    with pytest.raises(ValueError):
+        kernel[0, 0] = 0.0
+
+
+def test_haed_plus_reads_only_peak_rows(cfg, arr36, pat10):
+    """haed+ needs the delay responses of the peak rows only."""
+    mpcs = [
+        MpcTruth(alpha=1.0, phase=0.9, tau=25.25e-9, phi=np.radians(13.0)),
+        MpcTruth(alpha=0.7, phase=0.2, tau=40.4e-9, phi=np.radians(200.0)),
+    ]
+    padp = simulate_padp(mpcs, arr36, pat10, cfg, seed=0)
+    ests = estimate_haed(padp, pat10)
+    peak_rows = sorted({e.scan_index for e in ests})
+    assert len(peak_rows) == 2
+    h = np.full_like(padp.h, np.nan)
+    h[peak_rows] = padp.h[peak_rows]
+    masked = Padp(padp.values, padp.angles, padp.delays, h=h, f_start=padp.f_start)
+    assert haed_plus_refine(masked, ests) == haed_plus_refine(padp, ests)
 
 
 def test_empty_when_nothing_above_threshold(pat10):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -124,37 +126,70 @@ def test_run_sweep_threaded_matches_serial(arr36, pat10, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "methods, want_cfr",
-    [((Method.O1, Method.O2, Method.HAED), False), ((Method.HAED, Method.HAED_PLUS), True)],
+    "methods", [(Method.O1, Method.O2, Method.HAED), (Method.HAED, Method.HAED_PLUS)]
 )
-def test_spectra_built_only_for_haed_plus(arr36, pat10, monkeypatch, methods, want_cfr):
-    import padpkit.experiments as exp
+def test_spectra_only_for_peak_rows(arr36, pat10, monkeypatch, methods):
+    """Sweeps turn into spectra no more scan rows than the map has distinct peak rows."""
+    from padpkit.synthesis import Padp
 
-    seen = []
+    converted = []
+    spectra = Padp.spectra
 
-    def spy(*args, **kwargs):
-        padp = simulate(*args, **kwargs)
-        seen.append(padp.cfr is not None)
-        return padp
+    def spy(padp, rows=slice(None)):
+        peak_rows = {e.scan_index for e in estimate_haed(padp, pat10)}
+        got = np.arange(padp.values.shape[0])[rows]
+        converted.append((len(got), len(set(got) - peak_rows), len(peak_rows)))
+        return spectra(padp, rows)
 
-    simulate = exp.simulate_padp
-    monkeypatch.setattr(exp, "simulate_padp", spy)
-    run_sweep(_small_mc(trials=2, methods=methods), CFG, arr36, pat10)
+    monkeypatch.setattr(Padp, "spectra", spy)
+    mpcs = (
+        MpcTruth(alpha=1.0, phase=0.0, tau=20e-9, phi=np.radians(13.0)),
+        MpcTruth(alpha=0.8, phase=1.0, tau=35e-9, phi=np.radians(13.0)),
+    )
+    mc = MonteCarloConfig(
+        trials=3,
+        sweep_variable="angular_separation_deg",
+        sweep_values=(0.0, 90.0),
+        mpcs=mpcs,
+        off_grid_delay=True,
+        methods=methods,
+    )
+    run_sweep(mc, replace(CFG, sigma2=0.05), arr36, pat10)
     uniform_offset_study(2, seed=0, cfg=CFG, arr=arr36, pat=pat10, methods=methods)
-    assert seen and set(seen) == {want_cfr}
+    if Method.HAED_PLUS not in methods:
+        assert converted == []
+        return
+    assert len(converted) == 3 * 2 + 2  # one conversion per haed+ call
+    for n_rows, outside, n_peak_rows in converted:
+        assert 1 <= n_rows <= n_peak_rows and outside == 0
+    assert max(n for n, _, _ in converted) == 2  # both rows of the 90-degree pair
 
 
 def test_estimator_failure_counts_as_miss(arr36, pat10, monkeypatch):
     import padpkit.experiments as exp
 
     def boom(*args, **kwargs):
-        raise RuntimeError("synthetic estimator failure")
+        raise ValueError("synthetic estimator failure")
 
     monkeypatch.setattr(exp, "estimate_o1", boom)
     rows = run_sweep(_small_mc(trials=3, methods=(Method.O1,)), CFG, arr36, pat10)
     for r in rows:
         assert r.stats.misses == 3 and r.stats.n == 0
         assert r.stats.failures == 3
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_unexpected_estimator_error_propagates(arr36, pat10, monkeypatch, threads):
+    """Only ValueError counts as an estimator failure; any other exception is a bug."""
+    import padpkit.experiments as exp
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic bug")
+
+    monkeypatch.setenv("PADPKIT_THREADS", threads)
+    monkeypatch.setattr(exp, "estimate_o1", boom)
+    with pytest.raises(RuntimeError, match="synthetic bug"):
+        run_sweep(_small_mc(trials=3, methods=(Method.O1, Method.HAED)), CFG, arr36, pat10)
 
 
 def test_zero_noise_sweep_is_exact(arr36, pat10):
@@ -296,7 +331,7 @@ def test_method_failures_stay_isolated(arr36, pat10, monkeypatch):
     import padpkit.experiments as exp
 
     def boom(*args, **kwargs):
-        raise RuntimeError("synthetic estimator failure")
+        raise ValueError("synthetic estimator failure")
 
     methods = (Method.O1, Method.HAED, Method.HAED_PLUS)
     monkeypatch.setattr(exp, "haed_plus_refine", boom)

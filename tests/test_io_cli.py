@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padpkit import MpcTruth, simulate_padp
 from padpkit.cli import main
@@ -83,7 +85,7 @@ def test_padp_file_roundtrip(tmp_path):
     np.testing.assert_allclose(back.delays, padp.delays, rtol=1e-12)
     assert header["m"] == 36 and header["k"] == 129
     assert header["manifest"]["seed"] == 3
-    assert back.cfr is None
+    assert back.h is None
 
 
 def test_padp_db_scale_roundtrip(tmp_path):
@@ -125,8 +127,12 @@ def _drop(key):
         (lambda h: {**h, "m": "36"}, "PADP header: m:"),
         (lambda h: {**h, "delay_step_ns": -0.5}, "PADP header: delay_step_ns:"),
         (lambda h: {**h, "delay_step_ns": float("nan")}, "PADP header: delay_step_ns:"),
+        (lambda h: {**h, "asi_deg": 5.0}, "PADP header: asi_deg:"),
     ],
-    ids=["no-step", "no-m", "no-k", "list", "scale-dbm", "k-1", "m-str", "step-neg", "step-nan"],
+    ids=[
+        "no-step", "no-m", "no-k", "list", "scale-dbm", "k-1", "m-str", "step-neg", "step-nan",
+        "asi-5",
+    ],
 )
 def test_padp_header_validation(tmp_path, capsys, edit, message):
     padp, _ = _tiny_padp()
@@ -216,6 +222,101 @@ def test_cli_estimate_pipeline(tmp_path):
     )
     assert rc == 0
     assert "haed+" in out2.read_text()
+
+
+def _nan_in_peak_row(cfr, _other):
+    cfr[1, 5] = np.nan  # row 1 is the 10-degree scan holding the 13-degree arrival
+    return cfr
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_nan_in_peak_row, "non-finite"),
+        (lambda _cfr, other: other, "do not reproduce the PADP values"),
+        (lambda cfr, _other: cfr[:, :-1], "do not match the PADP"),
+        (lambda cfr, _other: np.full(cfr.shape, "x"), "expected a .npy array"),
+        (lambda cfr, _other: np.zeros(cfr.shape, dtype=[("re", float)]), "expected a .npy array"),
+    ],
+    ids=["nan-peak-row", "other-seed", "shape", "strings", "structured"],
+)
+def test_cli_estimate_rejects_broken_spectra(tmp_path, capsys, edit, message):
+    noisy = json.loads(json.dumps(SCENARIO))
+    noisy["sounding"]["sigma2"] = 1.0
+    sc = scenario_file(tmp_path, noisy)
+    padp_path, cfr_path = tmp_path / "sim.padp", tmp_path / "sim_cfr.npy"
+    other_padp, other_cfr = tmp_path / "other.padp", tmp_path / "other_cfr.npy"
+    for out, cfr, seed in ((padp_path, cfr_path, "1"), (other_padp, other_cfr, "2")):
+        rc = main(
+            ["simulate", "--scenario", str(sc), "--out", str(out), "--cfr-out", str(cfr),
+             "--seed", seed]
+        )
+        assert rc == 0
+    argv = ["estimate", "--padp", str(padp_path), "--scenario", str(sc), "--methods", "haed+",
+            "--cfr", str(cfr_path), "--out", str(tmp_path / "est.csv")]
+    assert main(argv) == 0  # the matching spectra are accepted
+    capsys.readouterr()
+    np.save(cfr_path, edit(np.load(cfr_path), np.load(other_cfr)))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("padpkit: error: --cfr:") and message in err
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    sigma2=st.sampled_from([0.0, 0.1, 10.0]),
+    tau_frac=st.floats(0.0, 1.0),
+    phi_deg=st.floats(0.0, 360.0, exclude_max=True),
+    sep_deg=st.floats(30.0, 180.0),
+)
+def test_haed_plus_same_from_spectra_file(
+    tmp_path_factory, seed, sigma2, tau_frac, phi_deg, sep_deg
+):
+    """haed+ on a simulated Padp equals haed+ on its map rebuilt from the --cfr-out file."""
+    from padpkit.cli import _with_spectra
+    from padpkit.estimation import estimate_haed, haed_plus_refine
+    from padpkit.io import load_scenario
+
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["sounding"]["sigma2"] = sigma2
+    doc["mpcs"] = [
+        {"alpha": 1.0, "phase_deg": 60.0, "tau_ns": 16.0 + 0.5 * tau_frac, "phi_deg": phi_deg},
+        {"alpha": 0.6, "phase_deg": 10.0, "tau_ns": 21.3, "phi_deg": phi_deg + sep_deg},
+    ]
+    tmp = tmp_path_factory.mktemp("roundtrip")
+    sc_path = scenario_file(tmp, doc)
+    padp_path, cfr_path = tmp / "sim.padp", tmp / "sim_cfr.npy"
+    argv = ["simulate", "--scenario", str(sc_path), "--out", str(padp_path),
+            "--cfr-out", str(cfr_path), "--seed", str(seed)]
+    assert main(argv) == 0
+    sc = load_scenario(sc_path)
+    direct = simulate_padp(sc.mpcs, sc.array, sc.pattern, sc.sounding, seed=seed)
+    rebuilt = _with_spectra(read_padp(padp_path)[0], cfr_path)
+    np.testing.assert_array_equal(rebuilt.values, direct.values)
+    ests = estimate_haed(direct, sc.pattern)
+    assert ests and estimate_haed(rebuilt, sc.pattern) == ests
+    want = haed_plus_refine(direct, ests)
+    got = haed_plus_refine(rebuilt, ests)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.phi == b.phi and a.scan_index == b.scan_index
+        assert a.tau == pytest.approx(b.tau, rel=1e-12)
+        assert a.power == pytest.approx(b.power, rel=1e-12)
+
+
+def test_cli_estimate_rejects_npz_spectra(tmp_path, capsys):
+    sc = scenario_file(tmp_path)
+    padp_path, cfr_path = tmp_path / "sim.padp", tmp_path / "sim_cfr.npy"
+    main(["simulate", "--scenario", str(sc), "--out", str(padp_path), "--cfr-out", str(cfr_path)])
+    npz_path = tmp_path / "sim_cfr.npz"
+    np.savez(npz_path, cfr=np.load(cfr_path))
+    rc = main(
+        ["estimate", "--padp", str(padp_path), "--scenario", str(sc), "--methods", "haed+",
+         "--cfr", str(npz_path), "--out", str(tmp_path / "x.csv")]
+    )
+    assert rc == 2
+    assert "--cfr: expected a .npy array" in capsys.readouterr().err
 
 
 def test_cli_estimate_haed_plus_needs_cfr(tmp_path, capsys):

@@ -243,17 +243,22 @@ def test_noise_free_delay_synthesis_matches_spectral_path(
 def test_kept_spectra_reproduce_the_map(cfg_small, arr36, pat10, mpc_13deg):
     cfg = SoundingConfig(fc=cfg_small.fc, bw=cfg_small.bw, k=cfg_small.k, sigma2=0.5)
     p = simulate_padp([mpc_13deg], arr36, pat10, cfg, seed=3, keep_cfr=True)
-    back = pdp(cfr_to_cir(p.cfr, cfg))
+    back = pdp(cfr_to_cir(p.spectra(), cfg))
     assert np.max(np.abs(back - p.values)) / np.max(p.values) < 1e-12
-    h = cfr_to_cir(p.cfr, cfg)
-    np.testing.assert_allclose(cir_to_cfr(h, cfg), p.cfr, rtol=0, atol=1e-12 * np.abs(p.cfr).max())
+    h = cfr_to_cir(p.spectra(), cfg)
+    np.testing.assert_allclose(
+        cir_to_cfr(h, cfg), p.spectra(), rtol=0, atol=1e-12 * np.abs(p.spectra()).max()
+    )
+    # the spectra of any rows are the inverse transform of those rows of h
+    np.testing.assert_array_equal(p.spectra(), cir_to_cfr(p.h, cfg))
+    np.testing.assert_array_equal(p.spectra([4, 1]), cir_to_cfr(p.h[[4, 1]], cfg))
 
 
 def test_keep_cfr_does_not_change_values(cfg_small, arr36, pat10, mpc_13deg):
     cfg = SoundingConfig(fc=cfg_small.fc, bw=cfg_small.bw, k=cfg_small.k, sigma2=0.5)
     with_cfr = simulate_padp([mpc_13deg], arr36, pat10, cfg, seed=11, keep_cfr=True)
     without = simulate_padp([mpc_13deg], arr36, pat10, cfg, seed=11, keep_cfr=False)
-    assert without.cfr is None and with_cfr.cfr is not None
+    assert without.h is None and with_cfr.h is not None
     np.testing.assert_array_equal(without.values, with_cfr.values)
 
 
@@ -268,8 +273,8 @@ def test_delay_domain_noise_is_white_with_height_sigma2(pat10):
     mpcs = [MpcTruth(alpha=1.0, phase=0.4, tau=25e-9, phi=np.radians(13.0))]
     p = simulate_padp(mpcs, arr, pat10, cfg, seed=0, keep_cfr=True)
     s = synth_cfr(mpcs, arr, pat10, cfg)
-    w_freq = p.cfr - s
-    w_delay = cfr_to_cir(p.cfr, cfg) - cfr_to_cir(s, cfg)
+    w_freq = p.spectra() - s
+    w_delay = p.h - cfr_to_cir(s, cfg)
     for w in (w_delay, w_freq):
         power = np.mean(np.abs(w) ** 2)
         assert power == pytest.approx(1.0, abs=0.01)
