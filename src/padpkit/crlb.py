@@ -22,7 +22,7 @@ asymmetrically between scan directions, so the closed forms below bound
 the reciprocal diagonal information (each parameter with the others
 known), not the joint inverse.  Both views are exposed: ``crlb_from_fim``
 inverts the full matrix, the ``crlb_single_*`` closed forms evaluate the
-decoupled expressions
+decoupled expressions, at one arrival angle or at an array of them
 
     var(phi_hat)        >= 1 / (2 gamma_I K kappa^2 sum_m sin^2(d_m) g^2(d_m))
     var(alpha_hat/alpha) >= 1 / (2 gamma_I K sum_m g^2(d_m)) = var(phase_hat)
@@ -184,29 +184,46 @@ def crlb_from_fim(f):
 
 
 def _ring_sums(pat, arr, phi_l):
-    offsets = wrap_pm_pi(arr.steering_angles - phi_l)
+    """Scan-axis sums of g^2(d_m) and sin^2(d_m) g^2(d_m) per arrival angle.
+
+    ``phi_l`` is a scalar or an array of angles; the sums run over the
+    last (scan) axis of the offsets, so they have the shape of ``phi_l``.
+    """
+    offsets = wrap_pm_pi(arr.steering_angles - np.asarray(phi_l, dtype=np.float64)[..., None])
     g_sq = gain(pat, offsets) ** 2
-    return float(np.sum(g_sq)), float(np.sum(np.sin(offsets) ** 2 * g_sq))
+    return np.sum(g_sq, axis=-1), np.sum(np.sin(offsets) ** 2 * g_sq, axis=-1)
+
+
+def _reciprocal(scale, ring_sum, phi_l):
+    """1 / (scale * ring_sum), a float for a scalar ``phi_l``."""
+    bound = 1.0 / (scale * ring_sum)
+    return float(bound) if np.ndim(phi_l) == 0 else bound
 
 
 def crlb_single_phi(gamma_i, cfg, arr, pat, phi_l):
-    """Closed-form angle bound for one arrival (Gaussian beam), rad**2."""
+    """Closed-form angle bound for one arrival (Gaussian beam), rad**2.
+
+    ``phi_l`` may be an array of arrival angles; each element is the
+    scalar call's bound at that angle.
+    """
     if pat.kind is not PatternKind.GAUSSIAN_BEAM:
         raise ValueError("closed form requires a Gaussian-beam pattern")
     _, r2 = _ring_sums(pat, arr, phi_l)
-    return 1.0 / (2.0 * gamma_i * cfg.k * cfg.g_tx**2 * pat.kappa**2 * r2)
+    return _reciprocal(2.0 * gamma_i * cfg.k * cfg.g_tx**2 * pat.kappa**2, r2, phi_l)
 
 
 def crlb_single_alpha(gamma_i, cfg, arr, pat, phi_l):
     """Closed-form normalized-amplitude bound for one arrival (dimensionless).
 
-    The phase bound is numerically identical under the band-centre phase
-    convention; ``crlb_single_phase`` aliases this function.
+    ``phi_l`` may be an array of arrival angles, as for
+    ``crlb_single_phi``.  The phase bound is numerically identical under
+    the band-centre phase convention; ``crlb_single_phase`` aliases this
+    function.
     """
     if pat.kind is not PatternKind.GAUSSIAN_BEAM:
         raise ValueError("closed form requires a Gaussian-beam pattern")
     r0, _ = _ring_sums(pat, arr, phi_l)
-    return 1.0 / (2.0 * gamma_i * cfg.k * cfg.g_tx**2 * r0)
+    return _reciprocal(2.0 * gamma_i * cfg.k * cfg.g_tx**2, r0, phi_l)
 
 
 crlb_single_phase = crlb_single_alpha

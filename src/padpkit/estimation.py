@@ -326,6 +326,20 @@ def _subbin_powers(cfr_row, j, upsample):
     return np.abs(h) ** 2
 
 
+def _offset_power(cfr_row, j, offset):
+    """``_row_power`` at the tau (j + offset) * dtau, ``offset`` in delay bins.
+
+    Bin j's phase enters reduced modulo k, as in ``_subbin_powers``, so
+    the phase arguments stay within a few pi instead of growing with j,
+    and this power is as accurate as the kernel samples it is compared
+    with.
+    """
+    k = cfr_row.shape[0]
+    n = np.arange(k)
+    phases = np.exp(2j * np.pi * ((j * n % k) + n * offset) / k)
+    return float(np.abs(phases @ cfr_row / np.sqrt(k)) ** 2)
+
+
 def haed_plus_refine(padp, estimates, upsample=16):
     """Re-read delay and power on an upsampled band-limited interpolation.
 
@@ -344,9 +358,7 @@ def haed_plus_refine(padp, estimates, upsample=16):
         raise ValueError("estimates must carry scan/delay indices (haed output)")
     rows = sorted({e.scan_index for e in estimates})
     spectra = dict(zip(rows, padp.spectra(rows)))
-    delta_tau = padp.delta_tau
-    delta_f = 1.0 / (padp.values.shape[1] * delta_tau)
-    step = delta_tau / upsample
+    step = padp.delta_tau / upsample
     out = []
     for est in estimates:
         row = spectra[est.scan_index]
@@ -359,8 +371,10 @@ def haed_plus_refine(padp, estimates, upsample=16):
             pl, p0, pr = powers[best - 1], powers[best], powers[best + 1]
             denom = pl - 2.0 * p0 + pr
             if denom < 0:
-                vertex = taus[best] + 0.5 * (pl - pr) / denom * step
-                p_vertex = float(_row_power(row, delta_f, np.array([vertex]))[0])
+                shift = 0.5 * (pl - pr) / denom
+                vertex = taus[best] + shift * step
+                offset = (best - upsample + shift) / upsample
+                p_vertex = _offset_power(row, est.delay_index, offset)
                 if p_vertex > p_hat:
                     tau_hat, p_hat = float(vertex), p_vertex
         out.append(

@@ -165,6 +165,15 @@ def run_method(method, padp, pat, pk, c_o2, upsample):
     raise ValueError(f"unknown method {method!r}")
 
 
+def _o2_constant(methods, pat, arr):
+    """The o-2 de-embedding constant when o-2 is among ``methods``, else None.
+
+    The default ``ring_mean`` convention is a 36001-point quadrature, so
+    runs without o-2 skip it.
+    """
+    return o2_deembed_constant(pat, arr.m) if Method.O2 in methods else None
+
+
 def apply_sweep(mpcs, variable, value):
     """The arrivals at one sweep point, as a new list.
 
@@ -219,7 +228,7 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
     are unaffected.  Any other exception is a bug and propagates.
     """
     threads = int(os.environ.get("PADPKIT_THREADS", "1") or 1)
-    c_o2 = o2_deembed_constant(pat, arr.m)
+    c_o2 = _o2_constant(mc.methods, pat, arr)
     rows = []
     for si, sweep_value in enumerate(mc.sweep_values):
         sigma2 = _sigma2_for_point(mc, cfg, pat, sweep_value)
@@ -303,12 +312,8 @@ def _crlb_overlay(mc, cfg_pt, arr, pat, sweep_value, n_truth):
     if n_truth == 1 and pat.kind is PatternKind.GAUSSIAN_BEAM:
         if mc.randomize_angle:
             grid = np.linspace(0.0, arr.asi, 181)
-            sphi = np.mean(
-                [np.sqrt(crlb_single_phi(gamma_i, cfg_pt, arr, pat, a)) for a in grid]
-            )
-            salpha = np.mean(
-                [np.sqrt(crlb_single_alpha(gamma_i, cfg_pt, arr, pat, a)) for a in grid]
-            )
+            sphi = np.mean(np.sqrt(crlb_single_phi(gamma_i, cfg_pt, arr, pat, grid)))
+            salpha = np.mean(np.sqrt(crlb_single_alpha(gamma_i, cfg_pt, arr, pat, grid)))
         else:
             sphi = np.sqrt(crlb_single_phi(gamma_i, cfg_pt, arr, pat, mpcs[0].phi))
             salpha = np.sqrt(crlb_single_alpha(gamma_i, cfg_pt, arr, pat, mpcs[0].phi))
@@ -335,27 +340,16 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
     if n_mpcs < 1:
         raise ValueError("n_mpcs must be >= 1")
     cfg0 = replace(cfg, sigma2=0.0)
-    c_o2 = o2_deembed_constant(pat, arr.m)
+    c_o2 = _o2_constant(methods, pat, arr)
     p_ref = cfg0.k * cfg0.pu * cfg0.g_tx**2
     samples = {m: {"phi_deg": [], "power_db": []} for m in methods}
     misses = {m: 0 for m in methods}
-    lo, hi = cfg0.k // 4, 3 * cfg0.k // 4
     for i in range(n_mpcs):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        truth = MpcTruth(
-            alpha=1.0,
-            phase=rng.uniform(0.0, 2.0 * np.pi),
-            tau=int(rng.integers(lo, hi)) * cfg0.delta_tau,
-            phi=rng.uniform(0.0, 2.0 * np.pi),
-        )
-        padp = simulate_padp([truth], arr, pat, cfg0, seed=rng)
-        for method in methods:
-            ests = run_method(method, padp, pat, PeakConfig(), c_o2, 16)
-            matched, _ = associate(ests, [truth], cfg0.delta_tau, pat.hpbw)
-            if 0 not in matched:
+        truth, found = _offset_draw(i, seed, cfg0, arr, pat, methods, c_o2)
+        for method, est in zip(methods, found):
+            if est is None:
                 misses[method] += 1
                 continue
-            est = matched[0]
             samples[method]["phi_deg"].append(
                 float(np.degrees(circular_delta(est.phi, truth.phi)))
             )
@@ -367,3 +361,25 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
         }
         for m in methods
     }
+
+
+def _offset_draw(i, seed, cfg0, arr, pat, methods, c_o2):
+    """Draw ``i`` of ``uniform_offset_study``: the truth and, per method, its match or None.
+
+    The draw's Padp lives only in this call, so it is freed before the
+    next draw is synthesized.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+    truth = MpcTruth(
+        alpha=1.0,
+        phase=rng.uniform(0.0, 2.0 * np.pi),
+        tau=int(rng.integers(cfg0.k // 4, 3 * cfg0.k // 4)) * cfg0.delta_tau,
+        phi=rng.uniform(0.0, 2.0 * np.pi),
+    )
+    padp = simulate_padp([truth], arr, pat, cfg0, seed=rng)
+    found = []
+    for method in methods:
+        ests = run_method(method, padp, pat, PeakConfig(), c_o2, 16)
+        matched, _ = associate(ests, [truth], cfg0.delta_tau, pat.hpbw)
+        found.append(matched.get(0))
+    return truth, found

@@ -9,6 +9,7 @@ timestamps.
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,6 +183,11 @@ def write_padp(path, padp, manifest=None, scale="linear"):
     payload = padp.values
     if scale == "db":
         payload = 10.0 * np.log10(np.maximum(payload, np.finfo(np.float64).tiny))
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(10.0 ** (payload / 10.0))):
+                raise ValueError(
+                    "powers within rounding of the float64 maximum do not fit a dB payload"
+                )
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode())
         fh.write(b"\n")
@@ -189,11 +195,13 @@ def write_padp(path, padp, manifest=None, scale="linear"):
 
 
 def _header_field(header, key, kind, path):
-    """A numeric PADP header field: an int, or (``kind`` float) any finite number."""
+    """A numeric PADP header field: an int, or (``kind`` float) any number in the float64 range."""
     if key not in header:
         raise ValueError(f"{path}: PADP header: {key}: missing required field")
     val = header[key]
-    ok = isinstance(val, int) or (kind is float and isinstance(val, float) and np.isfinite(val))
+    ok = isinstance(val, int) or (kind is float and isinstance(val, float))
+    # a Python int/float comparison is exact for ints of any size, and false for NaN
+    ok = ok and (kind is int or abs(val) <= sys.float_info.max)
     if isinstance(val, bool) or not ok:
         raise ValueError(f"{path}: PADP header: {key}: expected a finite {kind.__name__}, got {val!r}")
     return kind(val)
@@ -211,7 +219,7 @@ def read_padp(path):
         blob = fh.read()
     try:
         header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"{path}: bad PADP header: {exc}") from exc
     if not isinstance(header, dict):
         raise ValueError(f"{path}: bad PADP header: expected an object")
@@ -229,6 +237,10 @@ def read_padp(path):
         raise ValueError(f"{path}: PADP header: delay_step_ns: must be positive")
     if scale not in ("linear", "db"):
         raise ValueError(f"{path}: PADP header: scale: expected 'linear' or 'db', got {scale!r}")
+    values = np.frombuffer(blob, dtype="<f8")
+    if values.size != m * k:
+        raise ValueError(f"{path}: payload has {values.size} values, header says {m}x{k}")
+    # m now matches the payload, so 360/m cannot overflow
     if "asi_deg" in header:
         asi_deg = _header_field(header, "asi_deg", float, path)
         if not np.isclose(asi_deg, 360.0 / m, rtol=1e-9, atol=0.0):
@@ -236,9 +248,6 @@ def read_padp(path):
                 f"{path}: PADP header: asi_deg: {asi_deg!r} disagrees with 360/m = {360.0 / m:.12g}"
                 " (only full-circle scans are supported)"
             )
-    values = np.frombuffer(blob, dtype="<f8")
-    if values.size != m * k:
-        raise ValueError(f"{path}: payload has {values.size} values, header says {m}x{k}")
     values = values.reshape(m, k).astype(np.float64)
     if scale == "db":
         values = 10.0 ** (values / 10.0)

@@ -1,7 +1,10 @@
 """Peak-search kernels: local maxima of a PADP and of a delay profile.
 
 Each cell is compared with its neighbours through shifted slices of the
-input, so no neighbour copies of the map are built.
+input, so no neighbour copies of the map are built.  The 2-D search first
+finds the span of delay columns holding any cell above the threshold and
+compares only that span (plus one guard column on each side), which on a
+PADP is a few columns of the full delay axis.
 
 Tie rule on plateaus: a cell survives an exact tie with a neighbour only if
 its index tuple is lexicographically smaller, so each flat plateau yields a
@@ -20,7 +23,15 @@ def local_maxima_2d(values, threshold):
     row.  Returns ``(rows, cols)`` int arrays in row-major order.
     """
     v = np.asarray(values, dtype=np.float64)
-    keep = v > threshold
+    above = v > threshold
+    cols = np.flatnonzero(above.any(axis=0))
+    if cols.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    # no column outside [first, last] holds a candidate; the guard column
+    # on each side of that span is only compared against
+    lo, hi = max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, v.shape[1])
+    v = v[:, lo:hi]
+    keep = above[:, lo:hi]
     if v.shape[0] > 1:
         keep[1:] &= v[1:] > v[:-1]    # ties with the row above are lost,
         keep[0] &= v[0] >= v[-1]      # except by row 0 against the wrapped last row
@@ -29,7 +40,9 @@ def local_maxima_2d(values, threshold):
     keep[:, 1:] &= v[:, 1:] > v[:, :-1]    # ties with the left neighbour are lost
     keep[:, :-1] &= v[:, :-1] >= v[:, 1:]  # ties with the right neighbour are won
     rows, cols = np.nonzero(keep)
-    return rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
+    cols = cols.astype(np.int64, copy=False)
+    cols += lo
+    return rows.astype(np.int64, copy=False), cols
 
 
 def local_maxima_1d(values, threshold):

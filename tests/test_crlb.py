@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from padpkit import AntennaPattern, ArrayConfig, MpcTruth, SoundingConfig
 from padpkit.antenna import gain
@@ -169,6 +172,31 @@ def test_ring_rotation_invariance(pat10):
     for k in (1, 7, 19):
         rot = crlb_single_phi(1.0, CFG, ARR, pat10, np.radians(3.0 + 10.0 * k))
         assert rot == pytest.approx(base, rel=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    phis=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=40),
+        elements=st.floats(-20.0, 20.0),
+    ),
+    m=st.integers(3, 72),
+    gamma_i=st.floats(1e-3, 1e3),
+)
+def test_closed_forms_on_angle_arrays_equal_scalar_calls(pat10, phis, m, gamma_i):
+    """Each element of an array call equals the scalar call at that angle, bit for bit."""
+    arr = ArrayConfig(m=m)
+    for bound in (crlb_single_phi, crlb_single_alpha):
+        got = bound(gamma_i, CFG, arr, pat10, phis)
+        if phis.ndim == 0:
+            assert type(got) is float
+            assert got == bound(gamma_i, CFG, arr, pat10, float(phis))
+            continue
+        assert got.shape == phis.shape
+        want = [bound(gamma_i, CFG, arr, pat10, float(a)) for a in phis.ravel()]
+        assert all(type(w) is float for w in want)
+        assert np.array_equal(got.ravel(), np.array(want))
 
 
 def test_crlb_from_fim_diagonal():

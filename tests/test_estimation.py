@@ -335,6 +335,41 @@ def test_cached_kernel_matches_row_power(k, upsample, bin_frac, seed, log_scale)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.sum(np.abs(row) ** 2))
 
 
+@pytest.mark.parametrize(
+    "bin_frac, alpha", [(995.3, 1e-2), (998.61, 3e-3), (990.17, 1e-3), (999.45, 1e-2)]
+)
+def test_haed_plus_vertex_power_is_exact_at_far_delays(cfg_full, arr36, pat10, bin_frac, alpha):
+    """haed+ powers of weak peaks near the last bins of a k = 1001 grid, against exact sums.
+
+    A strong arrival shares the weak one's scan row, so the row energy
+    dwarfs the weak peak; rounding in the phase arguments then shows up
+    magnified in the weak peak's relative power error.  The reference is
+    |h(tau_hat)|**2 summed at 30 significant digits with mpmath.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    dt = cfg_full.delta_tau
+    mpcs = [
+        MpcTruth(alpha=1.0, phase=0.4, tau=100 * dt, phi=np.radians(13.0)),
+        MpcTruth(alpha=alpha, phase=1.1, tau=bin_frac * dt, phi=np.radians(13.0)),
+    ]
+    padp = simulate_padp(mpcs, arr36, pat10, cfg_full, seed=0)
+    weak = [e for e in estimate_haed(padp, pat10) if e.delay_index > 900]
+    assert len(weak) == 1
+    (plus,) = haed_plus_refine(padp, weak)
+    est = weak[0]
+    row = padp.spectra([est.scan_index])[0]
+    k = row.size
+    with mpmath.workdps(30):
+        x = mpmath.mpf(plus.tau) / mpmath.mpf(dt)
+        h = mpmath.fsum(
+            mpmath.mpc(complex(row[n])) * mpmath.expjpi(2 * n * x / k) for n in range(k)
+        )
+        exact = float(abs(h) ** 2 / k)
+    p_read = plus.power / est.power * padp.values[est.scan_index, est.delay_index]
+    assert abs(plus.tau / dt - bin_frac) < 1.0  # the weak arrival's peak
+    assert abs(p_read - exact) <= 3e-14 * exact
+
+
 def test_subbin_kernel_is_cached_and_read_only():
     kernel = _subbin_kernel(129, 16)
     assert kernel.shape == (33, 129)

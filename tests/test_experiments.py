@@ -6,8 +6,10 @@ import pytest
 from padpkit import AntennaPattern, MpcTruth, SoundingConfig, crlb_from_fim, fim, gain
 from padpkit.angles import circular_delta
 from padpkit.estimation import Method, MpcEstimate, PeakConfig, estimate_haed
+from padpkit.crlb import crlb_single_alpha, crlb_single_phi
 from padpkit.experiments import (
     ErrorStats,
+    _crlb_overlay,
     MonteCarloConfig,
     apply_sweep,
     associate,
@@ -246,6 +248,24 @@ def test_uniform_offset_study_basics(arr36, pat10):
         uniform_offset_study(0, seed=1, cfg=CFG, arr=arr36, pat=pat10)
 
 
+@pytest.mark.parametrize("snr_db", [15.0, 27.5, 40.0])
+def test_randomized_angle_overlay_is_mean_of_scalar_bounds(arr36, pat10, snr_db):
+    """The overlay over the 181-angle grid equals the mean of per-angle scalar calls exactly."""
+    mpc = MpcTruth(alpha=1.0, phase=0.0, tau=16e-9, phi=np.radians(13.0))
+    mc = MonteCarloConfig(
+        trials=1, sweep_values=(snr_db,), mpcs=(mpc,), randomize_angle=True
+    )
+    gamma_i = 10.0 ** (snr_db / 10.0) / pat10.g_max
+    cfg_pt = replace(CFG, sigma2=CFG.pu / gamma_i)
+    grid = np.linspace(0.0, arr36.asi, 181)
+    gamma = mpc.alpha**2 * cfg_pt.pu / cfg_pt.sigma2
+    sphi = np.mean([np.sqrt(crlb_single_phi(gamma, cfg_pt, arr36, pat10, a)) for a in grid])
+    salpha = np.mean([np.sqrt(crlb_single_alpha(gamma, cfg_pt, arr36, pat10, a)) for a in grid])
+    got = _crlb_overlay(mc, cfg_pt, arr36, pat10, snr_db, 1)
+    assert got[0][:2] == (float(np.degrees(sphi)), float(salpha))
+    assert np.isnan(got[0][2])
+
+
 def test_apply_sweep_rules():
     a = MpcTruth(alpha=1.0, phase=0.0, tau=16e-9, phi=np.radians(10.0))
     b = MpcTruth(alpha=0.5, phase=1.0, tau=32e-9, phi=np.radians(200.0))
@@ -347,3 +367,21 @@ def test_method_failures_stay_isolated(arr36, pat10, monkeypatch):
     assert rows[Method.O1].stats.n == 3
     assert rows[Method.HAED].stats.failures == rows[Method.HAED_PLUS].stats.failures == 3
     assert rows[Method.O1].stats.failures == 0
+
+
+def test_offset_study_memory_does_not_grow_with_draws(arr36, pat10, cfg_full):
+    """Each draw's PADP is freed before the next one is synthesized."""
+    import tracemalloc
+
+    methods = (Method.O1, Method.O2, Method.HAED, Method.HAED_PLUS)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            uniform_offset_study(n, seed=5, cfg=cfg_full, arr=arr36, pat=pat10, methods=methods)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    uniform_offset_study(1, seed=5, cfg=cfg_full, arr=arr36, pat=pat10, methods=methods)  # warm caches
+    assert peak(20) <= 1.1 * peak(1)

@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from padpkit import MpcTruth, simulate_padp
+from padpkit import MpcTruth, Padp, simulate_padp
 from padpkit.cli import main
 from padpkit.estimation import Method
 from padpkit.io import (
@@ -95,6 +98,114 @@ def test_padp_db_scale_roundtrip(tmp_path):
     back, header = read_padp(path)
     assert header["scale"] == "db"
     np.testing.assert_allclose(back.values, padp.values, rtol=1e-12)
+
+
+@st.composite
+def _padps(draw, elements):
+    m, k = draw(st.integers(3, 12)), draw(st.integers(2, 24))
+    values = draw(hnp.arrays(np.float64, (m, k), elements=elements))
+    step = draw(st.floats(1e-12, 1e-6))
+    return Padp(values=values, angles=2.0 * np.pi * np.arange(m) / m, delays=np.arange(k) * step)
+
+
+_FINITE_POWERS = st.floats(0.0, np.finfo(np.float64).max)
+_MANIFESTS = st.dictionaries(
+    st.text(max_size=8), st.integers() | st.text(max_size=8) | st.booleans(), max_size=3
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(padp=_padps(_FINITE_POWERS), manifest=_MANIFESTS)
+def test_padp_linear_roundtrip_is_bit_exact(tmp_path_factory, padp, manifest):
+    path = tmp_path_factory.mktemp("padp") / "x.padp"
+    write_padp(path, padp, manifest=manifest)
+    back, header = read_padp(path)
+    assert back.values.tobytes() == padp.values.tobytes()
+    np.testing.assert_array_equal(back.angles, padp.angles)
+    np.testing.assert_allclose(back.delays, padp.delays, rtol=1e-14)
+    assert header["manifest"] == manifest and header["scale"] == "linear"
+
+
+@settings(max_examples=100, deadline=None)
+@given(padp=_padps(_FINITE_POWERS))
+def test_padp_db_roundtrip_is_close(tmp_path_factory, padp):
+    """dB payloads round-trip to 1e-12; powers below the smallest normal float come back as it."""
+    path = tmp_path_factory.mktemp("padp") / "x.padp"
+    try:
+        write_padp(path, padp, scale="db")
+    except ValueError as exc:
+        # only powers within rounding of the float64 maximum cannot be decoded
+        assert "float64 maximum" in str(exc)
+        assert padp.values.max() > 1.79e308
+        return
+    back, header = read_padp(path)
+    assert header["scale"] == "db"
+    tiny = np.finfo(np.float64).tiny
+    np.testing.assert_allclose(back.values, padp.values, rtol=1e-12, atol=2.0 * tiny)
+
+
+# JSON leaves, with integers beyond the float64 range and at int64 edges
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([10**400, -(10**400), 2**63, -(2**63), 2**64, 0, 3, 360])
+)
+_JSON_VALUES = _JSON_LEAVES | st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_HEADER_FIELDS = ("format", "version", "m", "k", "asi_deg", "delay_step_ns", "scale", "manifest")
+
+
+def _estimate_exits_2_if_rejected(path):
+    """``read_padp`` accepts ``path`` or raises ValueError, and then ``estimate`` exits 2."""
+    try:
+        read_padp(path)
+    except ValueError:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(
+                ["estimate", "--padp", str(path), "--gmax-db", "20", "--hpbw-deg", "10",
+                 "--out", str(path.with_suffix(".csv"))]
+            )
+        assert rc == 2
+        assert err.getvalue().startswith("padpkit: error:")
+
+
+def _padp_file(tmp_path_factory):
+    padp, _ = _tiny_padp(k=8)
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.padp"
+    write_padp(path, padp)
+    line, payload = path.read_bytes().split(b"\n", 1)
+    return path, json.loads(line), payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    replace=st.dictionaries(st.sampled_from(_HEADER_FIELDS), _JSON_VALUES, min_size=1, max_size=3),
+    drop=st.sets(st.sampled_from(_HEADER_FIELDS), max_size=2),
+)
+@example(replace={"delay_step_ns": 10**400}, drop=set())
+@example(replace={"asi_deg": -(10**400)}, drop=set())
+@example(replace={"m": 10**400}, drop=set())
+@example(replace={"m": 10**400}, drop={"asi_deg"})
+@example(replace={"k": 10**400, "m": 2**64}, drop=set())
+def test_fuzzed_padp_header_fields_fail_with_value_error(tmp_path_factory, replace, drop):
+    path, header, payload = _padp_file(tmp_path_factory)
+    header.update(replace)
+    for key in drop:
+        header.pop(key, None)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    _estimate_exits_2_if_rejected(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(line=st.binary(max_size=60).filter(lambda b: b"\n" not in b))
+@example(line=b"[" * 100_000)
+def test_fuzzed_padp_header_bytes_fail_with_value_error(tmp_path_factory, line):
+    path, _, payload = _padp_file(tmp_path_factory)
+    path.write_bytes(line + b"\n" + payload)
+    _estimate_exits_2_if_rejected(path)
 
 
 def test_padp_file_errors(tmp_path):

@@ -1,4 +1,8 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from padpkit.kernels import backend_name, local_maxima_1d, local_maxima_2d
 
@@ -71,6 +75,61 @@ def test_backends_equivalent_2d():
         assert r2.dtype == c2.dtype == np.int64
         np.testing.assert_array_equal(r1, r2)
         np.testing.assert_array_equal(c1, c2)
+
+
+# tie-heavy cells: a few integer levels plus the non-finite values
+_CELLS = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _maps(draw):
+    m, k = draw(st.integers(1, 36)), draw(st.integers(1, 40))
+    return draw(hnp.arrays(np.float64, (m, k), elements=_CELLS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=_maps(), thr=st.sampled_from([-np.inf, -1.0, 0.5, 1.5, 2.5, np.inf, np.nan]))
+def test_local_maxima_2d_matches_per_cell_reference(values, thr):
+    r1, c1 = _loop_maxima_2d(values, thr)
+    r2, c2 = local_maxima_2d(values, thr)
+    assert r2.dtype == c2.dtype == np.int64
+    np.testing.assert_array_equal(r1, r2)
+    np.testing.assert_array_equal(c1, c2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 36),
+    k=st.integers(1, 40),
+    data=st.data(),
+    background=st.sampled_from([0.0, -np.inf, np.nan]),
+)
+def test_sparse_candidates_on_the_map_edges(m, k, data, background):
+    """A few cells above the threshold, pinned to the first/last row and column.
+
+    The columns above the threshold then form a narrow span that touches
+    the edges of the map, where the guard columns are clipped.
+    """
+    v = np.full((m, k), background)
+    edge_rows = st.sampled_from(sorted({0, m - 1}))
+    edge_cols = st.sampled_from(sorted({0, k - 1}))
+    n = data.draw(st.integers(1, 4))
+    for _ in range(n):
+        i = data.draw(st.one_of(edge_rows, st.integers(0, m - 1)))
+        j = data.draw(st.one_of(edge_cols, st.integers(0, k - 1)))
+        v[i, j] = data.draw(st.sampled_from([1.0, 2.0, np.inf]))
+    r1, c1 = _loop_maxima_2d(v, 0.5)
+    r2, c2 = local_maxima_2d(v, 0.5)
+    np.testing.assert_array_equal(r1, r2)
+    np.testing.assert_array_equal(c1, c2)
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 9), (5, 0), (5, 9), (2, 0), (2, 9), (0, 4), (5, 4)])
+def test_lone_candidate_on_an_edge(i, j):
+    v = np.zeros((6, 10))
+    v[i, j] = 2.0
+    rows, cols = local_maxima_2d(v, 1.0)
+    assert list(zip(rows, cols)) == [(i, j)]
 
 
 def test_backends_equivalent_1d():
