@@ -69,6 +69,12 @@ class AntennaPattern:
     kappa : Gaussian concentration (None for tabulated patterns)
     table : (angles, gains) arrays for tabulated patterns, angles strictly
         increasing and covering at least [-pi, pi); gains are amplitude gains
+
+    Patterns compare and hash by value, so equal patterns built separately
+    share cache entries (see ``estimation.o2_deembed_constant``).  Tables
+    compare with ``np.array_equal`` and hash by their bytes; they are
+    stored as read-only float64 copies, so a caller's later in-place write
+    cannot change a pattern or its hash.
     """
 
     kind: PatternKind
@@ -89,13 +95,33 @@ class AntennaPattern:
         else:
             if self.table is None:
                 raise ValueError("tabulated pattern requires a table")
-            angles, gains = self.table
+            # read-only copies; + 0.0 turns -0.0 into 0.0, so equal tables have equal bytes
+            angles, gains = (np.asarray(a, dtype=np.float64) + 0.0 for a in self.table)
+            angles.flags.writeable = gains.flags.writeable = False
+            object.__setattr__(self, "table", (angles, gains))
+            if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(gains))):
+                raise ValueError("table angles and gains must be finite")
             if np.any(np.diff(angles) <= 0):
                 raise ValueError("table angles must be strictly increasing")
             if np.any(gains < 0):
                 raise ValueError("table gains must be non-negative")
             if angles[0] > -np.pi or angles[-1] < np.pi - (angles[1] - angles[0]):
                 raise ValueError("table must cover at least [-pi, pi)")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.kind, self.g_max, self.hpbw, self.kappa) != (
+            other.kind, other.g_max, other.hpbw, other.kappa
+        ):
+            return False
+        if self.table is None or other.table is None:
+            return self.table is other.table
+        return all(np.array_equal(a, b) for a, b in zip(self.table, other.table))
+
+    def __hash__(self):
+        table = None if self.table is None else tuple(a.tobytes() for a in self.table)
+        return hash((self.kind, self.g_max, self.hpbw, self.kappa, table))
 
     @classmethod
     def gaussian(cls, g_max, hpbw):
@@ -125,7 +151,7 @@ class AntennaPattern:
             kind=PatternKind.TABULATED,
             g_max=g_max,
             hpbw=float(hpbw),
-            table=(angles.copy(), gains.copy()),
+            table=(angles, gains),
         )
 
 
@@ -261,7 +287,11 @@ def load_pattern_csv(path, hpbw=None):
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:2]] != ["offset_deg", "gain"]:
             raise ValueError(f"{path}: expected header 'offset_deg,gain', got {header!r}")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
+        rows = []
+        for r in filter(None, reader):
+            if len(r) < 2:
+                raise ValueError(f"{path}: line {reader.line_num}: expected offset_deg,gain")
+            rows.append((float(r[0]), float(r[1])))
     if not rows:
         raise ValueError(f"{path}: empty pattern table")
     deg, g = zip(*rows)

@@ -2,10 +2,13 @@
 
 Commands are pure pipelines (read inputs, write outputs, no hidden state);
 progress for long runs goes to stderr only.  Powers are dB at this
-boundary, angles degrees, delays nanoseconds.
+boundary, angles degrees, delays nanoseconds.  ``main`` may be called
+repeatedly in one process: it builds its parser once, and every call
+parses into a fresh namespace.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -265,9 +268,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser ``main`` shares across calls; ``build_parser`` stays fresh per call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

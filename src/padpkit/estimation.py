@@ -136,6 +136,7 @@ def synth_omni_sum(padp):
     return np.sum(padp.values, axis=0)
 
 
+@functools.lru_cache(maxsize=32)
 def o2_deembed_constant(pat, m, convention="ring_mean"):
     """De-embedding constant for the summed-PDP estimator.
 
@@ -150,6 +151,13 @@ def o2_deembed_constant(pat, m, convention="ring_mean"):
       than the beamwidth.
     * ``ring_zero``: ring sum evaluated with an on-grid arrival.  This is
       the ring maximum, so o-2 then never overshoots.
+
+    Results are cached per call arguments, the pattern by value (bounded
+    LRU; ``cache_info()``, and ``__wrapped__`` for the uncached quadrature).
+    Equal patterns loaded separately, as by repeated CLI commands or
+    ``run_sweep`` calls in one process, share one entry.  Library callers
+    pass all three arguments positionally, so their calls share it too.
+    An unknown convention raises ``ValueError`` and caches nothing.
     """
     steer = 2.0 * np.pi * np.arange(m) / m
     if convention == "ring_zero":

@@ -171,7 +171,7 @@ def _o2_constant(methods, pat, arr):
     The default ``ring_mean`` convention is a 36001-point quadrature, so
     runs without o-2 skip it.
     """
-    return o2_deembed_constant(pat, arr.m) if Method.O2 in methods else None
+    return o2_deembed_constant(pat, arr.m, "ring_mean") if Method.O2 in methods else None
 
 
 def apply_sweep(mpcs, variable, value):

@@ -7,6 +7,7 @@ manifests carry input hashes, seeds and the package version, never
 timestamps.
 """
 
+import contextlib
 import hashlib
 import json
 import sys
@@ -40,25 +41,51 @@ def sha256_bytes(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def _need(obj, key, kind, path):
+def _need(obj, key, kind, path, default=None):
+    """``obj[key]`` checked against ``kind``; ``default`` when given stands in for a missing key.
+
+    ``float`` accepts JSON integers within the float range; booleans are
+    never numbers.
+    """
     if key not in obj:
+        if default is not None:
+            return default
         raise ScenarioError(f"{path}.{key}: missing required field")
     val = obj[key]
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
-    if kind is int and isinstance(val, int) and not isinstance(val, bool):
-        return val
-    if isinstance(val, kind) and not isinstance(val, bool):
-        return val
-    raise ScenarioError(f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}")
+    if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
+        raise ScenarioError(f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}")
+    if kind is float:
+        try:
+            return float(val)
+        except OverflowError:
+            raise ScenarioError(f"{path}.{key}: integer beyond the float range") from None
+    return val
+
+
+@contextlib.contextmanager
+def _section(path):
+    """Re-raise a constructor's ``ValueError`` or ``OSError`` as a ScenarioError naming ``path``."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except (ValueError, OSError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def parse_scenario(text, base_dir=None):
-    """Parse and validate a scenario JSON document."""
+    """Parse and validate a scenario JSON document.
+
+    Any fault in the document raises ``ScenarioError`` naming the field.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ScenarioError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # undecodable bytes, an integer beyond the digit limit
+        raise ScenarioError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("top level: expected an object")
 
@@ -66,35 +93,23 @@ def parse_scenario(text, base_dir=None):
     fc = _need(snd, "fc_hz", float, "sounding")
     bw = _need(snd, "bw_hz", float, "sounding")
     k = _need(snd, "k", int, "sounding")
-    try:
+    with _section("sounding"):
         cfg = SoundingConfig(
             fc=fc,
             bw=bw,
             k=k,
-            pu=float(snd.get("pu", 1.0)),
-            sigma2=float(snd.get("sigma2", 0.0)),
-            g_tx=float(snd.get("g_tx", 1.0)),
+            pu=_need(snd, "pu", float, "sounding", 1.0),
+            sigma2=_need(snd, "sigma2", float, "sounding", 0.0),
+            g_tx=_need(snd, "g_tx", float, "sounding", 1.0),
         )
-    except ValueError as exc:
-        raise ScenarioError(f"sounding: {exc}") from exc
 
     arr_doc = _need(doc, "array", dict, "$")
-    arr = ArrayConfig(m=_need(arr_doc, "m", int, "array"))
+    with _section("array"):
+        arr = ArrayConfig(m=_need(arr_doc, "m", int, "array"))
 
     pat_doc = _need(doc, "pattern", dict, "$")
-    kind = _need(pat_doc, "kind", str, "pattern")
-    if kind == "gaussian":
-        g_max_db = _need(pat_doc, "g_max_db", float, "pattern")
-        hpbw_deg = _need(pat_doc, "hpbw_deg", float, "pattern")
-        pattern = AntennaPattern.gaussian(10.0 ** (g_max_db / 10.0), np.radians(hpbw_deg))
-    elif kind == "tabulated":
-        table_path = _need(pat_doc, "table_path", str, "pattern")
-        if base_dir is not None:
-            table_path = str(base_dir / table_path)
-        hpbw = pat_doc.get("hpbw_deg")
-        pattern = load_pattern_csv(table_path, hpbw=np.radians(hpbw) if hpbw else None)
-    else:
-        raise ScenarioError(f"pattern.kind: expected 'gaussian' or 'tabulated', got {kind!r}")
+    with _section("pattern"):
+        pattern = _parse_pattern(pat_doc, base_dir)
 
     mpcs_doc = _need(doc, "mpcs", list, "$")
     if not mpcs_doc:
@@ -104,7 +119,7 @@ def parse_scenario(text, base_dir=None):
         if not isinstance(entry, dict):
             raise ScenarioError(f"mpcs[{i}]: expected an object")
         path = f"mpcs[{i}]"
-        try:
+        with _section(path):
             mpcs.append(
                 MpcTruth(
                     alpha=_need(entry, "alpha", float, path),
@@ -113,8 +128,6 @@ def parse_scenario(text, base_dir=None):
                     phi=np.radians(_need(entry, "phi_deg", float, path)),
                 )
             )
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
 
     experiment = doc.get("experiment", {})
     if not isinstance(experiment, dict):
@@ -129,13 +142,34 @@ def parse_scenario(text, base_dir=None):
     )
 
 
+def _parse_pattern(pat_doc, base_dir):
+    kind = _need(pat_doc, "kind", str, "pattern")
+    if kind == "gaussian":
+        g_max_db = _need(pat_doc, "g_max_db", float, "pattern")
+        hpbw_deg = _need(pat_doc, "hpbw_deg", float, "pattern")
+        try:
+            g_max = 10.0 ** (g_max_db / 10.0)
+        except OverflowError:
+            raise ScenarioError("pattern.g_max_db: gain beyond the float range") from None
+        return AntennaPattern.gaussian(g_max, np.radians(hpbw_deg))
+    if kind == "tabulated":
+        table_path = _need(pat_doc, "table_path", str, "pattern")
+        if base_dir is not None:
+            table_path = str(base_dir / table_path)
+        hpbw = None  # missing or null: measured from the table
+        if pat_doc.get("hpbw_deg") is not None:
+            hpbw = np.radians(_need(pat_doc, "hpbw_deg", float, "pattern"))
+        return load_pattern_csv(table_path, hpbw=hpbw)
+    raise ScenarioError(f"pattern.kind: expected 'gaussian' or 'tabulated', got {kind!r}")
+
+
 def load_scenario(path):
     from pathlib import Path
 
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     try:
         return parse_scenario(text, base_dir=p.parent)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from padpkit.antenna import (
+    CHI_CLAMP,
+    DEFAULT_INVERSION_GRID_STEP,
     AntennaPattern,
     ChiSaturationError,
     Side,
@@ -101,6 +105,56 @@ def test_tabulated_validation():
         AntennaPattern.from_table(ang, -g)
     with pytest.raises(ValueError):
         AntennaPattern.from_table(ang[: len(ang) // 2], g[: len(g) // 2])
+    bad = g.copy()
+    bad[5] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        AntennaPattern.from_table(ang, bad, hpbw=np.radians(10.0))
+
+
+def test_tabulated_patterns_compare_and_hash_by_value():
+    ang, g, _ = _gaussian_table()
+    a = AntennaPattern.from_table(ang, g)
+    b = AntennaPattern.from_table(ang.copy(), g.copy())
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    g_other = g.copy()
+    g_other[100] *= 1.0 + 1e-12
+    c = AntennaPattern.from_table(ang, g_other, hpbw=a.hpbw)
+    assert a != c
+    assert a != AntennaPattern.gaussian(a.g_max, a.hpbw)
+    # -0.0 and 0.0 samples are equal values, so they must hash alike
+    ang_nz, g_nz = ang.copy(), g.copy()
+    g_nz[0] = 0.0
+    g_z = g_nz.copy()
+    g_z[0] = -0.0
+    assert hash(AntennaPattern.from_table(ang_nz, g_nz)) == hash(AntennaPattern.from_table(ang_nz, g_z))
+
+
+def test_tabulated_table_is_a_read_only_copy():
+    ang, g, _ = _gaussian_table()
+    pat = AntennaPattern.from_table(ang, g)
+    before = hash(pat)
+    g[:] = 0.0
+    assert hash(pat) == before
+    for arr in pat.table:
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # direct construction from plain sequences stores arrays as well
+    from padpkit.antenna import PatternKind
+
+    direct = AntennaPattern(PatternKind.TABULATED, 1.0, np.pi, table=(list(ang), [1.0] * len(ang)))
+    assert all(isinstance(arr, np.ndarray) and not arr.flags.writeable for arr in direct.table)
+
+
+def test_gaussian_equality_and_hash_unchanged():
+    a = AntennaPattern.gaussian(100.0, np.radians(10.0))
+    b = AntennaPattern.gaussian(100.0, np.radians(10.0))
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.kind, a.g_max, a.hpbw, a.kappa, None))
+    assert a != AntennaPattern.gaussian(100.0, np.radians(10.5))
+    assert a != AntennaPattern.gaussian(101.0, np.radians(10.0))
+    assert a != "pattern"
 
 
 def test_chi_symmetry_zeros(pat10):
@@ -215,3 +269,90 @@ def test_pattern_csv_bad_header(tmp_path):
     path.write_text("angle,gain\n0,1\n")
     with pytest.raises(ValueError, match="offset_deg"):
         load_pattern_csv(path)
+
+
+def test_pattern_csv_short_row(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("offset_deg,gain\n0,1\n5\n")
+    with pytest.raises(ValueError, match="line 3"):
+        load_pattern_csv(path)
+
+
+def _branch_draw(hpbw_deg, ratio, side, frac):
+    """A Gaussian beam, a spacing, and an in-beam offset on the closed form's arcsin branch.
+
+    The spacing is ``ratio`` beamwidths, at most the 120 deg step of a
+    3-direction scan.  ``theta = eps +- spacing/2`` is the arcsin angle of
+    the inversion; the draw keeps it 1e-3 rad inside (-pi/2, pi/2), the
+    principal branch, and keeps the contrast below the clamp.
+    """
+    pat = AntennaPattern.gaussian(100.0, np.radians(hpbw_deg))
+    spacing = min(ratio * pat.hpbw, 2.0 * np.pi / 3.0)
+    eps = frac * 0.5 * pat.hpbw
+    theta = eps + (0.5 if side is Side.MINUS else -0.5) * spacing
+    assume(abs(theta) < 0.5 * np.pi - 1e-3)
+    c = chi(pat, eps, side, spacing=spacing)
+    assume(abs(c) < CHI_CLAMP)
+    return pat, spacing, eps, theta, c
+
+
+_CHI_DRAW = dict(
+    hpbw_deg=st.floats(2.0, 180.0),
+    ratio=st.floats(0.05, 1.0),
+    side=st.sampled_from(Side),
+    frac=st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_CHI_DRAW)
+def test_closed_inversion_round_trip(hpbw_deg, ratio, side, frac):
+    """invert_chi_closed(chi(eps)) == eps to a rounding-error bound.
+
+    The powers carry an exponent rounding error of order kappa * u, which
+    the log-ratio inherits; dividing by 4 kappa sin(s/2) leaves
+    u / sin(s/2) in the arcsin argument, and the arcsin amplifies that by
+    1 / cos(theta).  The bound is 16 u / (sin(s/2) cos(theta)); the largest
+    error seen over 200000 random draws was 4.1 in these units.
+    """
+    pat, spacing, eps, theta, c = _branch_draw(hpbw_deg, ratio, side, frac)
+    rec = invert_chi_closed(c, side, pat.hpbw, pat.kappa, spacing=spacing)
+    u = np.finfo(np.float64).eps
+    assert abs(rec - eps) <= 16.0 * u / (np.sin(0.5 * spacing) * np.cos(theta))
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_CHI_DRAW)
+def test_tabulated_inversion_round_trip(hpbw_deg, ratio, side, frac):
+    """invert_chi_tabulated on a 0.01 deg table of the beam returns eps within a derived tolerance.
+
+    Tolerance = one step of the inversion grid + twice the first-order
+    offset error from the table's interpolation error:
+    * linear interpolation of the amplitude with table step h has relative
+      error <= h**2/8 * |g''/g| = h**2/8 * (kappa + kappa**2 sin(x)**2),
+      and the power twice that (x taken one step further out);
+    * a relative power error r0 at eps and r1 at the neighbour moves chi by
+      at most (1 - chi**2)/2 * (r0 + r1);
+    * d chi / d eps = (1 - chi**2)/2 * 4 kappa sin(s/2) cos(theta).
+    The grid search is one-to-one only if the other arcsin branch lies
+    outside the searched beam, which fails for beams wider than about
+    2 pi - 2 s; those draws are skipped.
+    """
+    pat, spacing, eps, theta, c = _branch_draw(hpbw_deg, ratio, side, frac)
+    sign = 1.0 if side is Side.MINUS else -1.0
+    half = 0.5 * pat.hpbw
+    mirror = (np.pi if theta > 0 else -np.pi) - theta - sign * 0.5 * spacing
+    assume(abs(mirror) > half)
+    h = np.radians(0.01)
+    angles = np.linspace(-np.pi, np.pi, 36001)
+    table = AntennaPattern.from_table(angles, gain(pat, angles), hpbw=pat.hpbw)
+    rec = invert_chi_tabulated(c, side, table, spacing=spacing)
+
+    def rel_power_err(x):
+        x = min(abs(x) + h, 0.5 * np.pi)
+        return 2.0 * h**2 / 8.0 * (pat.kappa + pat.kappa**2 * np.sin(x) ** 2)
+
+    d_chi = 0.5 * (1.0 - c * c) * (rel_power_err(eps) + rel_power_err(eps + sign * spacing))
+    slope = 0.5 * (1.0 - c * c) * 4.0 * pat.kappa * np.sin(0.5 * spacing) * np.cos(theta)
+    grid_step = half / max(int(round(half / DEFAULT_INVERSION_GRID_STEP)), 1)
+    assert abs(rec - eps) <= grid_step + 2.0 * d_chi / slope

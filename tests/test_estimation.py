@@ -154,6 +154,57 @@ def test_o2_deembed_conventions(pat10):
         o2_deembed_constant(pat10, 36, "bogus")
 
 
+def _table_copy(pat, n=3601):
+    from padpkit.antenna import gain
+
+    angles = np.linspace(-np.pi, np.pi, n)
+    return AntennaPattern.from_table(angles, gain(pat, angles), hpbw=pat.hpbw)
+
+
+@pytest.mark.parametrize("tabulated", [False, True])
+@pytest.mark.parametrize("m", [36, 72])
+@pytest.mark.parametrize("convention", ["ring_mean", "ring_min", "ring_zero"])
+def test_o2_constant_cache_equals_quadrature(pat10, tabulated, m, convention):
+    pat = _table_copy(pat10) if tabulated else pat10
+    cached = o2_deembed_constant(pat, m, convention)
+    assert cached == o2_deembed_constant.__wrapped__(pat, m, convention)
+    assert o2_deembed_constant(pat, m, convention) == cached
+
+
+def test_o2_constant_cache_is_keyed_on_pattern_value(pat10):
+    o2_deembed_constant.cache_clear()
+    try:
+        for pat in (
+            AntennaPattern.gaussian(100.0, np.radians(10.0)),
+            AntennaPattern.gaussian(100.0, np.radians(10.0)),
+        ):
+            o2_deembed_constant(pat, 36, "ring_mean")
+        info = o2_deembed_constant.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+        tab = _table_copy(pat10)
+        o2_deembed_constant(tab, 36, "ring_mean")
+        o2_deembed_constant(_table_copy(pat10), 36, "ring_mean")
+        info = o2_deembed_constant.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+
+        angles, gains = (np.array(a) for a in tab.table)
+        gains[1800] *= 1.0 + 1e-9
+        other = AntennaPattern.from_table(angles, gains, hpbw=tab.hpbw)
+        o2_deembed_constant(other, 36, "ring_mean")
+        o2_deembed_constant(tab, 72, "ring_mean")
+        o2_deembed_constant(tab, 36, "ring_min")
+        assert o2_deembed_constant.cache_info().currsize == 5
+
+        with pytest.raises(ValueError, match="bogus"):
+            o2_deembed_constant(tab, 36, "bogus")
+        with pytest.raises(ValueError, match="bogus"):
+            o2_deembed_constant(tab, 36, "bogus")
+        assert o2_deembed_constant.cache_info().currsize == 5
+    finally:
+        o2_deembed_constant.cache_clear()
+
+
 def test_coarse_single_peak(cfg, arr36, pat10):
     padp, _ = _padp_for(13.0, cfg, arr36, pat10, tau=32e-9)
     peaks = coarse_peaks_2d(padp)

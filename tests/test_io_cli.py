@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +13,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from padpkit import MpcTruth, Padp, simulate_padp
-from padpkit.cli import main
+from padpkit.cli import _parser, build_parser, main
 from padpkit.estimation import Method
 from padpkit.io import (
+    Scenario,
     ScenarioError,
     parse_methods,
     parse_scenario,
@@ -67,6 +72,132 @@ def test_scenario_validation_messages(mutate, fragment):
 def test_scenario_bad_json():
     with pytest.raises(ScenarioError, match="line 1"):
         parse_scenario("{nope")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+DEFAULT_SCENARIO = ROOT / "scenarios" / "default.json"
+
+
+def _parses_or_scenario_error(text):
+    """``parse_scenario`` returns a Scenario or raises ScenarioError, nothing else."""
+    try:
+        assert isinstance(parse_scenario(text), Scenario)
+    except ScenarioError:
+        pass
+
+
+_HUGE_INTS = st.sampled_from([10**400, -(10**400), 2**64])
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _HUGE_INTS
+    | st.floats()
+    | st.text(max_size=12)
+    | st.sampled_from(["gaussian", "tabulated", ".", ""]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_DEFAULT_DOC = json.loads(DEFAULT_SCENARIO.read_text())
+# (section, key) of every field of default.json; key None is the whole section
+_DEFAULT_FIELDS = [(None, key) for key in (*_DEFAULT_DOC, "experiment")] + [
+    (section, key)
+    for section in ("sounding", "array", "pattern")
+    for key in (*_DEFAULT_DOC[section], "g_tx", "table_path")
+] + [("mpcs", key) for key in _DEFAULT_DOC["mpcs"][0]]
+
+
+def _dump(doc):
+    return json.dumps(doc, allow_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_JSON_VALUES)
+def test_fuzzed_json_documents_raise_only_scenario_error(doc):
+    _parses_or_scenario_error(_dump(doc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(_DEFAULT_FIELDS), st.booleans(), _JSON_VALUES),
+        min_size=1,
+        max_size=3,
+    )
+)
+@example(edits=[((None, "array"), False, {"m": 2})])
+@example(edits=[(("array", "m"), False, 10**400)])
+@example(edits=[(("sounding", "pu"), False, [1.0])])
+@example(edits=[(("sounding", "fc_hz"), False, 10**400)])
+@example(edits=[(("pattern", "g_max_db"), False, 1e308)])
+@example(edits=[(("pattern", "g_max_db"), False, float("nan"))])
+@example(edits=[(("pattern", "hpbw_deg"), False, 400.0)])
+@example(edits=[(("pattern", "kind"), False, "tabulated"), (("pattern", "table_path"), False, ".")])
+@example(edits=[(("mpcs", "alpha"), False, 10**400)])
+def test_mutated_default_scenario_raises_only_scenario_error(edits):
+    doc = json.loads(json.dumps(_DEFAULT_DOC))
+    for (section, key), drop, value in edits:
+        target = doc if section is None else doc.get(section)
+        if section == "mpcs" and isinstance(target, list) and target:
+            target = target[0]
+        if not isinstance(target, dict):
+            continue
+        if drop:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    _parses_or_scenario_error(_dump(doc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(max_size=80) | st.binary(max_size=80))
+@example(text="[" * 100_000)
+@example(text="{" * 100_000)
+@example(text='{"a": ' * 100_000)
+@example(text="9" * 5000)
+@example(text=b"\xff\xfe{")
+def test_random_text_raises_only_scenario_error(text):
+    _parses_or_scenario_error(text)
+
+
+def test_load_scenario_nested_too_deep_exits_2(tmp_path, capsys):
+    sc = tmp_path / "deep.json"
+    sc.write_text("[" * 100_000)
+    rc = main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "x.padp")])
+    assert rc == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_tabulated_scenario(tmp_path):
+    from padpkit.antenna import gain
+
+    deg = np.arange(-180.0, 180.0, 0.25)
+    ref = parse_scenario(json.dumps(SCENARIO)).pattern
+    lines = ["offset_deg,gain"] + [f"{d},{v:.17g}" for d, v in zip(deg, gain(ref, np.radians(deg)))]
+    (tmp_path / "beam.csv").write_text("\n".join(lines) + "\n")
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["pattern"] = {"kind": "tabulated", "table_path": "beam.csv", "hpbw_deg": 10.0}
+    sc = parse_scenario(json.dumps(doc), base_dir=tmp_path)
+    assert sc.pattern.hpbw == pytest.approx(np.radians(10.0))
+    assert sc.pattern == parse_scenario(json.dumps(doc), base_dir=tmp_path).pattern
+    doc["pattern"]["hpbw_deg"] = None
+    measured = parse_scenario(json.dumps(doc), base_dir=tmp_path).pattern
+    assert np.degrees(measured.hpbw) == pytest.approx(10.0, abs=0.01)
+    for bad in ([], "", 0.0):
+        doc["pattern"]["hpbw_deg"] = bad
+        with pytest.raises(ScenarioError, match="pattern"):
+            parse_scenario(json.dumps(doc), base_dir=tmp_path)
+    doc["pattern"]["table_path"] = "missing.csv"
+    with pytest.raises(ScenarioError, match="pattern: .*missing.csv"):
+        parse_scenario(json.dumps(doc), base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("key, value", [("pu", "2"), ("g_tx", True), ("sigma2", None)])
+def test_scenario_optional_sounding_fields_are_numbers(key, value):
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["sounding"][key] = value
+    with pytest.raises(ScenarioError, match=f"sounding.{key}: expected float"):
+        parse_scenario(json.dumps(doc))
 
 
 def _tiny_padp(seed=0, sigma2=0.0, k=129):
@@ -649,3 +780,91 @@ def test_cli_bad_inputs(tmp_path, capsys):
     assert rc == 2
     rc = main(["simulate", "--scenario", str(tmp_path / "missing.json"), "--out", str(padp_path)])
     assert rc == 2
+
+
+def _pipeline_argvs(out_dir, seed):
+    """The four cli-pipeline commands and a small montecarlo run on default.json."""
+    w, sc = Path(out_dir), str(DEFAULT_SCENARIO)
+    return [
+        ["simulate", "--scenario", sc, "--out", str(w / "scan.padp"),
+         "--cfr-out", str(w / "scan.npy"), "--seed", str(seed)],
+        ["estimate", "--padp", str(w / "scan.padp"), "--cfr", str(w / "scan.npy"),
+         "--scenario", sc, "--methods", "o1,o2,haed,haed+", "--out", str(w / "estimates.csv")],
+        ["crlb", "--scenario", sc, "--sweep", "true-angle", "--values", "0:10:21",
+         "--out", str(w / "crlb.csv")],
+        ["offset-study", "--scenario", sc, "--n", "5", "--seed", str(seed),
+         "--out", str(w / "offset.csv")],
+        ["montecarlo", "--scenario", sc, "--sweep", "output-snr", "--values", "20,30",
+         "--trials", "3", "--methods", "o1,o2,haed", "--randomize-angle", "--seed", str(seed),
+         "--out", str(w / "mc.csv")],
+    ]
+
+
+def _files(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())}
+
+
+def test_repeated_in_process_cli_matches_fresh_processes(tmp_path, capsys):
+    """Files written by repeated ``main`` calls in one process equal those of fresh processes."""
+    runs = []
+    for i in range(2):
+        out = tmp_path / f"inproc{i}"
+        out.mkdir()
+        for argv in _pipeline_argvs(out, seed=4):
+            assert main(argv) == 0, argv
+        bad = tmp_path / "bad.padp"
+        bad.write_bytes(b"not a padp file\n")
+        rc = main(["estimate", "--padp", str(bad), "--scenario", str(DEFAULT_SCENARIO),
+                   "--out", str(tmp_path / "bad.csv")])
+        assert rc == 2
+        runs.append(_files(out))
+    capsys.readouterr()
+
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PADPKIT_THREADS", None)
+    for argv in _pipeline_argvs(fresh, seed=4):
+        subprocess.run([sys.executable, "-m", "padpkit.cli", *argv], env=env, check=True,
+                       capture_output=True)
+    expected = _files(fresh)
+    assert sorted(expected) == sorted(
+        ["scan.padp", "scan.npy", "estimates.csv", "estimates.csv.manifest.json", "crlb.csv",
+         "crlb.csv.manifest.json", "offset.csv", "offset.csv.manifest.json", "mc.csv",
+         "mc.csv.manifest.json"]
+    )
+    assert runs[0] == expected
+    assert runs[1] == expected
+
+
+def test_cli_parser_is_built_once_and_public_builder_stays_fresh():
+    assert _parser() is _parser()
+    assert build_parser() is not build_parser()
+    build_parser().add_argument("--extra")
+    assert "--extra" not in _parser().format_help()
+
+
+def test_cli_arguments_do_not_leak_between_calls(tmp_path, capsys):
+    sc = scenario_file(tmp_path)
+    cfr = tmp_path / "scan.npy"
+    padp_path = tmp_path / "scan.padp"
+    assert main(["simulate", "--scenario", str(sc), "--out", str(padp_path),
+                 "--cfr-out", str(cfr)]) == 0
+    cfr.unlink()
+    assert main(["simulate", "--scenario", str(sc), "--out", str(padp_path)]) == 0
+    assert not cfr.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.padp", "scenario.json"]
+
+    assert main(["simulate", "--scenario", str(sc), "--out", str(padp_path),
+                 "--cfr-out", str(cfr)]) == 0
+    est = tmp_path / "est.csv"
+    assert main(["estimate", "--padp", str(padp_path), "--cfr", str(cfr), "--scenario", str(sc),
+                 "--methods", "o1,o2,haed,haed+", "--out", str(est)]) == 0
+    cfr.unlink()  # a leaked --cfr would now fail to load
+    assert main(["estimate", "--padp", str(padp_path), "--scenario", str(sc),
+                 "--out", str(est)]) == 0
+    methods = {line.split(",")[0] for line in est.read_text().splitlines()[1:]}
+    assert methods == {"o1", "o2", "haed"}
+    manifest = json.loads((tmp_path / "est.csv.manifest.json").read_text())
+    assert manifest["config"]["methods"] == ["o1", "o2", "haed"]
+    capsys.readouterr()
