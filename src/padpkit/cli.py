@@ -17,7 +17,7 @@ import numpy as np
 from . import io
 from .antenna import AntennaPattern, load_pattern_csv
 from .crlb import crlb_from_fim, fim
-from .estimation import Method, PeakConfig
+from .estimation import HAED_PLUS_UPSAMPLE, Method, PeakConfig
 from .experiments import (
     MonteCarloConfig,
     apply_sweep,
@@ -110,7 +110,7 @@ def _cmd_estimate(args):
     pk = PeakConfig(noise_floor_db_offset=args.threshold_db)
     estimates = []
     for method in methods:
-        estimates += run_method(method, padp, pattern, pk, "ring_mean", args.upsample)
+        estimates += run_method(method, padp, pattern, pk, args.upsample)
     io.write_estimates_csv(args.out, estimates)
     manifest = io.build_manifest(
         inputs={"padp_manifest": header.get("manifest", {})},
@@ -233,8 +233,8 @@ def build_parser():
     p.add_argument("--hpbw-deg", type=float, help="Gaussian pattern HPBW, degrees")
     p.add_argument("--methods", default="o1,o2,haed")
     p.add_argument("--cfr", help=".npy complex spectra for haed+")
-    p.add_argument("--threshold-db", type=float, default=6.0)
-    p.add_argument("--upsample", type=int, default=16)
+    p.add_argument("--threshold-db", type=float, default=PeakConfig.noise_floor_db_offset)
+    p.add_argument("--upsample", type=int, default=HAED_PLUS_UPSAMPLE)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("crlb", help="lower-bound sweep from a scenario")
@@ -253,8 +253,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--randomize-angle", action="store_true")
     p.add_argument("--off-grid-delay", action="store_true")
-    p.add_argument("--upsample", type=int, default=16)
-    p.add_argument("--threshold-db", type=float, default=6.0)
+    p.add_argument("--upsample", type=int, default=HAED_PLUS_UPSAMPLE)
+    p.add_argument("--threshold-db", type=float, default=PeakConfig.noise_floor_db_offset)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_montecarlo)
 

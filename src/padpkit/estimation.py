@@ -41,8 +41,10 @@ from .antenna import (
     invert_chi_tabulated,
     power_gain,
 )
+from .synthesis import ArrayConfig
 
 RELATIVE_FLOOR = 1e-12
+HAED_PLUS_UPSAMPLE = 16  # haed+ sub-bin interpolation factor, the default everywhere
 
 
 class Method(enum.Enum):
@@ -54,21 +56,13 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True)
 class PeakConfig:
-    """Peak detection knobs.
-
-    ``noise_floor_db_offset`` is the margin above the estimated noise
-    floor a peak must clear; ``max_peaks`` caps the number of returned
-    peaks (strongest kept).
-    """
+    """Peak detection: a peak must clear the noise floor by ``noise_floor_db_offset`` dB."""
 
     noise_floor_db_offset: float = 6.0
-    max_peaks: int | None = None
 
     def __post_init__(self):
         if self.noise_floor_db_offset <= 0:
             raise ValueError("noise_floor_db_offset must be positive")
-        if self.max_peaks is not None and self.max_peaks < 1:
-            raise ValueError("max_peaks must be >= 1 when set")
 
 
 @dataclass(frozen=True)
@@ -155,30 +149,22 @@ def o2_deembed_constant(pat, m, convention="ring_mean"):
     Results are cached per call arguments, the pattern by value (bounded
     LRU; ``cache_info()``, and ``__wrapped__`` for the uncached quadrature).
     Equal patterns loaded separately, as by repeated CLI commands or
-    ``run_sweep`` calls in one process, share one entry.  Library callers
-    pass all three arguments positionally, so their calls share it too.
+    ``run_sweep`` calls in one process, share one entry; ``estimate_o2``
+    passes all three arguments positionally, so its calls share it too.
     An unknown convention raises ``ValueError`` and caches nothing.
     """
-    steer = 2.0 * np.pi * np.arange(m) / m
+    grid = ArrayConfig(m)
+    steer = grid.steering_angles
     if convention == "ring_zero":
         return float(np.sum(power_gain(pat, steer)))
     if convention == "ring_mean":
         x = np.linspace(-np.pi, np.pi, 36001)
         return m / (2.0 * np.pi) * float(np.trapezoid(power_gain(pat, x), x))
     if convention == "ring_min":
-        asi = 2.0 * np.pi / m
-        deltas = np.linspace(0.0, asi, 2001)
+        deltas = np.linspace(0.0, grid.asi, 2001)
         rings = power_gain(pat, deltas[:, None] - steer[None, :]).sum(axis=1)
         return float(np.min(rings))
     raise ValueError(f"unknown de-embedding convention {convention!r}")
-
-
-def _delay_peaks(profile, pk):
-    idx = kernels.local_maxima_1d(profile, noise_threshold(profile, pk))
-    if pk.max_peaks is not None and idx.size > pk.max_peaks:
-        order = np.argsort(profile[idx])[::-1][: pk.max_peaks]
-        idx = np.sort(idx[order])
-    return idx
 
 
 def _omni_estimates(padp, profile, divisor, method, pk):
@@ -188,7 +174,7 @@ def _omni_estimates(padp, profile, divisor, method, pk):
     delay column (ties: lowest row).
     """
     out = []
-    for j in _delay_peaks(profile, pk):
+    for j in kernels.local_maxima_1d(profile, noise_threshold(profile, pk)):
         m_star = int(np.argmax(padp.values[:, j]))
         out.append(
             MpcEstimate(
@@ -211,13 +197,10 @@ def estimate_o1(padp, pat, pk=PeakConfig()):
 def estimate_o2(padp, pat, pk=PeakConfig(), deembed="ring_mean"):
     """Summed-direction synthesis estimator.
 
-    ``deembed`` is a convention name for ``o2_deembed_constant`` or a
-    precomputed constant (callers running many profiles should precompute).
+    ``deembed`` names an ``o2_deembed_constant`` convention, whose cache
+    computes each constant once per process; a number raises ``ValueError``.
     """
-    if isinstance(deembed, str):
-        c_o2 = o2_deembed_constant(pat, len(padp.angles), deembed)
-    else:
-        c_o2 = float(deembed)
+    c_o2 = o2_deembed_constant(pat, len(padp.angles), deembed)
     return _omni_estimates(padp, synth_omni_sum(padp), c_o2, Method.O2, pk)
 
 
@@ -231,11 +214,7 @@ def coarse_peaks_2d(padp, pk=PeakConfig()):
     """
     thr = noise_threshold(padp.values, pk)
     rows, cols = kernels.local_maxima_2d(padp.values, thr)
-    peaks = [(int(i), int(j), float(padp.values[i, j])) for i, j in zip(rows, cols)]
-    if pk.max_peaks is not None and len(peaks) > pk.max_peaks:
-        peaks = sorted(peaks, key=lambda p: -p[2])[: pk.max_peaks]
-        peaks = sorted(peaks, key=lambda p: (p[0], p[1]))
-    return peaks
+    return [(int(i), int(j), float(padp.values[i, j])) for i, j in zip(rows, cols)]
 
 
 def haed_refine(padp, coarse, pat):
@@ -348,7 +327,7 @@ def _offset_power(cfr_row, j, offset):
     return float(np.abs(phases @ cfr_row / np.sqrt(k)) ** 2)
 
 
-def haed_plus_refine(padp, estimates, upsample=16):
+def haed_plus_refine(padp, estimates, upsample=HAED_PLUS_UPSAMPLE):
     """Re-read delay and power on an upsampled band-limited interpolation.
 
     Scans ``upsample`` times finer than the delay grid across the peak's

@@ -2,9 +2,9 @@
 
 Every trial derives its generator from (base seed, sweep index, trial
 index) through a SeedSequence, so runs are bit-reproducible and trials
-may execute in any order.  Set PADPKIT_THREADS to run trials of a sweep
-point on a thread pool; reduction collects per-trial records in trial
-order, so the output is identical to the serial run.
+may execute in any order.  Set PADPKIT_THREADS to a positive integer to
+run trials of a sweep point on a thread pool; reduction collects per-trial
+records in trial order, so the output is identical to the serial run.
 """
 
 import os
@@ -17,13 +17,13 @@ from .angles import circular_delta
 from .antenna import PatternKind
 from .crlb import crlb_from_fim, crlb_single_alpha, crlb_single_phi, fim
 from .estimation import (
+    HAED_PLUS_UPSAMPLE,
     Method,
     PeakConfig,
     estimate_haed,
     estimate_o1,
     estimate_o2,
     haed_plus_refine,
-    o2_deembed_constant,
 )
 from .synthesis import MpcTruth, simulate_padp
 
@@ -50,7 +50,7 @@ class MonteCarloConfig:
     off_grid_delay: bool = False
     methods: tuple = (Method.O1, Method.O2, Method.HAED)
     base_seed: int = 0
-    upsample: int = 16
+    upsample: int = HAED_PLUS_UPSAMPLE
     peak: PeakConfig = field(default_factory=PeakConfig)
 
     def __post_init__(self):
@@ -146,32 +146,24 @@ def associate(estimates, truths, delay_gate, angle_gate):
     return matched, len(estimates) - len(used)
 
 
-def run_method(method, padp, pat, pk, c_o2, upsample):
+def run_method(method, padp, pat, pk, upsample):
     """Estimates of one method on one PADP.
 
-    ``c_o2`` is the o-2 de-embedding constant or convention name and
-    ``upsample`` the haed+ interpolation factor.  Estimators are looked up
-    by their module-global names at call time, so rebinding one (a tracer,
-    a test's monkeypatch) takes effect here.
+    ``upsample`` is the haed+ interpolation factor; o-2 de-embeds with the
+    default ring convention, whose constant ``estimate_o2`` reads from the
+    ``o2_deembed_constant`` cache.  Estimators are looked up by their
+    module-global names at call time, so rebinding one (a tracer, a test's
+    monkeypatch) takes effect here.
     """
     if method is Method.O1:
         return estimate_o1(padp, pat, pk)
     if method is Method.O2:
-        return estimate_o2(padp, pat, pk, deembed=c_o2)
+        return estimate_o2(padp, pat, pk)
     if method is Method.HAED:
         return estimate_haed(padp, pat, pk)
     if method is Method.HAED_PLUS:
         return haed_plus_refine(padp, estimate_haed(padp, pat, pk), upsample)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _o2_constant(methods, pat, arr):
-    """The o-2 de-embedding constant when o-2 is among ``methods``, else None.
-
-    The default ``ring_mean`` convention is a 36001-point quadrature, so
-    runs without o-2 skip it.
-    """
-    return o2_deembed_constant(pat, arr.m, "ring_mean") if Method.O2 in methods else None
 
 
 def apply_sweep(mpcs, variable, value):
@@ -225,10 +217,13 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
     (the estimators' failure type, which covers ``ChiSaturationError`` and
     ``SingularFimError``) on a trial misses every arrival of that trial and
     is counted in ``ErrorStats.failures``; the other methods of the trial
-    are unaffected.  Any other exception is a bug and propagates.
+    are unaffected.  Any other exception is a bug and propagates, and so
+    does the ``ValueError`` of a bad ``PADPKIT_THREADS``, before any trial.
     """
-    threads = int(os.environ.get("PADPKIT_THREADS", "1") or 1)
-    c_o2 = _o2_constant(mc.methods, pat, arr)
+    raw = os.environ.get("PADPKIT_THREADS") or "1"  # unset or empty: serial
+    if not (raw.isascii() and raw.isdecimal() and int(raw) >= 1):
+        raise ValueError(f"PADPKIT_THREADS: expected a positive integer, got {raw!r}")
+    threads = int(raw)
     rows = []
     for si, sweep_value in enumerate(mc.sweep_values):
         sigma2 = _sigma2_for_point(mc, cfg, pat, sweep_value)
@@ -244,7 +239,7 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
             for method in mc.methods:
                 failed = False
                 try:
-                    ests = run_method(method, padp, pat, mc.peak, c_o2, mc.upsample)
+                    ests = run_method(method, padp, pat, mc.peak, mc.upsample)
                     matched, extra = associate(ests, mpcs, _cfg.delta_tau, pat.hpbw)
                 except ValueError:
                     matched, extra, failed = {}, 0, True
@@ -268,23 +263,15 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
         n_truth = len(mc.mpcs)
         crlbs = _crlb_overlay(mc, cfg_pt, arr, pat, sweep_value, n_truth)
         for method in mc.methods:
-            samples = {ti: ([], [], []) for ti in range(n_truth)}
-            misses = {ti: 0 for ti in range(n_truth)}
-            false_alarms = failures = 0
-            for record in records:
-                errs, extra, failed = record[method]
-                false_alarms += extra
-                failures += failed
-                for ti in range(n_truth):
-                    if ti in errs:
-                        for axis in range(3):
-                            samples[ti][axis].append(errs[ti][axis])
-                    else:
-                        misses[ti] += 1
+            outcomes = [record[method] for record in records]
+            false_alarms = sum(extra for _, extra, _ in outcomes)
+            failures = sum(failed for _, _, failed in outcomes)
             for ti in range(n_truth):
+                hits = [errs[ti] for errs, _, _ in outcomes if ti in errs]
+                misses = len(outcomes) - len(hits)
                 for axis, param in enumerate(("phi_deg", "amp_norm", "tau_ns")):
                     stats = ErrorStats.from_samples(
-                        samples[ti][axis], misses[ti], false_alarms, failures
+                        [hit[axis] for hit in hits], misses, false_alarms, failures
                     )
                     rows.append(
                         SweepRow(
@@ -340,12 +327,11 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
     if n_mpcs < 1:
         raise ValueError("n_mpcs must be >= 1")
     cfg0 = replace(cfg, sigma2=0.0)
-    c_o2 = _o2_constant(methods, pat, arr)
     p_ref = cfg0.k * cfg0.pu * cfg0.g_tx**2
     samples = {m: {"phi_deg": [], "power_db": []} for m in methods}
     misses = {m: 0 for m in methods}
     for i in range(n_mpcs):
-        truth, found = _offset_draw(i, seed, cfg0, arr, pat, methods, c_o2)
+        truth, found = _offset_draw(i, seed, cfg0, arr, pat, methods)
         for method, est in zip(methods, found):
             if est is None:
                 misses[method] += 1
@@ -363,7 +349,7 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
     }
 
 
-def _offset_draw(i, seed, cfg0, arr, pat, methods, c_o2):
+def _offset_draw(i, seed, cfg0, arr, pat, methods):
     """Draw ``i`` of ``uniform_offset_study``: the truth and, per method, its match or None.
 
     The draw's Padp lives only in this call, so it is freed before the
@@ -379,7 +365,7 @@ def _offset_draw(i, seed, cfg0, arr, pat, methods, c_o2):
     padp = simulate_padp([truth], arr, pat, cfg0, seed=rng)
     found = []
     for method in methods:
-        ests = run_method(method, padp, pat, PeakConfig(), c_o2, 16)
+        ests = run_method(method, padp, pat, PeakConfig(), HAED_PLUS_UPSAMPLE)
         matched, _ = associate(ests, [truth], cfg0.delta_tau, pat.hpbw)
         found.append(matched.get(0))
     return truth, found

@@ -21,6 +21,7 @@ from .estimation import Method
 from .synthesis import ArrayConfig, MpcTruth, Padp, SoundingConfig
 
 PADP_MAGIC = "padpkit-padp"
+MAX_MAP_CELLS = 2**24  # scenario cap on the array.m x sounding.k scan map
 
 
 class ScenarioError(ValueError):
@@ -77,6 +78,8 @@ def parse_scenario(text, base_dir=None):
     """Parse and validate a scenario JSON document.
 
     Any fault in the document raises ``ScenarioError`` naming the field.
+    The ``array.m`` x ``sounding.k`` scan map may hold at most ``MAX_MAP_CELLS``
+    (2**24) cells; a larger one is rejected, naming the field, before any allocation.
     """
     try:
         doc = json.loads(text)
@@ -93,6 +96,8 @@ def parse_scenario(text, base_dir=None):
     fc = _need(snd, "fc_hz", float, "sounding")
     bw = _need(snd, "bw_hz", float, "sounding")
     k = _need(snd, "k", int, "sounding")
+    if k > MAX_MAP_CELLS:
+        raise ScenarioError(f"sounding.k: exceeds the scan map's {MAX_MAP_CELLS}-cell cap")
     with _section("sounding"):
         cfg = SoundingConfig(
             fc=fc,
@@ -104,8 +109,11 @@ def parse_scenario(text, base_dir=None):
         )
 
     arr_doc = _need(doc, "array", dict, "$")
+    m = _need(arr_doc, "m", int, "array")
+    if m * k > MAX_MAP_CELLS:
+        raise ScenarioError(f"array.m: array.m x sounding.k exceeds the {MAX_MAP_CELLS}-cell cap")
     with _section("array"):
-        arr = ArrayConfig(m=_need(arr_doc, "m", int, "array"))
+        arr = ArrayConfig(m=m)
 
     pat_doc = _need(doc, "pattern", dict, "$")
     with _section("pattern"):
@@ -246,7 +254,7 @@ def read_padp(path):
 
     The header is validated first; a malformed one raises ``ValueError``
     naming the field.  ``asi_deg`` and ``scale`` may be missing; a given
-    ``asi_deg`` must equal 360/m, because scans cover the full circle.
+    ``asi_deg`` must equal 360/m: the angles are ``ArrayConfig(m)``'s full circle.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -274,22 +282,21 @@ def read_padp(path):
     values = np.frombuffer(blob, dtype="<f8")
     if values.size != m * k:
         raise ValueError(f"{path}: payload has {values.size} values, header says {m}x{k}")
-    # m now matches the payload, so 360/m cannot overflow
+    grid = ArrayConfig(m)  # m now matches the payload, so the grid is small
     if "asi_deg" in header:
         asi_deg = _header_field(header, "asi_deg", float, path)
-        if not np.isclose(asi_deg, 360.0 / m, rtol=1e-9, atol=0.0):
+        if not np.isclose(asi_deg, np.degrees(grid.asi), rtol=1e-9, atol=0.0):
             raise ValueError(
-                f"{path}: PADP header: asi_deg: {asi_deg!r} disagrees with 360/m = {360.0 / m:.12g}"
-                " (only full-circle scans are supported)"
+                f"{path}: PADP header: asi_deg: {asi_deg!r} disagrees with 360/m ="
+                f" {np.degrees(grid.asi):.12g} (only full-circle scans are supported)"
             )
     values = values.reshape(m, k).astype(np.float64)
     if scale == "db":
         values = 10.0 ** (values / 10.0)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: payload contains non-finite values")
-    angles = 2.0 * np.pi * np.arange(m) / m
     delays = np.arange(k) * delay_step_ns * 1e-9
-    return Padp(values=values, angles=angles, delays=delays), header
+    return Padp(values=values, angles=grid.steering_angles, delays=delays), header
 
 
 def _fmt(x):

@@ -85,8 +85,6 @@ def test_noise_threshold_uses_exact_median(shape, ties):
 def test_peak_config_validation():
     with pytest.raises(ValueError):
         PeakConfig(noise_floor_db_offset=0.0)
-    with pytest.raises(ValueError):
-        PeakConfig(max_peaks=0)
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +150,14 @@ def test_o2_deembed_conventions(pat10):
     assert mini < mean < zero
     with pytest.raises(ValueError):
         o2_deembed_constant(pat10, 36, "bogus")
+
+
+@pytest.mark.parametrize("deembed", [1.0, 35.2, np.float64(35.2), 36])
+def test_estimate_o2_takes_convention_names_only(cfg, arr36, pat10, deembed):
+    """A number is not a convention: the constant comes only from ``o2_deembed_constant``."""
+    padp, _ = _padp_for(13.0, cfg, arr36, pat10)
+    with pytest.raises(ValueError, match="de-embedding convention"):
+        estimate_o2(padp, pat10, deembed=deembed)
 
 
 def _table_copy(pat, n=3601):
@@ -284,11 +290,10 @@ def test_haed_power_between_traditional_when_asi_below_hpbw(cfg, arr36):
     # scan step (10 deg) finer than the beam (10.67 deg); the min-ring
     # convention keeps o-2 an upper bracket
     pat = AntennaPattern.gaussian(10 ** 2.46, np.radians(10.67))
-    c_min = o2_deembed_constant(pat, 36, "ring_min")
     for phi_deg in np.linspace(20.0, 30.0, 21):
         padp, _ = _padp_for(phi_deg, cfg, arr36, pat)
         (e1,) = estimate_o1(padp, pat)
-        (e2,) = estimate_o2(padp, pat, deembed=c_min)
+        (e2,) = estimate_o2(padp, pat, deembed="ring_min")
         (eh,) = estimate_haed(padp, pat)
         assert e1.power <= eh.power * (1 + 1e-9)
         assert eh.power <= e2.power * (1 + 1e-9)
@@ -451,14 +456,3 @@ def test_empty_when_nothing_above_threshold(pat10):
     assert estimate_o1(padp, pat10) == []
     assert estimate_o2(padp, pat10) == []
     assert coarse_peaks_2d(padp) == []
-
-
-def test_max_peaks_cap(cfg, arr36, pat10):
-    mpcs = [
-        MpcTruth(alpha=1.0, phase=0.0, tau=20e-9, phi=np.radians(2.0)),
-        MpcTruth(alpha=0.5, phase=0.1, tau=40e-9, phi=np.radians(180.0)),
-    ]
-    padp = simulate_padp(mpcs, arr36, pat10, cfg, seed=0)
-    capped = estimate_haed(padp, pat10, PeakConfig(max_peaks=1))
-    assert len(capped) == 1
-    assert capped[0].tau == pytest.approx(20e-9)  # stronger one kept

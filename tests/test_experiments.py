@@ -322,14 +322,50 @@ def test_run_method_matches_estimators(arr36, pat10):
     haed = estimate_haed(padp, pat10, pk)
     want = {
         Method.O1: estimate_o1(padp, pat10, pk),
-        Method.O2: estimate_o2(padp, pat10, pk, deembed="ring_min"),
+        Method.O2: estimate_o2(padp, pat10, pk),
         Method.HAED: haed,
         Method.HAED_PLUS: haed_plus_refine(padp, haed, 8),
     }
     for method, ests in want.items():
-        assert run_method(method, padp, pat10, pk, "ring_min", 8) == ests
+        assert run_method(method, padp, pat10, pk, 8) == ests
     with pytest.raises(ValueError, match="unknown method"):
-        run_method("o3", padp, pat10, pk, "ring_min", 8)
+        run_method("o3", padp, pat10, pk, 8)
+
+
+def test_o2_constant_is_computed_once_per_pattern(arr36, pat10):
+    """Sweeps and offset studies read the o-2 constant from its cache, not their own copy."""
+    from padpkit.estimation import o2_deembed_constant
+
+    methods = (Method.O1, Method.O2)
+    o2_deembed_constant.cache_clear()
+    try:
+        run_sweep(_small_mc(trials=2, methods=methods), CFG, arr36, pat10)
+        run_sweep(_small_mc(trials=2, methods=methods, seed=1), CFG, arr36, pat10)
+        uniform_offset_study(3, seed=0, cfg=CFG, arr=arr36, pat=pat10, methods=methods)
+        info = o2_deembed_constant.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits > 0
+    finally:
+        o2_deembed_constant.cache_clear()
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", "2.5"])
+def test_bad_thread_count_is_rejected(arr36, pat10, monkeypatch, raw):
+    monkeypatch.setenv("PADPKIT_THREADS", raw)
+    with pytest.raises(ValueError, match="PADPKIT_THREADS") as info:
+        run_sweep(_small_mc(trials=1), CFG, arr36, pat10)
+    assert repr(raw) in str(info.value)
+
+
+def test_empty_thread_count_runs_serially(arr36, pat10, monkeypatch):
+    import padpkit.experiments as exp
+
+    serial = run_sweep(_small_mc(trials=2), CFG, arr36, pat10)
+    monkeypatch.setenv("PADPKIT_THREADS", "")
+    monkeypatch.setattr(exp, "ThreadPoolExecutor", None)  # any pool use would fail
+    again = run_sweep(_small_mc(trials=2), CFG, arr36, pat10)
+    for ra, rb in zip(serial, again):
+        np.testing.assert_array_equal(ra.stats.cdf, rb.stats.cdf)
 
 
 def _plus_mc(methods, trials=3):

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -14,8 +15,10 @@ from hypothesis.extra import numpy as hnp
 
 from padpkit import MpcTruth, Padp, simulate_padp
 from padpkit.cli import _parser, build_parser, main
-from padpkit.estimation import Method
+from padpkit.estimation import HAED_PLUS_UPSAMPLE, Method, PeakConfig, haed_plus_refine
+from padpkit.experiments import MonteCarloConfig
 from padpkit.io import (
+    MAX_MAP_CELLS,
     Scenario,
     ScenarioError,
     parse_methods,
@@ -76,6 +79,39 @@ def test_scenario_bad_json():
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_SCENARIO = ROOT / "scenarios" / "default.json"
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("sounding", "k", 10**400),
+        ("sounding", "k", MAX_MAP_CELLS + 1),
+        ("array", "m", 10**400),
+        ("array", "m", MAX_MAP_CELLS + 1),
+        ("array", "m", MAX_MAP_CELLS // SCENARIO["sounding"]["k"] + 1),
+    ],
+)
+def test_scenario_map_size_cap(tmp_path, capsys, section, key, value):
+    """Too large a scan map is a ScenarioError naming the field; nothing is synthesized."""
+    doc = json.loads(json.dumps(SCENARIO))
+    doc[section][key] = value
+    with pytest.raises(ScenarioError, match=rf"^{section}\.{key}: .*{MAX_MAP_CELLS}-cell cap"):
+        parse_scenario(json.dumps(doc))
+    sc = scenario_file(tmp_path, doc)
+    out = tmp_path / "crlb.csv"
+    rc = main(["crlb", "--scenario", str(sc), "--sweep", "true-angle", "--values", "0",
+               "--out", str(out)])
+    assert rc == 2
+    assert f"{section}.{key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scenario_map_at_the_cap_parses():
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["sounding"]["k"] = MAX_MAP_CELLS // 2**12
+    doc["array"]["m"] = 2**12
+    sc = parse_scenario(json.dumps(doc))  # parsing allocates no map
+    assert sc.array.m * sc.sounding.k == MAX_MAP_CELLS
 
 
 def _parses_or_scenario_error(text):
@@ -835,6 +871,32 @@ def test_repeated_in_process_cli_matches_fresh_processes(tmp_path, capsys):
     )
     assert runs[0] == expected
     assert runs[1] == expected
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", "2.5"])
+def test_cli_montecarlo_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("PADPKIT_THREADS", raw)
+    sc = scenario_file(tmp_path)
+    out = tmp_path / "mc.csv"
+    rc = main(["montecarlo", "--scenario", str(sc), "--sweep", "output-snr", "--values", "30",
+               "--trials", "1", "--out", str(out)])
+    assert rc == 2
+    assert "PADPKIT_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_defaults_are_the_library_defaults():
+    """The CLI takes the detection threshold and the haed+ factor from the library."""
+    est = _parser().parse_args(["estimate", "--padp", "x.padp", "--out", "x.csv"])
+    mc = _parser().parse_args(["montecarlo", "--scenario", "s.json", "--sweep", "output-snr",
+                               "--values", "30", "--out", "x.csv"])
+    for args in (est, mc):
+        assert args.threshold_db == PeakConfig().noise_floor_db_offset
+        assert args.upsample == HAED_PLUS_UPSAMPLE
+    config = MonteCarloConfig(sweep_values=(30.0,), mpcs=(MpcTruth(1.0, 0.0, 0.0, 0.0),))
+    assert config.upsample == HAED_PLUS_UPSAMPLE
+    assert config.peak == PeakConfig()
+    assert inspect.signature(haed_plus_refine).parameters["upsample"].default == HAED_PLUS_UPSAMPLE
 
 
 def test_cli_parser_is_built_once_and_public_builder_stays_fresh():
