@@ -56,6 +56,7 @@ from .synthesis import (
     MpcTruth,
     Padp,
     SoundingConfig,
+    Workspace,
     add_noise,
     assemble_padp,
     cfr_to_cir,

@@ -1,5 +1,7 @@
 """Small angle helpers shared across modules (radians everywhere)."""
 
+import math
+
 import numpy as np
 
 
@@ -14,6 +16,10 @@ def wrap_two_pi(angle):
 
 
 def circular_delta(a, b):
-    """Signed smallest difference a - b on the circle, in (-pi, pi]."""
-    d = np.mod(np.asarray(a, dtype=np.float64) - b, 2.0 * np.pi)
-    return np.where(d > np.pi, d - 2.0 * np.pi, d)
+    """Signed smallest difference a - b of two scalar angles on the circle, in (-pi, pi].
+
+    Python float arithmetic: its ``%`` is the same floored remainder as
+    ``np.mod``, without a numpy call per Monte Carlo match.
+    """
+    d = (float(a) - float(b)) % (2.0 * math.pi)
+    return d - 2.0 * math.pi if d > math.pi else d

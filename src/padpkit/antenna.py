@@ -74,7 +74,7 @@ class AntennaPattern:
     share cache entries (see ``estimation.o2_deembed_constant``).  Tables
     compare with ``np.array_equal`` and hash by their bytes; they are
     stored as read-only float64 copies, so a caller's later in-place write
-    cannot change a pattern or its hash.
+    cannot change a pattern or its hash, which is computed once.
     """
 
     kind: PatternKind
@@ -107,6 +107,9 @@ class AntennaPattern:
                 raise ValueError("table gains must be non-negative")
             if angles[0] > -np.pi or angles[-1] < np.pi - (angles[1] - angles[0]):
                 raise ValueError("table must cover at least [-pi, pi)")
+        table = None if self.table is None else tuple(a.tobytes() for a in self.table)
+        key = (self.kind, self.g_max, self.hpbw, self.kappa, table)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -120,8 +123,7 @@ class AntennaPattern:
         return all(np.array_equal(a, b) for a, b in zip(self.table, other.table))
 
     def __hash__(self):
-        table = None if self.table is None else tuple(a.tobytes() for a in self.table)
-        return hash((self.kind, self.g_max, self.hpbw, self.kappa, table))
+        return self._hash
 
     @classmethod
     def gaussian(cls, g_max, hpbw):

@@ -30,13 +30,20 @@ decoupled expressions, at one arrival angle or at an array of them
 with d_m the offsets of the scan directions from the arrival.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import wrap_pm_pi
 from .antenna import PatternKind, gain
-from .synthesis import _arrival_terms, _truth_params
+from .synthesis import (
+    _arrival_ramps,
+    _arrival_terms,
+    _arrival_weights,
+    _read_only,
+    _truth_params,
+)
 
 CONDITION_LIMIT = 1e12
 PARAM_NAMES = ("amp_norm", "phase", "phi", "tau")
@@ -111,15 +118,35 @@ def _jacobian_factors(mpcs, arr, pat, cfg):
     ``_theta_from_mpcs(mpcs, cfg)``.
     """
     theta = _theta_from_mpcs(mpcs, cfg).reshape(-1, 4)
-    fbar = float(np.mean(cfg.freqs))
-    g, ramps = _arrival_terms(*theta.T, arr, pat, cfg, fbar)
-    dlog = _dlog_gain(pat, wrap_pm_pi(arr.steering_angles[:, None] - theta[:, 2]))
-    r = ramps.T
-    dr = -1j * (2.0 * np.pi * (cfg.freqs - fbar))[:, None] * r
+    return _scan_factor(theta, arr, pat, cfg), _frequency_factor(theta[:, 3], cfg)
+
+
+def _scan_factor(theta, arr, pat, cfg):
+    """``u`` of ``_jacobian_factors`` for the (L, 4) parameter rows ``theta``."""
+    alpha, phase, phi, _ = theta.T
+    g = _arrival_weights(alpha, phase, phi, arr, pat, cfg)
+    dlog = _dlog_gain(pat, wrap_pm_pi(arr.steering_angles[:, None] - phi))
     # per arrival: (amplitude * alpha, phase, angle, delay)
-    u = np.stack([g, 1j * g, -dlog * g, g], axis=2).reshape(arr.m, -1)
-    v = np.stack([r, r, r, dr], axis=2).reshape(cfg.k, -1)
-    return u, v
+    return np.stack([g, 1j * g, -dlog * g, g], axis=2).reshape(arr.m, -1)
+
+
+def _frequency_factor(tau, cfg):
+    """``v`` of ``_jacobian_factors`` for the arrival delays ``tau``; reads only the band of ``cfg``."""
+    fbar = float(np.mean(cfg.freqs))
+    r = _arrival_ramps(tau, cfg, fbar).T
+    dr = -1j * (2.0 * np.pi * (cfg.freqs - fbar))[:, None] * r
+    return np.stack([r, r, r, dr], axis=2).reshape(cfg.k, -1)
+
+
+@functools.lru_cache(maxsize=64)
+def _frequency_gram(tau, band):
+    """v^H v of ``_frequency_factor``, read-only, per (delays tuple, band).
+
+    ``band`` is ``SoundingConfig._band``, so that configs differing in
+    noise height, transmit power or gain share one entry.
+    """
+    v = _frequency_factor(np.array(tau), band)
+    return _read_only(v.conj().T @ v)
 
 
 def jacobian(mpcs, arr, pat, cfg):
@@ -138,14 +165,18 @@ def fim(mpcs, arr, pat, cfg):
 
     With Jacobian columns outer(u_i, v_i), the sum over (m, k) factors:
     F_ij = (2 / sigma2) Re[(u_i^H u_j) (v_i^H v_j)], so the (m*k, 4L)
-    Jacobian is never formed.
+    Jacobian is never formed.  The frequency-axis Gram v^H v depends only
+    on the delays and the band, so it is cached: a sweep over noise
+    height, angles or amplitudes forms only the m x 4L scan factor.
     """
     if not mpcs:
         raise ValueError("at least one arrival required")
     if cfg.sigma2 <= 0:
         raise ValueError("sigma2 must be positive for a finite Fisher matrix")
-    u, v = _jacobian_factors(mpcs, arr, pat, cfg)
-    f = (2.0 / cfg.sigma2) * np.real((u.conj().T @ u) * (v.conj().T @ v))
+    theta = _theta_from_mpcs(mpcs, cfg).reshape(-1, 4)
+    u = _scan_factor(theta, arr, pat, cfg)
+    gram = _frequency_gram(tuple(theta[:, 3].tolist()), cfg._band)
+    f = (2.0 / cfg.sigma2) * np.real((u.conj().T @ u) * gram)
     return 0.5 * (f + f.T)
 
 

@@ -5,9 +5,12 @@ index) through a SeedSequence, so runs are bit-reproducible and trials
 may execute in any order.  Set PADPKIT_THREADS to a positive integer to
 run trials of a sweep point on a thread pool; reduction collects per-trial
 records in trial order, so the output is identical to the serial run.
+Each thread synthesizes its trials into one reused ``Workspace``, so a
+trial's PADP is valid only within that trial.
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -25,7 +28,7 @@ from .estimation import (
     estimate_o2,
     haed_plus_refine,
 )
-from .synthesis import MpcTruth, simulate_padp
+from .synthesis import MpcTruth, Workspace, simulate_padp
 
 SWEEP_VARIABLES = ("output_snr_db", "angular_separation_deg", "true_angle_deg")
 
@@ -224,6 +227,7 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
     if not (raw.isascii() and raw.isdecimal() and int(raw) >= 1):
         raise ValueError(f"PADPKIT_THREADS: expected a positive integer, got {raw!r}")
     threads = int(raw)
+    local = threading.local()  # one synthesis workspace per thread running trials
     rows = []
     for si, sweep_value in enumerate(mc.sweep_values):
         sigma2 = _sigma2_for_point(mc, cfg, pat, sweep_value)
@@ -234,7 +238,10 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
                 np.random.SeedSequence(entropy=mc.base_seed, spawn_key=(_si, ti))
             )
             mpcs = _trial_mpcs(mc, _cfg, _val, rng)
-            padp = simulate_padp(mpcs, arr, pat, _cfg, seed=rng)
+            if not hasattr(local, "ws"):
+                local.ws = Workspace(arr.m, cfg.k)
+            # the Padp lives on this thread's workspace: it must not outlive the trial
+            padp = simulate_padp(mpcs, arr, pat, _cfg, seed=rng, workspace=local.ws)
             record = {}
             for method in mc.methods:
                 failed = False
@@ -330,8 +337,9 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
     p_ref = cfg0.k * cfg0.pu * cfg0.g_tx**2
     samples = {m: {"phi_deg": [], "power_db": []} for m in methods}
     misses = {m: 0 for m in methods}
+    ws = Workspace(arr.m, cfg0.k)
     for i in range(n_mpcs):
-        truth, found = _offset_draw(i, seed, cfg0, arr, pat, methods)
+        truth, found = _offset_draw(i, seed, cfg0, arr, pat, methods, ws)
         for method, est in zip(methods, found):
             if est is None:
                 misses[method] += 1
@@ -349,11 +357,11 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
     }
 
 
-def _offset_draw(i, seed, cfg0, arr, pat, methods):
+def _offset_draw(i, seed, cfg0, arr, pat, methods, ws):
     """Draw ``i`` of ``uniform_offset_study``: the truth and, per method, its match or None.
 
-    The draw's Padp lives only in this call, so it is freed before the
-    next draw is synthesized.
+    The draw's Padp is built on the study's workspace ``ws``, so it lives
+    only in this call: the next draw overwrites it.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
     truth = MpcTruth(
@@ -362,7 +370,7 @@ def _offset_draw(i, seed, cfg0, arr, pat, methods):
         tau=int(rng.integers(cfg0.k // 4, 3 * cfg0.k // 4)) * cfg0.delta_tau,
         phi=rng.uniform(0.0, 2.0 * np.pi),
     )
-    padp = simulate_padp([truth], arr, pat, cfg0, seed=rng)
+    padp = simulate_padp([truth], arr, pat, cfg0, seed=rng, workspace=ws)
     found = []
     for method in methods:
         ests = run_method(method, padp, pat, PeakConfig(), HAED_PLUS_UPSAMPLE)

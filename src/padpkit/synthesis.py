@@ -26,21 +26,32 @@ frequency phase ramp, identical to the direct sum.
 2. the noise is drawn directly in delay: T is unitary, so it maps white
    noise of height sigma2 to white noise of the same height and the same
    distribution, and drawing it after the transform is exact, not an
-   approximation;
+   approximation (noise-free configs skip this step);
 3. the power map is |h|^2, and the responses h ride along on the Padp
    (``Padp.h``): nothing rebuilds the full-map spectra.  Estimators that
    need spectra (haed+) transform only the rows they read
    (``Padp.spectra``), and all rows are transformed only where spectra
    leave the program (``simulate --cfr-out``).
+
+Monte Carlo loops pass a ``Workspace``: every map-sized array of a trial
+is then written into the same two buffers, so a trial allocates (and
+page-faults) no new map.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .angles import wrap_pm_pi, wrap_two_pi
 from .antenna import gain
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def _require_finite(**fields):
@@ -84,13 +95,25 @@ class SoundingConfig:
     def delta_tau(self):
         return 1.0 / self.bw
 
-    @property
-    def freqs(self):
-        return self.fc - 0.5 * self.bw + np.arange(self.k) * self.delta_f
+    # the grids below are computed once per config and shared read-only
 
-    @property
+    @functools.cached_property
+    def freqs(self):
+        return _read_only(self.fc - 0.5 * self.bw + np.arange(self.k) * self.delta_f)
+
+    @functools.cached_property
     def delays(self):
-        return np.arange(self.k) * self.delta_tau
+        return _read_only(np.arange(self.k) * self.delta_tau)
+
+    @functools.cached_property
+    def _start_ramp(self):
+        return _read_only(_band_start_ramp(_band_start(self), self.delays))
+
+    @functools.cached_property
+    def _band(self):
+        # (fc, bw, k) only: the key of caches that do not depend on the
+        # transmit power, the gain or the noise height
+        return SoundingConfig(self.fc, self.bw, self.k)
 
 
 @dataclass(frozen=True)
@@ -103,9 +126,10 @@ class ArrayConfig:
         if self.m < 3:
             raise ValueError("m must be >= 3")
 
-    @property
+    @functools.cached_property
     def steering_angles(self):
-        return 2.0 * np.pi * np.arange(self.m) / self.m
+        """The scan grid, computed once per config and shared read-only."""
+        return _read_only(2.0 * np.pi * np.arange(self.m) / self.m)
 
     @property
     def asi(self):
@@ -161,7 +185,8 @@ class Padp:
             raise ValueError("values must be 2-D (scan x delay)")
         if v.shape != (len(self.angles), len(self.delays)):
             raise ValueError("grid lengths must match the value matrix")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
+        # two reductions, no map-sized masks; a NaN fails the first comparison
+        if v.size and not (v.min() >= 0 and v.max() < np.inf):
             raise ValueError("values must be finite and non-negative")
         if self.h is not None and self.h.shape != v.shape:
             raise ValueError("h must match the value matrix shape")
@@ -184,7 +209,7 @@ class Padp:
         """
         if self.h is None:
             raise ValueError("Padp carries no delay responses (h)")
-        return _spectra(self.h[rows], self.f_start, self.delays)
+        return _spectra(self.h[rows], _band_start_ramp(self.f_start, self.delays))
 
 
 def _arrival_terms(alpha, phase, phi, tau, arr, pat, cfg, f_ref):
@@ -197,12 +222,32 @@ def _arrival_terms(alpha, phase, phi, tau, arr, pat, cfg, f_ref):
     are ``weights @ ramps``; the weights carry transmit power, antenna
     gains and the complex amplitudes, the ramps the delays.
     """
+    return _arrival_weights(alpha, phase, phi, arr, pat, cfg), _arrival_ramps(tau, cfg, f_ref)
+
+
+def _arrival_weights(alpha, phase, phi, arr, pat, cfg):
+    """The (m, L) scan-direction weights of ``_arrival_terms``."""
     if np.size(alpha) == 0:
         raise ValueError("at least one multipath component required")
     coeff = alpha * np.exp(1j * phase)
     gains = gain(pat, wrap_pm_pi(arr.steering_angles[:, None] - phi))
-    ramps = np.exp(-2j * np.pi * np.outer(tau, cfg.freqs - f_ref))
-    return np.sqrt(cfg.pu) * cfg.g_tx * (gains * coeff), ramps
+    return np.sqrt(cfg.pu) * cfg.g_tx * (gains * coeff)
+
+
+def _arrival_ramps(tau, cfg, f_ref):
+    """The (L, k) delay ramps of ``_arrival_terms``."""
+    return np.exp(-2j * np.pi * np.outer(tau, cfg.freqs - f_ref))
+
+
+@functools.lru_cache(maxsize=8)
+def _delay_responses(tau, band):
+    """``cfr_to_cir`` of the delay ramps of arrivals at delays ``tau`` (a tuple), read-only.
+
+    They depend only on the delays and the band, so a sweep whose arrivals
+    keep their delays (noise or angle sweeps) transforms them once.  Eight
+    entries bound what sweeps that redraw the delays every trial hold.
+    """
+    return _read_only(cfr_to_cir(_arrival_ramps(np.array(tau), band, 0.0), band))
 
 
 def _truth_params(mpcs):
@@ -216,22 +261,32 @@ def synth_cfr(mpcs, arr, pat, cfg):
     return weights @ ramps
 
 
-def add_noise(s, sigma2, seed):
+def add_noise(s, sigma2, seed, out=None):
     """Add circularly symmetric white Gaussian noise of spectral height sigma2.
 
     Real and imaginary parts each carry variance sigma2/2.  Deterministic
     for a given seed (int, SeedSequence or Generator).  Returns a new
-    array; ``s`` is not modified.
+    array, or the complex view of ``out``: a C-contiguous float64 array of
+    shape ``s.shape + (2,)`` that receives the interleaved (re, im) result.
+    ``s`` is not modified.
     """
     if not 0.0 <= sigma2 < math.inf:
         raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2!r}")
-    if sigma2 == 0:
-        return np.array(s, copy=True)
-    rng = np.random.default_rng(seed)
+    shape = (*np.shape(s), 2)
+    if out is None:
+        if sigma2 == 0:
+            return np.array(s, copy=True)
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     # one draw of interleaved (re, im) pairs, viewed as complex and
     # scaled and shifted in place: no further (m, k) temporaries
-    w = rng.standard_normal((*np.shape(s), 2)).view(np.complex128)[..., 0]
-    w *= np.sqrt(sigma2 / 2.0)
+    w = out.view(np.complex128)[..., 0]
+    if sigma2 == 0:
+        w[...] = s
+        return w
+    np.random.default_rng(seed).standard_normal(out=out)
+    out *= np.sqrt(sigma2 / 2.0)  # the real scale of the complex view, on its float pairs
     w += s
     return w
 
@@ -244,9 +299,8 @@ def _band_start_ramp(f_start, delays):
     return np.exp(2j * np.pi * f_start * delays)
 
 
-def _spectra(h, f_start, delays):
-    """Spectra behind delay responses referenced to band start ``f_start``."""
-    ramp = _band_start_ramp(f_start, delays)
+def _spectra(h, ramp):
+    """Spectra behind delay responses ``h``; ``ramp`` is ``_band_start_ramp`` of their band start."""
     return np.fft.fft(h * ramp.conj(), axis=-1, norm="ortho")
 
 
@@ -266,7 +320,7 @@ def cfr_to_cir(y, cfg, method="fft"):
         return (y @ kernel) / np.sqrt(k)
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
-    return np.sqrt(k) * np.fft.ifft(y, axis=-1) * _band_start_ramp(_band_start(cfg), cfg.delays)
+    return np.sqrt(k) * np.fft.ifft(y, axis=-1) * cfg._start_ramp
 
 
 def cir_to_cfr(h, cfg):
@@ -274,12 +328,16 @@ def cir_to_cfr(h, cfg):
     h = np.asarray(h)
     if h.shape[-1] != cfg.k:
         raise ValueError("response length must equal cfg.k")
-    return _spectra(h, _band_start(cfg), cfg.delays)
+    return _spectra(h, cfg._start_ramp)
 
 
-def pdp(h):
-    """Power delay profile(s): squared magnitude of delay-domain responses."""
-    p = np.abs(h)
+def pdp(h, out=None):
+    """Power delay profile(s): squared magnitude of delay-domain responses.
+
+    ``out``, when given, is a float64 array of the shape of ``h`` that
+    receives the result.
+    """
+    p = np.abs(h, out=out)
     p **= 2  # in place: one map-sized temporary fewer per call
     return p
 
@@ -300,14 +358,46 @@ def assemble_padp(pdps, arr, cfg, h=None):
     )
 
 
-def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True):
+class Workspace:
+    """Map-sized buffers that ``simulate_padp`` reuses from one call to the next.
+
+    ``noise`` is an (m, k, 2) float64 block: the noise draw, and then the
+    delay responses ``h`` (its complex view).  ``signal`` is an (m, k)
+    complex block: the noise-free responses, and then, in its first half,
+    the power map.  About 1.15 MB at 36 x 1001.  A Padp built on a
+    workspace shares these arrays, so the next ``simulate_padp`` call on
+    the same workspace overwrites it; a workspace belongs to one thread.
+    """
+
+    def __init__(self, m, k):
+        self.noise = np.empty((m, k, 2))
+        self.signal = np.empty((m, k), dtype=np.complex128)
+        self.h = self.noise.view(np.complex128)[..., 0]
+        self.power = self.signal.reshape(-1).view(np.float64)[: m * k].reshape(m, k)
+
+
+# no buffers: every step of simulate_padp allocates its result
+_FRESH = SimpleNamespace(h=None, signal=None, noise=None, power=None)
+
+
+def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
     """Full synthesis pipeline: delay responses -> noise -> Padp.
 
     Works in the delay domain (see the module docstring).  The noisy delay
     responses are attached as ``Padp.h`` (haed+ needs them); that adds no
     copy and no transform.  ``keep_cfr=False`` leaves ``h`` off, so the
-    Padp carries the power map only.
+    Padp carries the power map only.  With a ``Workspace`` of the map's
+    shape, the map and ``h`` are written into its buffers instead of new
+    arrays, and the Padp is valid only until the workspace's next call.
     """
-    weights, ramps = _arrival_terms(*_truth_params(mpcs), arr, pat, cfg, 0.0)
-    h = add_noise(weights @ cfr_to_cir(ramps, cfg), cfg.sigma2, seed)
-    return assemble_padp(pdp(h), arr, cfg, h=h if keep_cfr else None)
+    if workspace is not None and workspace.signal.shape != (arr.m, cfg.k):
+        raise ValueError(f"workspace shape {workspace.signal.shape} != map shape {(arr.m, cfg.k)}")
+    ws = _FRESH if workspace is None else workspace
+    alpha, phase, phi, tau = _truth_params(mpcs)
+    weights = _arrival_weights(alpha, phase, phi, arr, pat, cfg)
+    responses = _delay_responses(tuple(tau.tolist()), cfg._band)
+    if cfg.sigma2 == 0:
+        h = np.matmul(weights, responses, out=ws.h)
+    else:
+        h = add_noise(np.matmul(weights, responses, out=ws.signal), cfg.sigma2, seed, out=ws.noise)
+    return assemble_padp(pdp(h, out=ws.power), arr, cfg, h=h if keep_cfr else None)

@@ -130,6 +130,16 @@ def test_tabulated_patterns_compare_and_hash_by_value():
     assert hash(AntennaPattern.from_table(ang_nz, g_nz)) == hash(AntennaPattern.from_table(ang_nz, g_z))
 
 
+def test_tabulated_hash_is_computed_once():
+    ang, g, _ = _gaussian_table()
+    a = AntennaPattern.from_table(ang, g)
+    b = AntennaPattern.from_table(list(ang), list(g))
+    assert a == b and hash(a) == hash(b)
+    # the lookup reads the stored hash, not the tables
+    object.__setattr__(a, "table", None)
+    assert hash(a) == hash(b)
+
+
 def test_tabulated_table_is_a_read_only_copy():
     ang, g, _ = _gaussian_table()
     pat = AntennaPattern.from_table(ang, g)

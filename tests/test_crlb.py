@@ -260,3 +260,24 @@ def test_closed_forms_require_gaussian(pat10):
     tab = AntennaPattern.from_table(ang, gain(pat10, ang))
     with pytest.raises(ValueError):
         crlb_single_phi(1.0, CFG, ARR, tab, 0.0)
+
+
+def test_fim_shares_one_frequency_gram_across_noise_and_power(pat10):
+    """The cached v^H v leaves the Fisher matrix bit for bit as the direct product."""
+    from dataclasses import replace
+
+    from padpkit.crlb import _frequency_gram, _jacobian_factors
+
+    mpcs = [_one(13.0, alpha=1.3), _one(27.0, alpha=0.8, tau=30.5e-9, phase=1.9)]
+    _frequency_gram.cache_clear()
+    cfgs = [CFG, replace(CFG, sigma2=0.01), replace(CFG, pu=3.0, g_tx=0.5)]
+    for cfg in cfgs:
+        u, v = _jacobian_factors(mpcs, ARR, pat10, cfg)
+        f = (2.0 / cfg.sigma2) * np.real((u.conj().T @ u) * (v.conj().T @ v))
+        assert fim(mpcs, ARR, pat10, cfg).tobytes() == (0.5 * (f + f.T)).tobytes()
+    info = _frequency_gram.cache_info()
+    assert (info.misses, info.hits) == (1, len(cfgs) - 1)
+    fim(mpcs[:1], ARR, pat10, CFG)  # other delays: a new entry
+    assert _frequency_gram.cache_info().misses == 2
+    gram = _frequency_gram((25e-9,), CFG._band)
+    assert not gram.flags.writeable

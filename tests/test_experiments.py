@@ -34,6 +34,18 @@ def test_circular_wrap():
     assert err == pytest.approx(-2.0, abs=1e-12)
 
 
+def test_circular_delta_equals_the_numpy_formula_bit_for_bit():
+    rng = np.random.default_rng(3)
+    two_pi = 2.0 * np.pi
+    edges = [0.0, -0.0, np.pi, -np.pi, two_pi, -two_pi, 3 * np.pi, 1e-300, -1e-300, 1e-17, -1e-17]
+    a = np.concatenate([rng.uniform(-20.0, 20.0, 3000), edges, np.nextafter(np.pi, 4.0) + np.zeros(1)])
+    b = np.concatenate([rng.uniform(-20.0, 20.0, 3000), np.zeros(len(edges) + 1)])
+    d = np.mod(a - b, two_pi)
+    ref = np.where(d > np.pi, d - two_pi, d)
+    got = np.array([circular_delta(x, y) for x, y in zip(a, b)])
+    assert got.tobytes() == ref.tobytes()
+
+
 def _est(tau, phi_deg, method=Method.HAED):
     return MpcEstimate(tau=tau, phi=np.radians(phi_deg), power=1.0, method=method)
 
@@ -406,7 +418,7 @@ def test_method_failures_stay_isolated(arr36, pat10, monkeypatch):
 
 
 def test_offset_study_memory_does_not_grow_with_draws(arr36, pat10, cfg_full):
-    """Each draw's PADP is freed before the next one is synthesized."""
+    """Every draw is synthesized into the study's one workspace."""
     import tracemalloc
 
     methods = (Method.O1, Method.O2, Method.HAED, Method.HAED_PLUS)
@@ -421,3 +433,50 @@ def test_offset_study_memory_does_not_grow_with_draws(arr36, pat10, cfg_full):
 
     uniform_offset_study(1, seed=5, cfg=cfg_full, arr=arr36, pat=pat10, methods=methods)  # warm caches
     assert peak(20) <= 1.1 * peak(1)
+
+
+def _fingerprint(rows):
+    """Every field of every sweep row, exactly (NaN compares by its bytes)."""
+    return [
+        (r.sweep_value, r.method, r.param, r.truth_index, np.float64(r.sqrt_crlb).tobytes(),
+         np.array([r.stats.rmsee, r.stats.mean_err, r.stats.mean_abs_err, r.stats.mc_stderr]).tobytes(),
+         r.stats.n, r.stats.misses, r.stats.false_alarms, r.stats.failures, r.stats.cdf.tobytes())
+        for r in rows
+    ]
+
+
+def _counting_workspaces(monkeypatch):
+    import padpkit.experiments as exp
+
+    made = []
+
+    class Counting(exp.Workspace):
+        def __init__(self, m, k):
+            super().__init__(m, k)
+            made.append((m, k))
+
+    monkeypatch.setattr(exp, "Workspace", Counting)
+    return made
+
+
+def test_run_sweep_rows_equal_with_two_threads(arr36, pat10, monkeypatch):
+    """Per-thread workspaces leave every row field unchanged, noisy and off-grid."""
+    cfg = replace(CFG, k=257)
+    methods = (Method.O1, Method.O2, Method.HAED, Method.HAED_PLUS)
+    mc = replace(_plus_mc(methods, trials=8), sweep_values=(20.0, 30.0))
+    monkeypatch.delenv("PADPKIT_THREADS", raising=False)
+    serial = run_sweep(mc, cfg, arr36, pat10)
+    monkeypatch.setenv("PADPKIT_THREADS", "2")
+    made = _counting_workspaces(monkeypatch)
+    threaded = run_sweep(mc, cfg, arr36, pat10)
+    assert _fingerprint(threaded) == _fingerprint(serial)
+    assert 1 <= len(made) <= 2 * len(mc.sweep_values)  # one per pool thread and point
+
+
+def test_serial_sweep_and_offset_study_allocate_one_workspace(arr36, pat10, monkeypatch):
+    monkeypatch.delenv("PADPKIT_THREADS", raising=False)
+    made = _counting_workspaces(monkeypatch)
+    run_sweep(_small_mc(trials=5), CFG, arr36, pat10)
+    assert made == [(arr36.m, CFG.k)]
+    uniform_offset_study(6, seed=1, cfg=CFG, arr=arr36, pat=pat10)
+    assert made == [(arr36.m, CFG.k)] * 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from padpkit import (
     MpcTruth,
     Padp,
     SoundingConfig,
+    Workspace,
     add_noise,
     assemble_padp,
     cfr_to_cir,
@@ -15,6 +18,7 @@ from padpkit import (
     simulate_padp,
     synth_cfr,
 )
+from padpkit import synthesis
 from padpkit.antenna import gain
 
 
@@ -283,3 +287,90 @@ def test_delay_domain_noise_is_white_with_height_sigma2(pat10):
         assert np.var(w.imag) == pytest.approx(0.5, abs=0.005)
         adjacent = np.mean(w[:, 1:] * np.conj(w[:, :-1]))
         assert abs(adjacent) / power < 0.01
+
+
+def test_cached_grids_are_read_only_and_equal_the_formulas(cfg_full):
+    cfg = SoundingConfig(fc=cfg_full.fc, bw=cfg_full.bw, k=cfg_full.k)
+    f_start = cfg.fc - 0.5 * cfg.bw
+    formulas = {
+        "freqs": f_start + np.arange(cfg.k) * cfg.delta_f,
+        "delays": np.arange(cfg.k) * cfg.delta_tau,
+        "_start_ramp": np.exp(2j * np.pi * f_start * (np.arange(cfg.k) * cfg.delta_tau)),
+    }
+    arr = ArrayConfig(m=36)
+    grids = [(getattr(cfg, name), getattr(cfg, name), ref) for name, ref in formulas.items()]
+    grids.append((arr.steering_angles, arr.steering_angles, 2.0 * np.pi * np.arange(36) / 36))
+    for grid, again, ref in grids:
+        assert grid is again  # computed once per config
+        assert grid.tobytes() == ref.tobytes()
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+
+
+def test_add_noise_into_out_equals_a_new_array():
+    s = np.full((3, 5), 0.5 - 0.25j)
+    for sigma2 in (0.0, 2.0):
+        out = np.empty((3, 5, 2))
+        got = add_noise(s, sigma2, seed=9, out=out)
+        assert np.shares_memory(got, out)
+        assert got.tobytes() == add_noise(s, sigma2, seed=9).tobytes()
+    with pytest.raises(ValueError, match="out"):
+        add_noise(s, 1.0, seed=9, out=np.empty((3, 5)))
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.5])
+def test_workspace_call_equals_the_plain_call(cfg_small, arr36, pat10, sigma2):
+    cfg = replace(cfg_small, sigma2=sigma2)
+    mpcs = [MpcTruth(1.0, 0.3, 25e-9, np.radians(13.0)), MpcTruth(0.6, 1.1, 40.2e-9, 2.0)]
+    plain = simulate_padp(mpcs, arr36, pat10, cfg, seed=4)
+    ws = Workspace(arr36.m, cfg.k)
+    got = simulate_padp(mpcs, arr36, pat10, cfg, seed=4, workspace=ws)
+    assert got.values.tobytes() == plain.values.tobytes()
+    assert got.h.tobytes() == plain.h.tobytes()
+    assert np.shares_memory(got.values, ws.signal) and np.shares_memory(got.h, ws.noise)
+
+
+def test_next_workspace_call_overwrites_the_previous_padp(cfg_small, arr36, pat10, mpc_13deg):
+    """A Padp built on a workspace is valid only until the workspace's next call."""
+    cfg = replace(cfg_small, sigma2=0.5)
+    ws = Workspace(arr36.m, cfg.k)
+    first = simulate_padp([mpc_13deg], arr36, pat10, cfg, seed=1, workspace=ws)
+    kept = first.values.copy(), first.h.copy()
+    second = simulate_padp([mpc_13deg], arr36, pat10, cfg, seed=2, workspace=ws)
+    np.testing.assert_array_equal(first.values, second.values)
+    np.testing.assert_array_equal(first.h, second.h)
+    assert not np.array_equal(kept[0], second.values) and not np.array_equal(kept[1], second.h)
+    with pytest.raises(ValueError, match="workspace shape"):
+        simulate_padp([mpc_13deg], arr36, pat10, cfg, workspace=Workspace(arr36.m, cfg.k + 1))
+
+
+def test_noise_free_synthesis_draws_no_noise(cfg_small, arr36, pat10, mpc_13deg, monkeypatch):
+    def boom(*_a, **_k):
+        raise AssertionError("add_noise called with sigma2 == 0")
+
+    monkeypatch.setattr(synthesis, "add_noise", boom)
+    p = simulate_padp([mpc_13deg], arr36, pat10, cfg_small, seed=0)
+    ref = pdp(cfr_to_cir(synth_cfr([mpc_13deg], arr36, pat10, cfg_small), cfg_small))
+    assert np.max(np.abs(p.values - ref)) / np.max(ref) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+def test_padp_rejects_non_finite_or_negative_values(bad):
+    v = np.ones((3, 4))
+    v[1, 2] = bad
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        Padp(v, np.arange(3.0), np.arange(4.0))
+    v[1, 2] = -0.0  # equal to zero, so allowed
+    assert Padp(v, np.arange(3.0), np.arange(4.0)).values[1, 2] == 0.0
+
+
+def test_delay_responses_are_cached_per_delays_and_band(cfg_small):
+    from padpkit.synthesis import _arrival_ramps, _delay_responses
+
+    tau = (25e-9, 40.3e-9)
+    got = _delay_responses(tau, cfg_small._band)
+    assert got is _delay_responses(tau, replace(cfg_small, sigma2=2.0, pu=3.0, g_tx=0.5)._band)
+    ref = cfr_to_cir(_arrival_ramps(np.array(tau), cfg_small, 0.0), cfg_small)
+    assert got.tobytes() == ref.tobytes()
+    assert not got.flags.writeable
