@@ -24,10 +24,13 @@ from .crlb import (
     CrlbReport,
     SingularFimError,
     crlb_from_fim,
+    crlb_from_fims,
     crlb_single_alpha,
     crlb_single_phase,
     crlb_single_phi,
+    crlb_sweep,
     fim,
+    fim_sweep,
 )
 from .estimation import (
     Method,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io
 from .antenna import AntennaPattern, load_pattern_csv
-from .crlb import crlb_from_fim, fim
+from .crlb import crlb_sweep
 from .estimation import HAED_PLUS_UPSAMPLE, Method, PeakConfig
 from .experiments import (
     MonteCarloConfig,
@@ -131,13 +131,9 @@ _SWEEP_NAMES = {
 def _cmd_crlb(args):
     scenario = io.load_scenario(args.scenario)
     values = _parse_values(args.values)
-    entries = []
-    for value in values:
-        mpcs = apply_sweep(scenario.mpcs, _SWEEP_NAMES[args.sweep], value)
-        report = crlb_from_fim(
-            fim(mpcs, scenario.array, scenario.pattern, scenario.sounding)
-        )
-        entries.append((value, report))
+    points = [apply_sweep(scenario.mpcs, _SWEEP_NAMES[args.sweep], v) for v in values]
+    reports = crlb_sweep(points, scenario.array, scenario.pattern, scenario.sounding)
+    entries = list(zip(values, reports))
     io.write_crlb_csv(args.out, args.sweep, entries)
     manifest = io.build_manifest(
         inputs={"scenario_sha256": scenario.sha256},

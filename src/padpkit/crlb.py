@@ -28,6 +28,13 @@ decoupled expressions, at one arrival angle or at an array of them
     var(alpha_hat/alpha) >= 1 / (2 gamma_I K sum_m g^2(d_m)) = var(phase_hat)
 
 with d_m the offsets of the scan directions from the arrival.
+
+A sweep is bounded in one stacked pass: ``fim_sweep`` forms the (P, 4L,
+4L) matrices of P points with one batched product and ``crlb_from_fims``
+inverts them with one batched ``eigh``; ``crlb_sweep`` chains the two in
+chunks of ``SWEEP_CHUNK`` points, so memory stays bounded on any grid.
+``fim`` and ``crlb_from_fim`` are the one-point case of the same code,
+and each stacked result equals the one-point result bit for bit.
 """
 
 import functools
@@ -42,10 +49,10 @@ from .synthesis import (
     _arrival_terms,
     _arrival_weights,
     _read_only,
-    _truth_params,
 )
 
 CONDITION_LIMIT = 1e12
+SWEEP_CHUNK = 256  # sweep points per stacked pass of ``crlb_sweep``
 PARAM_NAMES = ("amp_norm", "phase", "phi", "tau")
 _TAB_DLOG_STEP = np.radians(0.05)
 
@@ -102,10 +109,28 @@ def signal_model(theta, arr, pat, cfg):
     return weights @ ramps
 
 
+def _theta_rows(points, cfg):
+    """(P, L, 4) parameter rows of P arrival lists, phase at the band centre.
+
+    Row layout per arrival as in ``signal_model``: (alpha, phase, phi,
+    tau).  Every point must have the same number of arrivals.
+    """
+    counts = sorted({len(mpcs) for mpcs in points})
+    if not counts:
+        raise ValueError("at least one sweep point required")
+    if counts[0] == 0:
+        raise ValueError("at least one arrival required")
+    if len(counts) > 1:
+        raise ValueError(f"every sweep point needs the same number of arrivals, got {counts}")
+    rows = np.array(
+        [[(m.alpha, m.phase, m.phi, m.tau) for m in mpcs] for mpcs in points], dtype=np.float64
+    )
+    rows[..., 1] = rows[..., 1] - 2.0 * np.pi * float(np.mean(cfg.freqs)) * rows[..., 3]
+    return rows
+
+
 def _theta_from_mpcs(mpcs, cfg):
-    alpha, phase, phi, tau = _truth_params(mpcs)
-    phase = phase - 2.0 * np.pi * float(np.mean(cfg.freqs)) * tau
-    return np.stack([alpha, phase, phi, tau], axis=1).ravel()
+    return _theta_rows([mpcs], cfg)[0].ravel()
 
 
 def _jacobian_factors(mpcs, arr, pat, cfg):
@@ -122,12 +147,13 @@ def _jacobian_factors(mpcs, arr, pat, cfg):
 
 
 def _scan_factor(theta, arr, pat, cfg):
-    """``u`` of ``_jacobian_factors`` for the (L, 4) parameter rows ``theta``."""
-    alpha, phase, phi, _ = theta.T
+    """``u`` of ``_jacobian_factors`` for parameter rows ``theta`` (..., L, 4): (..., m, 4L)."""
+    # each (..., 1, L), so that the weights come out (..., m, L)
+    alpha, phase, phi, _ = np.moveaxis(theta[..., None, :, :], -1, 0)
     g = _arrival_weights(alpha, phase, phi, arr, pat, cfg)
     dlog = _dlog_gain(pat, wrap_pm_pi(arr.steering_angles[:, None] - phi))
     # per arrival: (amplitude * alpha, phase, angle, delay)
-    return np.stack([g, 1j * g, -dlog * g, g], axis=2).reshape(arr.m, -1)
+    return np.stack([g, 1j * g, -dlog * g, g], axis=-1).reshape(*g.shape[:-1], -1)
 
 
 def _frequency_factor(tau, cfg):
@@ -160,58 +186,154 @@ def jacobian(mpcs, arr, pat, cfg):
     return (u[:, None, :] * v[None, :, :]).reshape(-1, u.shape[1])
 
 
-def fim(mpcs, arr, pat, cfg):
-    """Fisher information matrix, real symmetric (4L, 4L).
+def _information_scale(sigma2, n_points):
+    """2 / sigma2 for one noise height or one per sweep point, shaped (-1, 1, 1).
 
-    With Jacobian columns outer(u_i, v_i), the sum over (m, k) factors:
-    F_ij = (2 / sigma2) Re[(u_i^H u_j) (v_i^H v_j)], so the (m*k, 4L)
-    Jacobian is never formed.  The frequency-axis Gram v^H v depends only
-    on the delays and the band, so it is cached: a sweep over noise
-    height, angles or amplitudes forms only the m x 4L scan factor.
+    Raises ``ValueError`` naming sigma2 when it is not positive, when
+    2 / sigma2 overflows or when it holds neither 1 nor ``n_points`` values.
     """
-    if not mpcs:
-        raise ValueError("at least one arrival required")
-    if cfg.sigma2 <= 0:
+    sigma2 = np.asarray(sigma2, dtype=np.float64)
+    if sigma2.size not in (1, n_points):
+        raise ValueError(f"sigma2: expected 1 or {n_points} noise heights, got {sigma2.size}")
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = 2.0 / sigma2
+    if not np.all(sigma2 > 0):
         raise ValueError("sigma2 must be positive for a finite Fisher matrix")
-    theta = _theta_from_mpcs(mpcs, cfg).reshape(-1, 4)
+    if not np.all(np.isfinite(scale)):
+        bad = float(np.ravel(sigma2)[~np.isfinite(np.ravel(scale))][0])
+        raise ValueError(f"sigma2 = {bad!r} is too small: 2/sigma2 overflows")
+    return np.reshape(scale, (-1, 1, 1))
+
+
+def fim_sweep(points, arr, pat, cfg, sigma2=None):
+    """Fisher information matrices of a sweep, real symmetric (P, 4L, 4L).
+
+    ``points`` holds P lists of arrivals, all of the same length L;
+    ``sigma2`` is the noise height per point (default ``cfg.sigma2`` for
+    every point).  With Jacobian columns outer(u_i, v_i), the sum over
+    (m, k) factors: F_ij = (2 / sigma2) Re[(u_i^H u_j) (v_i^H v_j)], so
+    the (m*k, 4L) Jacobian is never formed.  The frequency-axis Gram
+    v^H v depends only on the delays and the band, so it is cached and
+    looked up once per distinct delay tuple; the (P, m, 4L) scan factors
+    are formed and multiplied as one stack.  Each matrix is bit for bit
+    the one ``fim`` gives for its point alone.  ``crlb_sweep`` runs long
+    sweeps through here in chunks.
+    """
+    theta = _theta_rows(points, cfg)
+    scale = _information_scale(cfg.sigma2 if sigma2 is None else sigma2, len(theta))
     u = _scan_factor(theta, arr, pat, cfg)
-    gram = _frequency_gram(tuple(theta[:, 3].tolist()), cfg._band)
-    f = (2.0 / cfg.sigma2) * np.real((u.conj().T @ u) * gram)
-    return 0.5 * (f + f.T)
+    keys = [tuple(tau) for tau in theta[:, :, 3].tolist()]
+    grams = {key: _frequency_gram(key, cfg._band) for key in keys}
+    gram = grams[keys[0]] if len(grams) == 1 else np.stack([grams[key] for key in keys])
+    with np.errstate(over="ignore"):  # an overflowing entry is inf: crlb_from_fims flags it
+        f = scale * np.real((u.conj().transpose(0, 2, 1) @ u) * gram)
+        return 0.5 * (f + f.transpose(0, 2, 1))
 
 
-def crlb_from_fim(f):
-    """Invert a Fisher matrix into per-parameter bounds with condition checks.
+def fim(mpcs, arr, pat, cfg):
+    """Fisher information matrix of one set of arrivals, real symmetric (4L, 4L).
+
+    The one-point case of ``fim_sweep``.
+    """
+    return fim_sweep([mpcs], arr, pat, cfg)[0]
+
+
+def _nonfinite_lines(finite):
+    """(P, n) mask of the parameters i whose row or column i holds a non-finite entry.
+
+    ``finite`` is ``np.isfinite`` of a (P, n, n) stack.
+    """
+    return ~np.all(finite, axis=2) | ~np.all(finite, axis=1)
+
+
+def crlb_from_fims(stack):
+    """Invert a (P, 4L, 4L) stack of Fisher matrices into P ``CrlbReport``s.
 
     The condition test runs on the diagonally normalized matrix (unit
     diagonal), so it measures genuine parameter coupling rather than the
     parameter units; seconds-scale delay rows would otherwise dominate the
-    raw spectrum.  Near-singular matrices (normalized condition number
-    above 1e12, or a non-positive eigenvalue) are flagged and reported
-    with NaN values instead of being inverted blindly.
+    raw spectrum.  A matrix with a non-finite entry or a non-positive
+    diagonal entry is flagged, naming the parameters of those rows and
+    columns, and so is one whose normalized condition number exceeds 1e12
+    (or with a non-positive eigenvalue), naming the parameters of its
+    weakest direction; flagged reports hold NaN values.  The checks, one
+    ``eigh`` and the diagonal inverse run on the whole stack; only flagged
+    matrices are handled one by one.  Raises ``SingularFimError`` for a
+    stack of the wrong shape or a finite asymmetric matrix.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] % 4:
+    f = np.asarray(stack, dtype=np.float64)
+    if f.ndim != 3 or f.shape[1] != f.shape[2] or f.shape[1] == 0 or f.shape[1] % 4:
         raise SingularFimError("FIM must be square with 4 rows per arrival")
-    if not np.allclose(f, f.T, rtol=1e-8, atol=0.0):
-        raise SingularFimError("FIM must be symmetric")
-    n_mpcs = f.shape[0] // 4
+    n_mpcs = f.shape[1] // 4
     labels = tuple(f"{p}:{l}" for l in range(n_mpcs) for p in PARAM_NAMES)
-    d = np.diag(f).copy()
-    if np.any(d <= 0) or not np.all(np.isfinite(d)):
-        bad = tuple(labels[i] for i in np.nonzero(~(d > 0))[0])
-        return CrlbReport(np.full((n_mpcs, 4), np.nan), np.inf, True, labels, bad)
-    scale = 1.0 / np.sqrt(d)
-    fn = f * np.outer(scale, scale)
-    w, v = np.linalg.eigh(fn)
-    wmin, wmax = float(np.min(w)), float(np.max(w))
-    cond = np.inf if wmin <= 0 else wmax / wmin
-    if cond > CONDITION_LIMIT:
-        weak = np.abs(v[:, int(np.argmin(w))])
-        subspace = tuple(labels[i] for i in np.nonzero(weak > 0.3 * weak.max())[0])
-        return CrlbReport(np.full((n_mpcs, 4), np.nan), float(cond), True, labels, subspace)
-    diag_inv = np.einsum("ij,j,ij->i", v, 1.0 / w, v) * scale**2
-    return CrlbReport(diag_inv.reshape(n_mpcs, 4), float(cond), False, labels)
+    finite = np.isfinite(f)
+    all_finite = np.all(finite)
+    ft = f.transpose(0, 2, 1)
+    with np.errstate(all="ignore"):
+        # np.isclose(f, ft, rtol=1e-8, atol=0); matrices with a non-finite
+        # entry are flagged below instead
+        asym = ~np.all(np.abs(f - ft) <= 1e-8 * np.abs(ft), axis=(1, 2))
+        if not all_finite:
+            asym &= np.all(finite, axis=(1, 2))
+        if np.any(asym):
+            where = f" (matrix {int(np.argmax(asym))} of the stack)" if len(f) > 1 else ""
+            raise SingularFimError(f"FIM must be symmetric{where}")
+        d = np.diagonal(f, axis1=1, axis2=2)
+        scale = 1.0 / np.sqrt(d)
+        fn = f * (scale[:, :, None] * scale[:, None, :])
+    # (P, 4L) parameters that spoil each matrix: a non-positive diagonal or
+    # a non-finite row or column; failing those, a row whose normalization
+    # overflowed
+    bad = ~(d > 0)
+    if not all_finite:
+        bad |= _nonfinite_lines(finite)
+    norm_finite = np.isfinite(fn)
+    if not np.all(norm_finite):
+        bad = np.where(np.any(bad, axis=1, keepdims=True), bad, _nonfinite_lines(norm_finite))
+    reports = [None] * len(f)
+    spoilt = np.any(bad, axis=1)
+    for p in np.nonzero(spoilt)[0]:
+        named = tuple(labels[i] for i in np.nonzero(bad[p])[0])
+        reports[p] = CrlbReport(np.full((n_mpcs, 4), np.nan), np.inf, True, labels, named)
+    good = np.nonzero(~spoilt)[0]
+    w, v = np.linalg.eigh(fn[good])
+    wmin, wmax = w[:, 0], w[:, -1]  # eigh sorts ascending
+    with np.errstate(all="ignore"):
+        cond = np.where(wmin > 0, wmax / wmin, np.inf)
+    ok = cond <= CONDITION_LIMIT
+    diag_inv = np.einsum("pij,pj,pij->pi", v[ok], 1.0 / w[ok], v[ok]) * scale[good[ok]] ** 2
+    conds = cond.tolist()
+    for i, values in zip(np.nonzero(ok)[0].tolist(), diag_inv.reshape(-1, n_mpcs, 4)):
+        reports[good[i]] = CrlbReport(values, conds[i], False, labels)
+    for i in np.nonzero(~ok)[0].tolist():
+        weak = np.abs(v[i][:, int(np.argmin(w[i]))])
+        subspace = tuple(labels[j] for j in np.nonzero(weak > 0.3 * weak.max())[0])
+        reports[good[i]] = CrlbReport(np.full((n_mpcs, 4), np.nan), conds[i], True, labels, subspace)
+    return reports
+
+
+def crlb_from_fim(f):
+    """Invert one Fisher matrix into per-parameter bounds: the one-matrix case of ``crlb_from_fims``."""
+    f = np.asarray(f, dtype=np.float64)
+    if f.ndim != 2:
+        raise SingularFimError("FIM must be square with 4 rows per arrival")
+    return crlb_from_fims(f[None])[0]
+
+
+def crlb_sweep(points, arr, pat, cfg, sigma2=None):
+    """``crlb_from_fims(fim_sweep(...))`` of a sweep, ``SWEEP_CHUNK`` points at a time.
+
+    The stacked temporaries stay bounded on any grid; the reports are
+    those of the single-point calls.
+    """
+    points = list(points)
+    per_point = sigma2 is not None and np.ndim(sigma2) > 0
+    reports = []
+    for lo in range(0, max(len(points), 1), SWEEP_CHUNK):
+        chunk = slice(lo, lo + SWEEP_CHUNK)
+        s2 = np.asarray(sigma2)[chunk] if per_point else sigma2
+        reports += crlb_from_fims(fim_sweep(points[chunk], arr, pat, cfg, s2))
+    return reports
 
 
 def _ring_sums(pat, arr, phi_l):

@@ -301,14 +301,23 @@ def _subbin_kernel(k, upsample):
     return kernel
 
 
+@functools.lru_cache(maxsize=8)
+def _bin_phases(k):
+    """(k,) phases exp(j 2 pi n / k), n = 0..k-1, read-only like ``_subbin_kernel``."""
+    phases = np.exp(2j * np.pi * np.arange(k) / k)
+    phases.flags.writeable = False
+    return phases
+
+
 def _subbin_powers(cfr_row, j, upsample):
     """``_row_power`` at the taus (j + u/U) * dtau, u = -U..U, through the cached kernel.
 
     The phase of delay bin j, exp(j 2 pi j n / k), is factored into the
-    row, so the kernel depends only on (k, U).
+    row, so the kernel depends only on (k, U); it is read from the cached
+    table ``_bin_phases(k)`` at the indices j n mod k.
     """
     k = cfr_row.shape[0]
-    bin_phase = np.exp(2j * np.pi * (j * np.arange(k) % k) / k)
+    bin_phase = _bin_phases(k)[j * np.arange(k) % k]
     h = _subbin_kernel(k, upsample) @ (cfr_row * bin_phase) / np.sqrt(k)
     return np.abs(h) ** 2
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .angles import circular_delta
 from .antenna import PatternKind
-from .crlb import crlb_from_fim, crlb_single_alpha, crlb_single_phi, fim
+from .crlb import crlb_single_alpha, crlb_single_phi, crlb_sweep
 from .estimation import (
     HAED_PLUS_UPSAMPLE,
     Method,
@@ -228,10 +228,11 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
         raise ValueError(f"PADPKIT_THREADS: expected a positive integer, got {raw!r}")
     threads = int(raw)
     local = threading.local()  # one synthesis workspace per thread running trials
+    sigma2s = [_sigma2_for_point(mc, cfg, pat, value) for value in mc.sweep_values]
+    fisher = _fisher_reports(mc, cfg, arr, pat, sigma2s)
     rows = []
     for si, sweep_value in enumerate(mc.sweep_values):
-        sigma2 = _sigma2_for_point(mc, cfg, pat, sweep_value)
-        cfg_pt = replace(cfg, sigma2=sigma2)
+        cfg_pt = replace(cfg, sigma2=sigma2s[si])
 
         def one_trial(ti, _si=si, _val=sweep_value, _cfg=cfg_pt):
             rng = np.random.default_rng(
@@ -268,7 +269,7 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
             records = [one_trial(ti) for ti in range(mc.trials)]
 
         n_truth = len(mc.mpcs)
-        crlbs = _crlb_overlay(mc, cfg_pt, arr, pat, sweep_value, n_truth)
+        crlbs = _crlb_overlay(mc, cfg_pt, arr, pat, sweep_value, n_truth, fisher.get(si))
         for method in mc.methods:
             outcomes = [record[method] for record in records]
             false_alarms = sum(extra for _, extra, _ in outcomes)
@@ -295,24 +296,48 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
     return rows
 
 
-def _crlb_overlay(mc, cfg_pt, arr, pat, sweep_value, n_truth):
-    """sqrt(CRLB) per (truth, axis): angle deg, normalized amplitude, delay ns."""
+def _fisher_reports(mc, cfg, arr, pat, sigma2s):
+    """Fisher-bound reports of the sweep points whose overlay inverts the full matrix, by index.
+
+    Those are the noisy points of multi-arrival or tabulated-pattern
+    sweeps; all of them are bounded in one stacked pass.
+    """
+    if _closed_form_overlay(mc, pat):
+        return {}
+    index = [si for si, sigma2 in enumerate(sigma2s) if sigma2 != 0.0]
+    if not index:
+        return {}
+    points = [apply_sweep(mc.mpcs, mc.sweep_variable, mc.sweep_values[si]) for si in index]
+    reports = crlb_sweep(points, arr, pat, cfg, sigma2=[sigma2s[si] for si in index])
+    return dict(zip(index, reports))
+
+
+def _closed_form_overlay(mc, pat):
+    """True when the overlay is the closed-form bound: one arrival, Gaussian beam."""
+    return len(mc.mpcs) == 1 and pat.kind is PatternKind.GAUSSIAN_BEAM
+
+
+def _crlb_overlay(mc, cfg_pt, arr, pat, sweep_value, n_truth, report=None):
+    """sqrt(CRLB) per (truth, axis): angle deg, normalized amplitude, delay ns.
+
+    ``report`` is the point's entry of ``_fisher_reports``; the closed
+    forms and noise-free points need none.
+    """
     if cfg_pt.sigma2 == 0.0:
         # noise-free runs: the bound degenerates to zero (closed forms) and
         # the Fisher matrix is not defined, so skip the overlay
         return {ti: (0.0, 0.0, np.nan) for ti in range(n_truth)}
-    gamma_i = mc.mpcs[0].alpha ** 2 * cfg_pt.pu / cfg_pt.sigma2
-    mpcs = apply_sweep(mc.mpcs, mc.sweep_variable, sweep_value)
-    if n_truth == 1 and pat.kind is PatternKind.GAUSSIAN_BEAM:
+    if _closed_form_overlay(mc, pat):
+        gamma_i = mc.mpcs[0].alpha ** 2 * cfg_pt.pu / cfg_pt.sigma2
         if mc.randomize_angle:
             grid = np.linspace(0.0, arr.asi, 181)
             sphi = np.mean(np.sqrt(crlb_single_phi(gamma_i, cfg_pt, arr, pat, grid)))
             salpha = np.mean(np.sqrt(crlb_single_alpha(gamma_i, cfg_pt, arr, pat, grid)))
         else:
-            sphi = np.sqrt(crlb_single_phi(gamma_i, cfg_pt, arr, pat, mpcs[0].phi))
-            salpha = np.sqrt(crlb_single_alpha(gamma_i, cfg_pt, arr, pat, mpcs[0].phi))
+            phi = apply_sweep(mc.mpcs, mc.sweep_variable, sweep_value)[0].phi
+            sphi = np.sqrt(crlb_single_phi(gamma_i, cfg_pt, arr, pat, phi))
+            salpha = np.sqrt(crlb_single_alpha(gamma_i, cfg_pt, arr, pat, phi))
         return {0: (float(np.degrees(sphi)), float(salpha), np.nan)}
-    report = crlb_from_fim(fim(mpcs, arr, pat, cfg_pt))
     out = {}
     for ti in range(n_truth):
         out[ti] = (

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +10,17 @@ from hypothesis.extra import numpy as hnp
 from padpkit import AntennaPattern, ArrayConfig, MpcTruth, SoundingConfig
 from padpkit.antenna import gain
 from padpkit.crlb import (
+    SWEEP_CHUNK,
     SingularFimError,
     _theta_from_mpcs,
     crlb_from_fim,
+    crlb_from_fims,
     crlb_single_alpha,
     crlb_single_phase,
     crlb_single_phi,
+    crlb_sweep,
     fim,
+    fim_sweep,
     jacobian,
     signal_model,
 )
@@ -264,8 +271,6 @@ def test_closed_forms_require_gaussian(pat10):
 
 def test_fim_shares_one_frequency_gram_across_noise_and_power(pat10):
     """The cached v^H v leaves the Fisher matrix bit for bit as the direct product."""
-    from dataclasses import replace
-
     from padpkit.crlb import _frequency_gram, _jacobian_factors
 
     mpcs = [_one(13.0, alpha=1.3), _one(27.0, alpha=0.8, tau=30.5e-9, phase=1.9)]
@@ -281,3 +286,143 @@ def test_fim_shares_one_frequency_gram_across_noise_and_power(pat10):
     assert _frequency_gram.cache_info().misses == 2
     gram = _frequency_gram((25e-9,), CFG._band)
     assert not gram.flags.writeable
+
+
+@pytest.fixture(scope="module")
+def tab10(pat10):
+    ang = np.radians(np.arange(-180.0, 180.0, 0.02))
+    return AntennaPattern.from_table(ang, gain(pat10, ang))
+
+
+def _assert_same_report(got, want):
+    assert np.array_equal(got.values, want.values, equal_nan=True)
+    assert got.values.shape == want.values.shape
+    assert got.cond == want.cond or (np.isnan(got.cond) and np.isnan(want.cond))
+    assert got.flagged == want.flagged
+    assert got.labels == want.labels
+    assert got.singular_subspace == want.singular_subspace
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_mpcs=st.integers(1, 3),
+    tabulated=st.booleans(),
+    n_points=st.sampled_from([1, 2, 7, SWEEP_CHUNK + 1]),
+    seed=st.integers(0, 2**32 - 1),
+    shared_delays=st.booleans(),
+    coincident=st.booleans(),
+)
+def test_stacked_pass_equals_single_point_calls(
+    pat10, tab10, n_mpcs, tabulated, n_points, seed, shared_delays, coincident
+):
+    """Every stacked matrix and report is the single-point one, bit for bit and field by field."""
+    pat = tab10 if tabulated else pat10
+    rng = np.random.default_rng(seed)
+    base_tau = rng.uniform(5e-9, 120e-9, n_mpcs)
+    sigma2 = 10.0 ** rng.uniform(-3.0, 3.0, n_points)
+    points = []
+    for p in range(n_points):
+        tau = base_tau if shared_delays else rng.uniform(5e-9, 120e-9, n_mpcs)
+        mpcs = [
+            MpcTruth(alpha=rng.uniform(0.2, 3.0), phase=rng.uniform(0.0, 2.0 * np.pi),
+                     tau=float(tau[l]), phi=rng.uniform(0.0, 2.0 * np.pi))
+            for l in range(n_mpcs)
+        ]
+        if coincident and n_mpcs > 1 and p % 2 == 0:
+            mpcs[1] = replace(mpcs[1], tau=mpcs[0].tau, phi=mpcs[0].phi)
+        points.append(mpcs)
+    stack = fim_sweep(points, ARR, pat, CFG, sigma2=sigma2)
+    reports = crlb_sweep(points, ARR, pat, CFG, sigma2=sigma2)
+    assert stack.shape == (n_points, 4 * n_mpcs, 4 * n_mpcs)
+    assert len(reports) == n_points
+    for p, mpcs in enumerate(points):
+        single = fim(mpcs, ARR, pat, replace(CFG, sigma2=float(sigma2[p])))
+        assert stack[p].tobytes() == single.tobytes()
+        _assert_same_report(reports[p], crlb_from_fim(single))
+    if coincident and n_mpcs > 1:
+        assert reports[0].flagged and len(reports[0].singular_subspace) > 0
+
+
+def test_fim_sweep_defaults_to_the_config_noise_height(pat10):
+    points = [[_one(3.0)], [_one(17.0, tau=40e-9)]]
+    assert fim_sweep(points, ARR, pat10, CFG).tobytes() == (
+        fim_sweep(points, ARR, pat10, CFG, sigma2=[CFG.sigma2] * 2).tobytes()
+    )
+
+
+def test_stacked_errors(pat10):
+    good = np.diag([4.0, 2.0, 8.0, 16.0])
+    asym = good.copy()
+    asym[0, 1] = 1.0
+    with pytest.raises(SingularFimError, match=r"symmetric \(matrix 1 of the stack\)"):
+        crlb_from_fims(np.stack([good, asym]))
+    for shape in ((4, 4), (2, 3, 3), (2, 4, 8), (1, 0, 0)):
+        with pytest.raises(SingularFimError, match="square"):
+            crlb_from_fims(np.zeros(shape))
+    assert crlb_from_fims(np.zeros((0, 4, 4))) == []
+    with pytest.raises(ValueError, match="same number of arrivals"):
+        fim_sweep([[_one(3.0)], [_one(3.0), _one(40.0)]], ARR, pat10, CFG)
+    with pytest.raises(ValueError, match="same number of arrivals"):
+        crlb_sweep([[_one(3.0)], [_one(3.0), _one(40.0)]], ARR, pat10, CFG)
+    with pytest.raises(ValueError, match="at least one sweep point"):
+        fim_sweep([], ARR, pat10, CFG)
+    with pytest.raises(ValueError, match="at least one arrival"):
+        fim_sweep([[_one(3.0)], []], ARR, pat10, CFG)
+    with pytest.raises(ValueError, match="sigma2: expected 1 or 2 noise heights, got 3"):
+        fim_sweep([[_one(3.0)], [_one(9.0)]], ARR, pat10, CFG, sigma2=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="sigma2: expected 1 or 2 noise heights, got 3"):
+        crlb_sweep([[_one(3.0)], [_one(9.0)]], ARR, pat10, CFG, sigma2=[1.0, 2.0, 3.0])
+    one_height = crlb_sweep([[_one(3.0)], [_one(9.0)]], ARR, pat10, CFG, sigma2=2.0)
+    for got, want in zip(one_height, crlb_sweep([[_one(3.0)], [_one(9.0)]], ARR, pat10, CFG,
+                                                 sigma2=[2.0, 2.0])):
+        _assert_same_report(got, want)
+
+
+COUPLED = np.array([[2.0, 1.0, 0, 0], [1.0, 2.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "entries, named",
+    [
+        ({(0, 2): np.inf, (2, 0): np.inf}, ("amp_norm:0", "phi:0")),
+        ({(1, 3): np.nan}, ("phase:0", "tau:0")),
+        ({(2, 2): np.inf}, ("phi:0",)),
+        ({(3, 3): -np.inf}, ("tau:0",)),
+        ({(3, 3): -1.0}, ("tau:0",)),
+        ({(0, 0): np.nan, (1, 3): np.nan, (3, 1): np.nan}, ("amp_norm:0", "phase:0", "tau:0")),
+        # finite, but the normalization by 1/sqrt(diagonal) overflows
+        ({(0, 0): 1e-320, (1, 1): 1e-320, (0, 1): 1e-300, (1, 0): 1e-300},
+         ("amp_norm:0", "phase:0")),
+    ],
+)
+def test_spoilt_fim_is_flagged_naming_its_parameters(entries, named):
+    f = np.diag([4.0, 2.0, 8.0, 16.0])
+    for ij, x in entries.items():
+        f[ij] = x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = crlb_from_fim(f)
+        stacked = crlb_from_fims(np.stack([f, np.eye(4), COUPLED]))
+    assert rep.flagged and rep.cond == np.inf
+    assert np.all(np.isnan(rep.values))
+    assert rep.singular_subspace == named
+    _assert_same_report(stacked[0], rep)
+    # the other matrices of the stack are inverted as on their own
+    _assert_same_report(stacked[1], crlb_from_fim(np.eye(4)))
+    _assert_same_report(stacked[2], crlb_from_fim(COUPLED))
+    assert stacked[1].cond == 1.0 and stacked[2].cond == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("sigma2", [1e-310, 5e-324])
+def test_fim_rejects_noise_height_whose_information_scale_overflows(pat10, sigma2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"sigma2 = {sigma2!r} is too small"):
+            fim([_one(3.0)], ARR, pat10, replace(CFG, sigma2=sigma2))
+        with pytest.raises(ValueError, match="sigma2"):
+            fim_sweep([[_one(3.0)]] * 2, ARR, pat10, CFG, sigma2=[1.0, sigma2])
+        # a representable 2/sigma2 whose information overflows: the delay entry is inf
+        f = fim([_one(3.0)], ARR, pat10, replace(CFG, sigma2=1e-300))
+    assert f[3, 3] == np.inf and np.all(np.isfinite(f[:3, :3]))
+    rep = crlb_from_fim(f)
+    assert rep.flagged and rep.singular_subspace == ("tau:0",)

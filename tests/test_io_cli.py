@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -725,6 +726,21 @@ def test_cli_crlb_sweeps(tmp_path):
     rows = [l.split(",") for l in out2.read_text().strip().split("\n")[1:]]
     flags = {float(r[1]): r[7] for r in rows}
     assert flags[0.0] == "singular" and flags[30.0] == "" and flags[40.0] == ""
+
+
+def test_cli_crlb_subnormal_sigma2_exits_2_naming_sigma2(tmp_path, capsys):
+    """2/sigma2 overflows: a ValueError naming sigma2, no warning and no CSV."""
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["sounding"]["sigma2"] = 1e-310
+    sc = scenario_file(tmp_path, doc)
+    out = tmp_path / "crlb.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["crlb", "--scenario", str(sc), "--sweep", "true-angle", "--values", "0:10:3",
+                   "--out", str(out)])
+    assert rc == 2
+    assert "sigma2 = 1e-310 is too small" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_montecarlo_and_repro(tmp_path):
