@@ -63,7 +63,6 @@ from .synthesis import (
     add_noise,
     assemble_padp,
     cfr_to_cir,
-    cir_to_cfr,
     pdp,
     simulate_padp,
     synth_cfr,

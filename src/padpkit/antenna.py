@@ -67,8 +67,9 @@ class AntennaPattern:
     g_max : maximum power gain, linear (20 dB <-> 100.0)
     hpbw : half-power beamwidth, radians
     kappa : Gaussian concentration (None for tabulated patterns)
-    table : (angles, gains) arrays for tabulated patterns, angles strictly
-        increasing and covering at least [-pi, pi); gains are amplitude gains
+    table : (angles, gains) arrays for tabulated patterns (None for the
+        Gaussian beam), angles strictly increasing and covering at least
+        [-pi, pi); gains are amplitude gains
 
     Patterns compare and hash by value, so equal patterns built separately
     share cache entries (see ``estimation.o2_deembed_constant``).  Tables
@@ -89,12 +90,16 @@ class AntennaPattern:
         if not 0.0 < self.hpbw <= np.pi:
             raise ValueError("hpbw must be in (0, pi]")
         if self.kind is PatternKind.GAUSSIAN_BEAM:
+            if self.table is not None:
+                raise ValueError("a Gaussian-beam pattern takes no table")
             expected = kappa_from_hpbw(self.hpbw)
             if self.kappa is None or not np.isclose(self.kappa, expected, rtol=1e-9):
                 raise ValueError("kappa inconsistent with hpbw; use AntennaPattern.gaussian")
         else:
             if self.table is None:
                 raise ValueError("tabulated pattern requires a table")
+            if self.kappa is not None:
+                raise ValueError("a tabulated pattern takes no kappa")
             # read-only copies; + 0.0 turns -0.0 into 0.0, so equal tables have equal bytes
             angles, gains = (np.asarray(a, dtype=np.float64) + 0.0 for a in self.table)
             angles.flags.writeable = gains.flags.writeable = False

@@ -30,19 +30,23 @@ from .estimation import (
 )
 from .synthesis import MpcTruth, Workspace, simulate_padp
 
-SWEEP_VARIABLES = ("output_snr_db", "angular_separation_deg", "true_angle_deg")
-
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Sweep specification for ``run_sweep``.
 
-    ``mpcs`` is the base scenario; with ``randomize_angle`` (single-arrival
-    studies) each trial redraws the azimuth uniformly on [0, 2*pi).
+    ``mpcs`` is the base scenario.  The sweep variable overrides, per
+    point: the noise height (from the output SNR of the first arrival),
+    the second of exactly two arrivals' angle, or the first arrival's
+    angle.  ``randomize_angle`` redraws the azimuth uniformly on
+    [0, 2*pi) every trial, which would discard a swept angle, so it is
+    accepted only on one-arrival ``output_snr_db`` sweeps.
     ``off_grid_delay`` adds a uniform within-bin offset to every delay per
-    trial.  The sweep variable overrides, per point: the noise height (from
-    the output SNR of the first arrival), the second arrival's angle, or
-    the first arrival's angle.
+    trial.  Each point's ``sqrt_crlb`` overlay is (0, 0, nan) at a
+    noise-free point; for one arrival under a Gaussian beam it is the
+    closed forms; otherwise it is the joint Fisher bound.  With
+    ``randomize_angle`` it is sqrt(bound) averaged over 181 angles across
+    one scan step.
     """
 
     trials: int = 1000
@@ -61,12 +65,16 @@ class MonteCarloConfig:
             raise ValueError("trials must be >= 1")
         if not self.sweep_values:
             raise ValueError("sweep_values must be non-empty")
-        if self.sweep_variable not in SWEEP_VARIABLES:
-            raise ValueError(f"unknown sweep variable {self.sweep_variable!r}")
         if not self.mpcs:
             raise ValueError("base scenario must contain at least one arrival")
-        if self.sweep_variable == "angular_separation_deg" and len(self.mpcs) != 2:
-            raise ValueError("separation sweeps need exactly two arrivals")
+        apply_sweep(self.mpcs, self.sweep_variable, self.sweep_values[0])
+        if self.randomize_angle and (
+            self.sweep_variable != "output_snr_db" or len(self.mpcs) != 1
+        ):
+            raise ValueError(
+                "randomize_angle redraws every arrival's angle: it needs an "
+                "output_snr_db sweep of one arrival"
+            )
 
 
 @dataclass(frozen=True)
@@ -189,8 +197,7 @@ def apply_sweep(mpcs, variable, value):
     return mpcs
 
 
-def _trial_mpcs(mc, cfg, sweep_value, rng):
-    mpcs = apply_sweep(mc.mpcs, mc.sweep_variable, sweep_value)
+def _trial_mpcs(mc, cfg, mpcs, rng):
     if mc.randomize_angle:
         mpcs = [replace(m, phi=rng.uniform(0.0, 2.0 * np.pi)) for m in mpcs]
     if mc.off_grid_delay:
@@ -198,12 +205,57 @@ def _trial_mpcs(mc, cfg, sweep_value, rng):
     return mpcs
 
 
-def _sigma2_for_point(mc, cfg, pat, sweep_value):
-    if mc.sweep_variable != "output_snr_db":
-        return cfg.sigma2
-    gamma_o = 10.0 ** (sweep_value / 10.0)
-    gamma_i = gamma_o / pat.g_max
-    return mc.mpcs[0].alpha ** 2 * cfg.pu / gamma_i
+def _sweep_points(mc, cfg, arr, pat):
+    """Each sweep point's arrivals, sounding config and bound overlay, built before any trial.
+
+    Returns one ``(mpcs, cfg_pt, crlbs)`` per sweep value: the swept
+    arrivals; the config whose noise height, on output-SNR sweeps, gives
+    arrival 0 that output SNR; and sqrt(CRLB) per truth index as (angle
+    deg, normalized amplitude, delay ns).  The bound is (0, 0, nan) at a
+    noise-free point (the Fisher matrix is not defined there), the closed
+    forms for one arrival under a Gaussian beam, and otherwise the joint
+    Fisher bound, every such point in one stacked ``crlb_sweep`` pass.
+    With ``randomize_angle`` (one arrival) each axis is sqrt(bound)
+    averaged over 181 arrival angles across one scan step.
+    """
+    points = [apply_sweep(mc.mpcs, mc.sweep_variable, v) for v in mc.sweep_values]
+    cfgs = [cfg] * len(points)
+    if mc.sweep_variable == "output_snr_db":
+        gamma_i = [10.0 ** (v / 10.0) / pat.g_max for v in mc.sweep_values]
+        cfgs = [replace(cfg, sigma2=mc.mpcs[0].alpha ** 2 * cfg.pu / g) for g in gamma_i]
+    grid = np.linspace(0.0, arr.asi, 181)
+    closed_form = len(mc.mpcs) == 1 and pat.kind is PatternKind.GAUSSIAN_BEAM
+    crlbs, fisher, stacked, sigma2s = [], [], [], []
+    for mpcs, cfg_pt in zip(points, cfgs):
+        if cfg_pt.sigma2 == 0.0:
+            crlbs.append({ti: (0.0, 0.0, np.nan) for ti in range(len(mpcs))})
+        elif closed_form:
+            gamma = mpcs[0].alpha ** 2 * cfg_pt.pu / cfg_pt.sigma2
+            phi = grid if mc.randomize_angle else mpcs[0].phi
+            sphi = np.mean(np.sqrt(crlb_single_phi(gamma, cfg_pt, arr, pat, phi)))
+            salpha = np.mean(np.sqrt(crlb_single_alpha(gamma, cfg_pt, arr, pat, phi)))
+            crlbs.append({0: (float(np.degrees(sphi)), float(salpha), np.nan)})
+        else:
+            sets = [[replace(mpcs[0], phi=a)] for a in grid] if mc.randomize_angle else [mpcs]
+            fisher.append((len(crlbs), slice(len(stacked), len(stacked) + len(sets))))
+            crlbs.append(None)
+            stacked += sets
+            sigma2s += [cfg_pt.sigma2] * len(sets)
+    reports = crlb_sweep(stacked, arr, pat, cfg, sigma2=sigma2s) if stacked else []
+
+    def mean_sqrt(part, param, ti):
+        return np.mean(np.sqrt([r.value(param, ti) for r in reports[part]]))
+
+    for si, part in fisher:
+        crlbs[si] = {
+            ti: (
+                float(np.degrees(mean_sqrt(part, "phi", ti))),
+                float(mean_sqrt(part, "amp_norm", ti)),
+                float(mean_sqrt(part, "tau", ti) * 1e9),
+            )
+            for ti in range(len(mc.mpcs))
+        }
+    return list(zip(points, cfgs, crlbs))
 
 
 def _amp_error(power, truth, cfg):
@@ -228,17 +280,15 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
         raise ValueError(f"PADPKIT_THREADS: expected a positive integer, got {raw!r}")
     threads = int(raw)
     local = threading.local()  # one synthesis workspace per thread running trials
-    sigma2s = [_sigma2_for_point(mc, cfg, pat, value) for value in mc.sweep_values]
-    fisher = _fisher_reports(mc, cfg, arr, pat, sigma2s)
+    points = _sweep_points(mc, cfg, arr, pat)
     rows = []
-    for si, sweep_value in enumerate(mc.sweep_values):
-        cfg_pt = replace(cfg, sigma2=sigma2s[si])
+    for si, (sweep_value, (mpcs_pt, cfg_pt, crlbs)) in enumerate(zip(mc.sweep_values, points)):
 
-        def one_trial(ti, _si=si, _val=sweep_value, _cfg=cfg_pt):
+        def one_trial(ti, _si=si, _mpcs=mpcs_pt, _cfg=cfg_pt):
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=mc.base_seed, spawn_key=(_si, ti))
             )
-            mpcs = _trial_mpcs(mc, _cfg, _val, rng)
+            mpcs = _trial_mpcs(mc, _cfg, _mpcs, rng)
             if not hasattr(local, "ws"):
                 local.ws = Workspace(arr.m, cfg.k)
             # the Padp lives on this thread's workspace: it must not outlive the trial
@@ -269,7 +319,6 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
             records = [one_trial(ti) for ti in range(mc.trials)]
 
         n_truth = len(mc.mpcs)
-        crlbs = _crlb_overlay(mc, cfg_pt, arr, pat, sweep_value, n_truth, fisher.get(si))
         for method in mc.methods:
             outcomes = [record[method] for record in records]
             false_alarms = sum(extra for _, extra, _ in outcomes)
@@ -294,58 +343,6 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
         if progress is not None:
             progress(si + 1, len(mc.sweep_values))
     return rows
-
-
-def _fisher_reports(mc, cfg, arr, pat, sigma2s):
-    """Fisher-bound reports of the sweep points whose overlay inverts the full matrix, by index.
-
-    Those are the noisy points of multi-arrival or tabulated-pattern
-    sweeps; all of them are bounded in one stacked pass.
-    """
-    if _closed_form_overlay(mc, pat):
-        return {}
-    index = [si for si, sigma2 in enumerate(sigma2s) if sigma2 != 0.0]
-    if not index:
-        return {}
-    points = [apply_sweep(mc.mpcs, mc.sweep_variable, mc.sweep_values[si]) for si in index]
-    reports = crlb_sweep(points, arr, pat, cfg, sigma2=[sigma2s[si] for si in index])
-    return dict(zip(index, reports))
-
-
-def _closed_form_overlay(mc, pat):
-    """True when the overlay is the closed-form bound: one arrival, Gaussian beam."""
-    return len(mc.mpcs) == 1 and pat.kind is PatternKind.GAUSSIAN_BEAM
-
-
-def _crlb_overlay(mc, cfg_pt, arr, pat, sweep_value, n_truth, report=None):
-    """sqrt(CRLB) per (truth, axis): angle deg, normalized amplitude, delay ns.
-
-    ``report`` is the point's entry of ``_fisher_reports``; the closed
-    forms and noise-free points need none.
-    """
-    if cfg_pt.sigma2 == 0.0:
-        # noise-free runs: the bound degenerates to zero (closed forms) and
-        # the Fisher matrix is not defined, so skip the overlay
-        return {ti: (0.0, 0.0, np.nan) for ti in range(n_truth)}
-    if _closed_form_overlay(mc, pat):
-        gamma_i = mc.mpcs[0].alpha ** 2 * cfg_pt.pu / cfg_pt.sigma2
-        if mc.randomize_angle:
-            grid = np.linspace(0.0, arr.asi, 181)
-            sphi = np.mean(np.sqrt(crlb_single_phi(gamma_i, cfg_pt, arr, pat, grid)))
-            salpha = np.mean(np.sqrt(crlb_single_alpha(gamma_i, cfg_pt, arr, pat, grid)))
-        else:
-            phi = apply_sweep(mc.mpcs, mc.sweep_variable, sweep_value)[0].phi
-            sphi = np.sqrt(crlb_single_phi(gamma_i, cfg_pt, arr, pat, phi))
-            salpha = np.sqrt(crlb_single_alpha(gamma_i, cfg_pt, arr, pat, phi))
-        return {0: (float(np.degrees(sphi)), float(salpha), np.nan)}
-    out = {}
-    for ti in range(n_truth):
-        out[ti] = (
-            float(np.degrees(np.sqrt(report.value("phi", ti)))),
-            float(np.sqrt(report.value("amp_norm", ti))),
-            float(np.sqrt(report.value("tau", ti)) * 1e9),
-        )
-    return out
 
 
 def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method.O2, Method.HAED)):

@@ -209,7 +209,8 @@ class Padp:
         """
         if self.h is None:
             raise ValueError("Padp carries no delay responses (h)")
-        return _spectra(self.h[rows], _band_start_ramp(self.f_start, self.delays))
+        ramp = _band_start_ramp(self.f_start, self.delays)
+        return np.fft.fft(self.h[rows] * ramp.conj(), axis=-1, norm="ortho")
 
 
 def _arrival_terms(alpha, phase, phi, tau, arr, pat, cfg, f_ref):
@@ -299,11 +300,6 @@ def _band_start_ramp(f_start, delays):
     return np.exp(2j * np.pi * f_start * delays)
 
 
-def _spectra(h, ramp):
-    """Spectra behind delay responses ``h``; ``ramp`` is ``_band_start_ramp`` of their band start."""
-    return np.fft.fft(h * ramp.conj(), axis=-1, norm="ortho")
-
-
 def cfr_to_cir(y, cfg, method="fft"):
     """Delay-domain responses h_m(tau_j) from received spectra.
 
@@ -321,14 +317,6 @@ def cfr_to_cir(y, cfg, method="fft"):
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
     return np.sqrt(k) * np.fft.ifft(y, axis=-1) * cfg._start_ramp
-
-
-def cir_to_cfr(h, cfg):
-    """Received spectra from delay-domain responses: the inverse of ``cfr_to_cir``."""
-    h = np.asarray(h)
-    if h.shape[-1] != cfg.k:
-        raise ValueError("response length must equal cfg.k")
-    return _spectra(h, cfg._start_ramp)
 
 
 def pdp(h, out=None):

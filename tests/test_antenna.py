@@ -157,6 +157,21 @@ def test_tabulated_table_is_a_read_only_copy():
     assert all(isinstance(arr, np.ndarray) and not arr.flags.writeable for arr in direct.table)
 
 
+@pytest.mark.parametrize("case", ["gaussian_list_table", "gaussian_array_table", "tabulated_kappa"])
+def test_pattern_rejects_contradictory_fields(case):
+    """A Gaussian beam takes no table and a tabulated pattern no kappa."""
+    from padpkit.antenna import PatternKind
+
+    ang, g, ref = _gaussian_table()
+    if case == "tabulated_kappa":
+        with pytest.raises(ValueError, match="kappa"):
+            AntennaPattern(PatternKind.TABULATED, ref.g_max, ref.hpbw, kappa=ref.kappa, table=(ang, g))
+        return
+    table = (list(ang), list(g)) if case == "gaussian_list_table" else (ang, g)
+    with pytest.raises(ValueError, match="table"):
+        AntennaPattern(PatternKind.GAUSSIAN_BEAM, ref.g_max, ref.hpbw, kappa=ref.kappa, table=table)
+
+
 def test_gaussian_equality_and_hash_unchanged():
     a = AntennaPattern.gaussian(100.0, np.radians(10.0))
     b = AntennaPattern.gaussian(100.0, np.radians(10.0))

@@ -9,8 +9,8 @@ from padpkit.estimation import Method, MpcEstimate, PeakConfig, estimate_haed
 from padpkit.crlb import crlb_single_alpha, crlb_single_phi
 from padpkit.experiments import (
     ErrorStats,
-    _crlb_overlay,
     MonteCarloConfig,
+    _sweep_points,
     apply_sweep,
     associate,
     rmsee,
@@ -98,6 +98,18 @@ def test_mc_config_validation(pat10):
         MonteCarloConfig(**{**base, "sweep_variable": "bogus"})
     with pytest.raises(ValueError):
         MonteCarloConfig(**{**base, "sweep_variable": "angular_separation_deg"})
+    # a per-trial angle redraw would discard a swept angle or move an overlaid arrival
+    MonteCarloConfig(**base, randomize_angle=True)
+    two = base["mpcs"] + (MpcTruth(1.0, 0.0, 25e-9, 0.1),)
+    for variable, mpcs in [
+        ("true_angle_deg", base["mpcs"]),
+        ("angular_separation_deg", two),
+        ("output_snr_db", two),
+    ]:
+        kw = {**base, "sweep_variable": variable, "mpcs": mpcs}
+        MonteCarloConfig(**kw)
+        with pytest.raises(ValueError, match="randomize_angle"):
+            MonteCarloConfig(**kw, randomize_angle=True)
 
 
 def _small_mc(trials=4, methods=(Method.O1, Method.HAED), seed=0):
@@ -273,9 +285,67 @@ def test_randomized_angle_overlay_is_mean_of_scalar_bounds(arr36, pat10, snr_db)
     gamma = mpc.alpha**2 * cfg_pt.pu / cfg_pt.sigma2
     sphi = np.mean([np.sqrt(crlb_single_phi(gamma, cfg_pt, arr36, pat10, a)) for a in grid])
     salpha = np.mean([np.sqrt(crlb_single_alpha(gamma, cfg_pt, arr36, pat10, a)) for a in grid])
-    got = _crlb_overlay(mc, cfg_pt, arr36, pat10, snr_db, 1)
+    [(mpcs, cfg_got, got)] = _sweep_points(mc, CFG, arr36, pat10)
+    assert mpcs == [mpc] and cfg_got == cfg_pt
     assert got[0][:2] == (float(np.degrees(sphi)), float(salpha))
     assert np.isnan(got[0][2])
+
+
+@pytest.mark.parametrize("snr_db", [20.0, 30.0])
+def test_randomized_tabulated_overlay_is_mean_of_fisher_bounds(arr36, pat10, snr_db):
+    """A tabulated pattern's randomized overlay averages sqrt of the Fisher bound over the grid."""
+    ang = np.radians(np.arange(-180.0, 180.0, 0.05))
+    pat = AntennaPattern.from_table(ang, gain(pat10, ang))
+    mpc = MpcTruth(alpha=1.0, phase=0.3, tau=16e-9, phi=np.radians(13.0))
+    mc = MonteCarloConfig(trials=1, sweep_values=(snr_db,), mpcs=(mpc,), randomize_angle=True)
+    [(_, cfg_pt, got)] = _sweep_points(mc, CFG, arr36, pat)
+    reports = [
+        crlb_from_fim(fim([replace(mpc, phi=a)], arr36, pat, cfg_pt))
+        for a in np.linspace(0.0, arr36.asi, 181)
+    ]
+
+    def mean_sqrt(param):
+        return np.mean([np.sqrt(r.value(param, 0)) for r in reports])
+
+    want = (
+        float(np.degrees(mean_sqrt("phi"))),
+        float(mean_sqrt("amp_norm")),
+        float(mean_sqrt("tau") * 1e9),
+    )
+    assert got == {0: want}
+    at_one_angle = crlb_from_fim(fim([mpc], arr36, pat, cfg_pt))
+    assert got[0][0] != pytest.approx(np.degrees(np.sqrt(at_one_angle.value("phi", 0))), rel=1e-3)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_apply_sweep_runs_once_per_sweep_value(arr36, pat10, monkeypatch, threads):
+    """Trials take their point's arrivals: the sweep is applied per value, not per trial."""
+    import padpkit.experiments as exp
+
+    calls = []
+    real = exp.apply_sweep
+
+    def counting(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    mpcs = (
+        MpcTruth(alpha=1.0, phase=0.0, tau=20e-9, phi=np.radians(13.0)),
+        MpcTruth(alpha=0.8, phase=1.0, tau=35e-9, phi=np.radians(13.0)),
+    )
+    mc = MonteCarloConfig(
+        trials=5,
+        sweep_variable="angular_separation_deg",
+        sweep_values=(30.0, 90.0, 150.0),
+        mpcs=mpcs,
+        off_grid_delay=True,
+        methods=(Method.HAED,),
+    )
+    monkeypatch.setenv("PADPKIT_THREADS", threads)
+    monkeypatch.setattr(exp, "apply_sweep", counting)
+    rows = run_sweep(mc, replace(CFG, sigma2=0.05), arr36, pat10)
+    assert calls == [("angular_separation_deg", v) for v in mc.sweep_values]
+    assert {r.sweep_value for r in rows} == set(mc.sweep_values)
 
 
 def test_apply_sweep_rules():

@@ -901,6 +901,21 @@ def test_cli_montecarlo_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sweep, values", [("true-angle", "0,90"), ("separation", "30")])
+def test_cli_montecarlo_rejects_randomize_angle_off_snr_sweeps(tmp_path, capsys, sweep, values):
+    """A redrawn angle would discard the swept one: exit 2 naming randomize_angle."""
+    doc = json.loads(json.dumps(SCENARIO))
+    if sweep == "separation":
+        doc["mpcs"].append({**doc["mpcs"][0], "tau_ns": 32.0})
+    sc = scenario_file(tmp_path, doc)
+    out = tmp_path / "mc.csv"
+    rc = main(["montecarlo", "--scenario", str(sc), "--sweep", sweep, "--values", values,
+               "--trials", "1", "--randomize-angle", "--out", str(out)])
+    assert rc == 2
+    assert "randomize_angle" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_defaults_are_the_library_defaults():
     """The CLI takes the detection threshold and the haed+ factor from the library."""
     est = _parser().parse_args(["estimate", "--padp", "x.padp", "--out", "x.csv"])
