@@ -26,7 +26,6 @@ from .crlb import (
     crlb_from_fim,
     crlb_from_fims,
     crlb_single_alpha,
-    crlb_single_phase,
     crlb_single_phi,
     crlb_sweep,
     fim,

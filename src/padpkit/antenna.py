@@ -253,19 +253,15 @@ def invert_chi_closed(chi_val, side, hpbw, kappa, spacing=None):
     return eps
 
 
-def invert_chi_tabulated(chi_hat, side, pattern, grid_step=None, spacing=None):
+def invert_chi_tabulated(chi_hat, side, pattern, spacing=None):
     """Offset angle minimizing |chi_hat - chi(eps)| on a discretized grid.
 
     Works for any pattern kind; the search covers [-hpbw/2, hpbw/2] at
-    ``grid_step`` resolution (default 0.01 deg) and breaks exact ties
-    toward the smaller |eps|.
+    ``DEFAULT_INVERSION_GRID_STEP`` resolution (0.01 deg) and breaks exact
+    ties toward the smaller |eps|.
     """
-    if grid_step is None:
-        grid_step = DEFAULT_INVERSION_GRID_STEP
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
     half = 0.5 * pattern.hpbw
-    n = max(int(round(half / grid_step)), 1)
+    n = max(int(round(half / DEFAULT_INVERSION_GRID_STEP)), 1)
     eps_grid = np.linspace(-half, half, 2 * n + 1)
     errs = np.abs(chi_hat - chi(pattern, eps_grid, side, spacing=spacing))
     best = errs == errs.min()

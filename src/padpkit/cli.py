@@ -44,6 +44,13 @@ def _parse_values(spec):
     return tuple(float(v) for v in spec.split(","))
 
 
+def _seed(text):
+    """A ``--seed`` value: a non-negative integer, checked before any command runs."""
+    if not (text.isascii() and text.isdecimal()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _cmd_simulate(args):
     scenario = io.load_scenario(args.scenario)
     padp = simulate_padp(
@@ -110,7 +117,7 @@ def _cmd_estimate(args):
     pk = PeakConfig(noise_floor_db_offset=args.threshold_db)
     estimates = []
     for method in methods:
-        estimates += run_method(method, padp, pattern, pk, args.upsample)
+        estimates += run_method(method, padp, pattern, pk)
     io.write_estimates_csv(args.out, estimates)
     manifest = io.build_manifest(
         inputs={"padp_manifest": header.get("manifest", {})},
@@ -157,7 +164,6 @@ def _cmd_montecarlo(args):
         off_grid_delay=args.off_grid_delay,
         methods=tuple(methods),
         base_seed=args.seed,
-        upsample=args.upsample,
         peak=PeakConfig(noise_floor_db_offset=args.threshold_db),
     )
 
@@ -176,7 +182,7 @@ def _cmd_montecarlo(args):
             "methods": [m.value for m in methods],
             "randomize_angle": args.randomize_angle,
             "off_grid_delay": args.off_grid_delay,
-            "upsample": args.upsample,
+            "upsample": HAED_PLUS_UPSAMPLE,
             "threshold_db": args.threshold_db,
         },
     )
@@ -217,7 +223,7 @@ def build_parser():
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--cfr-out", help="also save complex spectra as .npy (enables haed+)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="extract multipath components from a PADP file")
@@ -230,7 +236,6 @@ def build_parser():
     p.add_argument("--methods", default="o1,o2,haed")
     p.add_argument("--cfr", help=".npy complex spectra for haed+")
     p.add_argument("--threshold-db", type=float, default=PeakConfig.noise_floor_db_offset)
-    p.add_argument("--upsample", type=int, default=HAED_PLUS_UPSAMPLE)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("crlb", help="lower-bound sweep from a scenario")
@@ -246,10 +251,9 @@ def build_parser():
     p.add_argument("--values", required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--methods", default="o1,o2,haed")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--randomize-angle", action="store_true")
     p.add_argument("--off-grid-delay", action="store_true")
-    p.add_argument("--upsample", type=int, default=HAED_PLUS_UPSAMPLE)
     p.add_argument("--threshold-db", type=float, default=PeakConfig.noise_floor_db_offset)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_montecarlo)
@@ -257,7 +261,7 @@ def build_parser():
     p = sub.add_parser("offset-study", help="noise-free uniform-angle error statistics")
     p.add_argument("--scenario", required=True)
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--methods", default="o1,o2,haed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_offset_study)

@@ -370,13 +370,9 @@ def crlb_single_alpha(gamma_i, cfg, arr, pat, phi_l):
 
     ``phi_l`` may be an array of arrival angles, as for
     ``crlb_single_phi``.  The phase bound is numerically identical under
-    the band-centre phase convention; ``crlb_single_phase`` aliases this
-    function.
+    the band-centre phase convention.
     """
     if pat.kind is not PatternKind.GAUSSIAN_BEAM:
         raise ValueError("closed form requires a Gaussian-beam pattern")
     r0, _ = _ring_sums(pat, arr, phi_l)
     return _reciprocal(2.0 * gamma_i * cfg.k * cfg.g_tx**2, r0, phi_l)
-
-
-crlb_single_phase = crlb_single_alpha

@@ -35,16 +35,14 @@ from .antenna import (
     ChiSaturationError,
     PatternKind,
     Side,
-    chi,
     clamp_chi,
     invert_chi_closed,
     invert_chi_tabulated,
     power_gain,
 )
-from .synthesis import ArrayConfig
 
 RELATIVE_FLOOR = 1e-12
-HAED_PLUS_UPSAMPLE = 16  # haed+ sub-bin interpolation factor, the default everywhere
+HAED_PLUS_UPSAMPLE = 16  # haed+ sub-bin interpolation factor
 
 
 class Method(enum.Enum):
@@ -131,40 +129,20 @@ def synth_omni_sum(padp):
 
 
 @functools.lru_cache(maxsize=32)
-def o2_deembed_constant(pat, m, convention="ring_mean"):
+def o2_deembed_constant(pat, m):
     """De-embedding constant for the summed-PDP estimator.
 
     The summed profile carries the ring sum of the pattern power over the
-    scan grid, which ripples with the arrival offset.  Conventions:
+    scan grid, which ripples with the arrival offset.  The constant is the
+    angular average of that ring sum, m/(2*pi) times the pattern power
+    integral, so o-2 is unbiased on average over offsets.
 
-    * ``ring_mean``: angular average of the ring sum, m/(2*pi) times the
-      pattern power integral.  Unbiased on average over offsets (default).
-    * ``ring_min``: minimum of the ring sum over offsets.  Guarantees the
-      o-2 power never undershoots the true one, which keeps the refined
-      estimate sandwiched between o-1 and o-2 when the scan step is finer
-      than the beamwidth.
-    * ``ring_zero``: ring sum evaluated with an on-grid arrival.  This is
-      the ring maximum, so o-2 then never overshoots.
-
-    Results are cached per call arguments, the pattern by value (bounded
-    LRU; ``cache_info()``, and ``__wrapped__`` for the uncached quadrature).
-    Equal patterns loaded separately, as by repeated CLI commands or
-    ``run_sweep`` calls in one process, share one entry; ``estimate_o2``
-    passes all three arguments positionally, so its calls share it too.
-    An unknown convention raises ``ValueError`` and caches nothing.
+    Cached per (pattern value, m) in a bounded LRU (``cache_info()``;
+    ``__wrapped__`` is the uncached quadrature): equal patterns loaded
+    separately in one process, as by repeated CLI commands, share an entry.
     """
-    grid = ArrayConfig(m)
-    steer = grid.steering_angles
-    if convention == "ring_zero":
-        return float(np.sum(power_gain(pat, steer)))
-    if convention == "ring_mean":
-        x = np.linspace(-np.pi, np.pi, 36001)
-        return m / (2.0 * np.pi) * float(np.trapezoid(power_gain(pat, x), x))
-    if convention == "ring_min":
-        deltas = np.linspace(0.0, grid.asi, 2001)
-        rings = power_gain(pat, deltas[:, None] - steer[None, :]).sum(axis=1)
-        return float(np.min(rings))
-    raise ValueError(f"unknown de-embedding convention {convention!r}")
+    x = np.linspace(-np.pi, np.pi, 36001)
+    return m / (2.0 * np.pi) * float(np.trapezoid(power_gain(pat, x), x))
 
 
 def _omni_estimates(padp, profile, divisor, method, pk):
@@ -194,13 +172,9 @@ def estimate_o1(padp, pat, pk=PeakConfig()):
     return _omni_estimates(padp, synth_omni_max(padp), power_gain(pat, 0.0), Method.O1, pk)
 
 
-def estimate_o2(padp, pat, pk=PeakConfig(), deembed="ring_mean"):
-    """Summed-direction synthesis estimator.
-
-    ``deembed`` names an ``o2_deembed_constant`` convention, whose cache
-    computes each constant once per process; a number raises ``ValueError``.
-    """
-    c_o2 = o2_deembed_constant(pat, len(padp.angles), deembed)
+def estimate_o2(padp, pat, pk=PeakConfig()):
+    """Summed-direction synthesis estimator, de-embedded by ``o2_deembed_constant``."""
+    c_o2 = o2_deembed_constant(pat, len(padp.angles))
     return _omni_estimates(padp, synth_omni_sum(padp), c_o2, Method.O2, pk)
 
 
@@ -336,31 +310,31 @@ def _offset_power(cfr_row, j, offset):
     return float(np.abs(phases @ cfr_row / np.sqrt(k)) ** 2)
 
 
-def haed_plus_refine(padp, estimates, upsample=HAED_PLUS_UPSAMPLE):
+def haed_plus_refine(padp, estimates):
     """Re-read delay and power on an upsampled band-limited interpolation.
 
-    Scans ``upsample`` times finer than the delay grid across the peak's
-    +-1 bin window around its grid delay, then sharpens the maximum with a
-    parabolic vertex step.  Angles are kept from the input estimates;
-    powers are rescaled by the interpolated/on-grid peak ratio, preserving
-    the de-embedding.  Requires a Padp carrying its delay responses
-    (``h``); only the distinct rows holding peaks are turned into spectra.
+    Scans ``HAED_PLUS_UPSAMPLE`` times finer than the delay grid across
+    the peak's +-1 bin window around its grid delay, then sharpens the
+    maximum with a parabolic vertex step.  Angles are kept from the input
+    estimates; powers are rescaled by the interpolated/on-grid peak ratio,
+    preserving the de-embedding.  Requires a Padp carrying its delay
+    responses (``h``); only the distinct rows holding peaks are turned
+    into spectra.
     """
-    if upsample < 2:
-        raise ValueError("upsample must be >= 2")
     if padp.h is None:
         raise ValueError("haed_plus_refine needs a Padp carrying its delay responses (h)")
     if any(e.scan_index is None or e.delay_index is None for e in estimates):
         raise ValueError("estimates must carry scan/delay indices (haed output)")
     rows = sorted({e.scan_index for e in estimates})
     spectra = dict(zip(rows, padp.spectra(rows)))
-    step = padp.delta_tau / upsample
+    step = padp.delta_tau / HAED_PLUS_UPSAMPLE
+    offsets = np.arange(-HAED_PLUS_UPSAMPLE, HAED_PLUS_UPSAMPLE + 1) * step
     out = []
     for est in estimates:
         row = spectra[est.scan_index]
         on_grid = padp.values[est.scan_index, est.delay_index]
-        taus = padp.delays[est.delay_index] + np.arange(-upsample, upsample + 1) * step
-        powers = _subbin_powers(row, est.delay_index, upsample)
+        taus = padp.delays[est.delay_index] + offsets
+        powers = _subbin_powers(row, est.delay_index, HAED_PLUS_UPSAMPLE)
         best = int(np.argmax(powers))
         tau_hat, p_hat = float(taus[best]), float(powers[best])
         if 0 < best < len(taus) - 1:
@@ -369,7 +343,7 @@ def haed_plus_refine(padp, estimates, upsample=HAED_PLUS_UPSAMPLE):
             if denom < 0:
                 shift = 0.5 * (pl - pr) / denom
                 vertex = taus[best] + shift * step
-                offset = (best - upsample + shift) / upsample
+                offset = (best - HAED_PLUS_UPSAMPLE + shift) / HAED_PLUS_UPSAMPLE
                 p_vertex = _offset_power(row, est.delay_index, offset)
                 if p_vertex > p_hat:
                     tau_hat, p_hat = float(vertex), p_vertex

@@ -9,6 +9,7 @@ Each thread synthesizes its trials into one reused ``Workspace``, so a
 trial's PADP is valid only within that trial.
 """
 
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +21,6 @@ from .angles import circular_delta
 from .antenna import PatternKind
 from .crlb import crlb_single_alpha, crlb_single_phi, crlb_sweep
 from .estimation import (
-    HAED_PLUS_UPSAMPLE,
     Method,
     PeakConfig,
     estimate_haed,
@@ -57,14 +57,17 @@ class MonteCarloConfig:
     off_grid_delay: bool = False
     methods: tuple = (Method.O1, Method.O2, Method.HAED)
     base_seed: int = 0
-    upsample: int = HAED_PLUS_UPSAMPLE
     peak: PeakConfig = field(default_factory=PeakConfig)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not self.sweep_values:
-            raise ValueError("sweep_values must be non-empty")
+        for name, low in (("trials", 1), ("base_seed", 0)):
+            value = getattr(self, name)  # numpy integers count, bools do not
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name}: expected an integer >= {low}, got {value!r}")
+        values = tuple(self.sweep_values) if np.iterable(self.sweep_values) else ()
+        if not values or not all(isinstance(v, numbers.Real) for v in values):
+            raise ValueError("sweep_values: expected a non-empty sequence of numbers")
+        object.__setattr__(self, "sweep_values", values)
         if not self.mpcs:
             raise ValueError("base scenario must contain at least one arrival")
         apply_sweep(self.mpcs, self.sweep_variable, self.sweep_values[0])
@@ -157,14 +160,11 @@ def associate(estimates, truths, delay_gate, angle_gate):
     return matched, len(estimates) - len(used)
 
 
-def run_method(method, padp, pat, pk, upsample):
+def run_method(method, padp, pat, pk):
     """Estimates of one method on one PADP.
 
-    ``upsample`` is the haed+ interpolation factor; o-2 de-embeds with the
-    default ring convention, whose constant ``estimate_o2`` reads from the
-    ``o2_deembed_constant`` cache.  Estimators are looked up by their
-    module-global names at call time, so rebinding one (a tracer, a test's
-    monkeypatch) takes effect here.
+    Estimators are looked up by their module-global names at call time, so
+    rebinding one (a tracer, a test's monkeypatch) takes effect here.
     """
     if method is Method.O1:
         return estimate_o1(padp, pat, pk)
@@ -173,7 +173,7 @@ def run_method(method, padp, pat, pk, upsample):
     if method is Method.HAED:
         return estimate_haed(padp, pat, pk)
     if method is Method.HAED_PLUS:
-        return haed_plus_refine(padp, estimate_haed(padp, pat, pk), upsample)
+        return haed_plus_refine(padp, estimate_haed(padp, pat, pk))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -297,7 +297,7 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
             for method in mc.methods:
                 failed = False
                 try:
-                    ests = run_method(method, padp, pat, mc.peak, mc.upsample)
+                    ests = run_method(method, padp, pat, mc.peak)
                     matched, extra = associate(ests, mpcs, _cfg.delta_tau, pat.hpbw)
                 except ValueError:
                     matched, extra, failed = {}, 0, True
@@ -395,7 +395,7 @@ def _offset_draw(i, seed, cfg0, arr, pat, methods, ws):
     padp = simulate_padp([truth], arr, pat, cfg0, seed=rng, workspace=ws)
     found = []
     for method in methods:
-        ests = run_method(method, padp, pat, PeakConfig(), HAED_PLUS_UPSAMPLE)
+        ests = run_method(method, padp, pat, PeakConfig())
         matched, _ = associate(ests, [truth], cfg0.delta_tau, pat.hpbw)
         found.append(matched.get(0))
     return truth, found

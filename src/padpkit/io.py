@@ -203,14 +203,12 @@ def write_manifest_sidecar(out_path, manifest):
     return path
 
 
-def write_padp(path, padp, manifest=None, scale="linear"):
+def write_padp(path, padp, manifest=None):
     """Write a PADP file: one JSON header line, then row-major float64 LE.
 
-    ``scale`` selects the stored payload unit ('linear' or 'db'); reading
-    converts back to linear, so linear payloads round-trip losslessly.
+    The payload is linear power, so it round-trips losslessly; ``read_padp``
+    also decodes dB payloads (``"scale": "db"``) written elsewhere.
     """
-    if scale not in ("linear", "db"):
-        raise ValueError("scale must be 'linear' or 'db'")
     m, k = padp.values.shape
     header = {
         "format": PADP_MAGIC,
@@ -219,21 +217,13 @@ def write_padp(path, padp, manifest=None, scale="linear"):
         "k": k,
         "asi_deg": float(np.degrees(padp.asi)),
         "delay_step_ns": padp.delta_tau * 1e9,
-        "scale": scale,
+        "scale": "linear",
         "manifest": manifest or {},
     }
-    payload = padp.values
-    if scale == "db":
-        payload = 10.0 * np.log10(np.maximum(payload, np.finfo(np.float64).tiny))
-        with np.errstate(over="ignore"):
-            if not np.all(np.isfinite(10.0 ** (payload / 10.0))):
-                raise ValueError(
-                    "powers within rounding of the float64 maximum do not fit a dB payload"
-                )
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode())
         fh.write(b"\n")
-        fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(padp.values, dtype="<f8").tobytes())
 
 
 def _header_field(header, key, kind, path):
@@ -292,7 +282,8 @@ def read_padp(path):
             )
     values = values.reshape(m, k).astype(np.float64)
     if scale == "db":
-        values = 10.0 ** (values / 10.0)
+        with np.errstate(over="ignore"):  # an overflow is the non-finite error below
+            values = 10.0 ** (values / 10.0)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: payload contains non-finite values")
     delays = np.arange(k) * delay_step_ns * 1e-9
@@ -337,8 +328,8 @@ def write_estimates_csv(path, estimates):
 def write_crlb_csv(path, sweep_variable, entries):
     """CRLB sweep table; one row per (sweep value, arrival).
 
-    The first six columns are the stable schema; ``mpc`` (arrival index)
-    and ``flags`` are appended for multi-arrival sweeps.
+    Every row carries all eight columns, ending in ``mpc`` (the arrival
+    index) and ``flags`` (``singular`` on a flagged point, else empty).
     """
     rows = []
     for value, report in entries:

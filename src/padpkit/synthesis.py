@@ -171,6 +171,8 @@ class Padp:
     ``ifft(cfr, norm="ortho")`` use 0.  Band-limited delay interpolation
     needs them (power samples alone undersample the squared response), so
     estimators that refine the delay axis require a Padp carrying them.
+    ``angles`` must step by 2*pi/m in radians (from any start) and
+    ``delays`` hold at least two entries with a positive first step.
     """
 
     values: np.ndarray
@@ -193,6 +195,12 @@ class Padp:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "angles", np.asarray(self.angles, dtype=np.float64))
         object.__setattr__(self, "delays", np.asarray(self.delays, dtype=np.float64))
+        # asi and delta_tau read only the first step of each grid: check just that
+        a, d = self.angles, self.delays
+        if len(a) > 1 and not math.isclose(a[1] - a[0], 2 * math.pi / len(a), rel_tol=1e-9):
+            raise ValueError(f"angles must step by 2*pi/m in radians, not {a[1] - a[0]:.6g}")
+        if len(d) < 2 or not d[1] > d[0]:
+            raise ValueError("delays need at least 2 entries and a positive first step")
 
     @property
     def asi(self):

@@ -265,11 +265,6 @@ def test_invert_tabulated_tie_breaks_toward_zero():
     assert invert_chi_tabulated(0.3, Side.MINUS, tab) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_invert_tabulated_grid_step_validation(pat10):
-    with pytest.raises(ValueError):
-        invert_chi_tabulated(0.1, Side.MINUS, pat10, grid_step=0.0)
-
-
 def test_clamp_chi():
     assert clamp_chi(0.5) == (0.5, False)
     val, flagged = clamp_chi(1.0)

@@ -16,7 +16,6 @@ from padpkit.crlb import (
     crlb_from_fim,
     crlb_from_fims,
     crlb_single_alpha,
-    crlb_single_phase,
     crlb_single_phi,
     crlb_sweep,
     fim,
@@ -168,10 +167,6 @@ def test_crlb_angle_envelope(pat10):
     assert np.argmax(vals) == 0 and np.argmin(vals) == len(offs) - 1
     amps = [crlb_single_alpha(1.0, CFG, ARR, pat10, o) for o in offs]
     assert np.argmin(amps) == 0 and np.argmax(amps) == len(amps) - 1
-
-
-def test_crlb_single_phase_alias(pat10):
-    assert crlb_single_phase is crlb_single_alpha
 
 
 def test_ring_rotation_invariance(pat10):

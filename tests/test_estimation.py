@@ -52,14 +52,14 @@ def test_omni_max_single_row():
 
 def test_omni_sum_equal_rows():
     v = np.tile(np.arange(6.0), (4, 1))
-    p = Padp(values=v, angles=np.zeros(4), delays=np.arange(6.0))
+    p = Padp(values=v, angles=2 * np.pi * np.arange(4) / 4, delays=np.arange(6.0))
     np.testing.assert_array_equal(synth_omni_sum(p), 4.0 * np.arange(6.0))
 
 
 def test_omni_max_single_entry():
     v = np.zeros((5, 7))
     v[3, 2] = 2.0
-    p = Padp(values=v, angles=np.zeros(5), delays=np.arange(7.0))
+    p = Padp(values=v, angles=2 * np.pi * np.arange(5) / 5, delays=np.arange(7.0))
     out = synth_omni_max(p)
     assert out[2] == 2.0 and np.count_nonzero(out) == 1
 
@@ -139,25 +139,21 @@ def test_o2_power_ripple(cfg, arr36, pat10):
     assert abs(np.mean(errs_db)) <= 0.05     # mean-unbiased de-embedding
 
 
-def test_o2_deembed_conventions(pat10):
-    zero = o2_deembed_constant(pat10, 36, "ring_zero")
-    mean = o2_deembed_constant(pat10, 36, "ring_mean")
-    mini = o2_deembed_constant(pat10, 36, "ring_min")
-    steer = 2 * np.pi * np.arange(36) / 36
+def _ring_sums(pat, m, n=2001):
+    """Offsets across one scan step and the o-2 ring sum of the pattern power at each."""
     from padpkit.antenna import power_gain
 
-    assert zero == pytest.approx(float(np.sum(power_gain(pat10, steer))), rel=1e-12)
-    assert mini < mean < zero
-    with pytest.raises(ValueError):
-        o2_deembed_constant(pat10, 36, "bogus")
+    steer = 2 * np.pi * np.arange(m) / m
+    deltas = np.linspace(0.0, 2 * np.pi / m, n)
+    return deltas, power_gain(pat, deltas[:, None] - steer[None, :]).sum(axis=1)
 
 
-@pytest.mark.parametrize("deembed", [1.0, 35.2, np.float64(35.2), 36])
-def test_estimate_o2_takes_convention_names_only(cfg, arr36, pat10, deembed):
-    """A number is not a convention: the constant comes only from ``o2_deembed_constant``."""
-    padp, _ = _padp_for(13.0, cfg, arr36, pat10)
-    with pytest.raises(ValueError, match="de-embedding convention"):
-        estimate_o2(padp, pat10, deembed=deembed)
+def test_o2_deembed_conventions(pat10):
+    """The constant is the ring sum's mean over offsets, strictly inside its ripple."""
+    deltas, rings = _ring_sums(pat10, 36)
+    mean = o2_deembed_constant(pat10, 36)
+    assert rings.min() < mean < rings.max()
+    assert mean == pytest.approx(np.trapezoid(rings, deltas) / deltas[-1], rel=1e-9)
 
 
 def _table_copy(pat, n=3601):
@@ -169,12 +165,11 @@ def _table_copy(pat, n=3601):
 
 @pytest.mark.parametrize("tabulated", [False, True])
 @pytest.mark.parametrize("m", [36, 72])
-@pytest.mark.parametrize("convention", ["ring_mean", "ring_min", "ring_zero"])
-def test_o2_constant_cache_equals_quadrature(pat10, tabulated, m, convention):
+def test_o2_constant_cache_equals_quadrature(pat10, tabulated, m):
     pat = _table_copy(pat10) if tabulated else pat10
-    cached = o2_deembed_constant(pat, m, convention)
-    assert cached == o2_deembed_constant.__wrapped__(pat, m, convention)
-    assert o2_deembed_constant(pat, m, convention) == cached
+    cached = o2_deembed_constant(pat, m)
+    assert cached == o2_deembed_constant.__wrapped__(pat, m)
+    assert o2_deembed_constant(pat, m) == cached
 
 
 def test_o2_constant_cache_is_keyed_on_pattern_value(pat10):
@@ -184,28 +179,22 @@ def test_o2_constant_cache_is_keyed_on_pattern_value(pat10):
             AntennaPattern.gaussian(100.0, np.radians(10.0)),
             AntennaPattern.gaussian(100.0, np.radians(10.0)),
         ):
-            o2_deembed_constant(pat, 36, "ring_mean")
+            o2_deembed_constant(pat, 36)
         info = o2_deembed_constant.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
         tab = _table_copy(pat10)
-        o2_deembed_constant(tab, 36, "ring_mean")
-        o2_deembed_constant(_table_copy(pat10), 36, "ring_mean")
+        o2_deembed_constant(tab, 36)
+        o2_deembed_constant(_table_copy(pat10), 36)
         info = o2_deembed_constant.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
 
         angles, gains = (np.array(a) for a in tab.table)
         gains[1800] *= 1.0 + 1e-9
         other = AntennaPattern.from_table(angles, gains, hpbw=tab.hpbw)
-        o2_deembed_constant(other, 36, "ring_mean")
-        o2_deembed_constant(tab, 72, "ring_mean")
-        o2_deembed_constant(tab, 36, "ring_min")
-        assert o2_deembed_constant.cache_info().currsize == 5
-
-        with pytest.raises(ValueError, match="bogus"):
-            o2_deembed_constant(tab, 36, "bogus")
-        with pytest.raises(ValueError, match="bogus"):
-            o2_deembed_constant(tab, 36, "bogus")
+        o2_deembed_constant(other, 36)
+        o2_deembed_constant(tab, 72)
+        o2_deembed_constant(tab, 18)
         assert o2_deembed_constant.cache_info().currsize == 5
     finally:
         o2_deembed_constant.cache_clear()
@@ -287,16 +276,17 @@ def test_haed_exact_when_asi_differs_from_hpbw(cfg, arr36):
 
 
 def test_haed_power_between_traditional_when_asi_below_hpbw(cfg, arr36):
-    # scan step (10 deg) finer than the beam (10.67 deg); the min-ring
-    # convention keeps o-2 an upper bracket
+    # scan step (10 deg) finer than the beam (10.67 deg); de-embedded by the
+    # ring sum's minimum instead of its mean, o-2 is an upper bracket
     pat = AntennaPattern.gaussian(10 ** 2.46, np.radians(10.67))
+    to_ring_min = o2_deembed_constant(pat, 36) / _ring_sums(pat, 36)[1].min()
     for phi_deg in np.linspace(20.0, 30.0, 21):
         padp, _ = _padp_for(phi_deg, cfg, arr36, pat)
         (e1,) = estimate_o1(padp, pat)
-        (e2,) = estimate_o2(padp, pat, deembed="ring_min")
+        (e2,) = estimate_o2(padp, pat)
         (eh,) = estimate_haed(padp, pat)
         assert e1.power <= eh.power * (1 + 1e-9)
-        assert eh.power <= e2.power * (1 + 1e-9)
+        assert eh.power <= e2.power * to_ring_min * (1 + 1e-9)
 
 
 def test_haed_clamps_degenerate_adjacent(pat10):
@@ -333,7 +323,7 @@ def test_resolvability_contract(cfg, arr36, pat10):
 def test_haed_plus_on_grid_fixed_point(cfg, arr36, pat10):
     padp, mpc = _padp_for(13.0, cfg, arr36, pat10, tau=32e-9)
     ests = estimate_haed(padp, pat10)
-    plus = haed_plus_refine(padp, ests, upsample=16)
+    plus = haed_plus_refine(padp, ests)
     assert len(plus) == 1
     assert plus[0].method is Method.HAED_PLUS
     assert abs(plus[0].tau - mpc.tau) <= cfg.delta_tau / 32
@@ -344,7 +334,7 @@ def test_haed_plus_off_grid_recovery(cfg, arr36, pat10):
     tau = 25.25e-9
     padp, mpc = _padp_for(13.0, cfg, arr36, pat10, tau=tau)
     ests = estimate_haed(padp, pat10)
-    plus = haed_plus_refine(padp, ests, upsample=16)
+    plus = haed_plus_refine(padp, ests)
     assert abs(plus[0].tau - tau) <= cfg.delta_tau / 16
     # amplitude recovered to well under the scalloping loss of the on-grid read
     err_plus = abs(plus[0].power / (cfg.k * cfg.pu) - 1.0)
@@ -359,8 +349,6 @@ def test_haed_plus_requires_cfr(cfg, arr36, pat10):
     ests = estimate_haed(padp, pat10)
     with pytest.raises(ValueError, match=r"delay responses \(h\)"):
         haed_plus_refine(stripped, ests)
-    with pytest.raises(ValueError, match="upsample"):
-        haed_plus_refine(padp, ests, upsample=1)
 
 
 @settings(max_examples=200, deadline=None)

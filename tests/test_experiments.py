@@ -112,6 +112,42 @@ def test_mc_config_validation(pat10):
             MonteCarloConfig(**kw, randomize_angle=True)
 
 
+_MC_BASE = dict(sweep_values=(10.0,), mpcs=(MpcTruth(1.0, 0.0, 25e-9, 0.0),))
+
+
+@pytest.mark.parametrize("trials", [2.5, 2.0, True, "4", None, -1])
+def test_mc_config_rejects_a_non_integer_trial_count(trials):
+    with pytest.raises(ValueError, match="trials"):
+        MonteCarloConfig(**_MC_BASE, trials=trials)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, 2.5, True, "1", None])
+def test_mc_config_rejects_a_negative_or_non_integer_seed(seed):
+    with pytest.raises(ValueError, match="base_seed"):
+        MonteCarloConfig(**_MC_BASE, base_seed=seed)
+
+
+@pytest.mark.parametrize("values", [(), np.array([]), 30.0, np.float64(30.0), np.array(30.0),
+                                    "30", ["a"], [20.0, [30.0, 40.0]], np.zeros((2, 2))])
+def test_mc_config_rejects_sweep_values_that_are_no_sequence_of_numbers(values):
+    with pytest.raises(ValueError, match="sweep_values"):
+        MonteCarloConfig(**{**_MC_BASE, "sweep_values": values})
+
+
+def test_mc_config_accepts_numpy_values_and_integers(arr36, pat10):
+    """A numpy sweep grid, trial count or seed runs as its Python equivalent does."""
+    kw = dict(mpcs=_MC_BASE["mpcs"], methods=(Method.O1,), randomize_angle=True)
+    config = MonteCarloConfig(
+        **kw, trials=np.int64(3), sweep_values=np.array([25.0, 35.0]), base_seed=np.uint32(4)
+    )
+    assert config.sweep_values == (25.0, 35.0)
+    plain = MonteCarloConfig(**kw, trials=3, sweep_values=(25.0, 35.0), base_seed=4)
+    rows, want = run_sweep(config, CFG, arr36, pat10), run_sweep(plain, CFG, arr36, pat10)
+    assert [(r.sweep_value, r.param, r.stats.rmsee) for r in rows] == [
+        (r.sweep_value, r.param, r.stats.rmsee) for r in want
+    ]
+
+
 def _small_mc(trials=4, methods=(Method.O1, Method.HAED), seed=0):
     return MonteCarloConfig(
         trials=trials,
@@ -406,12 +442,12 @@ def test_run_method_matches_estimators(arr36, pat10):
         Method.O1: estimate_o1(padp, pat10, pk),
         Method.O2: estimate_o2(padp, pat10, pk),
         Method.HAED: haed,
-        Method.HAED_PLUS: haed_plus_refine(padp, haed, 8),
+        Method.HAED_PLUS: haed_plus_refine(padp, haed),
     }
     for method, ests in want.items():
-        assert run_method(method, padp, pat10, pk, 8) == ests
+        assert run_method(method, padp, pat10, pk) == ests
     with pytest.raises(ValueError, match="unknown method"):
-        run_method("o3", padp, pat10, pk, 8)
+        run_method("o3", padp, pat10, pk)
 
 
 def test_o2_constant_is_computed_once_per_pattern(arr36, pat10):

@@ -1,5 +1,4 @@
 import contextlib
-import inspect
 import io
 import json
 import os
@@ -16,10 +15,11 @@ from hypothesis.extra import numpy as hnp
 
 from padpkit import MpcTruth, Padp, simulate_padp
 from padpkit.cli import _parser, build_parser, main
-from padpkit.estimation import HAED_PLUS_UPSAMPLE, Method, PeakConfig, haed_plus_refine
+from padpkit.estimation import HAED_PLUS_UPSAMPLE, Method, PeakConfig
 from padpkit.experiments import MonteCarloConfig
 from padpkit.io import (
     MAX_MAP_CELLS,
+    PADP_MAGIC,
     Scenario,
     ScenarioError,
     parse_methods,
@@ -259,10 +259,21 @@ def test_padp_file_roundtrip(tmp_path):
     assert back.h is None
 
 
+def _write_db_padp(path, padp):
+    """A PADP file with a dB payload, as other writers may store one (``write_padp`` is linear)."""
+    m, k = padp.values.shape
+    header = {"format": PADP_MAGIC, "version": 1, "m": m, "k": k,
+              "asi_deg": float(np.degrees(padp.asi)), "delay_step_ns": padp.delta_tau * 1e9,
+              "scale": "db", "manifest": {}}
+    payload = 10.0 * np.log10(np.maximum(padp.values, np.finfo(np.float64).tiny))
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n" + payload.astype("<f8").tobytes())
+
+
 def test_padp_db_scale_roundtrip(tmp_path):
     padp, _ = _tiny_padp(sigma2=0.5)
     path = tmp_path / "x_db.padp"
-    write_padp(path, padp, scale="db")
+    _write_db_padp(path, padp)
     back, header = read_padp(path)
     assert header["scale"] == "db"
     np.testing.assert_allclose(back.values, padp.values, rtol=1e-12)
@@ -297,16 +308,16 @@ def test_padp_linear_roundtrip_is_bit_exact(tmp_path_factory, padp, manifest):
 @settings(max_examples=100, deadline=None)
 @given(padp=_padps(_FINITE_POWERS))
 def test_padp_db_roundtrip_is_close(tmp_path_factory, padp):
-    """dB payloads round-trip to 1e-12; powers below the smallest normal float come back as it."""
+    """dB payloads decode to 1e-12; powers below the smallest normal float come back as it."""
     path = tmp_path_factory.mktemp("padp") / "x.padp"
+    _write_db_padp(path, padp)
     try:
-        write_padp(path, padp, scale="db")
+        back, header = read_padp(path)
     except ValueError as exc:
-        # only powers within rounding of the float64 maximum cannot be decoded
-        assert "float64 maximum" in str(exc)
+        # only powers within rounding of the float64 maximum overflow when decoded
+        assert "non-finite" in str(exc)
         assert padp.values.max() > 1.79e308
         return
-    back, header = read_padp(path)
     assert header["scale"] == "db"
     tiny = np.finfo(np.float64).tiny
     np.testing.assert_allclose(back.values, padp.values, rtol=1e-12, atol=2.0 * tiny)
@@ -917,17 +928,62 @@ def test_cli_montecarlo_rejects_randomize_angle_off_snr_sweeps(tmp_path, capsys,
 
 
 def test_cli_defaults_are_the_library_defaults():
-    """The CLI takes the detection threshold and the haed+ factor from the library."""
+    """The CLI takes the detection threshold from the library."""
     est = _parser().parse_args(["estimate", "--padp", "x.padp", "--out", "x.csv"])
     mc = _parser().parse_args(["montecarlo", "--scenario", "s.json", "--sweep", "output-snr",
                                "--values", "30", "--out", "x.csv"])
     for args in (est, mc):
         assert args.threshold_db == PeakConfig().noise_floor_db_offset
-        assert args.upsample == HAED_PLUS_UPSAMPLE
     config = MonteCarloConfig(sweep_values=(30.0,), mpcs=(MpcTruth(1.0, 0.0, 0.0, 0.0),))
-    assert config.upsample == HAED_PLUS_UPSAMPLE
     assert config.peak == PeakConfig()
-    assert inspect.signature(haed_plus_refine).parameters["upsample"].default == HAED_PLUS_UPSAMPLE
+
+
+def test_cli_montecarlo_manifest_records_the_haed_plus_factor(tmp_path):
+    sc = scenario_file(tmp_path, SCENARIO)
+    out = tmp_path / "mc.csv"
+    rc = main(["montecarlo", "--scenario", str(sc), "--sweep", "output-snr", "--values", "30",
+               "--trials", "1", "--methods", "haed+", "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["config"]["upsample"] == HAED_PLUS_UPSAMPLE == 16
+
+
+@pytest.mark.parametrize("command", ["estimate", "montecarlo"])
+def test_cli_has_no_upsample_flag(capsys, command):
+    """The haed+ factor is a constant: ``--upsample`` is an unknown argument (exit 2)."""
+    argv = {
+        "estimate": ["estimate", "--padp", "x.padp", "--out", "x.csv"],
+        "montecarlo": ["montecarlo", "--scenario", "s.json", "--sweep", "output-snr",
+                       "--values", "30", "--out", "x.csv"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--upsample", "8"])
+    assert exc.value.code == 2
+    assert "--upsample" in capsys.readouterr().err
+
+
+_SEED_ARGV = {
+    "simulate": ["simulate", "--scenario", "{sc}", "--out", "{out}"],
+    "montecarlo": ["montecarlo", "--scenario", "{sc}", "--sweep", "output-snr", "--values", "30",
+                   "--trials", "1", "--out", "{out}"],
+    "offset-study": ["offset-study", "--scenario", "{sc}", "--n", "1", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+@pytest.mark.parametrize("command", sorted(_SEED_ARGV))
+def test_cli_seed_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
+    """Every --seed is checked when parsed, before a command reads or writes anything."""
+    sc = scenario_file(tmp_path, SCENARIO)
+    out = tmp_path / "out.csv"
+    argv = [a.format(sc=sc, out=out) for a in _SEED_ARGV[command]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "non-negative integer" in err
+    assert not out.exists()
+    assert main(argv + ["--seed", "0"]) == 0
 
 
 def test_cli_parser_is_built_once_and_public_builder_stays_fresh():

@@ -7,7 +7,10 @@ estimate must follow, so no reference output is needed:
   same power;
 * scaling the map by c scales every power by c with the same angle;
 * shifting the map along delay by whole bins, away from the delay edges,
-  shifts every delay by the same number of bins.
+  shifts every delay by the same number of bins;
+* mirroring the scan (row i to row -i mod m) under a symmetric beam
+  negates every angle with the same power.  Noisy maps have no exact
+  ties, which the relation excludes (a tie picks the lower row or side).
 """
 
 from dataclasses import replace
@@ -41,22 +44,26 @@ def noisy_maps(request):
 
 
 def _estimates(padp, pat, method):
-    return run_method(method, padp, pat, PeakConfig(), 1)
+    return run_method(method, padp, pat, PeakConfig())
 
 
-def _assert_follow(before, after, dtau, phi_shift=0.0, power_scale=1.0, bin_shift=0):
+def _assert_follow(
+    before, after, dtau, phi_shift=0.0, power_scale=1.0, bin_shift=0, mirror=False
+):
     """Every estimate of ``before`` has exactly one transformed counterpart in ``after``.
 
-    ``dtau`` is the delay bin; delays compare within 1e-6 of it.
+    ``dtau`` is the delay bin; delays compare within 1e-6 of it.  ``mirror``
+    negates each angle before the shift.
     """
     assert len(after) == len(before)
     unused = list(after)
     for est in before:
         tau = est.tau + bin_shift * dtau
+        phi = (-est.phi if mirror else est.phi) + phi_shift
         hits = [
             e for e in unused
             if abs(e.tau - tau) <= 1e-6 * dtau
-            and abs(float(circular_delta(e.phi, est.phi + phi_shift))) <= ANGLE_TOL
+            and abs(float(circular_delta(e.phi, phi))) <= ANGLE_TOL
         ]
         assert len(hits) == 1, (est, hits)
         hit = hits[0]
@@ -74,6 +81,17 @@ def test_rolling_the_scan_turns_every_angle(noisy_maps, method):
             rolled = replace(padp, values=np.roll(padp.values, s, axis=0))
             after = _estimates(rolled, pat, method)
             _assert_follow(before, after, padp.delta_tau, phi_shift=s * padp.asi)
+
+
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
+def test_mirroring_the_scan_negates_every_angle(noisy_maps, method):
+    maps, pat = noisy_maps
+    for padp in maps:
+        m = padp.values.shape[0]
+        before = _estimates(padp, pat, method)
+        assert before
+        mirrored = replace(padp, values=padp.values[-np.arange(m) % m])
+        _assert_follow(before, _estimates(mirrored, pat, method), padp.delta_tau, mirror=True)
 
 
 @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)

@@ -358,10 +358,31 @@ def test_noise_free_synthesis_draws_no_noise(cfg_small, arr36, pat10, mpc_13deg,
 def test_padp_rejects_non_finite_or_negative_values(bad):
     v = np.ones((3, 4))
     v[1, 2] = bad
+    angles = 2.0 * np.pi * np.arange(3) / 3
     with pytest.raises(ValueError, match="finite and non-negative"):
-        Padp(v, np.arange(3.0), np.arange(4.0))
+        Padp(v, angles, np.arange(4.0))
     v[1, 2] = -0.0  # equal to zero, so allowed
-    assert Padp(v, np.arange(3.0), np.arange(4.0)).values[1, 2] == 0.0
+    assert Padp(v, angles, np.arange(4.0)).values[1, 2] == 0.0
+
+
+def test_padp_rejects_angles_that_are_no_full_circle_in_radians(cfg_small, arr36, pat10):
+    """``asi`` and haed read the angles as radians spaced 2*pi/m: degrees are refused."""
+    good = simulate_padp([MpcTruth(1.0, 0.0, 32e-9, np.radians(13.0))], arr36, pat10, cfg_small)
+    for angles in (np.degrees(good.angles), np.arange(36.0), good.angles[::-1], np.zeros(36)):
+        with pytest.raises(ValueError, match="angles must step by 2"):
+            Padp(good.values, angles, good.delays)
+    rotated = Padp(good.values, good.angles + 0.3, good.delays)  # a rotated start is allowed
+    assert rotated.asi == good.asi
+
+
+@pytest.mark.parametrize(
+    "delays", [[0.0], [1.0, 1.0, 2.0], [2.0, 1.0, 0.0], [np.nan, 1.0, 2.0]], ids=str
+)
+def test_padp_rejects_delay_grids_without_a_positive_first_step(delays):
+    """``delta_tau`` reads the first step: one column or a non-positive step is refused."""
+    v = np.ones((3, len(delays)))
+    with pytest.raises(ValueError, match="delays need at least 2 entries"):
+        Padp(v, 2.0 * np.pi * np.arange(3) / 3, delays)
 
 
 def test_delay_responses_are_cached_per_delays_and_band(cfg_small):
