@@ -54,7 +54,12 @@ def _seed(text):
 def _cmd_simulate(args):
     scenario = io.load_scenario(args.scenario)
     padp = simulate_padp(
-        scenario.mpcs, scenario.array, scenario.pattern, scenario.sounding, seed=args.seed
+        scenario.mpcs,
+        scenario.array,
+        scenario.pattern,
+        scenario.sounding,
+        seed=args.seed,
+        keep_cfr=bool(args.cfr_out),
     )
     manifest = io.build_manifest(
         seed=args.seed, inputs={"scenario_sha256": scenario.sha256}

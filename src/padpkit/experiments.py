@@ -280,6 +280,7 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
         raise ValueError(f"PADPKIT_THREADS: expected a positive integer, got {raw!r}")
     threads = int(raw)
     local = threading.local()  # one synthesis workspace per thread running trials
+    keep_h = Method.HAED_PLUS in mc.methods  # only haed+ reads the delay responses
     points = _sweep_points(mc, cfg, arr, pat)
     rows = []
     for si, (sweep_value, (mpcs_pt, cfg_pt, crlbs)) in enumerate(zip(mc.sweep_values, points)):
@@ -292,7 +293,9 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
             if not hasattr(local, "ws"):
                 local.ws = Workspace(arr.m, cfg.k)
             # the Padp lives on this thread's workspace: it must not outlive the trial
-            padp = simulate_padp(mpcs, arr, pat, _cfg, seed=rng, workspace=local.ws)
+            padp = simulate_padp(
+                mpcs, arr, pat, _cfg, seed=rng, keep_cfr=keep_h, workspace=local.ws
+            )
             record = {}
             for method in mc.methods:
                 failed = False

@@ -26,8 +26,18 @@ frequency phase ramp, identical to the direct sum.
 2. the noise is drawn directly in delay: T is unitary, so it maps white
    noise of height sigma2 to white noise of the same height and the same
    distribution, and drawing it after the transform is exact, not an
-   approximation (noise-free configs skip this step);
-3. the power map is |h|^2, and the responses h ride along on the Padp
+   approximation (noise-free configs skip this step).  When every
+   arrival sits on a delay bin (tau * bw within 1e-9 of an integer), the
+   noise-free response is zero on every other bin, and there |h|^2 is
+   exactly sigma2 * Exp(1), with a uniform phase independent of it.
+   Such maps draw, from one generator, the complex noise on the
+   arrivals' bins, then one exponential per cell for the power of the
+   whole map (instead of two normals), and then, only when h is kept
+   (``keep_cfr``), the phases, so the map does not depend on whether h is
+   read.  Off-grid delays leak into every bin and keep the complex draw
+   of the whole map;
+3. the power map is |h|^2 (drawn as power off the arrivals' bins on
+   on-grid maps), and the responses h ride along on the Padp
    (``Padp.h``): nothing rebuilds the full-map spectra.  Estimators that
    need spectra (haed+) transform only the rows they read
    (``Padp.spectra``), and all rows are transformed only where spectra
@@ -270,7 +280,7 @@ def synth_cfr(mpcs, arr, pat, cfg):
     return weights @ ramps
 
 
-def add_noise(s, sigma2, seed, out=None):
+def add_noise(s, sigma2, seed, out=None, power=None):
     """Add circularly symmetric white Gaussian noise of spectral height sigma2.
 
     Real and imaginary parts each carry variance sigma2/2.  Deterministic
@@ -278,12 +288,20 @@ def add_noise(s, sigma2, seed, out=None):
     array, or the complex view of ``out``: a C-contiguous float64 array of
     shape ``s.shape + (2,)`` that receives the interleaved (re, im) result.
     ``s`` is not modified.
+
+    ``power``, when given, is a C-contiguous float64 array that then
+    receives, from the same generator, sigma2 * Exp(1) per cell: the power
+    |w|**2 of noise alone, drawn as power, with no phase.  That is the law
+    of |h|**2 wherever the noise-free response is zero, and
+    ``simulate_padp`` uses it there.
     """
     if not 0.0 <= sigma2 < math.inf:
         raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2!r}")
+    if power is not None and (power.dtype != np.float64 or not power.flags.c_contiguous):
+        raise ValueError("power must be a C-contiguous float64 array")
     shape = (*np.shape(s), 2)
     if out is None:
-        if sigma2 == 0:
+        if sigma2 == 0 and power is None:
             return np.array(s, copy=True)
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
@@ -293,10 +311,16 @@ def add_noise(s, sigma2, seed, out=None):
     w = out.view(np.complex128)[..., 0]
     if sigma2 == 0:
         w[...] = s
+        if power is not None:
+            power.fill(0.0)
         return w
-    np.random.default_rng(seed).standard_normal(out=out)
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(out=out)
     out *= np.sqrt(sigma2 / 2.0)  # the real scale of the complex view, on its float pairs
     w += s
+    if power is not None:
+        rng.standard_exponential(out=power)
+        power *= sigma2
     return w
 
 
@@ -360,7 +384,8 @@ class Workspace:
     ``noise`` is an (m, k, 2) float64 block: the noise draw, and then the
     delay responses ``h`` (its complex view).  ``signal`` is an (m, k)
     complex block: the noise-free responses, and then, in its first half,
-    the power map.  About 1.15 MB at 36 x 1001.  A Padp built on a
+    the power map; on-grid noisy maps use its second half (``scratch``)
+    for the phase draw.  About 1.15 MB at 36 x 1001.  A Padp built on a
     workspace shares these arrays, so the next ``simulate_padp`` call on
     the same workspace overwrites it; a workspace belongs to one thread.
     """
@@ -369,29 +394,92 @@ class Workspace:
         self.noise = np.empty((m, k, 2))
         self.signal = np.empty((m, k), dtype=np.complex128)
         self.h = self.noise.view(np.complex128)[..., 0]
-        self.power = self.signal.reshape(-1).view(np.float64)[: m * k].reshape(m, k)
+        halves = self.signal.reshape(-1).view(np.float64).reshape(2, m, k)
+        self.power, self.scratch = halves
 
 
-# no buffers: every step of simulate_padp allocates its result
+# no buffers: every step of the complex-draw path allocates its result
 _FRESH = SimpleNamespace(h=None, signal=None, noise=None, power=None)
+
+
+# an arrival delay within this many delay bins of a bin is on the grid
+_ON_GRID_TOL = 1e-9
+
+
+def _on_grid_bins(tau, cfg):
+    """The distinct delay bins of the arrivals when every one sits on the grid, else None.
+
+    Tested on tau * bw, not on the response: the FFT leaks about 1e-13 of
+    an on-grid peak into every other bin, so a magnitude test is fragile.
+    """
+    x = [t * cfg.bw for t in tau.tolist()]  # a few arrivals: Python floats beat numpy calls
+    # the bound on x comes first: it also keeps round() away from inf
+    if all(v < cfg.k - 0.5 and abs(v - round(v)) <= _ON_GRID_TOL for v in x):
+        return np.array(sorted({round(v) for v in x}))
+    return None
+
+
+def _on_grid_map(signal, cols, sigma2, seed, keep_cfr, ws):
+    """Draw the noisy map of arrivals on delay bins ``cols`` into ``ws``; return h or None.
+
+    ``ws.power`` receives the power map, and with ``keep_cfr`` ``ws.h`` the
+    responses.  ``signal`` is the noise-free response on those columns.  Everywhere
+    else the response is zero, so |h|**2 is sigma2 * Exp(1), and the phase
+    of h is uniform and independent of it: h = sqrt(P) e^{j theta}.  One
+    generator draws, in this order, the complex noise on ``cols``, the
+    power of the whole map and then, only with ``keep_cfr``, the phases,
+    so the map does not depend on ``keep_cfr``.  The phases are resolved
+    to float32 (under 5e-7 rad), where cos and sin are vectorized; h is
+    scaled in float64, so |h|**2 is the map to rounding.
+    """
+    rng = np.random.default_rng(seed)
+    h_cols = add_noise(signal, sigma2, rng, power=ws.power)
+    ws.power[:, cols] = pdp(h_cols)
+    if not keep_cfr:
+        return None
+    n = ws.power.size
+    theta = ws.noise.reshape(-1).view(np.float32)[:n].reshape(ws.power.shape)
+    cos, sin = ws.scratch.reshape(-1).view(np.float32).reshape(2, *ws.power.shape)
+    re, im = ws.noise[..., 0], ws.noise[..., 1]
+    rng.random(out=ws.scratch)
+    np.multiply(ws.scratch, 2.0 * np.pi, out=theta, casting="same_kind")
+    np.cos(theta, out=cos)
+    np.sin(theta, out=sin)
+    # scale = sqrt(P / (cos^2 + sin^2)), formed in re; the squares are exact in float64
+    np.multiply(cos, cos, out=re, dtype=np.float64)
+    np.multiply(sin, sin, out=im, dtype=np.float64)
+    re += im
+    np.divide(ws.power, re, out=re)
+    np.sqrt(re, out=re)
+    np.multiply(sin, re, out=im, dtype=np.float64)
+    np.multiply(cos, re, out=re, dtype=np.float64)
+    ws.h[:, cols] = h_cols
+    return ws.h
 
 
 def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
     """Full synthesis pipeline: delay responses -> noise -> Padp.
 
     Works in the delay domain (see the module docstring).  The noisy delay
-    responses are attached as ``Padp.h`` (haed+ needs them); that adds no
-    copy and no transform.  ``keep_cfr=False`` leaves ``h`` off, so the
-    Padp carries the power map only.  With a ``Workspace`` of the map's
-    shape, the map and ``h`` are written into its buffers instead of new
-    arrays, and the Padp is valid only until the workspace's next call.
+    responses are attached as ``Padp.h`` (haed+ needs them).
+    ``keep_cfr=False`` leaves ``h`` off, so the Padp carries the power
+    map only; on a noisy map whose arrivals all sit on delay bins it also
+    skips drawing the phases of h, and the map is the same either way.
+    With a ``Workspace`` of the map's shape, the map and ``h`` are written
+    into its buffers instead of new arrays, and the Padp is valid only
+    until the workspace's next call.
     """
     if workspace is not None and workspace.signal.shape != (arr.m, cfg.k):
         raise ValueError(f"workspace shape {workspace.signal.shape} != map shape {(arr.m, cfg.k)}")
-    ws = _FRESH if workspace is None else workspace
     alpha, phase, phi, tau = _truth_params(mpcs)
     weights = _arrival_weights(alpha, phase, phi, arr, pat, cfg)
     responses = _delay_responses(tuple(tau.tolist()), cfg._band)
+    cols = _on_grid_bins(tau, cfg) if cfg.sigma2 > 0 else None
+    if cols is not None:
+        ws = Workspace(arr.m, cfg.k) if workspace is None else workspace
+        h = _on_grid_map(weights @ responses[:, cols], cols, cfg.sigma2, seed, keep_cfr, ws)
+        return assemble_padp(ws.power, arr, cfg, h=h)
+    ws = _FRESH if workspace is None else workspace
     if cfg.sigma2 == 0:
         h = np.matmul(weights, responses, out=ws.h)
     else:

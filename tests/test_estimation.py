@@ -300,6 +300,25 @@ def test_haed_clamps_degenerate_adjacent(pat10):
     assert abs(ests[0].eps) <= pat10.hpbw / 2 + 1e-12
 
 
+@pytest.mark.parametrize(
+    "p_minus, p_plus, side",
+    [(0.25, 0.255, Side.PLUS), (0.255, 0.25, Side.MINUS), (0.25, 0.25, Side.MINUS)],
+    ids=["plus-2pct-stronger", "minus-2pct-stronger", "tie"],
+)
+def test_haed_takes_the_stronger_neighbour(pat10, p_minus, p_plus, side):
+    """The contrast uses the stronger adjacent direction, even 2% stronger; ties take the lower."""
+    v = np.zeros((36, 16))
+    v[[9, 10, 11], 5] = p_minus, 1.0, p_plus
+    padp = Padp(values=v, angles=2 * np.pi * np.arange(36) / 36, delays=np.arange(16.0) * 0.5e-9)
+    (est,) = haed_refine(padp, [(10, 5, 1.0)], pat10)
+    assert est.side is side
+    p_adj = max(p_minus, p_plus)
+    assert est.chi_hat == pytest.approx((1.0 - p_adj) / (1.0 + p_adj), rel=1e-15)
+    # the arrival lies towards the stronger neighbour, inside half a scan step
+    sign = 1 if side is Side.PLUS else -1
+    assert 0 <= sign * est.eps < padp.asi / 2 and not est.clamped
+
+
 def test_resolvability_contract(cfg, arr36, pat10):
     # separable either in delay (> one bin) or in angle (> 3 * hpbw)
     mpcs = [

@@ -586,3 +586,27 @@ def test_serial_sweep_and_offset_study_allocate_one_workspace(arr36, pat10, monk
     assert made == [(arr36.m, CFG.k)]
     uniform_offset_study(6, seed=1, cfg=CFG, arr=arr36, pat=pat10)
     assert made == [(arr36.m, CFG.k)] * 2
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_o1_o2_haed_rows_do_not_depend_on_haed_plus(arr36, pat10, monkeypatch, seed):
+    """On-grid noisy maps are the same whether or not haed+ asks for their responses h."""
+    import padpkit.experiments as exp
+
+    kept, simulate = [], exp.simulate_padp
+
+    def spy(*args, keep_cfr=True, **kw):
+        kept.append(keep_cfr)
+        return simulate(*args, keep_cfr=keep_cfr, **kw)
+
+    monkeypatch.setattr(exp, "simulate_padp", spy)
+    base = (Method.O1, Method.O2, Method.HAED)
+    without = run_sweep(_small_mc(trials=6, methods=base, seed=seed), CFG, arr36, pat10)
+    assert kept and not any(kept)
+    kept.clear()
+    mc = _small_mc(trials=6, methods=base + (Method.HAED_PLUS,), seed=seed)
+    with_plus = run_sweep(mc, CFG, arr36, pat10)
+    assert kept and all(kept)
+    assert _fingerprint(without) == _fingerprint(
+        [r for r in with_plus if r.method is not Method.HAED_PLUS]
+    )

@@ -481,6 +481,28 @@ def test_cli_simulate_deterministic(tmp_path):
     assert out1.read_bytes() != out3.read_bytes()
 
 
+def test_cli_simulate_padp_does_not_depend_on_cfr_out(tmp_path, monkeypatch):
+    """Without --cfr-out no phases are drawn, and the noisy on-grid PADP bytes are the same."""
+    import padpkit.cli as cli_module
+
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["sounding"]["sigma2"] = 0.1
+    sc = scenario_file(tmp_path, doc)
+    kept, simulate = [], cli_module.simulate_padp
+
+    def spy(*args, **kw):
+        kept.append(kw["keep_cfr"])
+        return simulate(*args, **kw)
+
+    monkeypatch.setattr(cli_module, "simulate_padp", spy)
+    plain, with_cfr = tmp_path / "plain.padp", tmp_path / "with_cfr.padp"
+    assert main(["simulate", "--scenario", str(sc), "--out", str(plain), "--seed", "5"]) == 0
+    assert main(["simulate", "--scenario", str(sc), "--out", str(with_cfr), "--seed", "5",
+                 "--cfr-out", str(tmp_path / "scan.npy")]) == 0
+    assert kept == [False, True]
+    assert plain.read_bytes() == with_cfr.read_bytes()
+
+
 def test_cli_estimate_pipeline(tmp_path):
     sc = scenario_file(tmp_path)
     padp_path = tmp_path / "sim.padp"

@@ -265,6 +265,17 @@ def test_keep_cfr_does_not_change_values(cfg_small, arr36, pat10, mpc_13deg):
     np.testing.assert_array_equal(without.values, with_cfr.values)
 
 
+def _assert_white_with_height_1(w):
+    """The bounds of ``test_noise_moments`` plus adjacent-bin correlation below 0.01."""
+    power = np.mean(np.abs(w) ** 2)
+    assert power == pytest.approx(1.0, abs=0.01)
+    assert abs(np.mean(w.real)) < 0.005 and abs(np.mean(w.imag)) < 0.005
+    assert np.var(w.real) == pytest.approx(0.5, abs=0.005)
+    assert np.var(w.imag) == pytest.approx(0.5, abs=0.005)
+    adjacent = np.mean(w[:, 1:] * np.conj(w[:, :-1]))
+    assert abs(adjacent) / power < 0.01
+
+
 def test_delay_domain_noise_is_white_with_height_sigma2(pat10):
     """Noise drawn in delay has the spectral-model statistics in both domains.
 
@@ -279,13 +290,127 @@ def test_delay_domain_noise_is_white_with_height_sigma2(pat10):
     w_freq = p.spectra() - s
     w_delay = p.h - cfr_to_cir(s, cfg)
     for w in (w_delay, w_freq):
-        power = np.mean(np.abs(w) ** 2)
-        assert power == pytest.approx(1.0, abs=0.01)
-        assert abs(np.mean(w.real)) < 0.005 and abs(np.mean(w.imag)) < 0.005
-        assert np.var(w.real) == pytest.approx(0.5, abs=0.005)
-        assert np.var(w.imag) == pytest.approx(0.5, abs=0.005)
-        adjacent = np.mean(w[:, 1:] * np.conj(w[:, :-1]))
-        assert abs(adjacent) / power < 0.01
+        _assert_white_with_height_1(w)
+
+
+@pytest.mark.parametrize(
+    "taus_ns", [(25.0, 30.5), (25.0, 25.0, 250.0)], ids=["two-bins", "shared-bin"]
+)
+def test_on_grid_h_is_white_in_both_domains(pat10, taus_ns):
+    """The power-and-phase draw keeps h white with height sigma2, several arrivals included."""
+    cfg = SoundingConfig(fc=37.5e9, bw=2e9, k=1000, sigma2=1.0)
+    arr = ArrayConfig(m=1000)
+    mpcs = [
+        MpcTruth(0.5 + i, 0.4 * i, t * 1e-9, np.radians(13.0 + 40 * i))
+        for i, t in enumerate(taus_ns)
+    ]
+    assert synthesis._on_grid_bins(np.array(taus_ns) * 1e-9, cfg) is not None
+    p = simulate_padp(mpcs, arr, pat10, cfg, seed=5, keep_cfr=True)
+    s = synth_cfr(mpcs, arr, pat10, cfg)
+    _assert_white_with_height_1(p.h - cfr_to_cir(s, cfg))
+    _assert_white_with_height_1(p.spectra() - s)
+
+
+def _on_grid_noise_map(keep_cfr, seed=3, sigma2=2.0):
+    """A 1000 x 1000 noisy map of one on-grid arrival (bin 50) and its zero-response cells."""
+    cfg = SoundingConfig(fc=37.5e9, bw=2e9, k=1000, sigma2=sigma2)
+    mpc = MpcTruth(alpha=1.0, phase=0.4, tau=25e-9, phi=np.radians(13.0))
+    pat = AntennaPattern.gaussian(100.0, np.radians(10.0))
+    p = simulate_padp([mpc], ArrayConfig(m=1000), pat, cfg, seed=seed, keep_cfr=keep_cfr)
+    zero = np.ones(cfg.k, dtype=bool)
+    zero[50] = False
+    return p, zero
+
+
+def test_zero_response_power_is_sigma2_times_exp1():
+    """Off the arrival's bin |h|**2 follows sigma2 * Exp(1): moments and a KS bound."""
+    sigma2 = 2.0
+    p, zero = _on_grid_noise_map(keep_cfr=False, sigma2=sigma2)
+    x = np.sort(p.values[:, zero].ravel()) / sigma2
+    n = x.size
+    assert np.mean(x) == pytest.approx(1.0, abs=0.005)
+    assert np.var(x) == pytest.approx(1.0, abs=0.02)
+    # Kolmogorov-Smirnov distance to 1 - exp(-x); 1.63 / sqrt(n) is the 1% critical value
+    cdf = -np.expm1(-x)
+    ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    assert ks < 1.63 / np.sqrt(n)
+    # the arrival's own column carries the signal: far above the noise
+    assert np.min(p.values[30:60, 50]) > 100 * sigma2
+
+
+def test_zero_response_phases_are_uniform_and_independent_of_the_power():
+    p, zero = _on_grid_noise_map(keep_cfr=True)
+    h, power = p.h[:, zero].ravel(), p.values[:, zero].ravel()
+    np.testing.assert_allclose(np.abs(h) ** 2, power, rtol=1e-14, atol=0)
+    theta = np.angle(h)
+    n = theta.size
+    u = np.sort((theta + np.pi) / (2 * np.pi))
+    ks = max(np.max(np.arange(1, n + 1) / n - u), np.max(u - np.arange(n) / n))
+    assert ks < 1.63 / np.sqrt(n)
+    # independence: the phase's first two circular moments vanish in each power quartile
+    quartile = np.searchsorted(np.quantile(power, [0.25, 0.5, 0.75]), power)
+    for q in range(4):
+        t = theta[quartile == q]
+        for order in (1, 2):
+            assert abs(np.mean(np.exp(1j * order * t))) < 4.0 / np.sqrt(t.size)
+    assert abs(np.mean(power * np.exp(1j * theta))) / np.mean(power) < 4.0 / np.sqrt(n)
+
+
+def test_on_grid_map_draws_in_the_documented_order(cfg_small, arr36, pat10):
+    """Complex noise on the signal column, then the power of every cell, then the phases."""
+    cfg = replace(cfg_small, sigma2=0.7)
+    mpcs = [MpcTruth(1.0, 0.3, 25e-9, np.radians(13.0)), MpcTruth(0.6, 1.1, 25e-9, 2.0)]
+    got = simulate_padp(mpcs, arr36, pat10, cfg, seed=8, keep_cfr=False)
+    signal = synth_cfr(mpcs, arr36, pat10, cfg)
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal((arr36.m, 1, 2)) * np.sqrt(cfg.sigma2 / 2)
+    want = rng.standard_exponential((arr36.m, cfg.k)) * cfg.sigma2
+    want[:, 50] = np.abs(cfr_to_cir(signal, cfg)[:, 50] + w[..., 0, 0] + 1j * w[..., 0, 1]) ** 2
+    np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(got.values[:, :50], want[:, :50])
+
+
+def test_keep_cfr_draws_phases_after_the_map(cfg_small, arr36, pat10, mpc_13deg):
+    """Without h the phase draw is skipped; the map is the same either way."""
+    cfg = replace(cfg_small, sigma2=0.5)
+    rng_without, rng_with = np.random.default_rng(6), np.random.default_rng(6)
+    without = simulate_padp([mpc_13deg], arr36, pat10, cfg, seed=rng_without, keep_cfr=False)
+    with_h = simulate_padp([mpc_13deg], arr36, pat10, cfg, seed=rng_with, keep_cfr=True)
+    assert without.values.tobytes() == with_h.values.tobytes()
+    assert without.h is None
+    # the phases drew m * k uniforms more from the shared generator
+    rng_without.random(arr36.m * cfg.k)
+    assert rng_without.random() == rng_with.random()
+    np.testing.assert_allclose(np.abs(with_h.h) ** 2, with_h.values, rtol=1e-14, atol=0)
+
+
+def test_on_grid_bins():
+    cfg = SoundingConfig(fc=37.5e9, bw=2e9, k=64)
+    dt = cfg.delta_tau
+    bins = synthesis._on_grid_bins
+    np.testing.assert_array_equal(bins(np.array([3 * dt, 0.0, 3 * dt]), cfg), [0, 3])
+    np.testing.assert_array_equal(bins(np.array([25e-9, 5e-9]), cfg), [10, 50])
+    assert bins(np.array([(7 + 2e-10) * dt]), cfg) is not None
+    assert bins(np.array([(7 + 1e-8) * dt]), cfg) is None
+    assert bins(np.array([3 * dt, 7.5 * dt]), cfg) is None
+    assert bins(np.array([63 * dt]), cfg) is not None
+    assert bins(np.array([64 * dt]), cfg) is None  # beyond the grid: aliases
+
+
+def test_add_noise_power_follows_the_complex_draw():
+    s = np.full((3, 2), 0.5 - 0.25j)
+    power = np.empty((3, 7))
+    w = add_noise(s, 2.0, seed=4, power=power)
+    rng = np.random.default_rng(4)
+    want_w = s + rng.standard_normal((3, 2, 2)).view(complex)[..., 0]  # sigma2 / 2 = 1
+    np.testing.assert_allclose(w, want_w, rtol=1e-15)
+    np.testing.assert_array_equal(power, rng.standard_exponential((3, 7)) * 2.0)
+    add_noise(s, 0.0, seed=4, power=power)
+    assert not power.any()
+    with pytest.raises(ValueError, match="power"):
+        add_noise(s, 1.0, seed=4, power=np.empty((3, 7), dtype=np.float32))
+    with pytest.raises(ValueError, match="power"):
+        add_noise(s, 1.0, seed=4, power=np.empty((3, 14))[:, ::2])
 
 
 def test_cached_grids_are_read_only_and_equal_the_formulas(cfg_full):
