@@ -25,6 +25,7 @@ K * pu * g_tx**2.
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,8 +60,9 @@ class PeakConfig:
     noise_floor_db_offset: float = 6.0
 
     def __post_init__(self):
-        if self.noise_floor_db_offset <= 0:
-            raise ValueError("noise_floor_db_offset must be positive")
+        x = self.noise_floor_db_offset
+        if not 0 < x < math.inf:  # NaN fails the comparison too
+            raise ValueError(f"noise_floor_db_offset must be finite and positive, got {x!r}")
 
 
 @dataclass(frozen=True)

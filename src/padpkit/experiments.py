@@ -84,7 +84,9 @@ class MonteCarloConfig:
 class ErrorStats:
     """Summary of one error-sample population.
 
-    ``failures`` counts trials whose estimator raised; they are also misses.
+    ``mc_stderr`` is std/sqrt(n) of the sample: the standard error of
+    ``mean_err``, not of ``rmsee``.  ``failures`` counts trials whose
+    estimator raised; they are also misses.
     """
 
     rmsee: float

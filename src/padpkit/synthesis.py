@@ -31,11 +31,11 @@ frequency phase ramp, identical to the direct sum.
    noise-free response is zero on every other bin, and there |h|^2 is
    exactly sigma2 * Exp(1), with a uniform phase independent of it.
    Such maps draw, from one generator, the complex noise on the
-   arrivals' bins, then one exponential per cell for the power of the
-   whole map (instead of two normals), and then, only when h is kept
-   (``keep_cfr``), the phases, so the map does not depend on whether h is
-   read.  Off-grid delays leak into every bin and keep the complex draw
-   of the whole map;
+   arrivals' bins (``add_noise``), then one exponential per cell for the
+   power of the whole map (instead of two normals), and then, only when
+   h is kept (``keep_cfr``), the phases, so the map does not depend on
+   whether h is read.  Off-grid delays leak into every bin and keep the
+   complex draw of the whole map;
 3. the power map is |h|^2 (drawn as power off the arrivals' bins on
    on-grid maps), and the responses h ride along on the Padp
    (``Padp.h``): nothing rebuilds the full-map spectra.  Estimators that
@@ -43,15 +43,14 @@ frequency phase ramp, identical to the direct sum.
    (``Padp.spectra``), and all rows are transformed only where spectra
    leave the program (``simulate --cfr-out``).
 
-Monte Carlo loops pass a ``Workspace``: every map-sized array of a trial
-is then written into the same two buffers, so a trial allocates (and
-page-faults) no new map.
+Every map is written into the two buffers of a ``Workspace``.  Monte
+Carlo loops pass one and reuse it, so a trial allocates (and page-faults)
+no new map; a call without one builds one for that call.
 """
 
 import functools
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -280,28 +279,21 @@ def synth_cfr(mpcs, arr, pat, cfg):
     return weights @ ramps
 
 
-def add_noise(s, sigma2, seed, out=None, power=None):
+def add_noise(s, sigma2, seed, out=None):
     """Add circularly symmetric white Gaussian noise of spectral height sigma2.
 
     Real and imaginary parts each carry variance sigma2/2.  Deterministic
-    for a given seed (int, SeedSequence or Generator).  Returns a new
-    array, or the complex view of ``out``: a C-contiguous float64 array of
-    shape ``s.shape + (2,)`` that receives the interleaved (re, im) result.
+    for a given seed (int, SeedSequence or Generator; a Generator is used
+    as is, so the caller can draw on from it).  Returns a new array, or
+    the complex view of ``out``: a C-contiguous float64 array of shape
+    ``s.shape + (2,)`` that receives the interleaved (re, im) result.
     ``s`` is not modified.
-
-    ``power``, when given, is a C-contiguous float64 array that then
-    receives, from the same generator, sigma2 * Exp(1) per cell: the power
-    |w|**2 of noise alone, drawn as power, with no phase.  That is the law
-    of |h|**2 wherever the noise-free response is zero, and
-    ``simulate_padp`` uses it there.
     """
     if not 0.0 <= sigma2 < math.inf:
         raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2!r}")
-    if power is not None and (power.dtype != np.float64 or not power.flags.c_contiguous):
-        raise ValueError("power must be a C-contiguous float64 array")
     shape = (*np.shape(s), 2)
     if out is None:
-        if sigma2 == 0 and power is None:
+        if sigma2 == 0:
             return np.array(s, copy=True)
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
@@ -311,16 +303,11 @@ def add_noise(s, sigma2, seed, out=None, power=None):
     w = out.view(np.complex128)[..., 0]
     if sigma2 == 0:
         w[...] = s
-        if power is not None:
-            power.fill(0.0)
         return w
     rng = np.random.default_rng(seed)
     rng.standard_normal(out=out)
     out *= np.sqrt(sigma2 / 2.0)  # the real scale of the complex view, on its float pairs
     w += s
-    if power is not None:
-        rng.standard_exponential(out=power)
-        power *= sigma2
     return w
 
 
@@ -332,22 +319,17 @@ def _band_start_ramp(f_start, delays):
     return np.exp(2j * np.pi * f_start * delays)
 
 
-def cfr_to_cir(y, cfg, method="fft"):
+def cfr_to_cir(y, cfg):
     """Delay-domain responses h_m(tau_j) from received spectra.
 
-    method='fft' evaluates the sum as sqrt(K) * ifft plus the phase ramp of
-    the band start frequency; method='direct' forms the full exponential sum
-    (reference path used by the tests).
+    Evaluates the sum of the module docstring as sqrt(K) * ifft times the
+    phase ramp of the band start frequency; the tests hold the direct
+    exponential sum as its reference.
     """
     y = np.asarray(y)
     k = cfg.k
     if y.shape[-1] != k:
         raise ValueError("spectrum length must equal cfg.k")
-    if method == "direct":
-        kernel = np.exp(2j * np.pi * np.outer(cfg.freqs, cfg.delays))
-        return (y @ kernel) / np.sqrt(k)
-    if method != "fft":
-        raise ValueError(f"unknown method {method!r}")
     return np.sqrt(k) * np.fft.ifft(y, axis=-1) * cfg._start_ramp
 
 
@@ -388,6 +370,8 @@ class Workspace:
     for the phase draw.  About 1.15 MB at 36 x 1001.  A Padp built on a
     workspace shares these arrays, so the next ``simulate_padp`` call on
     the same workspace overwrites it; a workspace belongs to one thread.
+    A call given no workspace builds one of its own, which its Padp then
+    keeps alive.
     """
 
     def __init__(self, m, k):
@@ -396,10 +380,6 @@ class Workspace:
         self.h = self.noise.view(np.complex128)[..., 0]
         halves = self.signal.reshape(-1).view(np.float64).reshape(2, m, k)
         self.power, self.scratch = halves
-
-
-# no buffers: every step of the complex-draw path allocates its result
-_FRESH = SimpleNamespace(h=None, signal=None, noise=None, power=None)
 
 
 # an arrival delay within this many delay bins of a bin is on the grid
@@ -433,7 +413,9 @@ def _on_grid_map(signal, cols, sigma2, seed, keep_cfr, ws):
     scaled in float64, so |h|**2 is the map to rounding.
     """
     rng = np.random.default_rng(seed)
-    h_cols = add_noise(signal, sigma2, rng, power=ws.power)
+    h_cols = add_noise(signal, sigma2, rng)
+    rng.standard_exponential(out=ws.power)
+    ws.power *= sigma2
     ws.power[:, cols] = pdp(h_cols)
     if not keep_cfr:
         return None
@@ -465,21 +447,25 @@ def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
     ``keep_cfr=False`` leaves ``h`` off, so the Padp carries the power
     map only; on a noisy map whose arrivals all sit on delay bins it also
     skips drawing the phases of h, and the map is the same either way.
-    With a ``Workspace`` of the map's shape, the map and ``h`` are written
-    into its buffers instead of new arrays, and the Padp is valid only
-    until the workspace's next call.
+    The map and ``h`` are written into the buffers of ``workspace``, a
+    ``Workspace`` of the map's shape, and the Padp is valid only until the
+    workspace's next call.  Without one the call builds its own, and the
+    Padp holds its blocks: the map is half of a 576 kB block (at 36 x
+    1001), twice the map's own size, and ``h`` fills the other block.
     """
-    if workspace is not None and workspace.signal.shape != (arr.m, cfg.k):
-        raise ValueError(f"workspace shape {workspace.signal.shape} != map shape {(arr.m, cfg.k)}")
     alpha, phase, phi, tau = _truth_params(mpcs)
     weights = _arrival_weights(alpha, phase, phi, arr, pat, cfg)
     responses = _delay_responses(tuple(tau.tolist()), cfg._band)
     cols = _on_grid_bins(tau, cfg) if cfg.sigma2 > 0 else None
+    # built after the small arrays above: built first, its blocks land elsewhere in
+    # glibc's heap, and a CLI simulate, estimate, crlb and offset-study pass in one
+    # process page-faults twice as often (about 500 against 250 faults)
+    ws = Workspace(arr.m, cfg.k) if workspace is None else workspace
+    if ws.signal.shape != (arr.m, cfg.k):
+        raise ValueError(f"workspace shape {ws.signal.shape} != map shape {(arr.m, cfg.k)}")
     if cols is not None:
-        ws = Workspace(arr.m, cfg.k) if workspace is None else workspace
         h = _on_grid_map(weights @ responses[:, cols], cols, cfg.sigma2, seed, keep_cfr, ws)
         return assemble_padp(ws.power, arr, cfg, h=h)
-    ws = _FRESH if workspace is None else workspace
     if cfg.sigma2 == 0:
         h = np.matmul(weights, responses, out=ws.h)
     else:

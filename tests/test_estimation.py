@@ -87,6 +87,13 @@ def test_peak_config_validation():
         PeakConfig(noise_floor_db_offset=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_peak_config_rejects_non_finite_thresholds(bad):
+    """A NaN threshold would silently detect nothing, and +inf likewise."""
+    with pytest.raises(ValueError, match="^noise_floor_db_offset must be finite and positive"):
+        PeakConfig(noise_floor_db_offset=bad)
+
+
 @pytest.fixture(scope="module")
 def cfg():
     return SoundingConfig(fc=37.5e9, bw=2e9, k=K_SMALL, pu=1.0, sigma2=0.0)

@@ -645,6 +645,23 @@ def test_cli_estimate_haed_plus_needs_cfr(tmp_path, capsys):
     assert "haed+" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "montecarlo"])
+def test_cli_non_finite_threshold_exits_2(tmp_path, capsys, command):
+    sc = scenario_file(tmp_path)
+    padp_path, out = tmp_path / "sim.padp", tmp_path / "x.csv"
+    main(["simulate", "--scenario", str(sc), "--out", str(padp_path)])
+    argv = {
+        "estimate": ["estimate", "--padp", str(padp_path), "--scenario", str(sc)],
+        "montecarlo": ["montecarlo", "--scenario", str(sc), "--sweep", "output-snr",
+                       "--values", "30", "--trials", "2"],
+    }[command]
+    capsys.readouterr()
+    rc = main([*argv, "--threshold-db", "nan", "--out", str(out)])
+    assert rc == 2
+    assert "noise_floor_db_offset must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_estimate_pattern_flags(tmp_path):
     sc = scenario_file(tmp_path)
     padp_path = tmp_path / "sim.padp"

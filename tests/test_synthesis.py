@@ -131,20 +131,27 @@ def test_noise_moments():
     assert np.var(w.real) == pytest.approx(0.5, abs=0.005)
 
 
+def _cir_direct(y, cfg):
+    """The delay transform as the full exponential sum: the reference for ``cfr_to_cir``."""
+    kernel = np.exp(2j * np.pi * np.outer(cfg.freqs, cfg.delays))
+    return (y @ kernel) / np.sqrt(cfg.k)
+
+
 def test_cir_fft_equals_direct():
     cfg = SoundingConfig(fc=37.5e9, bw=2e9, k=64)
     rng = np.random.default_rng(3)
     y = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
     h_fft = cfr_to_cir(y, cfg)
-    h_dir = cfr_to_cir(y, cfg, method="direct")
+    h_dir = _cir_direct(y, cfg)
     assert np.max(np.abs(h_fft - h_dir)) / np.max(np.abs(h_dir)) < 1e-9
 
 
 def test_cir_constant_row():
     cfg = SoundingConfig(fc=37.5e9, bw=2e9, k=8)
     c = 0.7 - 0.2j
-    h = cfr_to_cir(np.full((1, 8), c), cfg, method="direct")
-    assert abs(h[0, 0]) == pytest.approx(np.sqrt(8) * abs(c), rel=1e-12)
+    y = np.full((1, 8), c)
+    for h in (_cir_direct(y, cfg), cfr_to_cir(y, cfg)):
+        assert abs(h[0, 0]) == pytest.approx(np.sqrt(8) * abs(c), rel=1e-12)
 
 
 def test_parseval(cfg_full):
@@ -397,22 +404,6 @@ def test_on_grid_bins():
     assert bins(np.array([64 * dt]), cfg) is None  # beyond the grid: aliases
 
 
-def test_add_noise_power_follows_the_complex_draw():
-    s = np.full((3, 2), 0.5 - 0.25j)
-    power = np.empty((3, 7))
-    w = add_noise(s, 2.0, seed=4, power=power)
-    rng = np.random.default_rng(4)
-    want_w = s + rng.standard_normal((3, 2, 2)).view(complex)[..., 0]  # sigma2 / 2 = 1
-    np.testing.assert_allclose(w, want_w, rtol=1e-15)
-    np.testing.assert_array_equal(power, rng.standard_exponential((3, 7)) * 2.0)
-    add_noise(s, 0.0, seed=4, power=power)
-    assert not power.any()
-    with pytest.raises(ValueError, match="power"):
-        add_noise(s, 1.0, seed=4, power=np.empty((3, 7), dtype=np.float32))
-    with pytest.raises(ValueError, match="power"):
-        add_noise(s, 1.0, seed=4, power=np.empty((3, 14))[:, ::2])
-
-
 def test_cached_grids_are_read_only_and_equal_the_formulas(cfg_full):
     cfg = SoundingConfig(fc=cfg_full.fc, bw=cfg_full.bw, k=cfg_full.k)
     f_start = cfg.fc - 0.5 * cfg.bw
@@ -453,6 +444,23 @@ def test_workspace_call_equals_the_plain_call(cfg_small, arr36, pat10, sigma2):
     assert got.values.tobytes() == plain.values.tobytes()
     assert got.h.tobytes() == plain.h.tobytes()
     assert np.shares_memory(got.values, ws.signal) and np.shares_memory(got.h, ws.noise)
+
+
+@pytest.mark.parametrize(
+    "sigma2, tau", [(0.5, 25e-9), (0.5, 40.2e-9), (0.0, 40.2e-9)],
+    ids=["on-grid-noisy", "off-grid-noisy", "noise-free"],
+)
+def test_a_call_without_a_workspace_owns_its_buffers(cfg_small, arr36, pat10, sigma2, tau):
+    """Its Padp keeps its map and h through a second call without a workspace."""
+    cfg = replace(cfg_small, sigma2=sigma2)
+    mpcs = [MpcTruth(1.0, 0.3, tau, np.radians(13.0))]
+    first = simulate_padp(mpcs, arr36, pat10, cfg, seed=1)
+    kept = first.values.copy(), first.h.copy()
+    second = simulate_padp(mpcs, arr36, pat10, replace(cfg, pu=4.0), seed=2)
+    assert first.values.tobytes() == kept[0].tobytes() and first.h.tobytes() == kept[1].tobytes()
+    assert not np.shares_memory(first.values, second.values)
+    assert not np.shares_memory(first.h, second.h)
+    assert not np.array_equal(first.values, second.values)
 
 
 def test_next_workspace_call_overwrites_the_previous_padp(cfg_small, arr36, pat10, mpc_13deg):
