@@ -26,16 +26,18 @@ frequency phase ramp, identical to the direct sum.
 2. the noise is drawn directly in delay: T is unitary, so it maps white
    noise of height sigma2 to white noise of the same height and the same
    distribution, and drawing it after the transform is exact, not an
-   approximation (noise-free configs skip this step).  When every
-   arrival sits on a delay bin (tau * bw within 1e-9 of an integer), the
-   noise-free response is zero on every other bin, and there |h|^2 is
-   exactly sigma2 * Exp(1), with a uniform phase independent of it.
-   Such maps draw, from one generator, the complex noise on the
-   arrivals' bins (``add_noise``), then one exponential per cell for the
-   power of the whole map (instead of two normals), and then, only when
-   h is kept (``keep_cfr``), the phases, so the map does not depend on
-   whether h is read.  Off-grid delays leak into every bin and keep the
-   complex draw of the whole map;
+   approximation (noise-free configs skip this step).  Every complex
+   noise sample is drawn as power and phase: sigma2 * Exp(1) and an
+   independent uniform phase, which is circular Gaussian noise (the
+   Box-Muller identity, ``add_noise``).  Off-grid delays leak into
+   every bin, so their maps draw the complex noise of every cell, all
+   the powers and then all the phases.  When every arrival sits on a
+   delay bin (tau * bw within 1e-9 of an integer), the noise-free
+   response is zero on every other bin, and there |h|^2 is just the
+   noise power.  Such maps draw, from one generator, the complex noise
+   on the arrivals' bins, then one exponential per cell for the power
+   of the whole map, and then, only when h is kept (``keep_cfr``), the
+   phases, so the map does not depend on whether h is read;
 3. the power map is |h|^2 (drawn as power off the arrivals' bins on
    on-grid maps), and the responses h ride along on the Padp
    (``Padp.h``): nothing rebuilds the full-map spectra.  Estimators that
@@ -116,7 +118,7 @@ class SoundingConfig:
 
     @functools.cached_property
     def _start_ramp(self):
-        return _read_only(_band_start_ramp(_band_start(self), self.delays))
+        return _band_start_ramp(_band_start(self), self.delays.tobytes())
 
     @functools.cached_property
     def _band(self):
@@ -222,11 +224,12 @@ class Padp:
     def spectra(self, rows=slice(None)):
         """Complex spectra of the scan ``rows`` (all by default), from ``h``.
 
-        The inverse of the delay transform, applied to those rows only.
+        The inverse of the delay transform, applied to those rows only.  The
+        band-start phase ramp comes from a cache shared by maps on one grid.
         """
         if self.h is None:
             raise ValueError("Padp carries no delay responses (h)")
-        ramp = _band_start_ramp(self.f_start, self.delays)
+        ramp = _band_start_ramp(self.f_start, self.delays.tobytes())
         return np.fft.fft(self.h[rows] * ramp.conj(), axis=-1, norm="ortho")
 
 
@@ -282,41 +285,73 @@ def synth_cfr(mpcs, arr, pat, cfg):
 def add_noise(s, sigma2, seed, out=None):
     """Add circularly symmetric white Gaussian noise of spectral height sigma2.
 
-    Real and imaginary parts each carry variance sigma2/2.  Deterministic
-    for a given seed (int, SeedSequence or Generator; a Generator is used
-    as is, so the caller can draw on from it).  Returns a new array, or
-    the complex view of ``out``: a C-contiguous float64 array of shape
-    ``s.shape + (2,)`` that receives the interleaved (re, im) result.
-    ``s`` is not modified.
+    Each sample is drawn as power and phase, w = sqrt(sigma2 * E) e^{j theta}
+    with E ~ Exp(1) and theta uniform on [0, 2 pi): |w|**2 is sigma2 times
+    an exponential, so real and imaginary parts are independent
+    N(0, sigma2/2) (Box-Muller).  One generator draws E for every sample
+    (float64), then the uniforms.  The amplitude sqrt(sigma2 * E), theta,
+    its cos and sin, and so the noise components are float32 (about 1e-7
+    relative, phases within 5e-7 rad); the sum with ``s`` is float64.
+    Deterministic for a given seed (int, SeedSequence or Generator; a
+    Generator is used as is, so the caller can draw on from it).
+
+    Without ``out`` returns a new array and leaves ``s`` as it is.  With
+    ``out``, a C-contiguous float64 array of shape ``s.shape + (2,)``,
+    returns its complex view holding the interleaved (re, im) result;
+    ``out`` is scratch for the draw, and ``s``, then a writeable complex128
+    array, receives the sum too, so no map-sized temporary is allocated.
     """
     if not 0.0 <= sigma2 < math.inf:
         raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2!r}")
     shape = (*np.shape(s), 2)
     if out is None:
-        if sigma2 == 0:
-            return np.array(s, copy=True)
         out = np.empty(shape)
+        s = np.array(s, dtype=np.complex128)  # the sum's buffer: a copy, so s is kept
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
-    # one draw of interleaved (re, im) pairs, viewed as complex and
-    # scaled and shifted in place: no further (m, k) temporaries
+    elif s.dtype != np.complex128 or not s.flags.writeable or np.may_share_memory(s, out):
+        raise ValueError("s must be a writeable complex128 array apart from out")
     w = out.view(np.complex128)[..., 0]
-    if sigma2 == 0:
-        w[...] = s
-        return w
-    rng = np.random.default_rng(seed)
-    rng.standard_normal(out=out)
-    out *= np.sqrt(sigma2 / 2.0)  # the real scale of the complex view, on its float pairs
-    w += s
+    if sigma2 != 0:
+        # out as scratch, in float32 quarters: the float64 power fills the
+        # first two, then cos the first, sin the third and the amplitude the last
+        power = out.reshape(-1)[: s.size].reshape(s.shape)
+        cos, _, sin, amp = out.reshape(-1).view(np.float32).reshape(4, *s.shape)
+        rng = np.random.default_rng(seed)
+        rng.standard_exponential(out=power)
+        power *= sigma2
+        np.sqrt(power, out=amp, casting="same_kind")
+        _uniform_phases(rng, cos, sin)
+        cos *= amp
+        sin *= amp
+        s.real += cos
+        s.imag += sin
+    w[...] = s
     return w
+
+
+def _uniform_phases(rng, cos, sin):
+    """Draw phases theta uniform on [0, 2 pi) into ``sin`` and write cos and sin of them.
+
+    ``cos`` and ``sin`` are float32 arrays of one shape; theta is float32 too.
+    """
+    rng.random(dtype=np.float32, out=sin)
+    sin *= np.float32(2.0 * np.pi)
+    np.cos(sin, out=cos)
+    np.sin(sin, out=sin)
 
 
 def _band_start(cfg):
     return cfg.fc - 0.5 * cfg.bw
 
 
+@functools.lru_cache(maxsize=8)
 def _band_start_ramp(f_start, delays):
-    return np.exp(2j * np.pi * f_start * delays)
+    """exp(j 2 pi f_start tau) on the delays given as float64 bytes, read-only.
+
+    Cached, because every map of a sweep or a file shares its grid.
+    """
+    return _read_only(np.exp(2j * np.pi * f_start * np.frombuffer(delays)))
 
 
 def cfr_to_cir(y, cfg):
@@ -363,11 +398,14 @@ def assemble_padp(pdps, arr, cfg, h=None):
 class Workspace:
     """Map-sized buffers that ``simulate_padp`` reuses from one call to the next.
 
-    ``noise`` is an (m, k, 2) float64 block: the noise draw, and then the
-    delay responses ``h`` (its complex view).  ``signal`` is an (m, k)
-    complex block: the noise-free responses, and then, in its first half,
-    the power map; on-grid noisy maps use its second half (``scratch``)
-    for the phase draw.  About 1.15 MB at 36 x 1001.  A Padp built on a
+    ``noise`` is an (m, k, 2) float64 block: scratch for the noise draw
+    (powers, phases and their cos and sin), and then the delay responses
+    ``h`` (its complex view).  ``signal`` is an (m, k) complex block: the
+    noise-free responses, on off-grid noisy maps then their sum with the
+    noise (``add_noise`` forms it there before copying it to ``h``), and
+    then, in its first half, the power map; on-grid noisy maps use its
+    second half (``scratch``) for the phase draw.  About 1.15 MB at
+    36 x 1001.  A Padp built on a
     workspace shares these arrays, so the next ``simulate_padp`` call on
     the same workspace overwrites it; a workspace belongs to one thread.
     A call given no workspace builds one of its own, which its Padp then
@@ -419,14 +457,9 @@ def _on_grid_map(signal, cols, sigma2, seed, keep_cfr, ws):
     ws.power[:, cols] = pdp(h_cols)
     if not keep_cfr:
         return None
-    n = ws.power.size
-    theta = ws.noise.reshape(-1).view(np.float32)[:n].reshape(ws.power.shape)
     cos, sin = ws.scratch.reshape(-1).view(np.float32).reshape(2, *ws.power.shape)
     re, im = ws.noise[..., 0], ws.noise[..., 1]
-    rng.random(out=ws.scratch)
-    np.multiply(ws.scratch, 2.0 * np.pi, out=theta, casting="same_kind")
-    np.cos(theta, out=cos)
-    np.sin(theta, out=sin)
+    _uniform_phases(rng, cos, sin)
     # scale = sqrt(P / (cos^2 + sin^2)), formed in re; the squares are exact in float64
     np.multiply(cos, cos, out=re, dtype=np.float64)
     np.multiply(sin, sin, out=im, dtype=np.float64)

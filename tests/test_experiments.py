@@ -610,3 +610,14 @@ def test_o1_o2_haed_rows_do_not_depend_on_haed_plus(arr36, pat10, monkeypatch, s
     assert _fingerprint(without) == _fingerprint(
         [r for r in with_plus if r.method is not Method.HAED_PLUS]
     )
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_off_grid_haed_rows_do_not_depend_on_haed_plus(arr36, pat10, seed):
+    """Off-grid noisy maps draw the same noise whether or not haed+ reads their responses h."""
+    mc = replace(_small_mc(trials=6, methods=(Method.HAED,), seed=seed), off_grid_delay=True)
+    without = run_sweep(mc, CFG, arr36, pat10)
+    with_plus = run_sweep(replace(mc, methods=(Method.HAED, Method.HAED_PLUS)), CFG, arr36, pat10)
+    assert _fingerprint(without) == _fingerprint(
+        [r for r in with_plus if r.method is not Method.HAED_PLUS]
+    )

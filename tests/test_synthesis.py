@@ -1,4 +1,5 @@
 from dataclasses import replace
+from math import erfc
 
 import numpy as np
 import pytest
@@ -264,6 +265,20 @@ def test_kept_spectra_reproduce_the_map(cfg_small, arr36, pat10, mpc_13deg):
     np.testing.assert_array_equal(p.spectra([4, 1]), p.spectra()[[4, 1]])
 
 
+def test_spectra_reuse_one_read_only_ramp_per_grid(cfg_small, arr36, pat10, mpc_13deg):
+    """Maps on one grid share the cached band-start ramp; the spectra keep their bits."""
+    cfg = replace(cfg_small, sigma2=0.5)
+    first = simulate_padp([mpc_13deg], arr36, pat10, cfg, seed=1, keep_cfr=True)
+    second = simulate_padp([mpc_13deg], arr36, pat10, cfg, seed=2, keep_cfr=True)
+    ramp = np.exp(2j * np.pi * first.f_start * first.delays)  # the uncached formula
+    for p in (first, second):
+        want = np.fft.fft(p.h * ramp.conj(), axis=-1, norm="ortho")
+        assert p.spectra().tobytes() == want.tobytes()
+    cached = synthesis._band_start_ramp(first.f_start, first.delays.tobytes())
+    assert cached is synthesis._band_start_ramp(second.f_start, second.delays.tobytes())
+    assert not cached.flags.writeable
+
+
 def test_keep_cfr_does_not_change_values(cfg_small, arr36, pat10, mpc_13deg):
     cfg = SoundingConfig(fc=cfg_small.fc, bw=cfg_small.bw, k=cfg_small.k, sigma2=0.5)
     with_cfr = simulate_padp([mpc_13deg], arr36, pat10, cfg, seed=11, keep_cfr=True)
@@ -363,6 +378,14 @@ def test_zero_response_phases_are_uniform_and_independent_of_the_power():
     assert abs(np.mean(power * np.exp(1j * theta))) / np.mean(power) < 4.0 / np.sqrt(n)
 
 
+def _noise_reference(rng, shape, sigma2):
+    """The documented law of ``add_noise``, written out: powers, then float32 phases."""
+    e = rng.standard_exponential(shape)
+    theta = rng.random(shape, dtype=np.float32) * np.float32(2.0 * np.pi)
+    amp = np.sqrt(e * sigma2).astype(np.float32)
+    return (np.cos(theta) * amp).astype(np.float64) + 1j * (np.sin(theta) * amp)
+
+
 def test_on_grid_map_draws_in_the_documented_order(cfg_small, arr36, pat10):
     """Complex noise on the signal column, then the power of every cell, then the phases."""
     cfg = replace(cfg_small, sigma2=0.7)
@@ -370,9 +393,9 @@ def test_on_grid_map_draws_in_the_documented_order(cfg_small, arr36, pat10):
     got = simulate_padp(mpcs, arr36, pat10, cfg, seed=8, keep_cfr=False)
     signal = synth_cfr(mpcs, arr36, pat10, cfg)
     rng = np.random.default_rng(8)
-    w = rng.standard_normal((arr36.m, 1, 2)) * np.sqrt(cfg.sigma2 / 2)
+    w = _noise_reference(rng, arr36.m, cfg.sigma2)
     want = rng.standard_exponential((arr36.m, cfg.k)) * cfg.sigma2
-    want[:, 50] = np.abs(cfr_to_cir(signal, cfg)[:, 50] + w[..., 0, 0] + 1j * w[..., 0, 1]) ** 2
+    want[:, 50] = np.abs(cfr_to_cir(signal, cfg)[:, 50] + w) ** 2
     np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(got.values[:, :50], want[:, :50])
 
@@ -385,8 +408,8 @@ def test_keep_cfr_draws_phases_after_the_map(cfg_small, arr36, pat10, mpc_13deg)
     with_h = simulate_padp([mpc_13deg], arr36, pat10, cfg, seed=rng_with, keep_cfr=True)
     assert without.values.tobytes() == with_h.values.tobytes()
     assert without.h is None
-    # the phases drew m * k uniforms more from the shared generator
-    rng_without.random(arr36.m * cfg.k)
+    # the phases drew m * k float32 uniforms more from the shared generator
+    rng_without.random(arr36.m * cfg.k, dtype=np.float32)
     assert rng_without.random() == rng_with.random()
     np.testing.assert_allclose(np.abs(with_h.h) ** 2, with_h.values, rtol=1e-14, atol=0)
 
@@ -424,14 +447,78 @@ def test_cached_grids_are_read_only_and_equal_the_formulas(cfg_full):
 
 
 def test_add_noise_into_out_equals_a_new_array():
+    """With ``out`` the sum is formed in ``s`` and copied to ``out``; without, ``s`` is kept."""
     s = np.full((3, 5), 0.5 - 0.25j)
     for sigma2 in (0.0, 2.0):
-        out = np.empty((3, 5, 2))
-        got = add_noise(s, sigma2, seed=9, out=out)
+        out, scratch = np.empty((3, 5, 2)), s.copy()
+        got = add_noise(scratch, sigma2, seed=9, out=out)
         assert np.shares_memory(got, out)
         assert got.tobytes() == add_noise(s, sigma2, seed=9).tobytes()
+        assert scratch.tobytes() == got.tobytes()
+    assert np.all(s == 0.5 - 0.25j)
     with pytest.raises(ValueError, match="out"):
         add_noise(s, 1.0, seed=9, out=np.empty((3, 5)))
+    read_only = s.copy()
+    read_only.flags.writeable = False
+    out = np.empty((3, 5, 2))
+    for bad in (s.astype(np.complex64), read_only, out.view(np.complex128)[..., 0]):
+        with pytest.raises(ValueError, match="s must"):
+            add_noise(bad, 1.0, seed=9, out=out)
+
+
+def test_add_noise_draws_the_documented_law_in_order():
+    """Exponential powers for every sample, then float32 phases: the reference formula."""
+    s = np.linspace(-1, 1, 24).reshape(4, 6) * (1 - 2j)
+    got = add_noise(s, 0.3, seed=np.random.default_rng(2))
+    want = s + _noise_reference(np.random.default_rng(2), s.shape, 0.3)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+_erfc = np.frompyfunc(erfc, 1, 1)
+
+
+def test_add_noise_is_circular_gaussian_noise():
+    """1e6 samples: re and im each N(0, sigma2/2), uncorrelated; |w|^2/sigma2 ~ Exp(1); uniform phase."""
+    sigma2, n = 2.5, 10**6
+    w = add_noise(np.zeros((1000, 1000), dtype=complex), sigma2, seed=12).ravel()
+    crit = 1.63 / np.sqrt(n)  # Kolmogorov-Smirnov 1% critical value
+
+    def ks(x, cdf):
+        c = cdf(np.sort(x))
+        return max(np.max(np.arange(1, n + 1) / n - c), np.max(c - np.arange(n) / n))
+
+    for part in (w.real, w.imag):
+        z = part / np.sqrt(sigma2 / 2)
+        assert abs(np.mean(z)) < 5 / np.sqrt(n)
+        assert np.var(z) == pytest.approx(1.0, abs=5 * np.sqrt(2 / n))
+        assert np.mean(z**3) == pytest.approx(0.0, abs=5 * np.sqrt(15 / n))
+        assert np.mean(z**4) == pytest.approx(3.0, abs=5 * np.sqrt(96 / n))
+        assert ks(z, lambda x: 0.5 * _erfc(-x / np.sqrt(2)).astype(float)) < crit
+    assert abs(np.mean(w.real * w.imag)) / (sigma2 / 2) < 5 / np.sqrt(n)
+    assert ks(np.abs(w) ** 2 / sigma2, lambda x: -np.expm1(-x)) < crit
+    assert ks(np.angle(w), lambda x: (x + np.pi) / (2 * np.pi)) < crit
+
+
+@pytest.mark.parametrize("keep_cfr", [True, False])
+@pytest.mark.parametrize(
+    "sigma2, tau", [(0.5, 40.2e-9), (0.5, 25e-9), (0.0, 40.2e-9)],
+    ids=["off-grid-noisy", "on-grid-noisy", "noise-free"],
+)
+def test_workspace_synthesis_allocates_no_map(cfg_full, arr36, pat10, sigma2, tau, keep_cfr):
+    """A call on a workspace stays under 256 kB of new memory: no map-sized (288 kB) temporary."""
+    import tracemalloc
+
+    cfg = replace(cfg_full, sigma2=sigma2)
+    mpcs = [MpcTruth(1.0, 0.3, tau, np.radians(13.0)), MpcTruth(0.6, 1.1, 60e-9, 2.0)]
+    ws = Workspace(arr36.m, cfg.k)
+    simulate_padp(mpcs, arr36, pat10, cfg, seed=1, keep_cfr=keep_cfr, workspace=ws)  # warm caches
+    tracemalloc.start()
+    try:
+        simulate_padp(mpcs, arr36, pat10, cfg, seed=2, keep_cfr=keep_cfr, workspace=ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 @pytest.mark.parametrize("sigma2", [0.0, 0.5])
