@@ -87,12 +87,19 @@ class MpcEstimate:
 
 
 def _median(v):
-    """Median of a non-empty 1-D array, bit-identical to ``np.median``.
+    """Median of a non-empty 1-D array, bit-identical to ``np.median`` but for a zero's sign.
 
-    One partition around the upper middle element: for even n the lower
-    middle element is the largest of the half below it.
+    When more than half the input is zero (a noise-free map off its
+    arrivals' delay bins, or a pattern's nulls) the median is 0, whatever
+    the other values, and it is returned as +0.0 without partitioning:
+    ``np.partition`` is about ten times slower on so many ties.  The ``min`` guard
+    keeps inputs with no zero or negative value, such as noisy maps, off
+    the count.  Otherwise one partition around the upper middle element:
+    for even n the lower middle element is the largest of the half below it.
     """
     n = v.size
+    if v.min() <= 0 and 2 * np.count_nonzero(v == 0) > n:
+        return 0.0
     part = np.partition(v, n // 2)
     if n % 2:
         return float(part[n // 2])
@@ -106,7 +113,8 @@ def noise_threshold(values, pk):
     exponential is sigma2 * ln 2); scaling by ln(n_bins) accounts for the
     expected extreme of that many noise bins, and the configured dB offset
     sits on top.  A relative floor of 1e-12 of the map maximum keeps the
-    threshold meaningful on noise-free synthetic maps.
+    threshold meaningful on noise-free synthetic maps, whose median is 0
+    when most cells are exact zeros (``_median`` then skips its partition).
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:

@@ -31,6 +31,12 @@ from .estimation import (
 from .synthesis import MpcTruth, Workspace, simulate_padp
 
 
+def _require_int(name, value, low):
+    """Refuse ``value`` unless it is an integer >= ``low``: numpy integers count, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name}: expected an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Sweep specification for ``run_sweep``.
@@ -60,10 +66,8 @@ class MonteCarloConfig:
     peak: PeakConfig = field(default_factory=PeakConfig)
 
     def __post_init__(self):
-        for name, low in (("trials", 1), ("base_seed", 0)):
-            value = getattr(self, name)  # numpy integers count, bools do not
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name}: expected an integer >= {low}, got {value!r}")
+        _require_int("trials", self.trials, 1)
+        _require_int("base_seed", self.base_seed, 0)
         values = tuple(self.sweep_values) if np.iterable(self.sweep_values) else ()
         if not values or not all(isinstance(v, numbers.Real) for v in values):
             raise ValueError("sweep_values: expected a non-empty sequence of numbers")
@@ -357,9 +361,10 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
     random on-grid delay, runs the requested estimators, and collects the
     angle error (degrees) and the de-embedded power error (dB).  Returns
     {method: {param: ErrorStats}} for params 'phi_deg' and 'power_db'.
+    The delay responses ``h`` are kept only when haed+, which reads them,
+    is requested; the other methods' statistics are the same either way.
     """
-    if n_mpcs < 1:
-        raise ValueError("n_mpcs must be >= 1")
+    _require_int("n_mpcs", n_mpcs, 1)
     cfg0 = replace(cfg, sigma2=0.0)
     p_ref = cfg0.k * cfg0.pu * cfg0.g_tx**2
     samples = {m: {"phi_deg": [], "power_db": []} for m in methods}
@@ -388,7 +393,8 @@ def _offset_draw(i, seed, cfg0, arr, pat, methods, ws):
     """Draw ``i`` of ``uniform_offset_study``: the truth and, per method, its match or None.
 
     The draw's Padp is built on the study's workspace ``ws``, so it lives
-    only in this call: the next draw overwrites it.
+    only in this call: the next draw overwrites it.  It carries ``h`` only
+    when haed+, the one method that reads it, is among ``methods``.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
     truth = MpcTruth(
@@ -397,7 +403,8 @@ def _offset_draw(i, seed, cfg0, arr, pat, methods, ws):
         tau=int(rng.integers(cfg0.k // 4, 3 * cfg0.k // 4)) * cfg0.delta_tau,
         phi=rng.uniform(0.0, 2.0 * np.pi),
     )
-    padp = simulate_padp([truth], arr, pat, cfg0, seed=rng, workspace=ws)
+    keep_h = Method.HAED_PLUS in methods
+    padp = simulate_padp([truth], arr, pat, cfg0, seed=rng, keep_cfr=keep_h, workspace=ws)
     found = []
     for method in methods:
         ests = run_method(method, padp, pat, PeakConfig())

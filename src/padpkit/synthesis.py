@@ -26,24 +26,29 @@ frequency phase ramp, identical to the direct sum.
 2. the noise is drawn directly in delay: T is unitary, so it maps white
    noise of height sigma2 to white noise of the same height and the same
    distribution, and drawing it after the transform is exact, not an
-   approximation (noise-free configs skip this step).  Every complex
-   noise sample is drawn as power and phase: sigma2 * Exp(1) and an
-   independent uniform phase, which is circular Gaussian noise (the
-   Box-Muller identity, ``add_noise``).  Off-grid delays leak into
-   every bin, so their maps draw the complex noise of every cell, all
-   the powers and then all the phases.  When every arrival sits on a
-   delay bin (tau * bw within 1e-9 of an integer), the noise-free
-   response is zero on every other bin, and there |h|^2 is just the
-   noise power.  Such maps draw, from one generator, the complex noise
-   on the arrivals' bins, then one exponential per cell for the power
-   of the whole map, and then, only when h is kept (``keep_cfr``), the
-   phases, so the map does not depend on whether h is read;
-3. the power map is |h|^2 (drawn as power off the arrivals' bins on
-   on-grid maps), and the responses h ride along on the Padp
-   (``Padp.h``): nothing rebuilds the full-map spectra.  Estimators that
-   need spectra (haed+) transform only the rows they read
-   (``Padp.spectra``), and all rows are transformed only where spectra
-   leave the program (``simulate --cfr-out``).
+   approximation.  Every complex noise sample is drawn as power and
+   phase: sigma2 * Exp(1) and an independent uniform phase, which is
+   circular Gaussian noise (the Box-Muller identity, ``add_noise``).
+   Off-grid delays leak into every bin, so their maps draw the complex
+   noise of every cell, all the powers and then all the phases (or none,
+   noise-free).  When every arrival sits on a delay bin (tau * bw within
+   1e-9 of an integer), the noise-free response is zero on every other
+   bin, so only the arrivals' bins are formed, from the weights and
+   those columns of the responses (noise-free maps of several arrivals
+   take those columns of the full product instead, to keep its
+   rounding).  Noisy such maps draw, from one
+   generator, the complex noise on the arrivals' bins, then one
+   exponential per cell for the power of the whole map, and then, only
+   when h is kept (``keep_cfr``), the phases, so the map does not depend
+   on whether h is read; noise-free such maps draw nothing and are +0.0
+   off the arrivals' bins, not the transform's leakage of about 1e-13 of
+   the peak;
+3. the power map is |h|^2 (on on-grid maps formed on the arrivals' bins
+   only: elsewhere it is the drawn noise power, or 0), and the responses
+   h ride along on the Padp (``Padp.h``): nothing rebuilds the full-map
+   spectra.  Estimators that need spectra (haed+) transform only the
+   rows they read (``Padp.spectra``), and all rows are transformed only
+   where spectra leave the program (``simulate --cfr-out``).
 
 Every map is written into the two buffers of a ``Workspace``.  Monte
 Carlo loops pass one and reuse it, so a trial allocates (and page-faults)
@@ -438,11 +443,12 @@ def _on_grid_bins(tau, cfg):
 
 
 def _on_grid_map(signal, cols, sigma2, seed, keep_cfr, ws):
-    """Draw the noisy map of arrivals on delay bins ``cols`` into ``ws``; return h or None.
+    """Write the map of arrivals on delay bins ``cols`` into ``ws``; return h or None.
 
     ``ws.power`` receives the power map, and with ``keep_cfr`` ``ws.h`` the
-    responses.  ``signal`` is the noise-free response on those columns.  Everywhere
-    else the response is zero, so |h|**2 is sigma2 * Exp(1), and the phase
+    responses.  ``signal`` is the noise-free response on those columns.
+    Everywhere else the response is zero.  Noise-free, the map and h are
+    +0.0 there.  Otherwise |h|**2 is sigma2 * Exp(1) there, and the phase
     of h is uniform and independent of it: h = sqrt(P) e^{j theta}.  One
     generator draws, in this order, the complex noise on ``cols``, the
     power of the whole map and then, only with ``keep_cfr``, the phases,
@@ -450,6 +456,14 @@ def _on_grid_map(signal, cols, sigma2, seed, keep_cfr, ws):
     to float32 (under 5e-7 rad), where cos and sin are vectorized; h is
     scaled in float64, so |h|**2 is the map to rounding.
     """
+    if sigma2 == 0:
+        ws.power.fill(0.0)
+        ws.power[:, cols] = pdp(signal)
+        if not keep_cfr:
+            return None
+        ws.h.fill(0.0)
+        ws.h[:, cols] = signal
+        return ws.h
     rng = np.random.default_rng(seed)
     h_cols = add_noise(signal, sigma2, rng)
     rng.standard_exponential(out=ws.power)
@@ -478,8 +492,9 @@ def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
     Works in the delay domain (see the module docstring).  The noisy delay
     responses are attached as ``Padp.h`` (haed+ needs them).
     ``keep_cfr=False`` leaves ``h`` off, so the Padp carries the power
-    map only; on a noisy map whose arrivals all sit on delay bins it also
-    skips drawing the phases of h, and the map is the same either way.
+    map only; on a map whose arrivals all sit on delay bins it also skips
+    forming h off their bins (noisy: drawing its phases), and the map is
+    the same either way.
     The map and ``h`` are written into the buffers of ``workspace``, a
     ``Workspace`` of the map's shape, and the Padp is valid only until the
     workspace's next call.  Without one the call builds its own, and the
@@ -489,7 +504,7 @@ def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
     alpha, phase, phi, tau = _truth_params(mpcs)
     weights = _arrival_weights(alpha, phase, phi, arr, pat, cfg)
     responses = _delay_responses(tuple(tau.tolist()), cfg._band)
-    cols = _on_grid_bins(tau, cfg) if cfg.sigma2 > 0 else None
+    cols = _on_grid_bins(tau, cfg)
     # built after the small arrays above: built first, its blocks land elsewhere in
     # glibc's heap, and a CLI simulate, estimate, crlb and offset-study pass in one
     # process page-faults twice as often (about 500 against 250 faults)
@@ -497,7 +512,13 @@ def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
     if ws.signal.shape != (arr.m, cfg.k):
         raise ValueError(f"workspace shape {ws.signal.shape} != map shape {(arr.m, cfg.k)}")
     if cols is not None:
-        h = _on_grid_map(weights @ responses[:, cols], cols, cfg.sigma2, seed, keep_cfr, ws)
+        if cfg.sigma2 == 0 and tau.size > 1:
+            # a cell summing several arrivals' terms rounds as BLAS's kernel for the
+            # product's shape does, so noise-free maps keep the full product's bits
+            signal = np.matmul(weights, responses, out=ws.signal)[:, cols]
+        else:
+            signal = weights @ responses[:, cols]
+        h = _on_grid_map(signal, cols, cfg.sigma2, seed, keep_cfr, ws)
         return assemble_padp(ws.power, arr, cfg, h=h)
     if cfg.sigma2 == 0:
         h = np.matmul(weights, responses, out=ws.h)

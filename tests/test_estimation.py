@@ -15,6 +15,7 @@ from padpkit.angles import circular_delta
 from padpkit.antenna import Side, chi
 from padpkit.estimation import (
     Method,
+    _median,
     PeakConfig,
     coarse_peaks_2d,
     estimate_haed,
@@ -80,6 +81,62 @@ def test_noise_threshold_uses_exact_median(shape, ties):
     ref_floor = float(np.median(v)) / np.log(2.0) * np.log(max(v.size, 2))
     ref = max(ref_floor * 10.0 ** (pk.noise_floor_db_offset / 10.0), float(v.max()) * 1e-12)
     assert noise_threshold(v, pk) == ref
+
+
+def _nulled_pattern():
+    """A tabulated 10 deg beam with zero gain beyond +-30 deg."""
+    ang = np.radians(np.arange(-180.0, 180.0, 0.02))
+    g = np.where(np.abs(ang) <= np.radians(30.0), 10.0 * np.exp(-1.386 * (ang / 0.1745) ** 2), 0.0)
+    return AntennaPattern.from_table(ang, g)
+
+
+def _median_inputs():
+    """name: (input, whether it must partition); only zero majorities skip the partition."""
+    rng = np.random.default_rng(3)
+    pos = rng.exponential(1.0, size=12)
+    neg = -rng.exponential(1.0, size=6)
+    cfg = SoundingConfig(fc=37.5e9, bw=2e9, k=1001)
+    maps = {
+        # 30030 of 36036 cells are zero off-grid (the nulled rows), all but 6 on-grid
+        f"nulled-{name}": (simulate_padp(
+            [MpcTruth(1.0, 0.7, tau, np.radians(13.0))], ArrayConfig(m=36), _nulled_pattern(), cfg
+        ).values.ravel(), False)
+        for name, tau in (("on-grid", 25e-9), ("off-grid", 25.3e-9))
+    }
+    return {
+        "even-half-zeros": (np.concatenate([np.zeros(6), pos[:6]]), True),
+        "even-half-plus-one-zeros": (np.concatenate([pos[:5], np.zeros(7)]), False),
+        "odd-majority-zeros": (np.concatenate([np.zeros(4), pos[:3]]), False),
+        "odd-half-zeros": (np.concatenate([pos[:4], np.zeros(3)]), True),
+        "zero-majority-with-negatives": (np.concatenate([neg[:2], np.zeros(6), pos[:3]]), False),
+        "zeros-and-negatives-only": (np.concatenate([neg, np.zeros(7)]), False),
+        "all-zeros": (np.zeros(8), False),
+        "one-zero": (np.zeros(1), False),
+        "one-value": (np.array([2.5]), True),
+        "no-zeros": (pos, True),
+        **maps,
+    }
+
+
+_MEDIAN_INPUTS = _median_inputs()
+
+
+@pytest.mark.parametrize("name", list(_MEDIAN_INPUTS))
+def test_median_equals_numpy_on_zero_heavy_inputs(name, monkeypatch):
+    """Bit-equal to np.median; partitions only unless more than half the input is zero."""
+    v, partitions = _MEDIAN_INPUTS[name]
+    ref = np.float64(np.median(v))
+    partitioned = []
+    partition = np.partition
+
+    def spy(*args, **kw):
+        partitioned.append(True)
+        return partition(*args, **kw)
+
+    monkeypatch.setattr(np, "partition", spy)
+    got = _median(v)
+    assert np.float64(got).tobytes() == ref.tobytes()
+    assert bool(partitioned) == partitions
 
 
 def test_peak_config_validation():

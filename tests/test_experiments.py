@@ -621,3 +621,45 @@ def test_off_grid_haed_rows_do_not_depend_on_haed_plus(arr36, pat10, seed):
     assert _fingerprint(without) == _fingerprint(
         [r for r in with_plus if r.method is not Method.HAED_PLUS]
     )
+
+
+def _offset_fingerprint(study, methods):
+    return {
+        (m, p): (s.rmsee, s.mean_err, s.mean_abs_err, s.mc_stderr, s.n, s.misses, s.cdf.tobytes())
+        for m in methods
+        for p, s in study[m].items()
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_offset_study_rows_do_not_depend_on_haed_plus(arr36, pat10, cfg_full, monkeypatch, seed):
+    """The o1/o2/haed statistics are the same with and without haed+, which alone keeps h."""
+    import padpkit.experiments as exp
+
+    kept, simulate = [], exp.simulate_padp
+
+    def spy(*args, keep_cfr=True, **kw):
+        kept.append(keep_cfr)
+        return simulate(*args, keep_cfr=keep_cfr, **kw)
+
+    monkeypatch.setattr(exp, "simulate_padp", spy)
+    base = (Method.O1, Method.O2, Method.HAED)
+    without = uniform_offset_study(30, seed, cfg_full, arr36, pat10, methods=base)
+    assert kept and not any(kept)
+    kept.clear()
+    plus = base + (Method.HAED_PLUS,)
+    with_plus = uniform_offset_study(30, seed, cfg_full, arr36, pat10, methods=plus)
+    assert kept and all(kept)
+    assert _offset_fingerprint(with_plus, base) == _offset_fingerprint(without, base)
+    assert with_plus[Method.HAED_PLUS]["power_db"].rmsee < 1e-12
+
+
+@pytest.mark.parametrize("n", [True, False, 2.5, 2.0, "3", None, 0, -1])
+def test_offset_study_rejects_a_non_integer_draw_count(arr36, pat10, n):
+    with pytest.raises(ValueError, match="n_mpcs"):
+        uniform_offset_study(n, seed=0, cfg=CFG, arr=arr36, pat=pat10)
+
+
+def test_offset_study_accepts_numpy_integers(arr36, pat10):
+    study = uniform_offset_study(np.int64(3), seed=0, cfg=CFG, arr=arr36, pat=pat10)
+    assert study[Method.O1]["phi_deg"].n == 3

@@ -614,3 +614,34 @@ def test_delay_responses_are_cached_per_delays_and_band(cfg_small):
     ref = cfr_to_cir(_arrival_ramps(np.array(tau), cfg_small, 0.0), cfg_small)
     assert got.tobytes() == ref.tobytes()
     assert not got.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "taus_ns",
+    [(25.0,), (25.0, 31.5), (25.0, 25.0), (0.0, 31.5, 500.0)],
+    ids=["one", "two", "two-on-one-bin", "three"],
+)
+def test_noise_free_on_grid_columns_equal_the_full_product(cfg_full, arr36, pat10, taus_ns):
+    """The arrivals' bins carry the bits of the full (m, k) product; every other cell is +0.0."""
+    phis = np.radians([13.0, 200.0, 47.0])
+    mpcs = [
+        MpcTruth(alpha=1.0 - 0.3 * i, phase=0.4 + 1.6 * i, tau=t * 1e-9, phi=phis[i])
+        for i, t in enumerate(taus_ns)
+    ]
+    alpha, phase, phi, tau = synthesis._truth_params(mpcs)
+    full = synthesis._arrival_weights(alpha, phase, phi, arr36, pat10, cfg_full) @ (
+        synthesis._delay_responses(tuple(tau.tolist()), cfg_full._band)
+    )
+    cols = synthesis._on_grid_bins(tau, cfg_full)
+    assert cols is not None
+    off = np.ones(cfg_full.k, dtype=bool)
+    off[cols] = False
+    kept = simulate_padp(mpcs, arr36, pat10, cfg_full, keep_cfr=True)
+    assert kept.values[:, cols].tobytes() == pdp(full)[:, cols].tobytes()
+    assert kept.h[:, cols].tobytes() == full[:, cols].tobytes()
+    for a in (kept.values[:, off], kept.h[:, off].real, kept.h[:, off].imag):
+        assert not np.any(a) and not np.any(np.signbit(a))
+    values = kept.values.copy()
+    bare = simulate_padp(mpcs, arr36, pat10, cfg_full, keep_cfr=False)
+    assert bare.h is None
+    assert bare.values.tobytes() == values.tobytes()
