@@ -279,12 +279,22 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
     ``SingularFimError``) on a trial misses every arrival of that trial and
     is counted in ``ErrorStats.failures``; the other methods of the trial
     are unaffected.  Any other exception is a bug and propagates, and so
-    does the ``ValueError`` of a bad ``PADPKIT_THREADS``, before any trial.
+    does the ``ValueError`` of a bad ``PADPKIT_THREADS``, before any trial,
+    and the one naming ``tau`` of an arrival whose delay (plus one bin,
+    with ``off_grid_delay``) reaches the delay window k/bw, where it aliases.
     """
     raw = os.environ.get("PADPKIT_THREADS") or "1"  # unset or empty: serial
     if not (raw.isascii() and raw.isdecimal() and int(raw) >= 1):
         raise ValueError(f"PADPKIT_THREADS: expected a positive integer, got {raw!r}")
     threads = int(raw)
+    margin = 1.0 if mc.off_grid_delay else 0.0  # the offset adds up to one bin
+    late = [m.tau for m in mc.mpcs if cfg.past_window(m.tau, margin)]
+    if late:
+        offset = " plus an off_grid_delay offset of up to one bin" if margin else ""
+        raise ValueError(
+            f"tau: {late[0]!r} s{offset} reaches the delay window k/bw = {cfg.k / cfg.bw!r} s, "
+            "where the arrival aliases"
+        )
     local = threading.local()  # one synthesis workspace per thread running trials
     keep_h = Method.HAED_PLUS in mc.methods  # only haed+ reads the delay responses
     points = _sweep_points(mc, cfg, arr, pat)

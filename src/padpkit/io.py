@@ -77,7 +77,8 @@ def _section(path):
 def parse_scenario(text, base_dir=None):
     """Parse and validate a scenario JSON document.
 
-    Any fault in the document raises ``ScenarioError`` naming the field.
+    Any fault in the document raises ``ScenarioError`` naming the field,
+    an arrival at or past the delay window k/bw (it would alias) included.
     The ``array.m`` x ``sounding.k`` scan map may hold at most ``MAX_MAP_CELLS``
     (2**24) cells; a larger one is rejected, naming the field, before any allocation.
     """
@@ -135,6 +136,11 @@ def parse_scenario(text, base_dir=None):
                     tau=_need(entry, "tau_ns", float, path) * 1e-9,
                     phi=np.radians(_need(entry, "phi_deg", float, path)),
                 )
+            )
+        if cfg.past_window(mpcs[-1].tau):
+            raise ScenarioError(
+                f"{path}.tau_ns: {mpcs[-1].tau * 1e9:.6g} ns is at or past the delay window "
+                f"k/bw = {cfg.k / cfg.bw * 1e9:.6g} ns, where the arrival aliases"
             )
 
     experiment = doc.get("experiment", {})

@@ -29,6 +29,12 @@ frequency phase ramp, identical to the direct sum.
    approximation.  Every complex noise sample is drawn as power and
    phase: sigma2 * Exp(1) and an independent uniform phase, which is
    circular Gaussian noise (the Box-Muller identity, ``add_noise``).
+   Every uniform is a 32-bit half x of a raw generator word: the power
+   is sigma2 * E with E = -ln((x + 1) / 2**32), the phase 2 pi x / 2**32,
+   both formed in float32.  E is thus float32-resolved and at most
+   32 ln 2, about 22.18: the cut tail has a probability of 2.3e-10 per
+   sample, and noise alone stays below the 2-D detection threshold
+   (about 42 sigma2 on a 36 x 1001 map) with or without it.
    Off-grid delays leak into every bin, so their maps draw the complex
    noise of every cell, all the powers and then all the phases (or none,
    noise-free).  When every arrival sits on a delay bin (tau * bw within
@@ -110,6 +116,14 @@ class SoundingConfig:
     @property
     def delta_tau(self):
         return 1.0 / self.bw
+
+    def past_window(self, tau, margin=0.0):
+        """Whether a delay ``tau`` (s) plus ``margin`` bins reaches the delay window k/bw.
+
+        The delay transform is circular over the k bins, so an arrival
+        there would alias to an earlier delay.
+        """
+        return tau * self.bw + margin >= self.k
 
     # the grids below are computed once per config and shared read-only
 
@@ -291,12 +305,15 @@ def add_noise(s, sigma2, seed, out=None):
     """Add circularly symmetric white Gaussian noise of spectral height sigma2.
 
     Each sample is drawn as power and phase, w = sqrt(sigma2 * E) e^{j theta}
-    with E ~ Exp(1) and theta uniform on [0, 2 pi): |w|**2 is sigma2 times
+    with E ~ Exp(1) and theta uniform on [0, 2 pi]: |w|**2 is sigma2 times
     an exponential, so real and imaginary parts are independent
-    N(0, sigma2/2) (Box-Muller).  One generator draws E for every sample
-    (float64), then the uniforms.  The amplitude sqrt(sigma2 * E), theta,
-    its cos and sin, and so the noise components are float32 (about 1e-7
-    relative, phases within 5e-7 rad); the sum with ``s`` is float64.
+    N(0, sigma2/2) (Box-Muller).  Both come from 32-bit halves x of raw
+    generator words (``_log_uniforms`` and ``_uniform_phases``): first E =
+    -ln((x + 1) / 2**32) for every sample, then theta = 2 pi x / 2**32.
+    E, the amplitude sqrt(sigma2 * E), theta, its cos and sin, and so the
+    noise components are float32 (about 1e-7 relative, phases within 5e-7
+    rad), and E is at most 32 ln 2 (about 22.18: the exponential's tail
+    beyond it, 2.3e-10, is cut); the sum with ``s`` is float64.
     Deterministic for a given seed (int, SeedSequence or Generator; a
     Generator is used as is, so the caller can draw on from it).
 
@@ -318,14 +335,14 @@ def add_noise(s, sigma2, seed, out=None):
         raise ValueError("s must be a writeable complex128 array apart from out")
     w = out.view(np.complex128)[..., 0]
     if sigma2 != 0:
-        # out as scratch, in float32 quarters: the float64 power fills the
-        # first two, then cos the first, sin the third and the amplitude the last
-        power = out.reshape(-1)[: s.size].reshape(s.shape)
+        # out as scratch, in float32 quarters: cos the first, sin the third and
+        # ln u, then the amplitude, the last
         cos, _, sin, amp = out.reshape(-1).view(np.float32).reshape(4, *s.shape)
         rng = np.random.default_rng(seed)
-        rng.standard_exponential(out=power)
-        power *= sigma2
-        np.sqrt(power, out=amp, casting="same_kind")
+        _log_uniforms(rng, amp)
+        # sigma2 * E = -sigma2 * ln u; E = 0 gives an amplitude of -0.0, which adds 0
+        np.multiply(amp, np.array(-sigma2, dtype=np.float32), out=amp)
+        np.sqrt(amp, out=amp)
         _uniform_phases(rng, cos, sin)
         cos *= amp
         sin *= amp
@@ -335,13 +352,55 @@ def add_noise(s, sigma2, seed, out=None):
     return w
 
 
-def _uniform_phases(rng, cos, sin):
-    """Draw phases theta uniform on [0, 2 pi) into ``sin`` and write cos and sin of them.
+# raw words per random_raw call: 96 kB, under glibc's 128 kB mmap threshold, so a
+# draw maps and page-faults no fresh array; a 36 x 1001 draw takes two calls
+_RAW_BLOCK = 12288
+# float32 operands of the draws, as 0-d arrays: on 36-value columns a ufunc
+# takes one in about 1 us where a scalar costs 1.4-1.7 us (numpy 2.4, x86-64)
+_U_STEP = _read_only(np.array(2.0**-32, dtype=np.float32))
+_PHASE_STEP = _read_only(np.array(2.0 * np.pi / 2.0**32, dtype=np.float32))
+_ZERO = _read_only(np.zeros((), dtype=np.float32))
 
-    ``cos`` and ``sin`` are float32 arrays of one shape; theta is float32 too.
+
+def _uniforms(rng, out, scale):
+    """Fill the C-contiguous float32 array ``out`` with scale * x, x 32-bit halves of raw words.
+
+    A draw of n = out.size values takes ``rng``'s next ceil(n/2) raw words
+    and reads each as two uint32 halves (the words' uint32 view: on a
+    little-endian machine the low half, then the high half), dropping the
+    last half when n is odd.  x is rounded to float32 and the product is
+    float32.  The words come ``_RAW_BLOCK`` at a time, so a call allocates
+    no array of n values.
     """
-    rng.random(dtype=np.float32, out=sin)
-    sin *= np.float32(2.0 * np.pi)
+    flat = out.reshape(-1)
+    raw = rng.bit_generator.random_raw
+    for start in range(0, flat.size, 2 * _RAW_BLOCK):
+        part = flat[start : start + 2 * _RAW_BLOCK]
+        x = raw((part.size + 1) // 2).view(np.uint32)[: part.size]
+        np.multiply(x, scale, out=part, dtype=np.float32)
+
+
+def _log_uniforms(rng, out):
+    """Fill the C-contiguous float32 array ``out`` with ln u, u = (x + 1) / 2**32 in (0, 1].
+
+    x are 32-bit halves of raw words (``_uniforms``), and u is formed and
+    logged in float32: E = -ln u is Exp(1), resolved to float32 and at most
+    32 ln 2, about 22.18.  ln u, not ln(x + 1) - 32 ln 2, which cancels near
+    u = 1 (E = 0).
+    """
+    _uniforms(rng, out, _U_STEP)
+    out += _U_STEP
+    np.log(out, out=out)
+
+
+def _uniform_phases(rng, cos, sin):
+    """Draw phases theta = 2 pi x / 2**32 into ``sin`` and write cos and sin of them.
+
+    x are 32-bit halves of raw words (``_uniforms``), so theta is uniform
+    on [0, 2 pi] at float32 resolution.  ``cos`` and ``sin`` are
+    C-contiguous float32 arrays of one shape.
+    """
+    _uniforms(rng, sin, _PHASE_STEP)
     np.cos(sin, out=cos)
     np.sin(sin, out=sin)
 
@@ -403,18 +462,21 @@ def assemble_padp(pdps, arr, cfg, h=None):
 class Workspace:
     """Map-sized buffers that ``simulate_padp`` reuses from one call to the next.
 
-    ``noise`` is an (m, k, 2) float64 block: scratch for the noise draw
-    (powers, phases and their cos and sin), and then the delay responses
-    ``h`` (its complex view).  ``signal`` is an (m, k) complex block: the
-    noise-free responses, on off-grid noisy maps then their sum with the
-    noise (``add_noise`` forms it there before copying it to ``h``), and
-    then, in its first half, the power map; on-grid noisy maps use its
-    second half (``scratch``) for the phase draw.  About 1.15 MB at
-    36 x 1001.  A Padp built on a
-    workspace shares these arrays, so the next ``simulate_padp`` call on
-    the same workspace overwrites it; a workspace belongs to one thread.
-    A call given no workspace builds one of its own, which its Padp then
-    keeps alive.
+    ``noise`` is an (m, k, 2) float64 block: scratch for the noise draw of
+    off-grid noisy maps (in float32 quarters: ln u and then the
+    amplitudes, and the phases' cos and sin), and then the delay
+    responses ``h`` (its complex view).  ``signal`` is an (m, k) complex
+    block: the noise-free responses, on off-grid noisy maps then their
+    sum with the noise (``add_noise`` forms it there before copying it to
+    ``h``), and then, in its first half, the power map; on-grid noisy
+    maps use its second half (``scratch``) for the cos and sin of the
+    phase draw of a kept ``h``.  About 1.15 MB at 36 x 1001.  The raw
+    generator words, and the float32 exponentials of on-grid maps, come
+    in blocks of at most 96 kB (``_RAW_BLOCK``) outside the workspace.
+    A Padp built on a workspace shares these arrays, so the next
+    ``simulate_padp`` call on the same workspace overwrites it; a
+    workspace belongs to one thread.  A call given no workspace builds
+    one of its own, which its Padp then keeps alive.
     """
 
     def __init__(self, m, k):
@@ -448,13 +510,16 @@ def _on_grid_map(signal, cols, sigma2, seed, keep_cfr, ws):
     ``ws.power`` receives the power map, and with ``keep_cfr`` ``ws.h`` the
     responses.  ``signal`` is the noise-free response on those columns.
     Everywhere else the response is zero.  Noise-free, the map and h are
-    +0.0 there.  Otherwise |h|**2 is sigma2 * Exp(1) there, and the phase
-    of h is uniform and independent of it: h = sqrt(P) e^{j theta}.  One
-    generator draws, in this order, the complex noise on ``cols``, the
-    power of the whole map and then, only with ``keep_cfr``, the phases,
-    so the map does not depend on ``keep_cfr``.  The phases are resolved
-    to float32 (under 5e-7 rad), where cos and sin are vectorized; h is
-    scaled in float64, so |h|**2 is the map to rounding.
+    +0.0 there.  Otherwise |h|**2 is sigma2 * E there, E ~ Exp(1) drawn as
+    -ln u in float32 (``_log_uniforms``: E at most 32 ln 2, about 22.18)
+    and scaled in float64, and the phase of h is uniform and independent
+    of it: h = sqrt(P) e^{j theta}.  One generator draws, in this order,
+    the complex noise on ``cols`` (``add_noise``), the power of the whole
+    map and then, only with ``keep_cfr``, the phases, so the map does not
+    depend on ``keep_cfr``.  The phases are resolved to float32 (under
+    5e-7 rad), where cos and sin are vectorized; their cos and sin fill
+    ``ws.scratch``.  h is scaled in float64, so |h|**2 is the map to
+    rounding.
     """
     if sigma2 == 0:
         ws.power.fill(0.0)
@@ -466,8 +531,14 @@ def _on_grid_map(signal, cols, sigma2, seed, keep_cfr, ws):
         return ws.h
     rng = np.random.default_rng(seed)
     h_cols = add_noise(signal, sigma2, rng)
-    rng.standard_exponential(out=ws.power)
-    ws.power *= sigma2
+    # E through a float32 block off the workspace, so the draw touches no more
+    # of the workspace than the map (a fresh workspace page-faults per page)
+    power = ws.power.reshape(-1)
+    for start in range(0, power.size, 2 * _RAW_BLOCK):
+        e = np.empty(min(2 * _RAW_BLOCK, power.size - start), dtype=np.float32)
+        _log_uniforms(rng, e)
+        np.subtract(_ZERO, e, out=e)  # E = 0 - ln u: +0.0 at u = 1, not -0.0
+        np.multiply(e, sigma2, out=power[start : start + e.size], dtype=np.float64)
     ws.power[:, cols] = pdp(h_cols)
     if not keep_cfr:
         return None
@@ -494,7 +565,8 @@ def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
     ``keep_cfr=False`` leaves ``h`` off, so the Padp carries the power
     map only; on a map whose arrivals all sit on delay bins it also skips
     forming h off their bins (noisy: drawing its phases), and the map is
-    the same either way.
+    the same either way.  An arrival at or past the delay window k/bw
+    would alias and is refused with a ``ValueError`` naming ``tau``.
     The map and ``h`` are written into the buffers of ``workspace``, a
     ``Workspace`` of the map's shape, and the Padp is valid only until the
     workspace's next call.  Without one the call builds its own, and the
@@ -502,6 +574,12 @@ def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
     1001), twice the map's own size, and ``h`` fills the other block.
     """
     alpha, phase, phi, tau = _truth_params(mpcs)
+    last = max(tau.tolist())
+    if cfg.past_window(last):
+        raise ValueError(
+            f"tau: {last!r} s is at or past the delay window k/bw = {cfg.k / cfg.bw!r} s, "
+            "where the arrival aliases"
+        )
     weights = _arrival_weights(alpha, phase, phi, arr, pat, cfg)
     responses = _delay_responses(tuple(tau.tolist()), cfg._band)
     cols = _on_grid_bins(tau, cfg)

@@ -160,6 +160,29 @@ def _small_mc(trials=4, methods=(Method.O1, Method.HAED), seed=0):
     )
 
 
+@pytest.mark.parametrize(
+    "off_grid, bins, refused",
+    [(True, 128.0, True), (True, 300.0, True), (False, 129.0, True), (False, 128.0, False)],
+)
+def test_run_sweep_refuses_delays_that_reach_the_window_before_any_trial(
+    arr36, pat10, monkeypatch, off_grid, bins, refused
+):
+    """With off_grid_delay a delay plus one bin must stay below k/bw; without, the delay."""
+    import padpkit.experiments as experiments
+
+    def boom(*_a, **_k):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "simulate_padp", boom)
+    monkeypatch.setattr(experiments, "crlb_sweep", boom)
+    mc = replace(
+        _small_mc(), mpcs=(MpcTruth(1.0, 0.0, bins * CFG.delta_tau, 0.0),), off_grid_delay=off_grid
+    )
+    error, message = (ValueError, "^tau: .* delay window") if refused else (AssertionError, "trial")
+    with pytest.raises(error, match=message):
+        run_sweep(mc, CFG, arr36, pat10)
+
+
 def test_run_sweep_structure(arr36, pat10):
     rows = run_sweep(_small_mc(), CFG, arr36, pat10)
     keys = {(r.sweep_value, r.method, r.param) for r in rows}

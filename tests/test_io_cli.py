@@ -73,6 +73,21 @@ def test_scenario_validation_messages(mutate, fragment):
         parse_scenario(json.dumps(doc))
 
 
+@pytest.mark.parametrize("tau_ns", [64.5, 1e6])
+def test_scenario_refuses_an_arrival_past_the_delay_window(tmp_path, capsys, tau_ns):
+    """k = 129 bins of 0.5 ns: an arrival at 64.5 ns or later aliases, so simulate exits 2."""
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["mpcs"].append(dict(doc["mpcs"][0], tau_ns=tau_ns))
+    with pytest.raises(ScenarioError, match=r"^mpcs\[1\]\.tau_ns: .* delay window"):
+        parse_scenario(json.dumps(doc))
+    sc, out = scenario_file(tmp_path, doc), tmp_path / "sim.padp"
+    assert main(["simulate", "--scenario", str(sc), "--out", str(out)]) == 2
+    assert "mpcs[1].tau_ns" in capsys.readouterr().err
+    assert not out.exists()
+    doc["mpcs"][1]["tau_ns"] = 64.0
+    assert parse_scenario(json.dumps(doc)).mpcs[1].tau == pytest.approx(64e-9)
+
+
 def test_scenario_bad_json():
     with pytest.raises(ScenarioError, match="line 1"):
         parse_scenario("{nope")
@@ -237,13 +252,13 @@ def test_scenario_optional_sounding_fields_are_numbers(key, value):
         parse_scenario(json.dumps(doc))
 
 
-def _tiny_padp(seed=0, sigma2=0.0, k=129):
+def _tiny_padp(seed=0, sigma2=0.0, k=129, tau=16e-9):
     from padpkit import AntennaPattern, ArrayConfig, SoundingConfig
 
     cfg = SoundingConfig(fc=37.5e9, bw=2e9, k=k, pu=1.0, sigma2=sigma2)
     arr = ArrayConfig(m=36)
     pat = AntennaPattern.gaussian(100.0, np.radians(10.0))
-    mpc = MpcTruth(alpha=1.0, phase=np.pi / 3, tau=16e-9, phi=np.radians(13.0))
+    mpc = MpcTruth(alpha=1.0, phase=np.pi / 3, tau=tau, phi=np.radians(13.0))
     return simulate_padp([mpc], arr, pat, cfg, seed=seed), pat
 
 
@@ -352,7 +367,7 @@ def _estimate_exits_2_if_rejected(path):
 
 
 def _padp_file(tmp_path_factory):
-    padp, _ = _tiny_padp(k=8)
+    padp, _ = _tiny_padp(k=8, tau=1e-9)  # inside the 4 ns delay window of 8 bins
     path = tmp_path_factory.mktemp("fuzz") / "fuzz.padp"
     write_padp(path, padp)
     line, payload = path.read_bytes().split(b"\n", 1)

@@ -360,6 +360,49 @@ def test_zero_response_power_is_sigma2_times_exp1():
     assert np.min(p.values[30:60, 50]) > 100 * sigma2
 
 
+def test_zero_response_power_is_exp1_within_its_float32_tail_bound():
+    """KS to sigma2 * Exp(1) on another seed, [0, 32 ln 2 * sigma2], and a populated tail."""
+    sigma2 = 0.37
+    p, zero = _on_grid_noise_map(keep_cfr=True, seed=29, sigma2=sigma2)
+    x = np.sort(p.values[:, zero].ravel()) / sigma2
+    n = x.size
+    cdf = -np.expm1(-x)
+    ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    assert ks < 1.63 / np.sqrt(n)
+    assert x[0] >= 0 and not np.signbit(x[0])
+    assert x[-1] <= 32 * np.log(2) * (1 + 1e-6)
+    # the tail beyond 8 is Exp(1)'s, within 5 Poisson standard deviations
+    expected = n * np.exp(-8.0)
+    assert abs(np.count_nonzero(x > 8.0) - expected) < 5 * np.sqrt(expected)
+
+
+class _Words:
+    """A stand-in generator whose raw words are given."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self._words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, n):
+        out, self._words = self._words[:n], self._words[n:]
+        assert out.size == n
+        return out
+
+
+def test_log_uniforms_span_minus_32_ln2_to_zero_and_drop_an_odd_half():
+    """x = 2**32 - 1 gives ln u = +0.0, x = 0 gives -32 ln 2; an odd count drops the last half."""
+    top = 2**32 - 1
+    log_u = np.empty(3, dtype=np.float32)
+    synthesis._log_uniforms(_Words([top | (2**32 - 2**31) << 32, 7 << 32]), log_u)
+    assert log_u[0] == 0 and not np.signbit(log_u[0])
+    assert log_u[1] == pytest.approx(-np.log(2.0), rel=1e-6)  # u = 1/2
+    assert log_u[2] == pytest.approx(-32 * np.log(2.0), rel=1e-6)  # x = 0: the low half of 7 << 32
+    cos, sin = np.empty(2, dtype=np.float32), np.empty(2, dtype=np.float32)
+    synthesis._uniform_phases(_Words([2**30 << 32]), cos, sin)  # theta = 0 and pi / 2
+    np.testing.assert_allclose(cos, [1.0, 0.0], atol=1e-7)
+    np.testing.assert_allclose(sin, [0.0, 1.0], atol=1e-7)
+
+
 def test_zero_response_phases_are_uniform_and_independent_of_the_power():
     p, zero = _on_grid_noise_map(keep_cfr=True)
     h, power = p.h[:, zero].ravel(), p.values[:, zero].ravel()
@@ -378,11 +421,24 @@ def test_zero_response_phases_are_uniform_and_independent_of_the_power():
     assert abs(np.mean(power * np.exp(1j * theta))) / np.mean(power) < 4.0 / np.sqrt(n)
 
 
+def _halves(rng, shape):
+    """The 32-bit halves of ``rng``'s next raw words, low half first, as float32 values."""
+    n = int(np.prod(shape))
+    words = rng.bit_generator.random_raw((n + 1) // 2)
+    x = np.stack([words & 0xFFFFFFFF, words >> 32], axis=-1).reshape(-1)[:n]
+    return x.astype(np.float32).reshape(shape)
+
+
+def _exp_reference(rng, shape):
+    """Exp(1) as documented: -ln u in float32, u = (x + 1) / 2**32."""
+    return -np.log((_halves(rng, shape) + np.float32(1.0)) * np.float32(2.0**-32))
+
+
 def _noise_reference(rng, shape, sigma2):
     """The documented law of ``add_noise``, written out: powers, then float32 phases."""
-    e = rng.standard_exponential(shape)
-    theta = rng.random(shape, dtype=np.float32) * np.float32(2.0 * np.pi)
-    amp = np.sqrt(e * sigma2).astype(np.float32)
+    e = _exp_reference(rng, shape)
+    theta = _halves(rng, shape) * np.float32(2.0 * np.pi / 2.0**32)
+    amp = np.sqrt(e * np.float32(sigma2))
     return (np.cos(theta) * amp).astype(np.float64) + 1j * (np.sin(theta) * amp)
 
 
@@ -394,7 +450,7 @@ def test_on_grid_map_draws_in_the_documented_order(cfg_small, arr36, pat10):
     signal = synth_cfr(mpcs, arr36, pat10, cfg)
     rng = np.random.default_rng(8)
     w = _noise_reference(rng, arr36.m, cfg.sigma2)
-    want = rng.standard_exponential((arr36.m, cfg.k)) * cfg.sigma2
+    want = _exp_reference(rng, (arr36.m, cfg.k)).astype(np.float64) * cfg.sigma2
     want[:, 50] = np.abs(cfr_to_cir(signal, cfg)[:, 50] + w) ** 2
     np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(got.values[:, :50], want[:, :50])
@@ -408,8 +464,8 @@ def test_keep_cfr_draws_phases_after_the_map(cfg_small, arr36, pat10, mpc_13deg)
     with_h = simulate_padp([mpc_13deg], arr36, pat10, cfg, seed=rng_with, keep_cfr=True)
     assert without.values.tobytes() == with_h.values.tobytes()
     assert without.h is None
-    # the phases drew m * k float32 uniforms more from the shared generator
-    rng_without.random(arr36.m * cfg.k, dtype=np.float32)
+    # the phases drew m * k half-words more, m * k / 2 raw words, from the shared generator
+    rng_without.bit_generator.random_raw(arr36.m * cfg.k // 2)
     assert rng_without.random() == rng_with.random()
     np.testing.assert_allclose(np.abs(with_h.h) ** 2, with_h.values, rtol=1e-14, atol=0)
 
@@ -425,6 +481,18 @@ def test_on_grid_bins():
     assert bins(np.array([3 * dt, 7.5 * dt]), cfg) is None
     assert bins(np.array([63 * dt]), cfg) is not None
     assert bins(np.array([64 * dt]), cfg) is None  # beyond the grid: aliases
+
+
+@pytest.mark.parametrize("bins", [257.0, 257.0 + 1e-9, 1e6])
+def test_simulate_refuses_an_arrival_at_or_past_the_delay_window(cfg_small, arr36, pat10, bins):
+    """The transform is circular over k bins: an arrival at k/bw or later would alias."""
+    late = MpcTruth(1.0, 0.0, bins * cfg_small.delta_tau, 0.0)
+    early = MpcTruth(1.0, 0.0, 25e-9, 0.0)
+    for sigma2 in (0.0, 0.5):
+        with pytest.raises(ValueError, match="^tau: .* delay window"):
+            simulate_padp([early, late], arr36, pat10, replace(cfg_small, sigma2=sigma2))
+    last = MpcTruth(1.0, 0.0, 256.9 * cfg_small.delta_tau, 0.0)
+    assert simulate_padp([last], arr36, pat10, cfg_small).values.shape == (36, 257)
 
 
 def test_cached_grids_are_read_only_and_equal_the_formulas(cfg_full):
