@@ -5,8 +5,9 @@ index) through a SeedSequence, so runs are bit-reproducible and trials
 may execute in any order.  Set PADPKIT_THREADS to a positive integer to
 run trials of a sweep point on a thread pool; reduction collects per-trial
 records in trial order, so the output is identical to the serial run.
-Each thread synthesizes its trials into one reused ``Workspace``, so a
-trial's PADP is valid only within that trial.
+Each thread synthesizes its trials into one reused ``Workspace``, kept
+across sweeps of one map shape, so a trial's PADP is valid only within
+that trial.
 """
 
 import numbers
@@ -269,6 +270,19 @@ def _amp_error(power, truth, cfg):
     return float(np.sqrt(max(power, 0.0) / ref)) - 1.0
 
 
+# each thread's synthesis workspace, kept from one sweep to the next while the
+# map shape stays: consecutive serial sweeps reuse one, and map no fresh pages
+_thread_workspace = threading.local()
+
+
+def _workspace(m, k):
+    """This thread's ``Workspace`` for (m, k) maps, built when the shape changes."""
+    ws = getattr(_thread_workspace, "ws", None)
+    if ws is None or ws.signal.shape != (m, k):
+        ws = _thread_workspace.ws = Workspace(m, k)
+    return ws
+
+
 def run_sweep(mc, cfg, arr, pat, progress=None):
     """Monte Carlo RMSEE sweep with lower-bound overlays.
 
@@ -295,7 +309,6 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
             f"tau: {late[0]!r} s{offset} reaches the delay window k/bw = {cfg.k / cfg.bw!r} s, "
             "where the arrival aliases"
         )
-    local = threading.local()  # one synthesis workspace per thread running trials
     keep_h = Method.HAED_PLUS in mc.methods  # only haed+ reads the delay responses
     points = _sweep_points(mc, cfg, arr, pat)
     rows = []
@@ -306,11 +319,9 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
                 np.random.SeedSequence(entropy=mc.base_seed, spawn_key=(_si, ti))
             )
             mpcs = _trial_mpcs(mc, _cfg, _mpcs, rng)
-            if not hasattr(local, "ws"):
-                local.ws = Workspace(arr.m, cfg.k)
             # the Padp lives on this thread's workspace: it must not outlive the trial
             padp = simulate_padp(
-                mpcs, arr, pat, _cfg, seed=rng, keep_cfr=keep_h, workspace=local.ws
+                mpcs, arr, pat, _cfg, seed=rng, keep_cfr=keep_h, workspace=_workspace(arr.m, cfg.k)
             )
             record = {}
             for method in mc.methods:

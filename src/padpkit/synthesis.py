@@ -22,7 +22,9 @@ frequency phase ramp, identical to the direct sum.
 1. the noise-free responses are sum_l w_ml * T(r_l), where w_ml is the
    scan-direction weight of arrival l, r_l its length-K frequency ramp and
    T the delay transform: the transform is linear, so one length-K
-   transform per arrival replaces one per scan direction;
+   transform per arrival replaces one per scan direction.  An arrival on
+   delay bin q (tau * bw within 1e-9 of q) needs none: T(r_l) is sqrt(K)
+   on q and 0 on every other bin;
 2. the noise is drawn directly in delay: T is unitary, so it maps white
    noise of height sigma2 to white noise of the same height and the same
    distribution, and drawing it after the transform is exact, not an
@@ -37,17 +39,13 @@ frequency phase ramp, identical to the direct sum.
    (about 42 sigma2 on a 36 x 1001 map) with or without it.
    Off-grid delays leak into every bin, so their maps draw the complex
    noise of every cell, all the powers and then all the phases (or none,
-   noise-free).  When every arrival sits on a delay bin (tau * bw within
-   1e-9 of an integer), the noise-free response is zero on every other
-   bin, so only the arrivals' bins are formed, from the weights and
-   those columns of the responses (noise-free maps of several arrivals
-   take those columns of the full product instead, to keep its
-   rounding).  Noisy such maps draw, from one
+   noise-free).  When every arrival sits on a delay bin, only the
+   arrivals' bins are formed.  Noisy such maps draw, from one
    generator, the complex noise on the arrivals' bins, then one
    exponential per cell for the power of the whole map, and then, only
    when h is kept (``keep_cfr``), the phases, so the map does not depend
    on whether h is read; noise-free such maps draw nothing and are +0.0
-   off the arrivals' bins, not the transform's leakage of about 1e-13 of
+   off the arrivals' bins, where a transform would leak about 1e-13 of
    the peak;
 3. the power map is |h|^2 (on on-grid maps formed on the arrivals' bins
    only: elsewhere it is the drawn noise power, or 0), and the responses
@@ -283,9 +281,9 @@ def _arrival_ramps(tau, cfg, f_ref):
 def _delay_responses(tau, band):
     """``cfr_to_cir`` of the delay ramps of arrivals at delays ``tau`` (a tuple), read-only.
 
-    They depend only on the delays and the band, so a sweep whose arrivals
-    keep their delays (noise or angle sweeps) transforms them once.  Eight
-    entries bound what sweeps that redraw the delays every trial hold.
+    Off-grid maps only.  They depend on the delays and the band alone, so
+    a sweep that keeps its delays (noise or angle sweeps) transforms them
+    once; eight entries bound what sweeps redrawing the delays hold.
     """
     return _read_only(cfr_to_cir(_arrival_ramps(np.array(tau), band, 0.0), band))
 
@@ -508,8 +506,8 @@ def _on_grid_map(signal, cols, sigma2, seed, keep_cfr, ws):
     """Write the map of arrivals on delay bins ``cols`` into ``ws``; return h or None.
 
     ``ws.power`` receives the power map, and with ``keep_cfr`` ``ws.h`` the
-    responses.  ``signal`` is the noise-free response on those columns.
-    Everywhere else the response is zero.  Noise-free, the map and h are
+    responses.  ``signal`` is the noise-free response on those columns
+    (``simulate_padp``), zero elsewhere.  Noise-free, the map and h are
     +0.0 there.  Otherwise |h|**2 is sigma2 * E there, E ~ Exp(1) drawn as
     -ln u in float32 (``_log_uniforms``: E at most 32 ln 2, about 22.18)
     and scaled in float64, and the phase of h is uniform and independent
@@ -560,8 +558,10 @@ def _on_grid_map(signal, cols, sigma2, seed, keep_cfr, ws):
 def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
     """Full synthesis pipeline: delay responses -> noise -> Padp.
 
-    Works in the delay domain (see the module docstring).  The noisy delay
-    responses are attached as ``Padp.h`` (haed+ needs them).
+    Works in the delay domain (see the module docstring); when every
+    arrival sits on a delay bin, with no transform: bin q is sqrt(k) times
+    the weights w_ml of its arrivals l, summed in arrival order.  The
+    noisy delay responses are attached as ``Padp.h`` (haed+ needs them).
     ``keep_cfr=False`` leaves ``h`` off, so the Padp carries the power
     map only; on a map whose arrivals all sit on delay bins it also skips
     forming h off their bins (noisy: drawing its phases), and the map is
@@ -581,8 +581,14 @@ def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
             "where the arrival aliases"
         )
     weights = _arrival_weights(alpha, phase, phi, arr, pat, cfg)
-    responses = _delay_responses(tuple(tau.tolist()), cfg._band)
     cols = _on_grid_bins(tau, cfg)
+    if cols is None:
+        responses = _delay_responses(tuple(tau.tolist()), cfg._band)
+    else:
+        signal = np.zeros((arr.m, cols.size), dtype=np.complex128)
+        for w, q in zip(weights.T, np.searchsorted(cols, np.rint(tau * cfg.bw))):
+            signal[:, q] += w
+        signal *= math.sqrt(cfg.k)
     # built after the small arrays above: built first, its blocks land elsewhere in
     # glibc's heap, and a CLI simulate, estimate, crlb and offset-study pass in one
     # process page-faults twice as often (about 500 against 250 faults)
@@ -590,12 +596,6 @@ def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
     if ws.signal.shape != (arr.m, cfg.k):
         raise ValueError(f"workspace shape {ws.signal.shape} != map shape {(arr.m, cfg.k)}")
     if cols is not None:
-        if cfg.sigma2 == 0 and tau.size > 1:
-            # a cell summing several arrivals' terms rounds as BLAS's kernel for the
-            # product's shape does, so noise-free maps keep the full product's bits
-            signal = np.matmul(weights, responses, out=ws.signal)[:, cols]
-        else:
-            signal = weights @ responses[:, cols]
         h = _on_grid_map(signal, cols, cfg.sigma2, seed, keep_cfr, ws)
         return assemble_padp(ws.power, arr, cfg, h=h)
     if cfg.sigma2 == 0:

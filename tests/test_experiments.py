@@ -575,9 +575,13 @@ def _fingerprint(rows):
 
 
 def _counting_workspaces(monkeypatch):
+    """Count the workspaces built, starting with none kept by this thread."""
+    import threading
+
     import padpkit.experiments as exp
 
     made = []
+    monkeypatch.setattr(exp, "_thread_workspace", threading.local())
 
     class Counting(exp.Workspace):
         def __init__(self, m, k):
@@ -609,6 +613,26 @@ def test_serial_sweep_and_offset_study_allocate_one_workspace(arr36, pat10, monk
     assert made == [(arr36.m, CFG.k)]
     uniform_offset_study(6, seed=1, cfg=CFG, arr=arr36, pat=pat10)
     assert made == [(arr36.m, CFG.k)] * 2
+
+
+def test_consecutive_serial_sweeps_share_one_workspace(arr36, pat10, monkeypatch):
+    """A thread keeps its workspace across sweeps of one map shape; the rows do not move."""
+    import threading
+
+    monkeypatch.delenv("PADPKIT_THREADS", raising=False)
+    mc = _small_mc(trials=4)
+    fresh = []  # a new thread starts with no workspace kept
+    worker = threading.Thread(target=lambda: fresh.append(run_sweep(mc, CFG, arr36, pat10)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(fresh) == 1
+    made = _counting_workspaces(monkeypatch)
+    first = run_sweep(mc, CFG, arr36, pat10)
+    second = run_sweep(mc, CFG, arr36, pat10)
+    assert made == [(arr36.m, CFG.k)]
+    assert _fingerprint(first) == _fingerprint(second) == _fingerprint(fresh[0])
+    run_sweep(mc, replace(CFG, k=257), arr36, pat10)  # a new map shape builds a new one
+    assert made == [(arr36.m, CFG.k), (arr36.m, 257)]
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -684,32 +684,86 @@ def test_delay_responses_are_cached_per_delays_and_band(cfg_small):
     assert not got.flags.writeable
 
 
+def _truths(taus_ns):
+    phis = np.radians([13.0, 200.0, 47.0])
+    return [
+        MpcTruth(alpha=1.0 - 0.3 * i, phase=0.4 + 1.6 * i, tau=t * 1e-9, phi=phis[i])
+        for i, t in enumerate(taus_ns)
+    ]
+
+
 @pytest.mark.parametrize(
     "taus_ns",
     [(25.0,), (25.0, 31.5), (25.0, 25.0), (0.0, 31.5, 500.0)],
     ids=["one", "two", "two-on-one-bin", "three"],
 )
-def test_noise_free_on_grid_columns_equal_the_full_product(cfg_full, arr36, pat10, taus_ns):
-    """The arrivals' bins carry the bits of the full (m, k) product; every other cell is +0.0."""
-    phis = np.radians([13.0, 200.0, 47.0])
-    mpcs = [
-        MpcTruth(alpha=1.0 - 0.3 * i, phase=0.4 + 1.6 * i, tau=t * 1e-9, phi=phis[i])
-        for i, t in enumerate(taus_ns)
-    ]
+def test_noise_free_on_grid_columns_are_sqrt_k_times_the_summed_weights(
+    cfg_full, arr36, pat10, taus_ns
+):
+    """Bin q carries sqrt(k) times the weights of its arrivals, summed in arrival order.
+
+    That is the transform's value there to rounding; every other cell is +0.0.
+    """
+    mpcs = _truths(taus_ns)
     alpha, phase, phi, tau = synthesis._truth_params(mpcs)
-    full = synthesis._arrival_weights(alpha, phase, phi, arr36, pat10, cfg_full) @ (
-        synthesis._delay_responses(tuple(tau.tolist()), cfg_full._band)
+    w = synthesis._arrival_weights(alpha, phase, phi, arr36, pat10, cfg_full)
+    bins = [round(t * 1e-9 * cfg_full.bw) for t in taus_ns]
+    cols = sorted(set(bins))
+    want = np.stack(
+        [np.sqrt(cfg_full.k) * sum(w[:, l] for l, b in enumerate(bins) if b == q) for q in cols],
+        axis=1,
     )
-    cols = synthesis._on_grid_bins(tau, cfg_full)
-    assert cols is not None
+    kept = simulate_padp(mpcs, arr36, pat10, cfg_full, keep_cfr=True)
+    assert kept.h[:, cols].tobytes() == want.tobytes()
+    assert kept.values[:, cols].tobytes() == (np.abs(want) ** 2).tobytes()
+    full = cfr_to_cir(synth_cfr(mpcs, arr36, pat10, cfg_full), cfg_full)[:, cols]
+    assert np.max(np.abs(kept.h[:, cols] - full)) <= 1e-12 * np.max(np.abs(full))
+    ref = pdp(full)
+    assert np.max(np.abs(kept.values[:, cols] - ref)) <= 1e-12 * np.max(ref)
     off = np.ones(cfg_full.k, dtype=bool)
     off[cols] = False
-    kept = simulate_padp(mpcs, arr36, pat10, cfg_full, keep_cfr=True)
-    assert kept.values[:, cols].tobytes() == pdp(full)[:, cols].tobytes()
-    assert kept.h[:, cols].tobytes() == full[:, cols].tobytes()
     for a in (kept.values[:, off], kept.h[:, off].real, kept.h[:, off].imag):
         assert not np.any(a) and not np.any(np.signbit(a))
     values = kept.values.copy()
     bare = simulate_padp(mpcs, arr36, pat10, cfg_full, keep_cfr=False)
     assert bare.h is None
     assert bare.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "taus_ns", [(25.0,), (25.0, 25.0), (0.0, 31.5, 500.0)], ids=["one", "two-on-one-bin", "three"]
+)
+def test_on_grid_maps_skip_the_delay_transform(
+    cfg_full, arr36, pat10, monkeypatch, sigma2, taus_ns
+):
+    def boom(*_a, **_k):
+        raise AssertionError("on-grid map transformed")
+
+    cfg = replace(cfg_full, sigma2=sigma2)
+    monkeypatch.setattr(synthesis, "_delay_responses", boom)
+    monkeypatch.setattr(synthesis, "cfr_to_cir", boom)
+    simulate_padp(_truths(taus_ns), arr36, pat10, cfg, seed=3)
+    # 5e-10 bins off bin 50, within _ON_GRID_TOL: synthesized on it, bit for bit
+    assert (25.0 + 2.5e-10) * 1e-9 * cfg.bw != 50.0
+    near = simulate_padp(_truths([25.0 + 2.5e-10]), arr36, pat10, cfg, seed=3)
+    kept = near.values.copy(), near.h.copy()
+    exact = simulate_padp(_truths([25.0]), arr36, pat10, cfg, seed=3)
+    assert exact.values.tobytes() == kept[0].tobytes() and exact.h.tobytes() == kept[1].tobytes()
+
+
+def test_off_grid_maps_still_transform(cfg_full, arr36, pat10, monkeypatch):
+    calls = []
+
+    def spy(f):
+        def wrapped(*a, **k):
+            calls.append(f.__name__)
+            return f(*a, **k)
+
+        return wrapped
+
+    synthesis._delay_responses.cache_clear()
+    monkeypatch.setattr(synthesis, "_delay_responses", spy(synthesis._delay_responses))
+    monkeypatch.setattr(synthesis, "cfr_to_cir", spy(synthesis.cfr_to_cir))
+    simulate_padp(_truths([25.0, 40.2]), arr36, pat10, cfg_full)
+    assert sorted(calls) == ["_delay_responses", "cfr_to_cir"]
