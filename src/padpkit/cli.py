@@ -198,19 +198,20 @@ def _cmd_montecarlo(args):
 
 def _cmd_offset_study(args):
     scenario = io.load_scenario(args.scenario)
+    methods = io.parse_methods(args.methods)
     study = uniform_offset_study(
         args.n,
         args.seed,
         scenario.sounding,
         scenario.array,
         scenario.pattern,
-        methods=tuple(io.parse_methods(args.methods)),
+        methods=tuple(methods),
     )
     io.write_offset_csv(args.out, study)
     manifest = io.build_manifest(
         seed=args.seed,
         inputs={"scenario_sha256": scenario.sha256},
-        config={"n": args.n, "methods": args.methods},
+        config={"n": args.n, "methods": [m.value for m in methods]},
     )
     io.write_manifest_sidecar(args.out, manifest)
     print(f"wrote {args.out}", file=sys.stderr)

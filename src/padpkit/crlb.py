@@ -30,26 +30,22 @@ decoupled expressions, at one arrival angle or at an array of them
 with d_m the offsets of the scan directions from the arrival.
 
 A sweep is bounded in one stacked pass: ``fim_sweep`` forms the (P, 4L,
-4L) matrices of P points with one batched product and ``crlb_from_fims``
-inverts them with one batched ``eigh``; ``crlb_sweep`` chains the two in
-chunks of ``SWEEP_CHUNK`` points, so memory stays bounded on any grid.
+4L) matrices of P points with one batched product, and the frequency-axis
+Gram behind them once per distinct set of delays in the call (a sweep
+that keeps its delays forms one); ``crlb_from_fims`` inverts them with
+one batched ``eigh``; ``crlb_sweep`` chains the two in chunks of
+``SWEEP_CHUNK`` points, so memory stays bounded on any grid.
 ``fim`` and ``crlb_from_fim`` are the one-point case of the same code,
 and each stacked result equals the one-point result bit for bit.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import wrap_pm_pi
 from .antenna import PatternKind, gain
-from .synthesis import (
-    _arrival_ramps,
-    _arrival_terms,
-    _arrival_weights,
-    _read_only,
-)
+from .synthesis import _arrival_ramps, _arrival_terms, _arrival_weights
 
 CONDITION_LIMIT = 1e12
 SWEEP_CHUNK = 256  # sweep points per stacked pass of ``crlb_sweep``
@@ -164,15 +160,10 @@ def _frequency_factor(tau, cfg):
     return np.stack([r, r, r, dr], axis=2).reshape(cfg.k, -1)
 
 
-@functools.lru_cache(maxsize=64)
-def _frequency_gram(tau, band):
-    """v^H v of ``_frequency_factor``, read-only, per (delays tuple, band).
-
-    ``band`` is ``SoundingConfig._band``, so that configs differing in
-    noise height, transmit power or gain share one entry.
-    """
-    v = _frequency_factor(np.array(tau), band)
-    return _read_only(v.conj().T @ v)
+def _frequency_gram(tau, cfg):
+    """v^H v of ``_frequency_factor`` for the delays ``tau`` (a tuple)."""
+    v = _frequency_factor(np.array(tau), cfg)
+    return v.conj().T @ v
 
 
 def jacobian(mpcs, arr, pat, cfg):
@@ -213,9 +204,9 @@ def fim_sweep(points, arr, pat, cfg, sigma2=None):
     every point).  With Jacobian columns outer(u_i, v_i), the sum over
     (m, k) factors: F_ij = (2 / sigma2) Re[(u_i^H u_j) (v_i^H v_j)], so
     the (m*k, 4L) Jacobian is never formed.  The frequency-axis Gram
-    v^H v depends only on the delays and the band, so it is cached and
-    looked up once per distinct delay tuple; the (P, m, 4L) scan factors
-    are formed and multiplied as one stack.  Each matrix is bit for bit
+    v^H v depends only on the delays and the band, so it is formed once
+    per distinct delay tuple of the call; the (P, m, 4L) scan factors are
+    formed and multiplied as one stack.  Each matrix is bit for bit
     the one ``fim`` gives for its point alone.  ``crlb_sweep`` runs long
     sweeps through here in chunks.
     """
@@ -223,7 +214,7 @@ def fim_sweep(points, arr, pat, cfg, sigma2=None):
     scale = _information_scale(cfg.sigma2 if sigma2 is None else sigma2, len(theta))
     u = _scan_factor(theta, arr, pat, cfg)
     keys = [tuple(tau) for tau in theta[:, :, 3].tolist()]
-    grams = {key: _frequency_gram(key, cfg._band) for key in keys}
+    grams = {key: _frequency_gram(key, cfg) for key in dict.fromkeys(keys)}
     gram = grams[keys[0]] if len(grams) == 1 else np.stack([grams[key] for key in keys])
     with np.errstate(over="ignore"):  # an overflowing entry is inf: crlb_from_fims flags it
         f = scale * np.real((u.conj().transpose(0, 2, 1) @ u) * gram)

@@ -69,6 +69,18 @@ class MonteCarloConfig:
     def __post_init__(self):
         _require_int("trials", self.trials, 1)
         _require_int("base_seed", self.base_seed, 0)
+        methods = self.methods
+        if not (
+            isinstance(methods, tuple)
+            and methods
+            and all(isinstance(m, Method) for m in methods)
+            and len(set(methods)) == len(methods)
+        ):
+            raise ValueError(
+                f"methods: expected a non-empty tuple of distinct Method members, got {methods!r}"
+            )
+        if not isinstance(self.peak, PeakConfig):
+            raise ValueError(f"peak: expected a PeakConfig, got {self.peak!r}")
         values = tuple(self.sweep_values) if np.iterable(self.sweep_values) else ()
         if not values or not all(isinstance(v, numbers.Real) for v in values):
             raise ValueError("sweep_values: expected a non-empty sequence of numbers")

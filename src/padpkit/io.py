@@ -417,17 +417,23 @@ def write_offset_csv(path, study):
 
 
 def parse_methods(spec):
-    """Parse a comma-separated method list ('o1,o2,haed,haed+')."""
+    """Parse a comma-separated method list ('o1,o2,haed,haed+').
+
+    A method given twice is refused: it would write every estimate twice.
+    """
     out = []
     for name in spec.split(","):
         name = name.strip().lower()
         if not name:
             continue
         try:
-            out.append(Method(name))
+            method = Method(name)
         except ValueError:
             valid = ", ".join(m.value for m in Method)
             raise ValueError(f"unknown method {name!r} (valid: {valid})")
+        if method in out:
+            raise ValueError(f"method {name!r} given twice")
+        out.append(method)
     if not out:
         raise ValueError("no methods given")
     return out

@@ -133,16 +133,6 @@ class SoundingConfig:
     def delays(self):
         return _read_only(np.arange(self.k) * self.delta_tau)
 
-    @functools.cached_property
-    def _start_ramp(self):
-        return _band_start_ramp(_band_start(self), self.delays.tobytes())
-
-    @functools.cached_property
-    def _band(self):
-        # (fc, bw, k) only: the key of caches that do not depend on the
-        # transmit power, the gain or the noise height
-        return SoundingConfig(self.fc, self.bw, self.k)
-
 
 @dataclass(frozen=True)
 class ArrayConfig:
@@ -277,17 +267,6 @@ def _arrival_ramps(tau, cfg, f_ref):
     return np.exp(-2j * np.pi * np.outer(tau, cfg.freqs - f_ref))
 
 
-@functools.lru_cache(maxsize=8)
-def _delay_responses(tau, band):
-    """``cfr_to_cir`` of the delay ramps of arrivals at delays ``tau`` (a tuple), read-only.
-
-    Off-grid maps only.  They depend on the delays and the band alone, so
-    a sweep that keeps its delays (noise or angle sweeps) transforms them
-    once; eight entries bound what sweeps redrawing the delays hold.
-    """
-    return _read_only(cfr_to_cir(_arrival_ramps(np.array(tau), band, 0.0), band))
-
-
 def _truth_params(mpcs):
     """(alpha, phase, phi, tau) arrays of MpcTruth arrivals, for ``_arrival_terms``."""
     return np.array([(m.alpha, m.phase, m.phi, m.tau) for m in mpcs]).reshape(-1, 4).T
@@ -420,14 +399,16 @@ def cfr_to_cir(y, cfg):
     """Delay-domain responses h_m(tau_j) from received spectra.
 
     Evaluates the sum of the module docstring as sqrt(K) * ifft times the
-    phase ramp of the band start frequency; the tests hold the direct
-    exponential sum as its reference.
+    phase ramp of the band start frequency, which comes from the cache
+    ``Padp.spectra`` reads too; the tests hold the direct exponential sum
+    as its reference.
     """
     y = np.asarray(y)
     k = cfg.k
     if y.shape[-1] != k:
         raise ValueError("spectrum length must equal cfg.k")
-    return np.sqrt(k) * np.fft.ifft(y, axis=-1) * cfg._start_ramp
+    ramp = _band_start_ramp(_band_start(cfg), cfg.delays.tobytes())
+    return np.sqrt(k) * np.fft.ifft(y, axis=-1) * ramp
 
 
 def pdp(h, out=None):
@@ -464,9 +445,9 @@ class Workspace:
     off-grid noisy maps (in float32 quarters: ln u and then the
     amplitudes, and the phases' cos and sin), and then the delay
     responses ``h`` (its complex view).  ``signal`` is an (m, k) complex
-    block: the noise-free responses, on off-grid noisy maps then their
-    sum with the noise (``add_noise`` forms it there before copying it to
-    ``h``), and then, in its first half, the power map; on-grid noisy
+    block: the noise-free responses, on off-grid maps then their sum
+    with the noise, if any (``add_noise`` forms it there before copying it
+    to ``h``), and then, in its first half, the power map; on-grid noisy
     maps use its second half (``scratch``) for the cos and sin of the
     phase draw of a kept ``h``.  About 1.15 MB at 36 x 1001.  The raw
     generator words, and the float32 exponentials of on-grid maps, come
@@ -583,7 +564,7 @@ def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
     weights = _arrival_weights(alpha, phase, phi, arr, pat, cfg)
     cols = _on_grid_bins(tau, cfg)
     if cols is None:
-        responses = _delay_responses(tuple(tau.tolist()), cfg._band)
+        responses = cfr_to_cir(_arrival_ramps(tau, cfg, 0.0), cfg)
     else:
         signal = np.zeros((arr.m, cols.size), dtype=np.complex128)
         for w, q in zip(weights.T, np.searchsorted(cols, np.rint(tau * cfg.bw))):
@@ -598,8 +579,5 @@ def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
     if cols is not None:
         h = _on_grid_map(signal, cols, cfg.sigma2, seed, keep_cfr, ws)
         return assemble_padp(ws.power, arr, cfg, h=h)
-    if cfg.sigma2 == 0:
-        h = np.matmul(weights, responses, out=ws.h)
-    else:
-        h = add_noise(np.matmul(weights, responses, out=ws.signal), cfg.sigma2, seed, out=ws.noise)
+    h = add_noise(np.matmul(weights, responses, out=ws.signal), cfg.sigma2, seed, out=ws.noise)
     return assemble_padp(pdp(h, out=ws.power), arr, cfg, h=h if keep_cfr else None)

@@ -265,22 +265,37 @@ def test_closed_forms_require_gaussian(pat10):
 
 
 def test_fim_shares_one_frequency_gram_across_noise_and_power(pat10):
-    """The cached v^H v leaves the Fisher matrix bit for bit as the direct product."""
-    from padpkit.crlb import _frequency_gram, _jacobian_factors
+    """The Gram v^H v leaves the Fisher matrix bit for bit as the direct product."""
+    from padpkit.crlb import _jacobian_factors
 
     mpcs = [_one(13.0, alpha=1.3), _one(27.0, alpha=0.8, tau=30.5e-9, phase=1.9)]
-    _frequency_gram.cache_clear()
-    cfgs = [CFG, replace(CFG, sigma2=0.01), replace(CFG, pu=3.0, g_tx=0.5)]
-    for cfg in cfgs:
+    for cfg in [CFG, replace(CFG, sigma2=0.01), replace(CFG, pu=3.0, g_tx=0.5)]:
         u, v = _jacobian_factors(mpcs, ARR, pat10, cfg)
         f = (2.0 / cfg.sigma2) * np.real((u.conj().T @ u) * (v.conj().T @ v))
         assert fim(mpcs, ARR, pat10, cfg).tobytes() == (0.5 * (f + f.T)).tobytes()
-    info = _frequency_gram.cache_info()
-    assert (info.misses, info.hits) == (1, len(cfgs) - 1)
-    fim(mpcs[:1], ARR, pat10, CFG)  # other delays: a new entry
-    assert _frequency_gram.cache_info().misses == 2
-    gram = _frequency_gram((25e-9,), CFG._band)
-    assert not gram.flags.writeable
+
+
+def test_fim_sweep_forms_one_gram_per_distinct_delays(pat10, monkeypatch):
+    """Each call forms the frequency Gram once per distinct delay tuple among its points."""
+    from padpkit import crlb
+
+    keys = []
+    gram = crlb._frequency_gram
+
+    def spy(tau, cfg):
+        keys.append(tau)
+        return gram(tau, cfg)
+
+    monkeypatch.setattr(crlb, "_frequency_gram", spy)
+    sweep = [[_one(a)] for a in np.linspace(0.0, 10.0, 21)]  # a true-angle sweep
+    want = np.stack([fim(p, ARR, pat10, CFG) for p in sweep])
+    keys.clear()
+    assert fim_sweep(sweep, ARR, pat10, CFG).tobytes() == want.tobytes()
+    assert keys == [(25e-9,)]
+    keys.clear()
+    mixed = [[_one(float(i), tau=(25e-9, 30.5e-9)[i % 2])] for i in range(6)]
+    fim_sweep(mixed, ARR, pat10, CFG)
+    assert sorted(keys) == [(25e-9,), (30.5e-9,)]
 
 
 @pytest.fixture(scope="module")

@@ -115,6 +115,29 @@ def test_mc_config_validation(pat10):
 _MC_BASE = dict(sweep_values=(10.0,), mpcs=(MpcTruth(1.0, 0.0, 25e-9, 0.0),))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("methods", ()),
+        ("methods", ("haed",)),
+        ("methods", (Method.HAED, "o1")),
+        ("methods", (Method.HAED, Method.O1, Method.HAED)),
+        ("methods", [Method.HAED]),
+        ("methods", Method.HAED),
+        ("methods", None),
+        ("peak", 6.0),
+        ("peak", None),
+        ("peak", {"noise_floor_db_offset": 6.0}),
+    ],
+    ids=["no-method", "a-string", "a-string-among-methods", "repeated", "a-list", "bare",
+         "none", "peak-float", "peak-none", "peak-dict"],
+)
+def test_mc_config_rejects_bad_methods_and_peak(field, value):
+    """Methods are a non-empty tuple of distinct ``Method`` members; peak is a ``PeakConfig``."""
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        MonteCarloConfig(**_MC_BASE, **{field: value})
+
+
 @pytest.mark.parametrize("trials", [2.5, 2.0, True, "4", None, -1])
 def test_mc_config_rejects_a_non_integer_trial_count(trials):
     with pytest.raises(ValueError, match="trials"):

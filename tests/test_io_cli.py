@@ -483,6 +483,27 @@ def test_parse_methods():
         parse_methods("o1,magic")
     with pytest.raises(ValueError):
         parse_methods(",")
+    with pytest.raises(ValueError, match="method 'haed' given twice"):
+        parse_methods("haed, o1,HAED")
+
+
+@pytest.mark.parametrize("command", ["estimate", "montecarlo", "offset-study"])
+def test_cli_refuses_a_repeated_method(tmp_path, capsys, command):
+    """A method given twice exits 2 naming it, and writes nothing."""
+    sc = scenario_file(tmp_path, SCENARIO)
+    padp_path = tmp_path / "scan.padp"
+    assert main(["simulate", "--scenario", str(sc), "--out", str(padp_path)]) == 0
+    out = tmp_path / "out.csv"
+    argv = {
+        "estimate": ["estimate", "--padp", str(padp_path), "--scenario", str(sc)],
+        "montecarlo": ["montecarlo", "--scenario", str(sc), "--sweep", "output-snr",
+                       "--values", "30", "--trials", "1"],
+        "offset-study": ["offset-study", "--scenario", str(sc), "--n", "1"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--methods", "haed,haed", "--out", str(out)]) == 2
+    assert "method 'haed' given twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_simulate_deterministic(tmp_path):
@@ -853,6 +874,17 @@ def test_cli_offset_study(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "method,param,n,rmsee,mean_err,mean_abs_err,misses"
     assert len(lines) == 1 + 3 * 2
+
+
+def test_cli_offset_study_manifest_records_the_parsed_methods(tmp_path):
+    """As for estimate and montecarlo, the manifest holds method names, not the raw flag."""
+    sc = scenario_file(tmp_path)
+    out = tmp_path / "offset.csv"
+    rc = main(["offset-study", "--scenario", str(sc), "--n", "2", "--methods", " HAED, o1",
+               "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "offset.csv.manifest.json").read_text())
+    assert manifest["config"]["methods"] == ["haed", "o1"]
 
 
 @pytest.mark.parametrize(

@@ -501,7 +501,6 @@ def test_cached_grids_are_read_only_and_equal_the_formulas(cfg_full):
     formulas = {
         "freqs": f_start + np.arange(cfg.k) * cfg.delta_f,
         "delays": np.arange(cfg.k) * cfg.delta_tau,
-        "_start_ramp": np.exp(2j * np.pi * f_start * (np.arange(cfg.k) * cfg.delta_tau)),
     }
     arr = ArrayConfig(m=36)
     grids = [(getattr(cfg, name), getattr(cfg, name), ref) for name, ref in formulas.items()]
@@ -673,15 +672,24 @@ def test_padp_rejects_delay_grids_without_a_positive_first_step(delays):
         Padp(v, 2.0 * np.pi * np.arange(3) / 3, delays)
 
 
-def test_delay_responses_are_cached_per_delays_and_band(cfg_small):
-    from padpkit.synthesis import _arrival_ramps, _delay_responses
+def test_noise_free_off_grid_maps_are_the_transformed_ramps(cfg_small, arr36, pat10, monkeypatch):
+    """h is weights @ cfr_to_cir(ramps) bit for bit, the map |h|**2, and nothing is drawn."""
 
-    tau = (25e-9, 40.3e-9)
-    got = _delay_responses(tau, cfg_small._band)
-    assert got is _delay_responses(tau, replace(cfg_small, sigma2=2.0, pu=3.0, g_tx=0.5)._band)
-    ref = cfr_to_cir(_arrival_ramps(np.array(tau), cfg_small, 0.0), cfg_small)
-    assert got.tobytes() == ref.tobytes()
-    assert not got.flags.writeable
+    def boom(*_a, **_k):
+        raise AssertionError("noise-free map drew generator words")
+
+    monkeypatch.setattr(synthesis, "_uniforms", boom)
+    mpcs = [MpcTruth(1.0, 0.4, 25e-9, 0.2), MpcTruth(0.7, 2.0, 40.3e-9, 3.5)]
+    alpha, phase, phi, tau = synthesis._truth_params(mpcs)
+    for cfg in (cfg_small, replace(cfg_small, pu=3.0, g_tx=0.5)):
+        weights = synthesis._arrival_weights(alpha, phase, phi, arr36, pat10, cfg)
+        want = weights @ cfr_to_cir(synthesis._arrival_ramps(tau, cfg, 0.0), cfg)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        p = simulate_padp(mpcs, arr36, pat10, cfg, seed=rng, keep_cfr=True)
+        assert rng.bit_generator.state == state
+        assert p.h.tobytes() == want.tobytes()
+        assert p.values.tobytes() == (np.abs(want) ** 2).tobytes()
 
 
 def _truths(taus_ns):
@@ -741,7 +749,6 @@ def test_on_grid_maps_skip_the_delay_transform(
         raise AssertionError("on-grid map transformed")
 
     cfg = replace(cfg_full, sigma2=sigma2)
-    monkeypatch.setattr(synthesis, "_delay_responses", boom)
     monkeypatch.setattr(synthesis, "cfr_to_cir", boom)
     simulate_padp(_truths(taus_ns), arr36, pat10, cfg, seed=3)
     # 5e-10 bins off bin 50, within _ON_GRID_TOL: synthesized on it, bit for bit
@@ -762,8 +769,6 @@ def test_off_grid_maps_still_transform(cfg_full, arr36, pat10, monkeypatch):
 
         return wrapped
 
-    synthesis._delay_responses.cache_clear()
-    monkeypatch.setattr(synthesis, "_delay_responses", spy(synthesis._delay_responses))
     monkeypatch.setattr(synthesis, "cfr_to_cir", spy(synthesis.cfr_to_cir))
     simulate_padp(_truths([25.0, 40.2]), arr36, pat10, cfg_full)
-    assert sorted(calls) == ["_delay_responses", "cfr_to_cir"]
+    assert calls == ["cfr_to_cir"]
