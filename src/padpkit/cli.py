@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import io
-from .antenna import AntennaPattern, load_pattern_csv
+from .antenna import load_pattern_csv
 from .crlb import crlb_sweep
 from .estimation import HAED_PLUS_UPSAMPLE, Method, PeakConfig
 from .experiments import (
@@ -29,19 +29,31 @@ from .synthesis import simulate_padp
 
 
 def _parse_values(spec):
-    """Parse a sweep grid: 'start:stop:num' (inclusive linspace) or 'v1,v2,...'."""
+    """Parse a sweep grid: 'start:stop:num' (inclusive linspace) or 'v1,v2,...'.
+
+    Every value must be finite; a fault is a ``ValueError`` naming ``--values``.
+    """
     spec = spec.strip()
-    if not spec:
-        raise ValueError("empty sweep grid")
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad grid {spec!r}, expected start:stop:num")
-        start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
-        if num < 1:
-            raise ValueError("grid needs at least one point")
-        return tuple(np.linspace(start, stop, num))
-    return tuple(float(v) for v in spec.split(","))
+    try:
+        if not spec:
+            raise ValueError("empty sweep grid")
+        if ":" in spec:
+            parts = spec.split(":")
+            if len(parts) != 3:
+                raise ValueError(f"bad grid {spec!r}, expected start:stop:num")
+            start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
+            if num < 1:
+                raise ValueError("grid needs at least one point")
+            with np.errstate(all="ignore"):  # an overflow is the non-finite error below
+                values = tuple(np.linspace(start, stop, num))
+        else:
+            values = tuple(float(v) for v in spec.split(","))
+        bad = [float(v) for v in values if not np.isfinite(v)]
+        if bad:
+            raise ValueError(f"grid values must be finite, got {bad[0]!r}")
+    except ValueError as exc:
+        raise ValueError(f"--values: {exc}") from None
+    return values
 
 
 def _seed(text):
@@ -77,7 +89,7 @@ def _load_pattern_for_estimate(args):
     if args.pattern_csv:
         return load_pattern_csv(args.pattern_csv)
     if args.gmax_db is not None and args.hpbw_deg is not None:
-        return AntennaPattern.gaussian(10.0 ** (args.gmax_db / 10.0), np.radians(args.hpbw_deg))
+        return io.gaussian_pattern(args.gmax_db, args.hpbw_deg, "--gmax-db")
     raise ValueError("give --scenario, --pattern-csv, or both --gmax-db and --hpbw-deg")
 
 

@@ -38,6 +38,19 @@ def _require_int(name, value, low):
         raise ValueError(f"{name}: expected an integer >= {low}, got {value!r}")
 
 
+def _require_methods(methods):
+    """Refuse ``methods`` unless it is a non-empty tuple of distinct ``Method`` members."""
+    if not (
+        isinstance(methods, tuple)
+        and methods
+        and all(isinstance(m, Method) for m in methods)
+        and len(set(methods)) == len(methods)
+    ):
+        raise ValueError(
+            f"methods: expected a non-empty tuple of distinct Method members, got {methods!r}"
+        )
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Sweep specification for ``run_sweep``.
@@ -69,16 +82,7 @@ class MonteCarloConfig:
     def __post_init__(self):
         _require_int("trials", self.trials, 1)
         _require_int("base_seed", self.base_seed, 0)
-        methods = self.methods
-        if not (
-            isinstance(methods, tuple)
-            and methods
-            and all(isinstance(m, Method) for m in methods)
-            and len(set(methods)) == len(methods)
-        ):
-            raise ValueError(
-                f"methods: expected a non-empty tuple of distinct Method members, got {methods!r}"
-            )
+        _require_methods(self.methods)
         if not isinstance(self.peak, PeakConfig):
             raise ValueError(f"peak: expected a PeakConfig, got {self.peak!r}")
         values = tuple(self.sweep_values) if np.iterable(self.sweep_values) else ()
@@ -290,7 +294,7 @@ _thread_workspace = threading.local()
 def _workspace(m, k):
     """This thread's ``Workspace`` for (m, k) maps, built when the shape changes."""
     ws = getattr(_thread_workspace, "ws", None)
-    if ws is None or ws.signal.shape != (m, k):
+    if ws is None or ws.power.shape != (m, k):
         ws = _thread_workspace.ws = Workspace(m, k)
     return ws
 
@@ -396,8 +400,10 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
     {method: {param: ErrorStats}} for params 'phi_deg' and 'power_db'.
     The delay responses ``h`` are kept only when haed+, which reads them,
     is requested; the other methods' statistics are the same either way.
+    ``methods`` is a non-empty tuple of distinct ``Method`` members.
     """
     _require_int("n_mpcs", n_mpcs, 1)
+    _require_methods(methods)
     cfg0 = replace(cfg, sigma2=0.0)
     p_ref = cfg0.k * cfg0.pu * cfg0.g_tx**2
     samples = {m: {"phi_deg": [], "power_db": []} for m in methods}

@@ -156,16 +156,25 @@ def parse_scenario(text, base_dir=None):
     )
 
 
+def gaussian_pattern(g_max_db, hpbw_deg, field):
+    """A Gaussian beam from its max power gain in dB and its HPBW in degrees.
+
+    A gain beyond the float range raises ``ScenarioError`` naming ``field``:
+    scenario files and ``estimate --gmax-db`` share this check.
+    """
+    try:
+        g_max = 10.0 ** (g_max_db / 10.0)
+    except OverflowError:
+        raise ScenarioError(f"{field}: gain beyond the float range") from None
+    return AntennaPattern.gaussian(g_max, np.radians(hpbw_deg))
+
+
 def _parse_pattern(pat_doc, base_dir):
     kind = _need(pat_doc, "kind", str, "pattern")
     if kind == "gaussian":
         g_max_db = _need(pat_doc, "g_max_db", float, "pattern")
         hpbw_deg = _need(pat_doc, "hpbw_deg", float, "pattern")
-        try:
-            g_max = 10.0 ** (g_max_db / 10.0)
-        except OverflowError:
-            raise ScenarioError("pattern.g_max_db: gain beyond the float range") from None
-        return AntennaPattern.gaussian(g_max, np.radians(hpbw_deg))
+        return gaussian_pattern(g_max_db, hpbw_deg, "pattern.g_max_db")
     if kind == "tabulated":
         table_path = _need(pat_doc, "table_path", str, "pattern")
         if base_dir is not None:

@@ -54,9 +54,10 @@ frequency phase ramp, identical to the direct sum.
    rows they read (``Padp.spectra``), and all rows are transformed only
    where spectra leave the program (``simulate --cfr-out``).
 
-Every map is written into the two buffers of a ``Workspace``.  Monte
-Carlo loops pass one and reuse it, so a trial allocates (and page-faults)
-no new map; a call without one builds one for that call.
+Every map is written into the arrays of a ``Workspace``: the responses,
+the power map and the noise draw's float32 scratch.  Monte Carlo loops
+pass one and reuse it, so a trial allocates (and page-faults) no new map;
+a call without one builds one for that call.
 """
 
 import functools
@@ -278,7 +279,7 @@ def synth_cfr(mpcs, arr, pat, cfg):
     return weights @ ramps
 
 
-def add_noise(s, sigma2, seed, out=None):
+def add_noise(s, sigma2, seed, draw=None):
     """Add circularly symmetric white Gaussian noise of spectral height sigma2.
 
     Each sample is drawn as power and phase, w = sqrt(sigma2 * E) e^{j theta}
@@ -294,39 +295,38 @@ def add_noise(s, sigma2, seed, out=None):
     Deterministic for a given seed (int, SeedSequence or Generator; a
     Generator is used as is, so the caller can draw on from it).
 
-    Without ``out`` returns a new array and leaves ``s`` as it is.  With
-    ``out``, a C-contiguous float64 array of shape ``s.shape + (2,)``,
-    returns its complex view holding the interleaved (re, im) result;
-    ``out`` is scratch for the draw, and ``s``, then a writeable complex128
-    array, receives the sum too, so no map-sized temporary is allocated.
+    Without ``draw`` returns a new array and leaves ``s`` as it is.  With
+    ``draw``, a C-contiguous float32 array of shape ``(3,) + s.shape`` that
+    holds the amplitudes and the phases' cos and sin, adds the noise to
+    ``s`` in place and returns ``s``, which must then be a writeable
+    complex128 array apart from ``draw``: no map-sized temporary is
+    allocated.
     """
     if not 0.0 <= sigma2 < math.inf:
         raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2!r}")
-    shape = (*np.shape(s), 2)
-    if out is None:
-        out = np.empty(shape)
+    if draw is None:
         s = np.array(s, dtype=np.complex128)  # the sum's buffer: a copy, so s is kept
-    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
-    elif s.dtype != np.complex128 or not s.flags.writeable or np.may_share_memory(s, out):
-        raise ValueError("s must be a writeable complex128 array apart from out")
-    w = out.view(np.complex128)[..., 0]
-    if sigma2 != 0:
-        # out as scratch, in float32 quarters: cos the first, sin the third and
-        # ln u, then the amplitude, the last
-        cos, _, sin, amp = out.reshape(-1).view(np.float32).reshape(4, *s.shape)
-        rng = np.random.default_rng(seed)
-        _log_uniforms(rng, amp)
-        # sigma2 * E = -sigma2 * ln u; E = 0 gives an amplitude of -0.0, which adds 0
-        np.multiply(amp, np.array(-sigma2, dtype=np.float32), out=amp)
-        np.sqrt(amp, out=amp)
-        _uniform_phases(rng, cos, sin)
-        cos *= amp
-        sin *= amp
-        s.real += cos
-        s.imag += sin
-    w[...] = s
-    return w
+    else:
+        shape = (3, *np.shape(s))
+        if draw.shape != shape or draw.dtype != np.float32 or not draw.flags.c_contiguous:
+            raise ValueError(f"draw must be a C-contiguous float32 array of shape {shape}")
+        writeable = isinstance(s, np.ndarray) and s.dtype == np.complex128 and s.flags.writeable
+        if not writeable or np.may_share_memory(s, draw):
+            raise ValueError("s must be a writeable complex128 array apart from draw")
+    if sigma2 == 0:
+        return s
+    amp, cos, sin = np.empty((3, *s.shape), dtype=np.float32) if draw is None else draw
+    rng = np.random.default_rng(seed)
+    _log_uniforms(rng, amp)
+    # sigma2 * E = -sigma2 * ln u; E = 0 gives an amplitude of -0.0, which adds 0
+    np.multiply(amp, np.array(-sigma2, dtype=np.float32), out=amp)
+    np.sqrt(amp, out=amp)
+    _uniform_phases(rng, cos, sin)
+    cos *= amp
+    sin *= amp
+    s.real += cos
+    s.imag += sin
+    return s
 
 
 # raw words per random_raw call: 96 kB, under glibc's 128 kB mmap threshold, so a
@@ -439,31 +439,25 @@ def assemble_padp(pdps, arr, cfg, h=None):
 
 
 class Workspace:
-    """Map-sized buffers that ``simulate_padp`` reuses from one call to the next.
+    """Map-sized arrays that ``simulate_padp`` reuses from one call to the next.
 
-    ``noise`` is an (m, k, 2) float64 block: scratch for the noise draw of
-    off-grid noisy maps (in float32 quarters: ln u and then the
-    amplitudes, and the phases' cos and sin), and then the delay
-    responses ``h`` (its complex view).  ``signal`` is an (m, k) complex
-    block: the noise-free responses, on off-grid maps then their sum
-    with the noise, if any (``add_noise`` forms it there before copying it
-    to ``h``), and then, in its first half, the power map; on-grid noisy
-    maps use its second half (``scratch``) for the cos and sin of the
-    phase draw of a kept ``h``.  About 1.15 MB at 36 x 1001.  The raw
-    generator words, and the float32 exponentials of on-grid maps, come
-    in blocks of at most 96 kB (``_RAW_BLOCK``) outside the workspace.
-    A Padp built on a workspace shares these arrays, so the next
-    ``simulate_padp`` call on the same workspace overwrites it; a
-    workspace belongs to one thread.  A call given no workspace builds
-    one of its own, which its Padp then keeps alive.
+    Each has one role: ``h``, (m, k) complex, the delay responses;
+    ``power``, (m, k) float64, the power map; and ``draw``, (3, m, k)
+    float32, scratch for the noise draw (``add_noise``'s amplitudes and
+    phases' cos and sin; on on-grid maps the exponentials of the power
+    and then the cos and sin of a kept ``h``'s phases).  About 1.30 MB at
+    36 x 1001.  The raw generator words come in blocks of at most 96 kB
+    (``_RAW_BLOCK``) outside the workspace.  A Padp built on a workspace
+    shares ``power`` and ``h``, so the next ``simulate_padp`` call on the
+    same workspace overwrites it; a workspace belongs to one thread.  A
+    call given no workspace builds one of its own, whose ``power`` and
+    ``h`` its Padp then keeps.
     """
 
     def __init__(self, m, k):
-        self.noise = np.empty((m, k, 2))
-        self.signal = np.empty((m, k), dtype=np.complex128)
-        self.h = self.noise.view(np.complex128)[..., 0]
-        halves = self.signal.reshape(-1).view(np.float64).reshape(2, m, k)
-        self.power, self.scratch = halves
+        self.h = np.empty((m, k), dtype=np.complex128)
+        self.power = np.empty((m, k))
+        self.draw = np.empty((3, m, k), dtype=np.float32)
 
 
 # an arrival delay within this many delay bins of a bin is on the grid
@@ -491,14 +485,14 @@ def _on_grid_map(signal, cols, sigma2, seed, keep_cfr, ws):
     (``simulate_padp``), zero elsewhere.  Noise-free, the map and h are
     +0.0 there.  Otherwise |h|**2 is sigma2 * E there, E ~ Exp(1) drawn as
     -ln u in float32 (``_log_uniforms``: E at most 32 ln 2, about 22.18)
-    and scaled in float64, and the phase of h is uniform and independent
-    of it: h = sqrt(P) e^{j theta}.  One generator draws, in this order,
-    the complex noise on ``cols`` (``add_noise``), the power of the whole
-    map and then, only with ``keep_cfr``, the phases, so the map does not
-    depend on ``keep_cfr``.  The phases are resolved to float32 (under
-    5e-7 rad), where cos and sin are vectorized; their cos and sin fill
-    ``ws.scratch``.  h is scaled in float64, so |h|**2 is the map to
-    rounding.
+    into ``ws.draw[0]`` and scaled in float64, and the phase of h is
+    uniform and independent of it: h = sqrt(P) e^{j theta}.  One generator
+    draws, in this order, the complex noise on ``cols`` (``add_noise``),
+    the power of the whole map and then, only with ``keep_cfr``, the
+    phases, so the map does not depend on ``keep_cfr``.  The phases are
+    resolved to float32 (under 5e-7 rad), where cos and sin are
+    vectorized; their cos and sin fill ``ws.draw[1]`` and ``ws.draw[2]``.
+    h is scaled in float64, so |h|**2 is the map to rounding.
     """
     if sigma2 == 0:
         ws.power.fill(0.0)
@@ -510,19 +504,14 @@ def _on_grid_map(signal, cols, sigma2, seed, keep_cfr, ws):
         return ws.h
     rng = np.random.default_rng(seed)
     h_cols = add_noise(signal, sigma2, rng)
-    # E through a float32 block off the workspace, so the draw touches no more
-    # of the workspace than the map (a fresh workspace page-faults per page)
-    power = ws.power.reshape(-1)
-    for start in range(0, power.size, 2 * _RAW_BLOCK):
-        e = np.empty(min(2 * _RAW_BLOCK, power.size - start), dtype=np.float32)
-        _log_uniforms(rng, e)
-        np.subtract(_ZERO, e, out=e)  # E = 0 - ln u: +0.0 at u = 1, not -0.0
-        np.multiply(e, sigma2, out=power[start : start + e.size], dtype=np.float64)
+    e, cos, sin = ws.draw
+    _log_uniforms(rng, e)
+    np.subtract(_ZERO, e, out=e)  # E = 0 - ln u: +0.0 at u = 1, not -0.0
+    np.multiply(e, sigma2, out=ws.power, dtype=np.float64)
     ws.power[:, cols] = pdp(h_cols)
     if not keep_cfr:
         return None
-    cos, sin = ws.scratch.reshape(-1).view(np.float32).reshape(2, *ws.power.shape)
-    re, im = ws.noise[..., 0], ws.noise[..., 1]
+    re, im = ws.h.real, ws.h.imag
     _uniform_phases(rng, cos, sin)
     # scale = sqrt(P / (cos^2 + sin^2)), formed in re; the squares are exact in float64
     np.multiply(cos, cos, out=re, dtype=np.float64)
@@ -548,11 +537,10 @@ def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
     forming h off their bins (noisy: drawing its phases), and the map is
     the same either way.  An arrival at or past the delay window k/bw
     would alias and is refused with a ``ValueError`` naming ``tau``.
-    The map and ``h`` are written into the buffers of ``workspace``, a
-    ``Workspace`` of the map's shape, and the Padp is valid only until the
-    workspace's next call.  Without one the call builds its own, and the
-    Padp holds its blocks: the map is half of a 576 kB block (at 36 x
-    1001), twice the map's own size, and ``h`` fills the other block.
+    The map and ``h`` are written into ``workspace.power`` and
+    ``workspace.h``, a ``Workspace`` of the map's shape, and the Padp is
+    valid only until the workspace's next call.  Without one the call
+    builds its own, and the Padp's map and ``h`` are its own arrays.
     """
     alpha, phase, phi, tau = _truth_params(mpcs)
     last = max(tau.tolist())
@@ -570,14 +558,11 @@ def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
         for w, q in zip(weights.T, np.searchsorted(cols, np.rint(tau * cfg.bw))):
             signal[:, q] += w
         signal *= math.sqrt(cfg.k)
-    # built after the small arrays above: built first, its blocks land elsewhere in
-    # glibc's heap, and a CLI simulate, estimate, crlb and offset-study pass in one
-    # process page-faults twice as often (about 500 against 250 faults)
     ws = Workspace(arr.m, cfg.k) if workspace is None else workspace
-    if ws.signal.shape != (arr.m, cfg.k):
-        raise ValueError(f"workspace shape {ws.signal.shape} != map shape {(arr.m, cfg.k)}")
+    if ws.power.shape != (arr.m, cfg.k):
+        raise ValueError(f"workspace shape {ws.power.shape} != map shape {(arr.m, cfg.k)}")
     if cols is not None:
         h = _on_grid_map(signal, cols, cfg.sigma2, seed, keep_cfr, ws)
         return assemble_padp(ws.power, arr, cfg, h=h)
-    h = add_noise(np.matmul(weights, responses, out=ws.signal), cfg.sigma2, seed, out=ws.noise)
+    h = add_noise(np.matmul(weights, responses, out=ws.h), cfg.sigma2, seed, draw=ws.draw)
     return assemble_padp(pdp(h, out=ws.power), arr, cfg, h=h if keep_cfr else None)

@@ -115,27 +115,41 @@ def test_mc_config_validation(pat10):
 _MC_BASE = dict(sweep_values=(10.0,), mpcs=(MpcTruth(1.0, 0.0, 25e-9, 0.0),))
 
 
+_BAD_METHODS = [
+    (),
+    ("haed",),
+    (Method.HAED, "o1"),
+    (Method.HAED, Method.O1, Method.HAED),
+    [Method.HAED],
+    Method.HAED,
+    None,
+]
+_BAD_METHOD_IDS = [
+    "no-method", "a-string", "a-string-among-methods", "repeated", "a-list", "bare", "none"
+]
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("methods", ()),
-        ("methods", ("haed",)),
-        ("methods", (Method.HAED, "o1")),
-        ("methods", (Method.HAED, Method.O1, Method.HAED)),
-        ("methods", [Method.HAED]),
-        ("methods", Method.HAED),
-        ("methods", None),
+        *(("methods", m) for m in _BAD_METHODS),
         ("peak", 6.0),
         ("peak", None),
         ("peak", {"noise_floor_db_offset": 6.0}),
     ],
-    ids=["no-method", "a-string", "a-string-among-methods", "repeated", "a-list", "bare",
-         "none", "peak-float", "peak-none", "peak-dict"],
+    ids=[*_BAD_METHOD_IDS, "peak-float", "peak-none", "peak-dict"],
 )
 def test_mc_config_rejects_bad_methods_and_peak(field, value):
     """Methods are a non-empty tuple of distinct ``Method`` members; peak is a ``PeakConfig``."""
     with pytest.raises(ValueError, match=f"^{field}: "):
         MonteCarloConfig(**_MC_BASE, **{field: value})
+
+
+@pytest.mark.parametrize("methods", _BAD_METHODS, ids=_BAD_METHOD_IDS)
+def test_offset_study_rejects_bad_methods(arr36, pat10, methods):
+    """The same check as ``MonteCarloConfig``: a repeated method would count its draws twice."""
+    with pytest.raises(ValueError, match="^methods: "):
+        uniform_offset_study(3, seed=0, cfg=CFG, arr=arr36, pat=pat10, methods=methods)
 
 
 @pytest.mark.parametrize("trials", [2.5, 2.0, True, "4", None, -1])

@@ -1013,6 +1013,36 @@ def test_cli_montecarlo_rejects_randomize_angle_off_snr_sweeps(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values", ["inf", "nan", "1e400", "0:inf:3", "30,-inf", "-1.7e308:1.7e308:3"])
+@pytest.mark.parametrize("command", ["montecarlo", "crlb"])
+def test_cli_sweep_grid_refuses_non_finite_values(tmp_path, capsys, command, values):
+    """A non-finite grid value exits 2 naming --values, and no file is written."""
+    sc = scenario_file(tmp_path)
+    out = tmp_path / "out.csv"
+    argv = {
+        "montecarlo": ["montecarlo", "--scenario", str(sc), "--sweep", "output-snr",
+                       "--trials", "1"],
+        "crlb": ["crlb", "--scenario", str(sc), "--sweep", "true-angle"],
+    }[command]
+    rc = main(argv + [f"--values={values}", "--out", str(out)])
+    assert rc == 2
+    assert "--values: grid values must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [sc]
+
+
+def test_cli_estimate_refuses_a_gain_beyond_the_float_range(tmp_path, capsys):
+    """--gmax-db gets the scenario files' guard: exit 2 naming the flag, not a traceback."""
+    sc = scenario_file(tmp_path)
+    padp_path = tmp_path / "sim.padp"
+    assert main(["simulate", "--scenario", str(sc), "--out", str(padp_path)]) == 0
+    out = tmp_path / "est.csv"
+    argv = ["estimate", "--padp", str(padp_path), "--hpbw-deg", "10", "--out", str(out)]
+    assert main(argv + ["--gmax-db", "1e5"]) == 2
+    assert "--gmax-db: gain beyond the float range" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--gmax-db", "20"]) == 0
+
+
 def test_cli_defaults_are_the_library_defaults():
     """The CLI takes the detection threshold from the library."""
     est = _parser().parse_args(["estimate", "--padp", "x.padp", "--out", "x.csv"])

@@ -513,24 +513,36 @@ def test_cached_grids_are_read_only_and_equal_the_formulas(cfg_full):
             grid[0] = 0.0
 
 
-def test_add_noise_into_out_equals_a_new_array():
-    """With ``out`` the sum is formed in ``s`` and copied to ``out``; without, ``s`` is kept."""
+def test_add_noise_into_draw_adds_in_place():
+    """With ``draw`` the sum is formed in ``s`` and returned; without, ``s`` is kept."""
     s = np.full((3, 5), 0.5 - 0.25j)
     for sigma2 in (0.0, 2.0):
-        out, scratch = np.empty((3, 5, 2)), s.copy()
-        got = add_noise(scratch, sigma2, seed=9, out=out)
-        assert np.shares_memory(got, out)
+        draw, target = np.empty((3, 3, 5), dtype=np.float32), s.copy()
+        got = add_noise(target, sigma2, seed=9, draw=draw)
+        assert got is target
         assert got.tobytes() == add_noise(s, sigma2, seed=9).tobytes()
-        assert scratch.tobytes() == got.tobytes()
     assert np.all(s == 0.5 - 0.25j)
-    with pytest.raises(ValueError, match="out"):
-        add_noise(s, 1.0, seed=9, out=np.empty((3, 5)))
+    for bad in (
+        np.empty((3, 5, 3), dtype=np.float32),
+        np.empty((2, 3, 5), dtype=np.float32),
+        np.empty((3, 3, 5)),
+        np.empty((3, 5, 3), dtype=np.float32).transpose(2, 0, 1),
+    ):
+        with pytest.raises(ValueError, match="draw must"):
+            add_noise(s.copy(), 1.0, seed=9, draw=bad)
     read_only = s.copy()
     read_only.flags.writeable = False
-    out = np.empty((3, 5, 2))
-    for bad in (s.astype(np.complex64), read_only, out.view(np.complex128)[..., 0]):
+    shared = np.zeros(4 * s.size, dtype=np.float32)  # s's 240 bytes, the draw's first 180
+    overlapping = (shared.view(np.complex128).reshape(s.shape), shared[:45].reshape(3, 3, 5))
+    draw = np.empty((3, 3, 5), dtype=np.float32)
+    for bad, scratch in (
+        (s.astype(np.complex64), draw),
+        (read_only, draw),
+        (s.tolist(), draw),
+        overlapping,
+    ):
         with pytest.raises(ValueError, match="s must"):
-            add_noise(bad, 1.0, seed=9, out=out)
+            add_noise(bad, 1.0, seed=9, draw=scratch)
 
 
 def test_add_noise_draws_the_documented_law_in_order():
@@ -597,7 +609,18 @@ def test_workspace_call_equals_the_plain_call(cfg_small, arr36, pat10, sigma2):
     got = simulate_padp(mpcs, arr36, pat10, cfg, seed=4, workspace=ws)
     assert got.values.tobytes() == plain.values.tobytes()
     assert got.h.tobytes() == plain.h.tobytes()
-    assert np.shares_memory(got.values, ws.signal) and np.shares_memory(got.h, ws.noise)
+    assert got.values is ws.power and got.h is ws.h
+
+
+@pytest.mark.parametrize(
+    "sigma2, tau", [(0.5, 25e-9), (0.5, 40.2e-9), (0.0, 40.2e-9), (0.0, 25e-9)],
+    ids=["on-grid-noisy", "off-grid-noisy", "off-grid-noise-free", "on-grid-noise-free"],
+)
+def test_a_call_without_a_workspace_keeps_only_its_map_and_h(cfg_small, arr36, pat10, sigma2, tau):
+    """Its map and h own their memory: no scratch block stays alive behind them."""
+    cfg = replace(cfg_small, sigma2=sigma2)
+    got = simulate_padp([MpcTruth(1.0, 0.3, tau, np.radians(13.0))], arr36, pat10, cfg, seed=1)
+    assert got.values.base is None and got.h.base is None
 
 
 @pytest.mark.parametrize(
