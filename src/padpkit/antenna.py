@@ -61,15 +61,19 @@ def kappa_from_hpbw(hpbw):
 class AntennaPattern:
     """Azimuth radiation pattern, either closed-form Gaussian beam or tabulated.
 
-    Fields
-    ------
-    kind : PatternKind
-    g_max : maximum power gain, linear (20 dB <-> 100.0)
-    hpbw : half-power beamwidth, radians
-    kappa : Gaussian concentration (None for tabulated patterns)
-    table : (angles, gains) arrays for tabulated patterns (None for the
-        Gaussian beam), angles strictly increasing and covering at least
-        [-pi, pi); gains are amplitude gains
+    A pattern is built from ``(g_max, hpbw, table=None)``:
+
+    g_max : maximum power gain, linear (20 dB <-> 100.0); for a tabulated
+        pattern it must equal the table's peak power gain
+    hpbw : half-power beamwidth, radians, in (0, pi]
+    table : (angles, gains) arrays for a tabulated pattern, None for the
+        Gaussian beam; angles strictly increasing and covering at least
+        [-pi, pi), gains non-negative amplitude gains, at least 4 samples
+
+    ``kind`` and ``kappa`` follow from these and are not arguments:
+    ``TABULATED`` with ``kappa`` None when a table is given, otherwise
+    ``GAUSSIAN_BEAM`` with ``kappa = kappa_from_hpbw(hpbw)``.  So
+    ``dataclasses.replace(pattern, hpbw=...)`` derives a new ``kappa``.
 
     Patterns compare and hash by value, so equal patterns built separately
     share cache entries (see ``estimation.o2_deembed_constant``).  Tables
@@ -78,50 +82,37 @@ class AntennaPattern:
     cannot change a pattern or its hash, which is computed once.
     """
 
-    kind: PatternKind
     g_max: float
     hpbw: float
-    kappa: float | None = None
     table: tuple | None = field(default=None, repr=False)
+    kind: PatternKind = field(init=False)
+    kappa: float | None = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.g_max < np.inf:
-            raise ValueError(f"g_max must be positive and finite, got {self.g_max!r}")
-        if not 0.0 < self.hpbw <= np.pi:
-            raise ValueError("hpbw must be in (0, pi]")
-        if self.kind is PatternKind.GAUSSIAN_BEAM:
-            if self.table is not None:
-                raise ValueError("a Gaussian-beam pattern takes no table")
-            expected = kappa_from_hpbw(self.hpbw)
-            if self.kappa is None or not np.isclose(self.kappa, expected, rtol=1e-9):
-                raise ValueError("kappa inconsistent with hpbw; use AntennaPattern.gaussian")
+        g_max, hpbw = float(self.g_max), float(self.hpbw)
+        if not 0.0 < g_max < np.inf:
+            raise ValueError(f"g_max must be positive and finite, got {g_max!r}")
+        if not 0.0 < hpbw <= np.pi:
+            raise ValueError(f"hpbw must be in (0, pi], got {hpbw!r}")
+        if self.table is None:
+            kind, kappa, table = PatternKind.GAUSSIAN_BEAM, kappa_from_hpbw(hpbw), None
         else:
-            if self.table is None:
-                raise ValueError("tabulated pattern requires a table")
-            if self.kappa is not None:
-                raise ValueError("a tabulated pattern takes no kappa")
-            # read-only copies; + 0.0 turns -0.0 into 0.0, so equal tables have equal bytes
-            angles, gains = (np.asarray(a, dtype=np.float64) + 0.0 for a in self.table)
-            angles.flags.writeable = gains.flags.writeable = False
-            object.__setattr__(self, "table", (angles, gains))
-            if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(gains))):
-                raise ValueError("table angles and gains must be finite")
-            if np.any(np.diff(angles) <= 0):
-                raise ValueError("table angles must be strictly increasing")
-            if np.any(gains < 0):
-                raise ValueError("table gains must be non-negative")
-            if angles[0] > -np.pi or angles[-1] < np.pi - (angles[1] - angles[0]):
-                raise ValueError("table must cover at least [-pi, pi)")
-        table = None if self.table is None else tuple(a.tobytes() for a in self.table)
-        key = (self.kind, self.g_max, self.hpbw, self.kappa, table)
-        object.__setattr__(self, "_hash", hash(key))
+            kind, kappa, table = PatternKind.TABULATED, None, _checked_table(*self.table)
+            peak = float(np.max(table[1]) ** 2)
+            if g_max != peak:
+                raise ValueError(
+                    f"g_max must equal the table's peak power gain {peak!r}, got {g_max!r}"
+                )
+        values = {"g_max": g_max, "hpbw": hpbw, "table": table, "kind": kind, "kappa": kappa}
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+        table_bytes = None if table is None else tuple(a.tobytes() for a in table)
+        object.__setattr__(self, "_hash", hash((kind, g_max, hpbw, kappa, table_bytes)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if (self.kind, self.g_max, self.hpbw, self.kappa) != (
-            other.kind, other.g_max, other.hpbw, other.kappa
-        ):
+        if (self.g_max, self.hpbw) != (other.g_max, other.hpbw):
             return False
         if self.table is None or other.table is None:
             return self.table is other.table
@@ -133,33 +124,37 @@ class AntennaPattern:
     @classmethod
     def gaussian(cls, g_max, hpbw):
         """Gaussian-beam pattern from max power gain (linear) and HPBW (radians)."""
-        return cls(
-            kind=PatternKind.GAUSSIAN_BEAM,
-            g_max=float(g_max),
-            hpbw=float(hpbw),
-            kappa=kappa_from_hpbw(hpbw),
-        )
+        return cls(g_max, hpbw)
 
     @classmethod
     def from_table(cls, angles, gains, hpbw=None):
         """Tabulated pattern from (offset angle, amplitude gain) samples.
 
-        ``hpbw`` is measured from the interpolated half-power crossings when
-        not given explicitly.
+        ``g_max`` is the table's peak power gain; ``hpbw`` is measured from
+        the interpolated half-power crossings when not given explicitly.
         """
-        angles = np.asarray(angles, dtype=np.float64)
-        gains = np.asarray(gains, dtype=np.float64)
-        if angles.ndim != 1 or angles.shape != gains.shape or angles.size < 4:
-            raise ValueError("table needs matching 1-D angle/gain arrays (>= 4 points)")
-        g_max = float(np.max(gains) ** 2)
+        angles, gains = _checked_table(angles, gains)
         if hpbw is None:
             hpbw = _tabulated_hpbw(angles, gains)
-        return cls(
-            kind=PatternKind.TABULATED,
-            g_max=g_max,
-            hpbw=float(hpbw),
-            table=(angles, gains),
-        )
+        return cls(float(np.max(gains) ** 2), hpbw, table=(angles, gains))
+
+
+def _checked_table(angles, gains):
+    """Read-only float64 copies of a pattern table; ``ValueError`` names the first fault."""
+    # + 0.0 copies and turns -0.0 into 0.0, so equal tables have equal bytes
+    angles, gains = (np.asarray(a, dtype=np.float64) + 0.0 for a in (angles, gains))
+    if angles.ndim != 1 or angles.shape != gains.shape or angles.size < 4:
+        raise ValueError("table needs matching 1-D angle/gain arrays (>= 4 points)")
+    if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(gains))):
+        raise ValueError("table angles and gains must be finite")
+    if np.any(np.diff(angles) <= 0):
+        raise ValueError("table angles must be strictly increasing")
+    if np.any(gains < 0):
+        raise ValueError("table gains must be non-negative")
+    if angles[0] > -np.pi or angles[-1] < np.pi - (angles[1] - angles[0]):
+        raise ValueError("table must cover at least [-pi, pi)")
+    angles.flags.writeable = gains.flags.writeable = False
+    return angles, gains
 
 
 def _tabulated_hpbw(angles, gains):

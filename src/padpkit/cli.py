@@ -9,6 +9,7 @@ parses into a fresh namespace.
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import replace
 
@@ -63,6 +64,28 @@ def _seed(text):
     return int(text)
 
 
+def _count(text):
+    """A ``--trials`` or ``--n`` value: an integer >= 1, checked before any command runs."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _threshold_db(text):
+    """A ``--threshold-db`` value: a finite positive number, checked before any command runs."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:  # NaN fails the comparison too
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def _cmd_simulate(args):
     scenario = io.load_scenario(args.scenario)
     padp = simulate_padp(
@@ -89,7 +112,7 @@ def _load_pattern_for_estimate(args):
     if args.pattern_csv:
         return load_pattern_csv(args.pattern_csv)
     if args.gmax_db is not None and args.hpbw_deg is not None:
-        return io.gaussian_pattern(args.gmax_db, args.hpbw_deg, "--gmax-db")
+        return io.gaussian_pattern(args.gmax_db, args.hpbw_deg, "--gmax-db", "--hpbw-deg")
     raise ValueError("give --scenario, --pattern-csv, or both --gmax-db and --hpbw-deg")
 
 
@@ -253,7 +276,7 @@ def build_parser():
     p.add_argument("--hpbw-deg", type=float, help="Gaussian pattern HPBW, degrees")
     p.add_argument("--methods", default="o1,o2,haed")
     p.add_argument("--cfr", help=".npy complex spectra for haed+")
-    p.add_argument("--threshold-db", type=float, default=PeakConfig.noise_floor_db_offset)
+    p.add_argument("--threshold-db", type=_threshold_db, default=PeakConfig.noise_floor_db_offset)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("crlb", help="lower-bound sweep from a scenario")
@@ -267,18 +290,18 @@ def build_parser():
     p.add_argument("--scenario", required=True)
     p.add_argument("--sweep", choices=tuple(_SWEEP_NAMES), required=True)
     p.add_argument("--values", required=True)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_count, default=1000)
     p.add_argument("--methods", default="o1,o2,haed")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--randomize-angle", action="store_true")
     p.add_argument("--off-grid-delay", action="store_true")
-    p.add_argument("--threshold-db", type=float, default=PeakConfig.noise_floor_db_offset)
+    p.add_argument("--threshold-db", type=_threshold_db, default=PeakConfig.noise_floor_db_offset)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_montecarlo)
 
     p = sub.add_parser("offset-study", help="noise-free uniform-angle error statistics")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=_count, default=1000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--methods", default="o1,o2,haed")
     p.add_argument("--out", required=True)

@@ -156,17 +156,42 @@ def parse_scenario(text, base_dir=None):
     )
 
 
-def gaussian_pattern(g_max_db, hpbw_deg, field):
-    """A Gaussian beam from its max power gain in dB and its HPBW in degrees.
+def _gain_from_db(g_max_db, field):
+    """The linear power gain of ``g_max_db`` dB, refused unless positive and finite.
 
-    A gain beyond the float range raises ``ScenarioError`` naming ``field``:
-    scenario files and ``estimate --gmax-db`` share this check.
+    ``ScenarioError`` names ``field`` and quotes the value in dB.
     """
     try:
         g_max = 10.0 ** (g_max_db / 10.0)
     except OverflowError:
         raise ScenarioError(f"{field}: gain beyond the float range") from None
-    return AntennaPattern.gaussian(g_max, np.radians(hpbw_deg))
+    if not 0.0 < g_max < np.inf:
+        raise ScenarioError(f"{field}: g_max must be positive and finite, got {g_max_db!r} dB")
+    return g_max
+
+
+def _hpbw_from_deg(hpbw_deg, field):
+    """``hpbw_deg`` in radians, refused unless in (0, 180] degrees.
+
+    ``ScenarioError`` names ``field`` and quotes the value in degrees.
+    """
+    hpbw = np.radians(hpbw_deg)
+    if not 0.0 < hpbw <= np.pi:
+        raise ScenarioError(f"{field}: hpbw must be in (0, 180] degrees, got {hpbw_deg!r}")
+    return hpbw
+
+
+def gaussian_pattern(g_max_db, hpbw_deg, gain_field, hpbw_field):
+    """A Gaussian beam from its max power gain in dB and its HPBW in degrees.
+
+    A gain that is not positive and finite, or a beamwidth outside (0, 180]
+    degrees, raises ``ScenarioError`` naming ``gain_field`` or
+    ``hpbw_field`` in the caller's units: scenario files and ``estimate
+    --gmax-db/--hpbw-deg`` share these checks.
+    """
+    return AntennaPattern.gaussian(
+        _gain_from_db(g_max_db, gain_field), _hpbw_from_deg(hpbw_deg, hpbw_field)
+    )
 
 
 def _parse_pattern(pat_doc, base_dir):
@@ -174,14 +199,15 @@ def _parse_pattern(pat_doc, base_dir):
     if kind == "gaussian":
         g_max_db = _need(pat_doc, "g_max_db", float, "pattern")
         hpbw_deg = _need(pat_doc, "hpbw_deg", float, "pattern")
-        return gaussian_pattern(g_max_db, hpbw_deg, "pattern.g_max_db")
+        return gaussian_pattern(g_max_db, hpbw_deg, "pattern.g_max_db", "pattern.hpbw_deg")
     if kind == "tabulated":
         table_path = _need(pat_doc, "table_path", str, "pattern")
         if base_dir is not None:
             table_path = str(base_dir / table_path)
         hpbw = None  # missing or null: measured from the table
         if pat_doc.get("hpbw_deg") is not None:
-            hpbw = np.radians(_need(pat_doc, "hpbw_deg", float, "pattern"))
+            hpbw_deg = _need(pat_doc, "hpbw_deg", float, "pattern")
+            hpbw = _hpbw_from_deg(hpbw_deg, "pattern.hpbw_deg")
         return load_pattern_csv(table_path, hpbw=hpbw)
     raise ScenarioError(f"pattern.kind: expected 'gaussian' or 'tabulated', got {kind!r}")
 

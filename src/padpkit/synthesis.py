@@ -426,15 +426,11 @@ def assemble_padp(pdps, arr, cfg, h=None):
     """Stack per-direction PDPs into a Padp in steering-angle order.
 
     ``h``, when given, are the delay responses behind the PDPs, referenced
-    to the band start of ``cfg``.
+    to the band start of ``cfg``.  ``Padp`` refuses a map that is not
+    ``arr.m`` x ``cfg.k``.
     """
-    v = np.asarray(pdps, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] != arr.m:
-        raise ValueError(f"expected {arr.m} rows of equal length, got shape {v.shape}")
-    if v.shape[1] != cfg.k:
-        raise ValueError("row length must equal cfg.k")
     return Padp(
-        values=v, angles=arr.steering_angles, delays=cfg.delays, h=h, f_start=_band_start(cfg)
+        values=pdps, angles=arr.steering_angles, delays=cfg.delays, h=h, f_start=_band_start(cfg)
     )
 
 

@@ -69,17 +69,9 @@ def test_pattern_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="g_max"):
             AntennaPattern.gaussian(bad, np.radians(10.0))
-    # kappa must be consistent with hpbw
-    with pytest.raises(ValueError):
-        AntennaPattern(
-            kind=pat_kind_gaussian(), g_max=100.0, hpbw=np.radians(10.0), kappa=50.0
-        )
-
-
-def pat_kind_gaussian():
-    from padpkit.antenna import PatternKind
-
-    return PatternKind.GAUSSIAN_BEAM
+    # kappa follows from hpbw, so it is not an argument
+    with pytest.raises(TypeError, match="kappa"):
+        AntennaPattern(100.0, np.radians(10.0), kappa=50.0)
 
 
 def _gaussian_table(g_max=100.0, hpbw_deg=10.0, step_deg=0.05):
@@ -151,25 +143,41 @@ def test_tabulated_table_is_a_read_only_copy():
         with pytest.raises(ValueError):
             arr[0] = 1.0
     # direct construction from plain sequences stores arrays as well
-    from padpkit.antenna import PatternKind
-
-    direct = AntennaPattern(PatternKind.TABULATED, 1.0, np.pi, table=(list(ang), [1.0] * len(ang)))
+    direct = AntennaPattern(1.0, np.pi, table=(list(ang), [1.0] * len(ang)))
     assert all(isinstance(arr, np.ndarray) and not arr.flags.writeable for arr in direct.table)
 
 
-@pytest.mark.parametrize("case", ["gaussian_list_table", "gaussian_array_table", "tabulated_kappa"])
-def test_pattern_rejects_contradictory_fields(case):
-    """A Gaussian beam takes no table and a tabulated pattern no kappa."""
+def test_pattern_kind_and_kappa_follow_from_the_table():
+    """``kind`` and ``kappa`` are derived, never passed, so they cannot contradict the rest."""
+    from dataclasses import replace
+
     from padpkit.antenna import PatternKind
 
     ang, g, ref = _gaussian_table()
-    if case == "tabulated_kappa":
-        with pytest.raises(ValueError, match="kappa"):
-            AntennaPattern(PatternKind.TABULATED, ref.g_max, ref.hpbw, kappa=ref.kappa, table=(ang, g))
-        return
-    table = (list(ang), list(g)) if case == "gaussian_list_table" else (ang, g)
-    with pytest.raises(ValueError, match="table"):
-        AntennaPattern(PatternKind.GAUSSIAN_BEAM, ref.g_max, ref.hpbw, kappa=ref.kappa, table=table)
+    assert (ref.kind, ref.kappa) == (PatternKind.GAUSSIAN_BEAM, kappa_from_hpbw(ref.hpbw))
+    tab = AntennaPattern(ref.g_max, ref.hpbw, table=(ang, g))
+    assert (tab.kind, tab.kappa) == (PatternKind.TABULATED, None)
+    for name, value in (("kind", PatternKind.TABULATED), ("kappa", ref.kappa)):
+        with pytest.raises(TypeError, match=name):
+            AntennaPattern(ref.g_max, ref.hpbw, **{name: value})
+    wider = replace(ref, hpbw=np.radians(11.0))
+    assert wider == AntennaPattern.gaussian(ref.g_max, np.radians(11.0))
+    assert wider.kappa == kappa_from_hpbw(np.radians(11.0))
+    assert hash(wider) == hash(AntennaPattern.gaussian(ref.g_max, np.radians(11.0)))
+
+
+@pytest.mark.parametrize("case", ["three_samples", "mismatched_lengths", "two_d", "g_max_not_peak"])
+def test_direct_construction_checks_the_table(case):
+    """The constructor checks a table as ``from_table`` does, and ties g_max to its peak."""
+    ang, g, ref = _gaussian_table()
+    table, g_max, match = {
+        "three_samples": ((ang[:3], g[:3]), 100.0, ">= 4 points"),
+        "mismatched_lengths": ((ang, g[:-1]), 100.0, "matching"),
+        "two_d": ((np.stack([ang, ang]), np.stack([g, g])), 100.0, "1-D"),
+        "g_max_not_peak": ((ang, g), 7.0, "peak power gain"),
+    }[case]
+    with pytest.raises(ValueError, match=match):
+        AntennaPattern(g_max, ref.hpbw, table=table)
 
 
 def test_gaussian_equality_and_hash_unchanged():

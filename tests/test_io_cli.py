@@ -239,6 +239,7 @@ def test_tabulated_scenario(tmp_path):
         doc["pattern"]["hpbw_deg"] = bad
         with pytest.raises(ScenarioError, match="pattern"):
             parse_scenario(json.dumps(doc), base_dir=tmp_path)
+    doc["pattern"]["hpbw_deg"] = 10.0  # a bad beamwidth is refused before the table is read
     doc["pattern"]["table_path"] = "missing.csv"
     with pytest.raises(ScenarioError, match="pattern: .*missing.csv"):
         parse_scenario(json.dumps(doc), base_dir=tmp_path)
@@ -692,9 +693,10 @@ def test_cli_non_finite_threshold_exits_2(tmp_path, capsys, command):
                        "--values", "30", "--trials", "2"],
     }[command]
     capsys.readouterr()
-    rc = main([*argv, "--threshold-db", "nan", "--out", str(out)])
-    assert rc == 2
-    assert "noise_floor_db_offset must be finite" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threshold-db", "nan", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--threshold-db: expected a finite positive number" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1041,6 +1043,86 @@ def test_cli_estimate_refuses_a_gain_beyond_the_float_range(tmp_path, capsys):
     assert "--gmax-db: gain beyond the float range" in capsys.readouterr().err
     assert not out.exists()
     assert main(argv + ["--gmax-db", "20"]) == 0
+
+
+_HPBW_400 = "hpbw must be in (0, 180] degrees, got 400.0"
+_G_MAX = "g_max must be positive and finite, got"
+
+
+@pytest.mark.parametrize(
+    "where, key, value, message",
+    [
+        ("gaussian", "hpbw_deg", 400.0, f"pattern.hpbw_deg: {_HPBW_400}"),
+        ("tabulated", "hpbw_deg", 400.0, f"pattern.hpbw_deg: {_HPBW_400}"),
+        ("gaussian", "g_max_db", float("nan"), f"pattern.g_max_db: {_G_MAX} nan dB"),
+        ("gaussian", "g_max_db", -1e5, f"pattern.g_max_db: {_G_MAX} -100000.0 dB"),
+        ("cli", "--hpbw-deg", "400", f"--hpbw-deg: {_HPBW_400}"),
+        ("cli", "--gmax-db", "nan", f"--gmax-db: {_G_MAX} nan dB"),
+        ("cli", "--gmax-db", "-1e5", f"--gmax-db: {_G_MAX} -100000.0 dB"),
+    ],
+    ids=["hpbw", "tabulated-hpbw", "gain-nan", "gain-zero", "cli-hpbw", "cli-gain-nan",
+         "cli-gain-zero"],
+)
+def test_pattern_fields_are_named_in_their_own_units(tmp_path, capsys, where, key, value, message):
+    """A bad gain or beamwidth names the scenario field or flag and quotes it in dB or degrees."""
+    from padpkit.antenna import gain
+
+    out = tmp_path / "out"
+    if where == "cli":
+        padp_path = tmp_path / "sim.padp"
+        sc = scenario_file(tmp_path)
+        assert main(["simulate", "--scenario", str(sc), "--out", str(padp_path)]) == 0
+        flags = {"--gmax-db": "20", "--hpbw-deg": "10", key: value}
+        argv = ["estimate", "--padp", str(padp_path), *[f"{k}={v}" for k, v in flags.items()]]
+    else:
+        doc = json.loads(json.dumps(SCENARIO))
+        if where == "tabulated":
+            deg = np.arange(-180.0, 180.0, 0.25)
+            ref = parse_scenario(json.dumps(SCENARIO)).pattern
+            rows = [f"{d},{g:.17g}" for d, g in zip(deg, gain(ref, np.radians(deg)))]
+            (tmp_path / "beam.csv").write_text("offset_deg,gain\n" + "\n".join(rows) + "\n")
+            doc["pattern"] = {"kind": "tabulated", "table_path": "beam.csv"}
+        doc["pattern"][key] = value
+        argv = ["simulate", "--scenario", str(scenario_file(tmp_path, doc))]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+_PARSED_FLAGS = {
+    "--trials": ["montecarlo", "--sweep", "output-snr", "--values", "30"],
+    "--n": ["offset-study"],
+    "--threshold-db": ["estimate", "--padp", "{absent}"],
+}
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--trials", "0", "expected an integer >= 1, got '0'"),
+        ("--trials", "2.5", "expected an integer >= 1, got '2.5'"),
+        ("--n", "0", "expected an integer >= 1, got '0'"),
+        ("--n", "-3", "expected an integer >= 1, got '-3'"),
+        ("--threshold-db", "-1", "expected a finite positive number, got '-1'"),
+        ("--threshold-db", "inf", "expected a finite positive number, got 'inf'"),
+        ("--threshold-db", "x", "expected a finite positive number, got 'x'"),
+    ],
+)
+def test_cli_counts_and_threshold_are_checked_when_parsed(tmp_path, capsys, flag, value, message):
+    """--trials, --n and --threshold-db exit 2 naming the flag, before any input is read.
+
+    The scenario and PADP paths do not exist: reading either would return 2
+    from the command rather than exit while parsing.
+    """
+    absent = str(tmp_path / "absent")
+    argv = [a.format(absent=absent) for a in _PARSED_FLAGS[flag]]
+    argv += ["--scenario", absent, flag, value, "--out", str(tmp_path / "out.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_defaults_are_the_library_defaults():

@@ -189,8 +189,10 @@ def test_padp_assembly(cfg_full, arr36, pat10, mpc_13deg):
     assert np.degrees(p.asi) == pytest.approx(10.0)
     assert p.delta_tau == pytest.approx(0.5e-9)
     assert np.all(p.values >= 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid lengths"):
         assemble_padp(p.values[:-1], arr36, cfg_full)
+    with pytest.raises(ValueError, match="grid lengths"):
+        assemble_padp(p.values[:, :-1], arr36, cfg_full)
 
 
 def test_padp_global_phase_invariance(cfg_small, arr36, pat10):
