@@ -157,13 +157,31 @@ def test_pattern_kind_and_kappa_follow_from_the_table():
     assert (ref.kind, ref.kappa) == (PatternKind.GAUSSIAN_BEAM, kappa_from_hpbw(ref.hpbw))
     tab = AntennaPattern(ref.g_max, ref.hpbw, table=(ang, g))
     assert (tab.kind, tab.kappa) == (PatternKind.TABULATED, None)
-    for name, value in (("kind", PatternKind.TABULATED), ("kappa", ref.kappa)):
-        with pytest.raises(TypeError, match=name):
-            AntennaPattern(ref.g_max, ref.hpbw, **{name: value})
     wider = replace(ref, hpbw=np.radians(11.0))
     assert wider == AntennaPattern.gaussian(ref.g_max, np.radians(11.0))
     assert wider.kappa == kappa_from_hpbw(np.radians(11.0))
     assert hash(wider) == hash(AntennaPattern.gaussian(ref.g_max, np.radians(11.0)))
+
+
+@pytest.mark.parametrize("case", ["gaussian_list_table", "gaussian_array_table", "tabulated_kappa"])
+def test_pattern_rejects_contradictory_fields(case):
+    """A Gaussian beam takes no table and a tabulated pattern no kappa."""
+    from dataclasses import replace
+
+    from padpkit.antenna import PatternKind
+
+    ang, g, ref = _gaussian_table()
+    if case == "tabulated_kappa":
+        name, value, table = "kappa", ref.kappa, (ang, g)
+    else:
+        name, value = "kind", PatternKind.GAUSSIAN_BEAM
+        table = (list(ang), list(g)) if case == "gaussian_list_table" else (ang, g)
+    with pytest.raises(TypeError, match=name):
+        AntennaPattern(ref.g_max, ref.hpbw, table=table, **{name: value})
+    tab = AntennaPattern(ref.g_max, ref.hpbw, table=table)
+    assert (tab.kind, tab.kappa) == (PatternKind.TABULATED, None)
+    with pytest.raises(ValueError, match=name):
+        replace(tab, **{name: value})
 
 
 @pytest.mark.parametrize("case", ["three_samples", "mismatched_lengths", "two_d", "g_max_not_peak"])
