@@ -9,13 +9,12 @@ parses into a fresh namespace.
 
 import argparse
 import functools
-import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from . import io
+from . import checks, io
 from .antenna import load_pattern_csv
 from .crlb import crlb_sweep
 from .estimation import HAED_PLUS_UPSAMPLE, Method, PeakConfig
@@ -32,58 +31,52 @@ from .synthesis import simulate_padp
 def _parse_values(spec):
     """Parse a sweep grid: 'start:stop:num' (inclusive linspace) or 'v1,v2,...'.
 
-    Every value must be finite; a fault is a ``ValueError`` naming ``--values``.
+    ``num`` is written in decimal digits and every value must be finite
+    (``checks.grid``); a fault is a ``ValueError`` naming ``--values``.
     """
     spec = spec.strip()
     try:
-        if not spec:
-            raise ValueError("empty sweep grid")
         if ":" in spec:
             parts = spec.split(":")
             if len(parts) != 3:
                 raise ValueError(f"bad grid {spec!r}, expected start:stop:num")
-            start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
-            if num < 1:
-                raise ValueError("grid needs at least one point")
-            with np.errstate(all="ignore"):  # an overflow is the non-finite error below
+            start, stop = float(parts[0]), float(parts[1])
+            num = checks.decimal(parts[2], "num", 1)
+            with np.errstate(all="ignore"):  # an overflow is refused by the grid rule below
                 values = tuple(np.linspace(start, stop, num))
         else:
-            values = tuple(float(v) for v in spec.split(","))
-        bad = [float(v) for v in values if not np.isfinite(v)]
-        if bad:
-            raise ValueError(f"grid values must be finite, got {bad[0]!r}")
+            values = tuple(float(v) for v in spec.split(",")) if spec else ()
+        checks.grid(values, None)
     except ValueError as exc:
         raise ValueError(f"--values: {exc}") from None
     return values
 
 
-def _seed(text):
-    """A ``--seed`` value: a non-negative integer, checked before any command runs."""
-    if not (text.isascii() and text.isdecimal()):
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+def _flag(read, rule, *args):
+    """An argparse type checking a flag with a ``checks`` rule.
+
+    ``read`` converts the text (text it cannot convert goes to the rule as
+    is, which refuses it); the rule's ``ValueError`` becomes the
+    ``ArgumentTypeError`` argparse reports after the flag's name, so a bad
+    flag exits 2 before any command runs.
+    """
+
+    def parse(text):
+        try:
+            value = read(text)
+        except ValueError:
+            value = text
+        try:
+            return rule(value, None, *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
-def _count(text):
-    """A ``--trials`` or ``--n`` value: an integer >= 1, checked before any command runs."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
-
-
-def _threshold_db(text):
-    """A ``--threshold-db`` value: a finite positive number, checked before any command runs."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:  # NaN fails the comparison too
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
-    return value
+_SEED = _flag(str, checks.decimal, 0)
+_COUNT = _flag(str, checks.decimal, 1)
+_THRESHOLD_DB = _flag(float, checks.positive)
 
 
 def _cmd_simulate(args):
@@ -131,8 +124,7 @@ def _with_spectra(padp, path):
         raise ValueError(
             f"--cfr: spectra of shape {cfr.shape} do not match the PADP {padp.values.shape}"
         )
-    if not np.all(np.isfinite(cfr)):
-        raise ValueError("--cfr: spectra contain non-finite values")
+    checks.finite_array(cfr, "--cfr: spectra")
     h = np.fft.ifft(cfr, axis=-1, norm="ortho")
     mismatch = float(np.max(np.abs(np.abs(h) ** 2 - padp.values)))
     if not mismatch <= 1e-9 * float(np.max(padp.values)):
@@ -264,7 +256,7 @@ def build_parser():
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--cfr-out", help="also save complex spectra as .npy (enables haed+)")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="extract multipath components from a PADP file")
@@ -276,7 +268,7 @@ def build_parser():
     p.add_argument("--hpbw-deg", type=float, help="Gaussian pattern HPBW, degrees")
     p.add_argument("--methods", default="o1,o2,haed")
     p.add_argument("--cfr", help=".npy complex spectra for haed+")
-    p.add_argument("--threshold-db", type=_threshold_db, default=PeakConfig.noise_floor_db_offset)
+    p.add_argument("--threshold-db", type=_THRESHOLD_DB, default=PeakConfig.noise_floor_db_offset)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("crlb", help="lower-bound sweep from a scenario")
@@ -290,19 +282,19 @@ def build_parser():
     p.add_argument("--scenario", required=True)
     p.add_argument("--sweep", choices=tuple(_SWEEP_NAMES), required=True)
     p.add_argument("--values", required=True)
-    p.add_argument("--trials", type=_count, default=1000)
+    p.add_argument("--trials", type=_COUNT, default=1000)
     p.add_argument("--methods", default="o1,o2,haed")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--randomize-angle", action="store_true")
     p.add_argument("--off-grid-delay", action="store_true")
-    p.add_argument("--threshold-db", type=_threshold_db, default=PeakConfig.noise_floor_db_offset)
+    p.add_argument("--threshold-db", type=_THRESHOLD_DB, default=PeakConfig.noise_floor_db_offset)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_montecarlo)
 
     p = sub.add_parser("offset-study", help="noise-free uniform-angle error statistics")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--n", type=_count, default=1000)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--n", type=_COUNT, default=1000)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--methods", default="o1,o2,haed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_offset_study)

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from .angles import wrap_pm_pi
 from .antenna import PatternKind, gain
 from .synthesis import _arrival_ramps, _arrival_terms, _arrival_weights
@@ -64,7 +65,8 @@ class CrlbReport:
     ``values`` is an (L, 4) array ordered (amp_norm, phase, phi, tau) per
     arrival; entries are NaN when ``flagged`` (condition number beyond
     1e12 or non-positive spectrum).  ``singular_subspace`` names the
-    parameters dominating the weakest information direction.
+    parameters dominating the weakest information direction.  ``overflow``
+    flags a matrix holding a non-finite entry, whatever its conditioning.
     """
 
     values: np.ndarray
@@ -72,6 +74,7 @@ class CrlbReport:
     flagged: bool
     labels: tuple
     singular_subspace: tuple = ()
+    overflow: bool = False
 
     def value(self, param, mpc=0):
         return float(self.values[mpc, PARAM_NAMES.index(param)])
@@ -184,16 +187,11 @@ def _information_scale(sigma2, n_points):
     2 / sigma2 overflows or when it holds neither 1 nor ``n_points`` values.
     """
     sigma2 = np.asarray(sigma2, dtype=np.float64)
-    if sigma2.size not in (1, n_points):
-        raise ValueError(f"sigma2: expected 1 or {n_points} noise heights, got {sigma2.size}")
-    with np.errstate(over="ignore", divide="ignore"):
-        scale = 2.0 / sigma2
-    if not np.all(sigma2 > 0):
-        raise ValueError("sigma2 must be positive for a finite Fisher matrix")
-    if not np.all(np.isfinite(scale)):
-        bad = float(np.ravel(sigma2)[~np.isfinite(np.ravel(scale))][0])
-        raise ValueError(f"sigma2 = {bad!r} is too small: 2/sigma2 overflows")
-    return np.reshape(scale, (-1, 1, 1))
+    heights = f"1 or {n_points} noise heights"
+    checks.require(sigma2.size in (1, n_points), "sigma2", heights, sigma2.size)
+    for s in sigma2.ravel().tolist():
+        checks.finite(2.0 / checks.positive(s, "sigma2"), f"2/sigma2 at sigma2 = {s!r}")
+    return np.reshape(2.0 / sigma2, (-1, 1, 1))
 
 
 def fim_sweep(points, arr, pat, cfg, sigma2=None):
@@ -243,11 +241,11 @@ def crlb_from_fims(stack):
     The condition test runs on the diagonally normalized matrix (unit
     diagonal), so it measures genuine parameter coupling rather than the
     parameter units; seconds-scale delay rows would otherwise dominate the
-    raw spectrum.  A matrix with a non-finite entry or a non-positive
-    diagonal entry is flagged, naming the parameters of those rows and
-    columns, and so is one whose normalized condition number exceeds 1e12
-    (or with a non-positive eigenvalue), naming the parameters of its
-    weakest direction; flagged reports hold NaN values.  The checks, one
+    raw spectrum.  A matrix with a non-finite entry (``overflow``) or a
+    non-positive diagonal entry is flagged, naming the parameters of those
+    rows and columns, and so is one whose normalized condition number
+    exceeds 1e12 (or with a non-positive eigenvalue), naming the parameters
+    of its weakest direction; flagged reports hold NaN values.  The checks, one
     ``eigh`` and the diagonal inverse run on the whole stack; only flagged
     matrices are handled one by one.  Raises ``SingularFimError`` for a
     stack of the wrong shape or a finite asymmetric matrix.
@@ -285,7 +283,8 @@ def crlb_from_fims(stack):
     spoilt = np.any(bad, axis=1)
     for p in np.nonzero(spoilt)[0]:
         named = tuple(labels[i] for i in np.nonzero(bad[p])[0])
-        reports[p] = CrlbReport(np.full((n_mpcs, 4), np.nan), np.inf, True, labels, named)
+        over = not (all_finite or np.all(finite[p]))
+        reports[p] = CrlbReport(np.full((n_mpcs, 4), np.nan), np.inf, True, labels, named, over)
     good = np.nonzero(~spoilt)[0]
     w, v = np.linalg.eigh(fn[good])
     wmin, wmax = w[:, 0], w[:, -1]  # eigh sorts ascending
@@ -350,8 +349,7 @@ def crlb_single_phi(gamma_i, cfg, arr, pat, phi_l):
     ``phi_l`` may be an array of arrival angles; each element is the
     scalar call's bound at that angle.
     """
-    if pat.kind is not PatternKind.GAUSSIAN_BEAM:
-        raise ValueError("closed form requires a Gaussian-beam pattern")
+    checks.require(pat.kind is PatternKind.GAUSSIAN_BEAM, "pat", "a Gaussian beam", pat.kind)
     _, r2 = _ring_sums(pat, arr, phi_l)
     return _reciprocal(2.0 * gamma_i * cfg.k * cfg.g_tx**2 * pat.kappa**2, r2, phi_l)
 
@@ -363,7 +361,6 @@ def crlb_single_alpha(gamma_i, cfg, arr, pat, phi_l):
     ``crlb_single_phi``.  The phase bound is numerically identical under
     the band-centre phase convention.
     """
-    if pat.kind is not PatternKind.GAUSSIAN_BEAM:
-        raise ValueError("closed form requires a Gaussian-beam pattern")
+    checks.require(pat.kind is PatternKind.GAUSSIAN_BEAM, "pat", "a Gaussian beam", pat.kind)
     r0, _ = _ring_sums(pat, arr, phi_l)
     return _reciprocal(2.0 * gamma_i * cfg.k * cfg.g_tx**2, r0, phi_l)

@@ -25,12 +25,11 @@ K * pu * g_tx**2.
 
 import enum
 import functools
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import kernels
+from . import checks, kernels
 from .angles import wrap_two_pi
 from .antenna import (
     ChiSaturationError,
@@ -60,9 +59,7 @@ class PeakConfig:
     noise_floor_db_offset: float = 6.0
 
     def __post_init__(self):
-        x = self.noise_floor_db_offset
-        if not 0 < x < math.inf:  # NaN fails the comparison too
-            raise ValueError(f"noise_floor_db_offset must be finite and positive, got {x!r}")
+        checks.positive(self.noise_floor_db_offset, "noise_floor_db_offset")
 
 
 @dataclass(frozen=True)
@@ -331,10 +328,9 @@ def haed_plus_refine(padp, estimates):
     responses (``h``); only the distinct rows holding peaks are turned
     into spectra.
     """
-    if padp.h is None:
-        raise ValueError("haed_plus_refine needs a Padp carrying its delay responses (h)")
-    if any(e.scan_index is None or e.delay_index is None for e in estimates):
-        raise ValueError("estimates must carry scan/delay indices (haed output)")
+    checks.require(padp.h is not None, "padp", "a Padp carrying its delay responses (h)", None)
+    indexed = all(e.scan_index is not None and e.delay_index is not None for e in estimates)
+    checks.require(indexed, "estimates", "scan/delay indices (haed output)", estimates)
     rows = sorted({e.scan_index for e in estimates})
     spectra = dict(zip(rows, padp.spectra(rows)))
     step = padp.delta_tau / HAED_PLUS_UPSAMPLE

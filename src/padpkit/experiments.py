@@ -10,7 +10,7 @@ across sweeps of one map shape, so a trial's PADP is valid only within
 that trial.
 """
 
-import numbers
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import checks
 from .angles import circular_delta
 from .antenna import PatternKind
 from .crlb import crlb_single_alpha, crlb_single_phi, crlb_sweep
@@ -32,23 +33,11 @@ from .estimation import (
 from .synthesis import MpcTruth, Workspace, simulate_padp
 
 
-def _require_int(name, value, low):
-    """Refuse ``value`` unless it is an integer >= ``low``: numpy integers count, bools do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name}: expected an integer >= {low}, got {value!r}")
-
-
 def _require_methods(methods):
     """Refuse ``methods`` unless it is a non-empty tuple of distinct ``Method`` members."""
-    if not (
-        isinstance(methods, tuple)
-        and methods
-        and all(isinstance(m, Method) for m in methods)
-        and len(set(methods)) == len(methods)
-    ):
-        raise ValueError(
-            f"methods: expected a non-empty tuple of distinct Method members, got {methods!r}"
-        )
+    ok = isinstance(methods, tuple) and all(isinstance(m, Method) for m in methods)
+    ok = ok and 0 < len(set(methods)) == len(methods)
+    checks.require(ok, "methods", "a non-empty tuple of distinct Method members", methods)
 
 
 @dataclass(frozen=True)
@@ -80,25 +69,17 @@ class MonteCarloConfig:
     peak: PeakConfig = field(default_factory=PeakConfig)
 
     def __post_init__(self):
-        _require_int("trials", self.trials, 1)
-        _require_int("base_seed", self.base_seed, 0)
+        checks.integer(self.trials, "trials", 1)
+        checks.integer(self.base_seed, "base_seed", 0)
         _require_methods(self.methods)
-        if not isinstance(self.peak, PeakConfig):
-            raise ValueError(f"peak: expected a PeakConfig, got {self.peak!r}")
-        values = tuple(self.sweep_values) if np.iterable(self.sweep_values) else ()
-        if not values or not all(isinstance(v, numbers.Real) for v in values):
-            raise ValueError("sweep_values: expected a non-empty sequence of numbers")
-        object.__setattr__(self, "sweep_values", values)
-        if not self.mpcs:
-            raise ValueError("base scenario must contain at least one arrival")
+        checks.require(isinstance(self.peak, PeakConfig), "peak", "a PeakConfig", self.peak)
+        checks.grid(self.sweep_values, "sweep_values")
+        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
+        checks.require(self.mpcs, "mpcs", "at least one arrival", self.mpcs)
         apply_sweep(self.mpcs, self.sweep_variable, self.sweep_values[0])
-        if self.randomize_angle and (
-            self.sweep_variable != "output_snr_db" or len(self.mpcs) != 1
-        ):
-            raise ValueError(
-                "randomize_angle redraws every arrival's angle: it needs an "
-                "output_snr_db sweep of one arrival"
-            )
+        one = self.sweep_variable == "output_snr_db" and len(self.mpcs) == 1
+        rule = "False unless an output_snr_db sweep of one arrival: it redraws every angle"
+        checks.require(one or not self.randomize_angle, "randomize_angle", rule, True)
 
 
 @dataclass(frozen=True)
@@ -244,8 +225,8 @@ def _sweep_points(mc, cfg, arr, pat):
     points = [apply_sweep(mc.mpcs, mc.sweep_variable, v) for v in mc.sweep_values]
     cfgs = [cfg] * len(points)
     if mc.sweep_variable == "output_snr_db":
-        gamma_i = [10.0 ** (v / 10.0) / pat.g_max for v in mc.sweep_values]
-        cfgs = [replace(cfg, sigma2=mc.mpcs[0].alpha ** 2 * cfg.pu / g) for g in gamma_i]
+        heights = [_snr_noise_height(mc.mpcs[0], cfg, pat, v) for v in mc.sweep_values]
+        cfgs = [replace(cfg, sigma2=s) for s in heights]
     grid = np.linspace(0.0, arr.asi, 181)
     closed_form = len(mc.mpcs) == 1 and pat.kind is PatternKind.GAUSSIAN_BEAM
     crlbs, fisher, stacked, sigma2s = [], [], [], []
@@ -281,6 +262,13 @@ def _sweep_points(mc, cfg, arr, pat):
     return list(zip(points, cfgs, crlbs))
 
 
+def _snr_noise_height(truth, cfg, pat, snr_db):
+    """The noise height giving ``truth`` the output SNR ``snr_db``, checked as ``sigma2`` is."""
+    gamma_i = checks.gain_db(snr_db, "output_snr_db") / pat.g_max
+    sigma2 = truth.alpha**2 * cfg.pu / gamma_i if gamma_i > 0.0 else math.inf
+    return checks.noise_height(sigma2, f"sigma2 = alpha**2 * pu * g_max / SNR at {snr_db!r} dB")
+
+
 def _amp_error(power, truth, cfg):
     ref = cfg.k * cfg.pu * cfg.g_tx**2 * truth.alpha**2
     return float(np.sqrt(max(power, 0.0) / ref)) - 1.0
@@ -313,18 +301,9 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
     and the one naming ``tau`` of an arrival whose delay (plus one bin,
     with ``off_grid_delay``) reaches the delay window k/bw, where it aliases.
     """
-    raw = os.environ.get("PADPKIT_THREADS") or "1"  # unset or empty: serial
-    if not (raw.isascii() and raw.isdecimal() and int(raw) >= 1):
-        raise ValueError(f"PADPKIT_THREADS: expected a positive integer, got {raw!r}")
-    threads = int(raw)
-    margin = 1.0 if mc.off_grid_delay else 0.0  # the offset adds up to one bin
-    late = [m.tau for m in mc.mpcs if cfg.past_window(m.tau, margin)]
-    if late:
-        offset = " plus an off_grid_delay offset of up to one bin" if margin else ""
-        raise ValueError(
-            f"tau: {late[0]!r} s{offset} reaches the delay window k/bw = {cfg.k / cfg.bw!r} s, "
-            "where the arrival aliases"
-        )
+    threads = checks.decimal(os.environ.get("PADPKIT_THREADS") or "1", "PADPKIT_THREADS", 1)
+    for m in mc.mpcs:  # an off_grid_delay offset adds up to one bin
+        cfg.require_in_window(m.tau, "tau", 1.0 if mc.off_grid_delay else 0.0)
     keep_h = Method.HAED_PLUS in mc.methods  # only haed+ reads the delay responses
     points = _sweep_points(mc, cfg, arr, pat)
     rows = []
@@ -402,7 +381,7 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
     is requested; the other methods' statistics are the same either way.
     ``methods`` is a non-empty tuple of distinct ``Method`` members.
     """
-    _require_int("n_mpcs", n_mpcs, 1)
+    checks.integer(n_mpcs, "n_mpcs", 1)
     _require_methods(methods)
     cfg0 = replace(cfg, sigma2=0.0)
     p_ref = cfg0.k * cfg0.pu * cfg0.g_tx**2

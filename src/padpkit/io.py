@@ -10,11 +10,11 @@ timestamps.
 import contextlib
 import hashlib
 import json
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from ._version import __version__
 from .antenna import AntennaPattern, load_pattern_csv
 from .estimation import Method
@@ -42,36 +42,35 @@ def sha256_bytes(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def _need(obj, key, kind, path, default=None):
-    """``obj[key]`` checked against ``kind``; ``default`` when given stands in for a missing key.
+def _json_field(obj, key, field, kind=float, default=None):
+    """``obj[key]`` of JSON type ``kind``; ``default``, when given, stands in for a missing key.
 
-    ``float`` accepts JSON integers within the float range; booleans are
-    never numbers.
+    ``float`` reads any finite JSON number, as a float (``checks.finite``);
+    booleans are never numbers.  Scenario files and PADP headers both read
+    their fields here, and a fault is a ``ValueError`` naming ``field``.
     """
     if key not in obj:
-        if default is not None:
-            return default
-        raise ScenarioError(f"{path}.{key}: missing required field")
+        if default is None:
+            raise ValueError(f"{field}: missing required field")
+        return default
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
-        raise ScenarioError(f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}")
-    if kind is float:
-        try:
-            return float(val)
-        except OverflowError:
-            raise ScenarioError(f"{path}.{key}: integer beyond the float range") from None
-    return val
+    ok = not isinstance(val, bool) and isinstance(val, (int, float) if kind is float else kind)
+    checks.require(ok, field, kind.__name__, type(val).__name__)
+    return checks.finite(val, field) if kind is float else val
 
 
 @contextlib.contextmanager
-def _section(path):
-    """Re-raise a constructor's ``ValueError`` or ``OSError`` as a ScenarioError naming ``path``."""
+def _section(path=None):
+    """Re-raise a ``ValueError`` or ``OSError`` as a ScenarioError, after ``path`` when given.
+
+    ``path`` goes before a constructor's errors, which name only the field (``k``).
+    """
     try:
         yield
     except ScenarioError:
         raise
     except (ValueError, OSError) as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        raise ScenarioError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def parse_scenario(text, base_dir=None):
@@ -81,134 +80,99 @@ def parse_scenario(text, base_dir=None):
     an arrival at or past the delay window k/bw (it would alias) included.
     The ``array.m`` x ``sounding.k`` scan map may hold at most ``MAX_MAP_CELLS``
     (2**24) cells; a larger one is rejected, naming the field, before any allocation.
+    The peak cell power k * pu * g_tx**2 * g_max * (sum of alpha)**2 must be finite.
     """
+    sha256 = sha256_bytes(text.encode() if isinstance(text, str) else text)
+    with _section():
+        doc = _json_object(text, "scenario")
+        snd = _json_field(doc, "sounding", "sounding", dict)
+        k = _json_field(snd, "k", "sounding.k", int)
+        if k > MAX_MAP_CELLS:
+            raise ScenarioError(f"sounding.k: exceeds the scan map's {MAX_MAP_CELLS}-cell cap")
+        fc, bw, pu, sigma2, g_tx = (
+            _json_field(snd, key, f"sounding.{key}", float, default)
+            for key, default in [("fc_hz", None), ("bw_hz", None), ("pu", 1.0), ("sigma2", 0.0),
+                                 ("g_tx", 1.0)]
+        )
+        with _section("sounding"):
+            cfg = SoundingConfig(fc, bw, k, pu, sigma2, g_tx)
+
+        arr_doc = _json_field(doc, "array", "array", dict)
+        m = _json_field(arr_doc, "m", "array.m", int)
+        if m * k > MAX_MAP_CELLS:
+            raise ScenarioError(f"array.m: m x sounding.k exceeds the {MAX_MAP_CELLS}-cell cap")
+        with _section("array"):
+            arr = ArrayConfig(m=m)
+
+        pattern = _parse_pattern(_json_field(doc, "pattern", "pattern", dict), base_dir)
+
+        mpcs_doc = _json_field(doc, "mpcs", "mpcs", list)
+        checks.require(mpcs_doc, "mpcs", "at least one entry", mpcs_doc)
+        mpcs = []
+        for i, entry in enumerate(mpcs_doc):
+            path = f"mpcs[{i}]"
+            checks.require(isinstance(entry, dict), path, "an object", entry)
+            alpha, phase_deg, tau_ns, phi_deg = (
+                _json_field(entry, key, f"{path}.{key}")
+                for key in ("alpha", "phase_deg", "tau_ns", "phi_deg")
+            )
+            with _section(path):
+                phase, phi = float(np.radians(phase_deg)), float(np.radians(phi_deg))
+                mpcs.append(MpcTruth(alpha, phase, tau_ns * 1e-9, phi))
+            cfg.require_in_window(mpcs[-1].tau, f"{path}.tau_ns")
+        total = sum(mpc.alpha for mpc in mpcs)
+        checks.finite(
+            cfg.k * cfg.pu * cfg.g_tx**2 * pattern.g_max * total * total,
+            "the peak cell power sounding.k * pu * g_tx**2 * g_max * (sum of mpcs alpha)**2",
+        )
+
+        experiment = doc.get("experiment", {})
+        checks.require(isinstance(experiment, dict), "experiment", "an object", experiment)
+        return Scenario(cfg, arr, pattern, tuple(mpcs), experiment, sha256)
+
+
+def _json_object(text, what):
+    """The JSON object that ``text`` holds; a fault is a ``ValueError`` naming ``what``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        raise ValueError(f"{what}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except RecursionError:
-        raise ScenarioError("invalid JSON: nested too deeply") from None
+        raise ValueError(f"{what}: invalid JSON: nested too deeply") from None
     except ValueError as exc:  # undecodable bytes, an integer beyond the digit limit
-        raise ScenarioError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioError("top level: expected an object")
-
-    snd = _need(doc, "sounding", dict, "$")
-    fc = _need(snd, "fc_hz", float, "sounding")
-    bw = _need(snd, "bw_hz", float, "sounding")
-    k = _need(snd, "k", int, "sounding")
-    if k > MAX_MAP_CELLS:
-        raise ScenarioError(f"sounding.k: exceeds the scan map's {MAX_MAP_CELLS}-cell cap")
-    with _section("sounding"):
-        cfg = SoundingConfig(
-            fc=fc,
-            bw=bw,
-            k=k,
-            pu=_need(snd, "pu", float, "sounding", 1.0),
-            sigma2=_need(snd, "sigma2", float, "sounding", 0.0),
-            g_tx=_need(snd, "g_tx", float, "sounding", 1.0),
-        )
-
-    arr_doc = _need(doc, "array", dict, "$")
-    m = _need(arr_doc, "m", int, "array")
-    if m * k > MAX_MAP_CELLS:
-        raise ScenarioError(f"array.m: array.m x sounding.k exceeds the {MAX_MAP_CELLS}-cell cap")
-    with _section("array"):
-        arr = ArrayConfig(m=m)
-
-    pat_doc = _need(doc, "pattern", dict, "$")
-    with _section("pattern"):
-        pattern = _parse_pattern(pat_doc, base_dir)
-
-    mpcs_doc = _need(doc, "mpcs", list, "$")
-    if not mpcs_doc:
-        raise ScenarioError("mpcs: must contain at least one entry")
-    mpcs = []
-    for i, entry in enumerate(mpcs_doc):
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"mpcs[{i}]: expected an object")
-        path = f"mpcs[{i}]"
-        with _section(path):
-            mpcs.append(
-                MpcTruth(
-                    alpha=_need(entry, "alpha", float, path),
-                    phase=np.radians(_need(entry, "phase_deg", float, path)),
-                    tau=_need(entry, "tau_ns", float, path) * 1e-9,
-                    phi=np.radians(_need(entry, "phi_deg", float, path)),
-                )
-            )
-        if cfg.past_window(mpcs[-1].tau):
-            raise ScenarioError(
-                f"{path}.tau_ns: {mpcs[-1].tau * 1e9:.6g} ns is at or past the delay window "
-                f"k/bw = {cfg.k / cfg.bw * 1e9:.6g} ns, where the arrival aliases"
-            )
-
-    experiment = doc.get("experiment", {})
-    if not isinstance(experiment, dict):
-        raise ScenarioError("experiment: expected an object")
-    return Scenario(
-        sounding=cfg,
-        array=arr,
-        pattern=pattern,
-        mpcs=tuple(mpcs),
-        experiment=experiment,
-        sha256=sha256_bytes(text.encode() if isinstance(text, str) else text),
-    )
-
-
-def _gain_from_db(g_max_db, field):
-    """The linear power gain of ``g_max_db`` dB, refused unless positive and finite.
-
-    ``ScenarioError`` names ``field`` and quotes the value in dB.
-    """
-    try:
-        g_max = 10.0 ** (g_max_db / 10.0)
-    except OverflowError:
-        raise ScenarioError(f"{field}: gain beyond the float range") from None
-    if not 0.0 < g_max < np.inf:
-        raise ScenarioError(f"{field}: g_max must be positive and finite, got {g_max_db!r} dB")
-    return g_max
-
-
-def _hpbw_from_deg(hpbw_deg, field):
-    """``hpbw_deg`` in radians, refused unless in (0, 180] degrees.
-
-    ``ScenarioError`` names ``field`` and quotes the value in degrees.
-    """
-    hpbw = np.radians(hpbw_deg)
-    if not 0.0 < hpbw <= np.pi:
-        raise ScenarioError(f"{field}: hpbw must be in (0, 180] degrees, got {hpbw_deg!r}")
-    return hpbw
+        raise ValueError(f"{what}: invalid JSON: {exc}") from exc
+    checks.require(isinstance(doc, dict), what, "an object", doc)
+    return doc
 
 
 def gaussian_pattern(g_max_db, hpbw_deg, gain_field, hpbw_field):
     """A Gaussian beam from its max power gain in dB and its HPBW in degrees.
 
-    A gain that is not positive and finite, or a beamwidth outside (0, 180]
-    degrees, raises ``ScenarioError`` naming ``gain_field`` or
-    ``hpbw_field`` in the caller's units: scenario files and ``estimate
-    --gmax-db/--hpbw-deg`` share these checks.
+    ``checks.gain_db`` and ``checks.hpbw_deg`` refuse a fault naming
+    ``gain_field`` or ``hpbw_field``, in the caller's units: scenario files
+    and ``estimate --gmax-db/--hpbw-deg`` share these rules.
     """
     return AntennaPattern.gaussian(
-        _gain_from_db(g_max_db, gain_field), _hpbw_from_deg(hpbw_deg, hpbw_field)
+        checks.gain_db(g_max_db, gain_field), checks.hpbw_deg(hpbw_deg, hpbw_field)
     )
 
 
 def _parse_pattern(pat_doc, base_dir):
-    kind = _need(pat_doc, "kind", str, "pattern")
+    kind = _json_field(pat_doc, "kind", "pattern.kind", str)
     if kind == "gaussian":
-        g_max_db = _need(pat_doc, "g_max_db", float, "pattern")
-        hpbw_deg = _need(pat_doc, "hpbw_deg", float, "pattern")
+        g_max_db = _json_field(pat_doc, "g_max_db", "pattern.g_max_db")
+        hpbw_deg = _json_field(pat_doc, "hpbw_deg", "pattern.hpbw_deg")
         return gaussian_pattern(g_max_db, hpbw_deg, "pattern.g_max_db", "pattern.hpbw_deg")
     if kind == "tabulated":
-        table_path = _need(pat_doc, "table_path", str, "pattern")
+        table_path = _json_field(pat_doc, "table_path", "pattern.table_path", str)
         if base_dir is not None:
             table_path = str(base_dir / table_path)
         hpbw = None  # missing or null: measured from the table
         if pat_doc.get("hpbw_deg") is not None:
-            hpbw_deg = _need(pat_doc, "hpbw_deg", float, "pattern")
-            hpbw = _hpbw_from_deg(hpbw_deg, "pattern.hpbw_deg")
-        return load_pattern_csv(table_path, hpbw=hpbw)
+            hpbw_deg = _json_field(pat_doc, "hpbw_deg", "pattern.hpbw_deg")
+            hpbw = checks.hpbw_deg(hpbw_deg, "pattern.hpbw_deg")
+        with _section("pattern"):
+            return load_pattern_csv(table_path, hpbw=hpbw)
     raise ScenarioError(f"pattern.kind: expected 'gaussian' or 'tabulated', got {kind!r}")
 
 
@@ -267,66 +231,58 @@ def write_padp(path, padp, manifest=None):
         fh.write(np.ascontiguousarray(padp.values, dtype="<f8").tobytes())
 
 
-def _header_field(header, key, kind, path):
-    """A numeric PADP header field: an int, or (``kind`` float) any number in the float64 range."""
-    if key not in header:
-        raise ValueError(f"{path}: PADP header: {key}: missing required field")
-    val = header[key]
-    ok = isinstance(val, int) or (kind is float and isinstance(val, float))
-    # a Python int/float comparison is exact for ints of any size, and false for NaN
-    ok = ok and (kind is int or abs(val) <= sys.float_info.max)
-    if isinstance(val, bool) or not ok:
-        raise ValueError(f"{path}: PADP header: {key}: expected a finite {kind.__name__}, got {val!r}")
-    return kind(val)
-
-
 def read_padp(path):
     """Read a PADP file back into a (Padp, header) pair (no delay responses).
 
     The header is validated first; a malformed one raises ``ValueError``
-    naming the field.  ``asi_deg`` and ``scale`` may be missing; a given
-    ``asi_deg`` must equal 360/m: the angles are ``ArrayConfig(m)``'s full circle.
+    naming the file and the field.  ``asi_deg`` and ``scale`` may be missing;
+    a given ``asi_deg`` must equal 360/m: the angles are ``ArrayConfig(m)``'s
+    full circle.  The last delay, (k - 1) * ``delay_step_ns``, must be finite.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
     try:
-        header = json.loads(header_line)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
-        raise ValueError(f"{path}: bad PADP header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: bad PADP header: expected an object")
+        return _padp_from_bytes(header_line, blob)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _padp_from_bytes(header_line, blob):
+    header = _json_object(header_line, "PADP header")
     if header.get("format") != PADP_MAGIC:
-        raise ValueError(f"{path}: not a PADP file (format={header.get('format')!r})")
-    m = _header_field(header, "m", int, path)
-    k = _header_field(header, "k", int, path)
-    delay_step_ns = _header_field(header, "delay_step_ns", float, path)
+        raise ValueError(f"not a PADP file (format={header.get('format')!r})")
+
+    def number(key, kind, rule, *args):
+        field = f"PADP header: {key}"
+        return rule(_json_field(header, key, field, kind), field, *args)
+
+    m = number("m", int, checks.integer, 3)
+    k = number("k", int, checks.integer, 2)
+    delay_step_ns = number("delay_step_ns", float, checks.positive)
     scale = header.get("scale", "linear")
-    if m < 3:
-        raise ValueError(f"{path}: PADP header: m: must be >= 3, got {m}")
-    if k < 2:
-        raise ValueError(f"{path}: PADP header: k: must be >= 2, got {k}")
-    if delay_step_ns <= 0:
-        raise ValueError(f"{path}: PADP header: delay_step_ns: must be positive")
-    if scale not in ("linear", "db"):
-        raise ValueError(f"{path}: PADP header: scale: expected 'linear' or 'db', got {scale!r}")
+    checks.require(scale in ("linear", "db"), "PADP header: scale", "'linear' or 'db'", scale)
     values = np.frombuffer(blob, dtype="<f8")
     if values.size != m * k:
-        raise ValueError(f"{path}: payload has {values.size} values, header says {m}x{k}")
-    grid = ArrayConfig(m)  # m now matches the payload, so the grid is small
+        raise ValueError(f"payload has {values.size} values, header says {m}x{k}")
+    # m and k now match the payload, so they are small: the delay grid's far end
+    # and the scan grid are checked before either is built
+    checks.finite(
+        (k - 1) * delay_step_ns * 1e-9,
+        "PADP header: delay_step_ns: the last delay (k - 1) * step, in s",
+    )
+    grid = ArrayConfig(m)
     if "asi_deg" in header:
-        asi_deg = _header_field(header, "asi_deg", float, path)
+        asi_deg = number("asi_deg", float, checks.finite)
         if not np.isclose(asi_deg, np.degrees(grid.asi), rtol=1e-9, atol=0.0):
             raise ValueError(
-                f"{path}: PADP header: asi_deg: {asi_deg!r} disagrees with 360/m ="
+                f"PADP header: asi_deg: {asi_deg!r} disagrees with 360/m ="
                 f" {np.degrees(grid.asi):.12g} (only full-circle scans are supported)"
             )
     values = values.reshape(m, k).astype(np.float64)
     if scale == "db":
-        with np.errstate(over="ignore"):  # an overflow is the non-finite error below
+        with np.errstate(over="ignore"):  # an overflow is refused by Padp, naming values
             values = 10.0 ** (values / 10.0)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{path}: payload contains non-finite values")
     delays = np.arange(k) * delay_step_ns * 1e-9
     return Padp(values=values, angles=grid.steering_angles, delays=delays), header
 
@@ -370,11 +326,14 @@ def write_crlb_csv(path, sweep_variable, entries):
     """CRLB sweep table; one row per (sweep value, arrival).
 
     Every row carries all eight columns, ending in ``mpc`` (the arrival
-    index) and ``flags`` (``singular`` on a flagged point, else empty).
+    index) and ``flags``: ``overflow`` on a point whose Fisher matrix
+    overflowed the float range, ``singular`` on any other flagged point,
+    else empty.
     """
     rows = []
     for value, report in entries:
         n = report.values.shape[0]
+        flag = "overflow" if report.overflow else "singular" if report.flagged else ""
         for l in range(n):
             rows.append(
                 (
@@ -385,7 +344,7 @@ def write_crlb_csv(path, sweep_variable, entries):
                     float(np.sqrt(report.values[l, 3]) * 1e9),
                     report.cond,
                     l,
-                    "singular" if report.flagged else "",
+                    flag,
                 )
             )
     _write_csv(

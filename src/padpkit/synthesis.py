@@ -66,6 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import checks
 from .angles import wrap_pm_pi, wrap_two_pi
 from .antenna import gain
 
@@ -75,19 +76,14 @@ def _read_only(a):
     return a
 
 
-def _require_finite(**fields):
-    for name, val in fields.items():
-        if not math.isfinite(val):
-            raise ValueError(f"{name} must be finite, got {val!r}")
-
-
 @dataclass(frozen=True)
 class SoundingConfig:
     """Sounder setup: band, grid size, transmit power and noise height.
 
     fc/bw in Hz, k frequency points, pu linear transmit power (the source
     spectrum is flat at sqrt(pu)), sigma2 linear noise spectral height,
-    g_tx linear amplitude gain of the transmit antenna.
+    g_tx linear amplitude gain of the transmit antenna.  The band edges
+    fc +- bw/2 and the last delay (k - 1)/bw must be finite.
     """
 
     fc: float
@@ -98,15 +94,14 @@ class SoundingConfig:
     g_tx: float = 1.0
 
     def __post_init__(self):
-        _require_finite(fc=self.fc, bw=self.bw, pu=self.pu, sigma2=self.sigma2, g_tx=self.g_tx)
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        if self.bw <= 0:
-            raise ValueError("bw must be positive")
-        if self.pu <= 0:
-            raise ValueError("pu must be positive")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be non-negative")
+        checks.finite(self.fc, "fc")
+        checks.positive(self.bw, "bw")
+        checks.integer(self.k, "k", 2)
+        checks.positive(self.pu, "pu")
+        checks.noise_height(self.sigma2, "sigma2")
+        checks.amplitude(self.g_tx, "g_tx")
+        checks.finite(abs(self.fc) + 0.5 * self.bw, "the band edge |fc| + bw/2")
+        checks.finite((self.k - 1) * self.delta_tau, "the last delay (k - 1) / bw")
 
     @property
     def delta_f(self):
@@ -116,13 +111,18 @@ class SoundingConfig:
     def delta_tau(self):
         return 1.0 / self.bw
 
-    def past_window(self, tau, margin=0.0):
-        """Whether a delay ``tau`` (s) plus ``margin`` bins reaches the delay window k/bw.
+    def require_in_window(self, tau, field, margin=0.0):
+        """Refuse, naming ``field``, a delay ``tau`` (s) that plus ``margin`` bins reaches k/bw.
 
         The delay transform is circular over the k bins, so an arrival
         there would alias to an earlier delay.
         """
-        return tau * self.bw + margin >= self.k
+        if tau * self.bw + margin >= self.k:
+            raise ValueError(
+                f"{field}: expected a delay{f' plus {margin:g} bin' if margin else ''} before the"
+                f" delay window k/bw = {self.k / self.bw * 1e9:.6g} ns, where arrivals alias,"
+                f" got {tau * 1e9:.6g} ns"
+            )
 
     # the grids below are computed once per config and shared read-only
 
@@ -142,8 +142,7 @@ class ArrayConfig:
     m: int
 
     def __post_init__(self):
-        if self.m < 3:
-            raise ValueError("m must be >= 3")
+        checks.integer(self.m, "m", 3)
 
     @functools.cached_property
     def steering_angles(self):
@@ -160,8 +159,8 @@ class ArrayConfig:
 class MpcTruth:
     """Ground-truth multipath component.
 
-    alpha: linear amplitude (> 0); phase: radians; tau: delay in seconds;
-    phi: azimuth angle of arrival, stored wrapped to [0, 2*pi).
+    alpha: linear amplitude (> 0, finite square); phase: radians; tau: delay
+    in seconds; phi: azimuth angle of arrival, stored wrapped to [0, 2*pi).
     """
 
     alpha: float
@@ -170,12 +169,11 @@ class MpcTruth:
     phi: float
 
     def __post_init__(self):
-        _require_finite(alpha=self.alpha, phase=self.phase, tau=self.tau, phi=self.phi)
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.tau < 0:
-            raise ValueError("tau must be non-negative")
-        object.__setattr__(self, "phi", float(wrap_two_pi(self.phi)))
+        checks.amplitude(self.alpha, "alpha")
+        checks.finite(self.phase, "phase")
+        checks.finite(self.tau, "tau", 0.0)
+        phi = checks.finite(self.phi, "phi")
+        object.__setattr__(self, "phi", float(wrap_two_pi(phi)))
 
 
 @dataclass(frozen=True)
@@ -190,8 +188,9 @@ class Padp:
     ``ifft(cfr, norm="ortho")`` use 0.  Band-limited delay interpolation
     needs them (power samples alone undersample the squared response), so
     estimators that refine the delay axis require a Padp carrying them.
-    ``angles`` must step by 2*pi/m in radians (from any start) and
-    ``delays`` hold at least two entries with a positive first step.
+    ``angles`` and ``delays`` are finite grids; ``angles`` must step by
+    2*pi/m in radians (from any start) and ``delays`` hold at least two
+    entries with a positive first step.
     """
 
     values: np.ndarray
@@ -204,22 +203,20 @@ class Padp:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2:
             raise ValueError("values must be 2-D (scan x delay)")
-        if v.shape != (len(self.angles), len(self.delays)):
+        a, d = checks.grid(self.angles, "angles"), checks.grid(self.delays, "delays")
+        if v.shape != (len(a), len(d)):
             raise ValueError("grid lengths must match the value matrix")
-        # two reductions, no map-sized masks; a NaN fails the first comparison
-        if v.size and not (v.min() >= 0 and v.max() < np.inf):
-            raise ValueError("values must be finite and non-negative")
+        checks.finite_array(v, "values", 0.0)
         if self.h is not None and self.h.shape != v.shape:
             raise ValueError("h must match the value matrix shape")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "angles", np.asarray(self.angles, dtype=np.float64))
-        object.__setattr__(self, "delays", np.asarray(self.delays, dtype=np.float64))
+        object.__setattr__(self, "angles", a)
+        object.__setattr__(self, "delays", d)
         # asi and delta_tau read only the first step of each grid: check just that
-        a, d = self.angles, self.delays
         if len(a) > 1 and not math.isclose(a[1] - a[0], 2 * math.pi / len(a), rel_tol=1e-9):
-            raise ValueError(f"angles must step by 2*pi/m in radians, not {a[1] - a[0]:.6g}")
+            raise ValueError(f"angles: expected a step of 2*pi/m radians, got {a[1] - a[0]:.6g}")
         if len(d) < 2 or not d[1] > d[0]:
-            raise ValueError("delays need at least 2 entries and a positive first step")
+            raise ValueError(f"delays: expected 2 or more entries, stepping up, got {d[:2]!r}")
 
     @property
     def asi(self):
@@ -291,7 +288,8 @@ def add_noise(s, sigma2, seed, draw=None):
     E, the amplitude sqrt(sigma2 * E), theta, its cos and sin, and so the
     noise components are float32 (about 1e-7 relative, phases within 5e-7
     rad), and E is at most 32 ln 2 (about 22.18: the exponential's tail
-    beyond it, 2.3e-10, is cut); the sum with ``s`` is float64.
+    beyond it, 2.3e-10, is cut); the sum with ``s`` is float64.  sigma2 is
+    at most ``checks.NOISE_HEIGHT_MAX``, where sigma2 * E is float32's maximum.
     Deterministic for a given seed (int, SeedSequence or Generator; a
     Generator is used as is, so the caller can draw on from it).
 
@@ -302,8 +300,7 @@ def add_noise(s, sigma2, seed, draw=None):
     complex128 array apart from ``draw``: no map-sized temporary is
     allocated.
     """
-    if not 0.0 <= sigma2 < math.inf:
-        raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2!r}")
+    checks.noise_height(sigma2, "sigma2")
     if draw is None:
         s = np.array(s, dtype=np.complex128)  # the sum's buffer: a copy, so s is kept
     else:
@@ -539,12 +536,7 @@ def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
     builds its own, and the Padp's map and ``h`` are its own arrays.
     """
     alpha, phase, phi, tau = _truth_params(mpcs)
-    last = max(tau.tolist())
-    if cfg.past_window(last):
-        raise ValueError(
-            f"tau: {last!r} s is at or past the delay window k/bw = {cfg.k / cfg.bw!r} s, "
-            "where the arrival aliases"
-        )
+    cfg.require_in_window(max(tau.tolist()), "tau")
     weights = _arrival_weights(alpha, phase, phi, arr, pat, cfg)
     cols = _on_grid_bins(tau, cfg)
     if cols is None:

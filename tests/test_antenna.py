@@ -402,3 +402,23 @@ def test_tabulated_inversion_round_trip(hpbw_deg, ratio, side, frac):
     slope = 0.5 * (1.0 - c * c) * 4.0 * pat.kappa * np.sin(0.5 * spacing) * np.cos(theta)
     grid_step = half / max(int(round(half / DEFAULT_INVERSION_GRID_STEP)), 1)
     assert abs(rec - eps) <= grid_step + 2.0 * d_chi / slope
+
+
+@pytest.mark.parametrize("hpbw", [1e-9, 1e-7, np.radians(0.0999)])
+def test_beams_narrower_than_a_tenth_of_a_degree_are_refused(hpbw):
+    """Below 0.1 deg, 1 - cos(hpbw/2) cancels: at 1e-9 rad kappa would be inf."""
+    with pytest.raises(ValueError, match=r"^hpbw: expected a beamwidth in \[0.00174533, pi\]"):
+        kappa_from_hpbw(hpbw)
+    with pytest.raises(ValueError, match="^hpbw: expected a beamwidth"):
+        AntennaPattern.gaussian(100.0, hpbw)
+
+
+def test_the_narrowest_beam_keeps_kappa_accurate():
+    """At 0.1 deg the cancelling form agrees with 2 sin^2(hpbw/4) to about 1e-11."""
+    hpbw = np.radians(0.1)
+    kappa = kappa_from_hpbw(hpbw)
+    exact = np.log(np.sqrt(2.0)) / (2.0 * np.sin(hpbw / 4.0) ** 2)
+    assert kappa == pytest.approx(exact, rel=1e-10)
+    pat = AntennaPattern.gaussian(100.0, hpbw)
+    assert gain(pat, 0.0) == pytest.approx(10.0, rel=1e-15)
+    assert power_gain(pat, hpbw / 2.0) == pytest.approx(50.0, rel=1e-6)

@@ -427,7 +427,7 @@ def test_spoilt_fim_is_flagged_naming_its_parameters(entries, named):
 def test_fim_rejects_noise_height_whose_information_scale_overflows(pat10, sigma2):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"sigma2 = {sigma2!r} is too small"):
+        with pytest.raises(ValueError, match=f"^2/sigma2 at sigma2 = {sigma2!r}: expected a finite"):
             fim([_one(3.0)], ARR, pat10, replace(CFG, sigma2=sigma2))
         with pytest.raises(ValueError, match="sigma2"):
             fim_sweep([[_one(3.0)]] * 2, ARR, pat10, CFG, sigma2=[1.0, sigma2])
@@ -436,3 +436,19 @@ def test_fim_rejects_noise_height_whose_information_scale_overflows(pat10, sigma
     assert f[3, 3] == np.inf and np.all(np.isfinite(f[:3, :3]))
     rep = crlb_from_fim(f)
     assert rep.flagged and rep.singular_subspace == ("tau:0",)
+
+
+def test_overflow_is_told_apart_from_ill_conditioning(pat10):
+    """A non-finite entry marks ``overflow``; a finite singular or unconditioned matrix does not."""
+    over = np.diag([4.0, 2.0, 8.0, 16.0])
+    over[3, 3] = np.inf
+    negative = np.diag([4.0, 2.0, 8.0, -1.0])
+    singular = np.ones((4, 4))
+    reports = crlb_from_fims(np.stack([over, negative, singular, np.eye(4)]))
+    assert [r.flagged for r in reports] == [True, True, True, False]
+    assert [r.overflow for r in reports] == [True, False, False, False]
+    # information beyond the float range: 2/sigma2 is finite, the delay entry is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = crlb_from_fim(fim([_one(3.0)], ARR, pat10, replace(CFG, sigma2=1e-300)))
+    assert rep.flagged and rep.overflow

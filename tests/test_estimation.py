@@ -147,7 +147,7 @@ def test_peak_config_validation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_peak_config_rejects_non_finite_thresholds(bad):
     """A NaN threshold would silently detect nothing, and +inf likewise."""
-    with pytest.raises(ValueError, match="^noise_floor_db_offset must be finite and positive"):
+    with pytest.raises(ValueError, match="^noise_floor_db_offset: expected a finite number > 0"):
         PeakConfig(noise_floor_db_offset=bad)
 
 

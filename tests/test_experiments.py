@@ -747,3 +747,33 @@ def test_offset_study_rejects_a_non_integer_draw_count(arr36, pat10, n):
 def test_offset_study_accepts_numpy_integers(arr36, pat10):
     study = uniform_offset_study(np.int64(3), seed=0, cfg=CFG, arr=arr36, pat=pat10)
     assert study[Method.O1]["phi_deg"].n == 3
+
+
+@pytest.mark.parametrize("values", [(np.inf,), (np.nan,), (30.0, -np.inf), (True,)])
+def test_mc_config_rejects_non_finite_sweep_values(values):
+    with pytest.raises(ValueError, match="^sweep_values: expected (finite entries|a non-empty)"):
+        MonteCarloConfig(**{**_MC_BASE, "sweep_values": values})
+
+
+@pytest.mark.parametrize(
+    "pu, snr_db, message",
+    [
+        (1.0, 4000.0, "^output_snr_db: expected a gain in dB"),
+        (1.0, -4000.0, "^output_snr_db: expected a gain in dB"),
+        (1e300, 30.0, r"^sigma2 = alpha\*\*2 \* pu \* g_max / SNR at 30.0 dB: expected a noise"),
+    ],
+    ids=["snr-overflows", "snr-underflows", "noise-past-the-ceiling"],
+)
+def test_run_sweep_refuses_output_snrs_without_a_representable_noise_height(
+    arr36, pat10, monkeypatch, pu, snr_db, message
+):
+    """The noise height of every output-SNR point is checked before any trial, naming the point."""
+    import padpkit.experiments as experiments
+
+    def boom(*_a, **_k):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "simulate_padp", boom)
+    mc = replace(_small_mc(), sweep_values=(snr_db,))
+    with pytest.raises(ValueError, match=message):
+        run_sweep(mc, replace(CFG, pu=pu), arr36, pat10)

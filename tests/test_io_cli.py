@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from padpkit import MpcTruth, Padp, simulate_padp
+from padpkit.antenna import PatternKind, gain
 from padpkit.cli import _parser, build_parser, main
 from padpkit.estimation import HAED_PLUS_UPSAMPLE, Method, PeakConfig
 from padpkit.experiments import MonteCarloConfig
@@ -131,11 +132,22 @@ def test_scenario_map_at_the_cap_parses():
 
 
 def _parses_or_scenario_error(text):
-    """``parse_scenario`` returns a Scenario or raises ScenarioError, nothing else."""
+    """``parse_scenario`` returns a Scenario or raises ScenarioError, nothing else.
+
+    A scenario it returns has a finite delay grid and a finite positive
+    boresight gain, and a Gaussian beam a finite positive ``kappa``.
+    """
     try:
-        assert isinstance(parse_scenario(text), Scenario)
+        sc = parse_scenario(text)
     except ScenarioError:
-        pass
+        return
+    assert isinstance(sc, Scenario)
+    assert 0.0 < sc.sounding.delays[-1] < np.inf
+    boresight = gain(sc.pattern, 0.0)
+    assert 0.0 <= boresight < np.inf
+    if sc.pattern.kind is PatternKind.GAUSSIAN_BEAM:
+        assert boresight > 0.0
+        assert 0.0 < sc.pattern.kappa < np.inf
 
 
 _HUGE_INTS = st.sampled_from([10**400, -(10**400), 2**64])
@@ -331,7 +343,7 @@ def test_padp_db_roundtrip_is_close(tmp_path_factory, padp):
         back, header = read_padp(path)
     except ValueError as exc:
         # only powers within rounding of the float64 maximum overflow when decoded
-        assert "non-finite" in str(exc)
+        assert "values: expected finite entries" in str(exc)
         assert padp.values.max() > 1.79e308
         return
     assert header["scale"] == "db"
@@ -353,18 +365,33 @@ _HEADER_FIELDS = ("format", "version", "m", "k", "asi_deg", "delay_step_ns", "sc
 
 
 def _estimate_exits_2_if_rejected(path):
-    """``read_padp`` accepts ``path`` or raises ValueError, and then ``estimate`` exits 2."""
+    """``read_padp`` accepts ``path`` or raises ValueError, and then ``estimate`` exits 2.
+
+    When ``read_padp`` accepts the file, ``estimate`` exits 0 and writes
+    only finite delays, angles and powers.
+    """
     try:
         read_padp(path)
     except ValueError:
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            rc = main(
-                ["estimate", "--padp", str(path), "--gmax-db", "20", "--hpbw-deg", "10",
-                 "--out", str(path.with_suffix(".csv"))]
-            )
+        rejected = True
+    else:
+        rejected = False
+    out = path.with_suffix(".csv")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(
+            ["estimate", "--padp", str(path), "--gmax-db", "20", "--hpbw-deg", "10",
+             "--out", str(out)]
+        )
+    if rejected:
         assert rc == 2
         assert err.getvalue().startswith("padpkit: error:")
+        return
+    assert rc == 0, err.getvalue()
+    lines = out.read_text().splitlines()
+    assert lines[0].split(",")[1:4] == ["tau_ns", "phi_deg", "power_db"]
+    for line in lines[1:]:
+        assert all(np.isfinite(float(x)) for x in line.split(",")[1:4]), line
 
 
 def _padp_file(tmp_path_factory):
@@ -385,6 +412,7 @@ def _padp_file(tmp_path_factory):
 @example(replace={"m": 10**400}, drop=set())
 @example(replace={"m": 10**400}, drop={"asi_deg"})
 @example(replace={"k": 10**400, "m": 2**64}, drop=set())
+@example(replace={"delay_step_ns": 1e308}, drop=set())
 def test_fuzzed_padp_header_fields_fail_with_value_error(tmp_path_factory, replace, drop):
     path, header, payload = _padp_file(tmp_path_factory)
     header.update(replace)
@@ -581,7 +609,7 @@ def _nan_in_peak_row(cfr, _other):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_nan_in_peak_row, "non-finite"),
+        (_nan_in_peak_row, "spectra: expected finite entries, got nan"),
         (lambda _cfr, other: other, "do not reproduce the PADP values"),
         (lambda cfr, _other: cfr[:, :-1], "do not match the PADP"),
         (lambda cfr, _other: np.full(cfr.shape, "x"), "expected a .npy array"),
@@ -696,7 +724,7 @@ def test_cli_non_finite_threshold_exits_2(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--threshold-db", "nan", "--out", str(out)])
     assert exc.value.code == 2
-    assert "--threshold-db: expected a finite positive number" in capsys.readouterr().err
+    assert "--threshold-db: expected a finite number > 0, got nan" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -827,7 +855,7 @@ def test_cli_crlb_subnormal_sigma2_exits_2_naming_sigma2(tmp_path, capsys):
         rc = main(["crlb", "--scenario", str(sc), "--sweep", "true-angle", "--values", "0:10:3",
                    "--out", str(out)])
     assert rc == 2
-    assert "sigma2 = 1e-310 is too small" in capsys.readouterr().err
+    assert "2/sigma2 at sigma2 = 1e-310: expected a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -911,7 +939,8 @@ def test_cli_simulate_rejects_non_finite_scenario(tmp_path, capsys, section, key
     out = tmp_path / "sim.padp"
     rc = main(["simulate", "--scenario", str(sc), "--out", str(out)])
     assert rc == 2
-    assert f"{field} must be" in capsys.readouterr().err
+    # refused as the scenario is read, so the message names the scenario's key
+    assert f"{key}: expected a finite number, got {bad!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1028,7 +1057,7 @@ def test_cli_sweep_grid_refuses_non_finite_values(tmp_path, capsys, command, val
     }[command]
     rc = main(argv + [f"--values={values}", "--out", str(out)])
     assert rc == 2
-    assert "--values: grid values must be finite" in capsys.readouterr().err
+    assert "--values: expected finite entries" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [sc]
 
 
@@ -1040,13 +1069,15 @@ def test_cli_estimate_refuses_a_gain_beyond_the_float_range(tmp_path, capsys):
     out = tmp_path / "est.csv"
     argv = ["estimate", "--padp", str(padp_path), "--hpbw-deg", "10", "--out", str(out)]
     assert main(argv + ["--gmax-db", "1e5"]) == 2
-    assert "--gmax-db: gain beyond the float range" in capsys.readouterr().err
+    assert "--gmax-db: expected a gain in dB with a positive finite linear value, got 100000.0" in (
+        capsys.readouterr().err
+    )
     assert not out.exists()
     assert main(argv + ["--gmax-db", "20"]) == 0
 
 
-_HPBW_400 = "hpbw must be in (0, 180] degrees, got 400.0"
-_G_MAX = "g_max must be positive and finite, got"
+_HPBW_400 = "expected a beamwidth in [0.1, 180] degrees, got 400.0"
+_G_MAX = "expected a gain in dB with a positive finite linear value, got"
 
 
 @pytest.mark.parametrize(
@@ -1054,11 +1085,11 @@ _G_MAX = "g_max must be positive and finite, got"
     [
         ("gaussian", "hpbw_deg", 400.0, f"pattern.hpbw_deg: {_HPBW_400}"),
         ("tabulated", "hpbw_deg", 400.0, f"pattern.hpbw_deg: {_HPBW_400}"),
-        ("gaussian", "g_max_db", float("nan"), f"pattern.g_max_db: {_G_MAX} nan dB"),
-        ("gaussian", "g_max_db", -1e5, f"pattern.g_max_db: {_G_MAX} -100000.0 dB"),
+        ("gaussian", "g_max_db", float("nan"), "pattern.g_max_db: expected a finite number, got nan"),
+        ("gaussian", "g_max_db", -1e5, f"pattern.g_max_db: {_G_MAX} -100000.0"),
         ("cli", "--hpbw-deg", "400", f"--hpbw-deg: {_HPBW_400}"),
-        ("cli", "--gmax-db", "nan", f"--gmax-db: {_G_MAX} nan dB"),
-        ("cli", "--gmax-db", "-1e5", f"--gmax-db: {_G_MAX} -100000.0 dB"),
+        ("cli", "--gmax-db", "nan", f"--gmax-db: {_G_MAX} nan"),
+        ("cli", "--gmax-db", "-1e5", f"--gmax-db: {_G_MAX} -100000.0"),
     ],
     ids=["hpbw", "tabulated-hpbw", "gain-nan", "gain-zero", "cli-hpbw", "cli-gain-nan",
          "cli-gain-zero"],
@@ -1100,13 +1131,13 @@ _PARSED_FLAGS = {
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--trials", "0", "expected an integer >= 1, got '0'"),
-        ("--trials", "2.5", "expected an integer >= 1, got '2.5'"),
-        ("--n", "0", "expected an integer >= 1, got '0'"),
-        ("--n", "-3", "expected an integer >= 1, got '-3'"),
-        ("--threshold-db", "-1", "expected a finite positive number, got '-1'"),
-        ("--threshold-db", "inf", "expected a finite positive number, got 'inf'"),
-        ("--threshold-db", "x", "expected a finite positive number, got 'x'"),
+        ("--trials", "0", "expected an integer >= 1 in decimal digits, got '0'"),
+        ("--trials", "2.5", "expected an integer >= 1 in decimal digits, got '2.5'"),
+        ("--n", "0", "expected an integer >= 1 in decimal digits, got '0'"),
+        ("--n", "-3", "expected an integer >= 1 in decimal digits, got '-3'"),
+        ("--threshold-db", "-1", "expected a finite number > 0, got -1.0"),
+        ("--threshold-db", "inf", "expected a finite number > 0, got inf"),
+        ("--threshold-db", "x", "expected a finite number > 0, got 'x'"),
     ],
 )
 def test_cli_counts_and_threshold_are_checked_when_parsed(tmp_path, capsys, flag, value, message):
@@ -1179,7 +1210,7 @@ def test_cli_seed_must_be_a_non_negative_integer(tmp_path, capsys, command, seed
         main(argv + ["--seed", seed])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "--seed" in err and "non-negative integer" in err
+    assert "argument --seed: expected an integer >= 0 in decimal digits" in err
     assert not out.exists()
     assert main(argv + ["--seed", "0"]) == 0
 
@@ -1215,3 +1246,112 @@ def test_cli_arguments_do_not_leak_between_calls(tmp_path, capsys):
     manifest = json.loads((tmp_path / "est.csv.manifest.json").read_text())
     assert manifest["config"]["methods"] == ["o1", "o2", "haed"]
     capsys.readouterr()
+
+
+def _default_with(section, key, value):
+    doc = json.loads(json.dumps(_DEFAULT_DOC))
+    (doc["mpcs"][0] if section == "mpcs" else doc[section])[key] = value
+    return doc
+
+
+_COMMAND_ARGV = {
+    "simulate": ["simulate", "--scenario", "{sc}", "--out", "{out}"],
+    "crlb": ["crlb", "--scenario", "{sc}", "--sweep", "true-angle", "--values", "0,5",
+             "--out", "{out}"],
+    "montecarlo": ["montecarlo", "--scenario", "{sc}", "--sweep", "output-snr", "--values", "30",
+                   "--trials", "2", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize(
+    "section, key, value, commands, message",
+    [
+        ("pattern", "hpbw_deg", 1e-7, ("simulate", "crlb", "montecarlo"),
+         "pattern.hpbw_deg: expected a beamwidth in [0.1, 180] degrees, got 1e-07"),
+        ("sounding", "g_tx", 0.0, ("simulate", "crlb", "montecarlo"),
+         "sounding: g_tx: expected an amplitude > 0 with a finite square, got 0.0"),
+        ("sounding", "g_tx", -1.0, ("simulate",),
+         "sounding: g_tx: expected an amplitude > 0 with a finite square, got -1.0"),
+        ("mpcs", "alpha", 1e300, ("simulate", "montecarlo"),
+         "mpcs[0]: alpha: expected an amplitude > 0 with a finite square, got 1e+300"),
+        ("mpcs", "alpha", 1e153, ("simulate",),
+         "the peak cell power sounding.k * pu * g_tx**2 * g_max * (sum of mpcs alpha)**2:"
+         " expected a finite number, got inf"),
+        ("sounding", "sigma2", 1e300, ("simulate",),
+         "sounding: sigma2: expected a noise height in [0, 1.53414e+37], got 1e+300"),
+        ("sounding", "pu", 1e300, ("montecarlo",),
+         "sigma2 = alpha**2 * pu * g_max / SNR at 30.0 dB: expected a noise height"),
+    ],
+    ids=["narrow-beam", "no-tx-gain", "negative-tx-gain", "huge-alpha", "peak-power",
+         "huge-sigma2", "huge-pu"],
+)
+def test_cli_refuses_scenario_values_that_would_give_non_finite_output(
+    tmp_path, capsys, section, key, value, commands, message
+):
+    """Each value exits 2 naming its field, with no traceback and no file written."""
+    sc = scenario_file(tmp_path, _default_with(section, key, value))
+    for command in commands:
+        out = tmp_path / f"{command}.out"
+        capsys.readouterr()
+        argv = [a.format(sc=sc, out=out) for a in _COMMAND_ARGV[command]]
+        assert main(argv) == 2, command
+        assert message in capsys.readouterr().err, command
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+@pytest.mark.parametrize("section, key, value", [("sounding", "pu", 1e300),
+                                                 ("sounding", "sigma2", 1e-290)])
+def test_cli_crlb_flags_an_overflowed_fisher_matrix_as_overflow(tmp_path, section, key, value):
+    """The information overflows the float range: the flag says so, not ``singular``."""
+    sc = scenario_file(tmp_path, _default_with(section, key, value))
+    out = tmp_path / "crlb.csv"
+    assert main(["crlb", "--scenario", str(sc), "--sweep", "true-angle", "--values", "0,5",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["overflow", "overflow"]
+    out_ok = tmp_path / "crlb_ok.csv"
+    assert main(["crlb", "--scenario", str(DEFAULT_SCENARIO), "--sweep", "true-angle",
+                 "--values", "0,5", "--out", str(out_ok)]) == 0
+    assert [line.split(",")[-1] for line in out_ok.read_text().splitlines()[1:]] == ["", ""]
+
+
+def test_cli_estimate_refuses_padp_delays_that_overflow(tmp_path, capsys):
+    """k = 8 bins of 1e308 ns: the last delay overflows, so estimate exits 2 naming the step."""
+    padp, _ = _tiny_padp(k=8, tau=1e-9)
+    path = tmp_path / "far.padp"
+    write_padp(path, padp)
+    line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    header["delay_step_ns"] = 1e308
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(ValueError, match="PADP header: delay_step_ns: the last delay"):
+        read_padp(path)
+    out = tmp_path / "est.csv"
+    assert main(["estimate", "--padp", str(path), "--gmax-db", "20", "--hpbw-deg", "10",
+                 "--out", str(out)]) == 2
+    assert "PADP header: delay_step_ns: the last delay" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["1_0", "+3", " 3", "٣"])
+def test_cli_integers_are_ascii_decimal_text(tmp_path, capsys, text):
+    """--n, --trials, --seed and a grid's num refuse what int() would read: signs, spaces,
+    underscores and non-ASCII digits."""
+    sc = scenario_file(tmp_path)
+    out = tmp_path / "out.csv"
+    for flag, argv in [
+        ("--n", ["offset-study", "--scenario", str(sc)]),
+        ("--trials", ["montecarlo", "--scenario", str(sc), "--sweep", "output-snr",
+                      "--values", "30"]),
+        ("--seed", ["simulate", "--scenario", str(sc)]),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"{flag}={text}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected an integer" in capsys.readouterr().err
+    assert main(["crlb", "--scenario", str(sc), "--sweep", "true-angle",
+                 f"--values=0:10:{text}", "--out", str(out)]) == 2
+    assert f"--values: num: expected an integer >= 1 in decimal digits, got {text!r}" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()

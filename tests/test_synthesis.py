@@ -51,7 +51,7 @@ def test_config_validation():
 def test_sounding_config_rejects_non_finite(field, bad):
     kw = dict(fc=37.5e9, bw=2e9, k=16, pu=1.0, sigma2=0.1, g_tx=1.0)
     kw[field] = bad
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    with pytest.raises(ValueError, match=f"^{field}: expected an? (finite|noise height|amplitude)"):
         SoundingConfig(**kw)
 
 
@@ -60,7 +60,7 @@ def test_sounding_config_rejects_non_finite(field, bad):
 def test_mpc_truth_rejects_non_finite(field, bad):
     kw = dict(alpha=1.0, phase=0.0, tau=1e-9, phi=0.0)
     kw[field] = bad
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    with pytest.raises(ValueError, match=f"^{field}: expected an? (finite|amplitude)"):
         MpcTruth(**kw)
 
 
@@ -671,7 +671,7 @@ def test_padp_rejects_non_finite_or_negative_values(bad):
     v = np.ones((3, 4))
     v[1, 2] = bad
     angles = 2.0 * np.pi * np.arange(3) / 3
-    with pytest.raises(ValueError, match="finite and non-negative"):
+    with pytest.raises(ValueError, match="^values: expected finite entries >= 0"):
         Padp(v, angles, np.arange(4.0))
     v[1, 2] = -0.0  # equal to zero, so allowed
     assert Padp(v, angles, np.arange(4.0)).values[1, 2] == 0.0
@@ -681,7 +681,7 @@ def test_padp_rejects_angles_that_are_no_full_circle_in_radians(cfg_small, arr36
     """``asi`` and haed read the angles as radians spaced 2*pi/m: degrees are refused."""
     good = simulate_padp([MpcTruth(1.0, 0.0, 32e-9, np.radians(13.0))], arr36, pat10, cfg_small)
     for angles in (np.degrees(good.angles), np.arange(36.0), good.angles[::-1], np.zeros(36)):
-        with pytest.raises(ValueError, match="angles must step by 2"):
+        with pytest.raises(ValueError, match=r"^angles: expected a step of 2\*pi/m"):
             Padp(good.values, angles, good.delays)
     rotated = Padp(good.values, good.angles + 0.3, good.delays)  # a rotated start is allowed
     assert rotated.asi == good.asi
@@ -693,7 +693,7 @@ def test_padp_rejects_angles_that_are_no_full_circle_in_radians(cfg_small, arr36
 def test_padp_rejects_delay_grids_without_a_positive_first_step(delays):
     """``delta_tau`` reads the first step: one column or a non-positive step is refused."""
     v = np.ones((3, len(delays)))
-    with pytest.raises(ValueError, match="delays need at least 2 entries"):
+    with pytest.raises(ValueError, match="^delays: expected (2 or more entries|finite entries)"):
         Padp(v, 2.0 * np.pi * np.arange(3) / 3, delays)
 
 
@@ -797,3 +797,66 @@ def test_off_grid_maps_still_transform(cfg_full, arr36, pat10, monkeypatch):
     monkeypatch.setattr(synthesis, "cfr_to_cir", spy(synthesis.cfr_to_cir))
     simulate_padp(_truths([25.0, 40.2]), arr36, pat10, cfg_full)
     assert calls == ["cfr_to_cir"]
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: SoundingConfig(fc=37.5e9, bw=2e9, k=2.5), "k"),
+        (lambda: SoundingConfig(fc=37.5e9, bw=2e9, k=np.float64(8)), "k"),
+        (lambda: SoundingConfig(fc=37.5e9, bw=2e9, k=True), "k"),
+        (lambda: ArrayConfig(m=3.5), "m"),
+        (lambda: ArrayConfig(m=np.float64(36)), "m"),
+    ],
+    ids=["k-fraction", "k-float64", "k-bool", "m-fraction", "m-float64"],
+)
+def test_grid_sizes_must_be_integers(make, field):
+    with pytest.raises(ValueError, match=f"^{field}: expected an integer >= "):
+        make()
+
+
+def test_grid_sizes_accept_numpy_integers():
+    assert SoundingConfig(fc=37.5e9, bw=2e9, k=np.int64(8)).delays.size == 8
+    assert ArrayConfig(m=np.uint16(36)).steering_angles.size == 36
+
+
+@pytest.mark.parametrize(
+    "kw, field",
+    [
+        (dict(g_tx=0.0), "g_tx"),
+        (dict(g_tx=-1.0), "g_tx"),
+        (dict(g_tx=1e200), "g_tx"),  # its square, the power gain, overflows
+        (dict(sigma2=1e38), "sigma2"),
+        (dict(bw=1e-310), "the last delay"),  # 1/bw overflows
+        (dict(fc=-1.7e308, bw=1e308), "the band edge"),
+    ],
+    ids=["g_tx-zero", "g_tx-negative", "g_tx-square", "sigma2-ceiling", "delay", "band-edge"],
+)
+def test_sounding_config_refuses_values_that_overflow_its_grids_or_draws(kw, field):
+    with pytest.raises(ValueError, match=f"^{field}"):
+        SoundingConfig(**{**dict(fc=37.5e9, bw=2e9, k=16, sigma2=0.1), **kw})
+
+
+def test_noise_at_the_height_ceiling_stays_finite():
+    """sigma2 * E of the float32 draw reaches the float32 maximum, not beyond it."""
+    from padpkit.checks import NOISE_HEIGHT_MAX
+
+    w = add_noise(np.zeros((4, 1000), dtype=complex), NOISE_HEIGHT_MAX, seed=0)
+    assert np.all(np.isfinite(w))
+    # the largest draw: a raw half x = 0 gives u = 2**-32, so E = 32 ln 2 in float32
+    step = np.float32(2.0**-32)
+    assert np.isfinite(np.log(np.float32(0.0) * step + step) * np.float32(-NOISE_HEIGHT_MAX))
+    cfg = SoundingConfig(fc=37.5e9, bw=2e9, k=16, sigma2=NOISE_HEIGHT_MAX)
+    assert cfg.sigma2 == NOISE_HEIGHT_MAX
+    with pytest.raises(ValueError, match="^sigma2: expected a noise height"):
+        add_noise(np.zeros(4, dtype=complex), np.nextafter(NOISE_HEIGHT_MAX, np.inf), seed=0)
+
+
+@pytest.mark.parametrize("name", ["angles", "delays"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_padp_refuses_non_finite_grids(name, bad):
+    grids = {"angles": 2.0 * np.pi * np.arange(3) / 3, "delays": np.arange(4.0)}
+    grids[name] = grids[name].copy()
+    grids[name][-1] = bad
+    with pytest.raises(ValueError, match=f"^{name}: expected finite entries"):
+        Padp(np.ones((3, 4)), **grids)
