@@ -18,6 +18,11 @@ HPBW_MIN_DEG = 0.1
 HPBW_MIN = float(np.radians(HPBW_MIN_DEG))
 # the float32 noise draw forms sigma2 * E with E up to 32 ln 2 (synthesis.add_noise)
 NOISE_HEIGHT_MAX = float(np.finfo(np.float32).max) / (32.0 * math.log(2.0))
+# caps on counts, so a mistyped count exits 2 instead of running until it is killed
+MAX_TRIALS = 10**6  # Monte Carlo trials per sweep point
+MAX_DRAWS = 10**6  # offset-study draws
+MAX_SWEEP_POINTS = 10**4  # the num of a start:stop:num sweep grid
+MAX_THREADS = 256  # PADPKIT_THREADS
 
 
 def require(ok, field, rule, value):
@@ -41,21 +46,27 @@ def _within(value, field, rule, lo, hi, above=False):
     return x
 
 
-def integer(value, field, low):
-    """An integer >= ``low`` (numpy integers count), as an int."""
+def _at_most(value, field, high, got):
+    """Refuse an integer ``value`` above ``high``, when given, showing ``got``."""
+    require(high is None or value <= high, field, f"at most {high}", got)
+
+
+def integer(value, field, low, high=None):
+    """An integer >= ``low`` (numpy integers count), and <= ``high`` when given, as an int."""
     ok = (type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool))
-    ok = ok and value >= low
-    require(ok, field, f"an integer >= {low}", value)
+    require(ok and value >= low, field, f"an integer >= {low}", value)
+    _at_most(value, field, high, value)
     return int(value)
 
 
-def decimal(text, field, low):
-    """An integer >= ``low`` written in ASCII decimal digits: no sign, space or underscore."""
+def decimal(text, field, low, high=None):
+    """``integer``'s rule for text in ASCII decimal digits: no sign, space or underscore."""
     try:
         value = int(text) if text.isascii() and text.isdecimal() else low - 1
     except ValueError:  # more digits than int() converts
         value = low - 1
     require(value >= low, field, f"an integer >= {low} in decimal digits", text)
+    _at_most(value, field, high, text)
     return value
 
 

@@ -31,8 +31,9 @@ from .synthesis import simulate_padp
 def _parse_values(spec):
     """Parse a sweep grid: 'start:stop:num' (inclusive linspace) or 'v1,v2,...'.
 
-    ``num`` is written in decimal digits and every value must be finite
-    (``checks.grid``); a fault is a ``ValueError`` naming ``--values``.
+    ``num`` is written in decimal digits, at most ``checks.MAX_SWEEP_POINTS``,
+    and every value must be finite (``checks.grid``); a fault is a
+    ``ValueError`` naming ``--values``.
     """
     spec = spec.strip()
     try:
@@ -41,7 +42,7 @@ def _parse_values(spec):
             if len(parts) != 3:
                 raise ValueError(f"bad grid {spec!r}, expected start:stop:num")
             start, stop = float(parts[0]), float(parts[1])
-            num = checks.decimal(parts[2], "num", 1)
+            num = checks.decimal(parts[2], "num", 1, checks.MAX_SWEEP_POINTS)
             with np.errstate(all="ignore"):  # an overflow is refused by the grid rule below
                 values = tuple(np.linspace(start, stop, num))
         else:
@@ -75,7 +76,8 @@ def _flag(read, rule, *args):
 
 
 _SEED = _flag(str, checks.decimal, 0)
-_COUNT = _flag(str, checks.decimal, 1)
+_TRIALS = _flag(str, checks.decimal, 1, checks.MAX_TRIALS)
+_DRAWS = _flag(str, checks.decimal, 1, checks.MAX_DRAWS)
 _THRESHOLD_DB = _flag(float, checks.positive)
 
 
@@ -282,7 +284,7 @@ def build_parser():
     p.add_argument("--scenario", required=True)
     p.add_argument("--sweep", choices=tuple(_SWEEP_NAMES), required=True)
     p.add_argument("--values", required=True)
-    p.add_argument("--trials", type=_COUNT, default=1000)
+    p.add_argument("--trials", type=_TRIALS, default=1000)
     p.add_argument("--methods", default="o1,o2,haed")
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--randomize-angle", action="store_true")
@@ -293,7 +295,7 @@ def build_parser():
 
     p = sub.add_parser("offset-study", help="noise-free uniform-angle error statistics")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--n", type=_COUNT, default=1000)
+    p.add_argument("--n", type=_DRAWS, default=1000)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--methods", default="o1,o2,haed")
     p.add_argument("--out", required=True)

@@ -258,18 +258,6 @@ def estimate_haed(padp, pat, pk=PeakConfig()):
     return haed_refine(padp, coarse_peaks_2d(padp, pk), pat)
 
 
-def _row_power(cfr_row, delta_f, taus):
-    """|h(tau)|**2 of one row's band-limited delay response at arbitrary taus.
-
-    The absolute band position only contributes a unimodular factor, so
-    baseband frequency indices suffice for magnitudes.
-    """
-    k = cfr_row.shape[0]
-    phases = np.exp(2j * np.pi * np.outer(taus, np.arange(k) * delta_f))
-    h = phases @ cfr_row / np.sqrt(k)
-    return np.abs(h) ** 2
-
-
 @functools.lru_cache(maxsize=8)
 def _subbin_kernel(k, upsample):
     """(2U+1, k) phases exp(j 2 pi n u / (k U)) for offsets u = -U..U (U = upsample).
@@ -291,11 +279,13 @@ def _bin_phases(k):
 
 
 def _subbin_powers(cfr_row, j, upsample):
-    """``_row_power`` at the taus (j + u/U) * dtau, u = -U..U, through the cached kernel.
+    """|h|**2 of one row's band-limited delay response at the taus (j + u/U) * dtau, u = -U..U.
 
-    The phase of delay bin j, exp(j 2 pi j n / k), is factored into the
-    row, so the kernel depends only on (k, U); it is read from the cached
-    table ``_bin_phases(k)`` at the indices j n mod k.
+    Baseband frequency indices suffice for magnitudes: the absolute band
+    position only contributes a unimodular factor.  The phase of delay bin
+    j, exp(j 2 pi j n / k), is factored into the row, so the kernel depends
+    only on (k, U); it is read from the cached table ``_bin_phases(k)`` at
+    the indices j n mod k.
     """
     k = cfr_row.shape[0]
     bin_phase = _bin_phases(k)[j * np.arange(k) % k]
@@ -304,7 +294,7 @@ def _subbin_powers(cfr_row, j, upsample):
 
 
 def _offset_power(cfr_row, j, offset):
-    """``_row_power`` at the tau (j + offset) * dtau, ``offset`` in delay bins.
+    """|h(tau)|**2 of one row's delay response at (j + offset) * dtau, ``offset`` in bins.
 
     Bin j's phase enters reduced modulo k, as in ``_subbin_powers``, so
     the phase arguments stay within a few pi instead of growing with j,

@@ -2,14 +2,17 @@
 
 Every trial derives its generator from (base seed, sweep index, trial
 index) through a SeedSequence, so runs are bit-reproducible and trials
-may execute in any order.  Set PADPKIT_THREADS to a positive integer to
-run trials of a sweep point on a thread pool; reduction collects per-trial
-records in trial order, so the output is identical to the serial run.
-Each thread synthesizes its trials into one reused ``Workspace``, kept
-across sweeps of one map shape, so a trial's PADP is valid only within
-that trial.
+may execute in any order.  Set PADPKIT_THREADS to a positive integer (at
+most ``checks.MAX_THREADS``) to run trials on a thread pool, one per
+``run_sweep`` call; reduction collects per-trial records in trial order,
+so the output is identical to the serial run.  Each thread synthesizes its
+trials into one reused ``Workspace``, so a trial's PADP is valid only
+within that trial: the caller's thread keeps its workspace from one call
+to the next while the map shape stays, and pool workers keep theirs for
+one call.
 """
 
+import contextlib
 import math
 import os
 import threading
@@ -69,7 +72,7 @@ class MonteCarloConfig:
     peak: PeakConfig = field(default_factory=PeakConfig)
 
     def __post_init__(self):
-        checks.integer(self.trials, "trials", 1)
+        checks.integer(self.trials, "trials", 1, checks.MAX_TRIALS)
         checks.integer(self.base_seed, "base_seed", 0)
         _require_methods(self.methods)
         checks.require(isinstance(self.peak, PeakConfig), "peak", "a PeakConfig", self.peak)
@@ -274,8 +277,8 @@ def _amp_error(power, truth, cfg):
     return float(np.sqrt(max(power, 0.0) / ref)) - 1.0
 
 
-# each thread's synthesis workspace, kept from one sweep to the next while the
-# map shape stays: consecutive serial sweeps reuse one, and map no fresh pages
+# each thread's synthesis workspace, kept while the thread lives and the map shape
+# stays: consecutive serial sweeps reuse one, and map no fresh pages
 _thread_workspace = threading.local()
 
 
@@ -297,76 +300,77 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
     ``SingularFimError``) on a trial misses every arrival of that trial and
     is counted in ``ErrorStats.failures``; the other methods of the trial
     are unaffected.  Any other exception is a bug and propagates, and so
-    does the ``ValueError`` of a bad ``PADPKIT_THREADS``, before any trial,
-    and the one naming ``tau`` of an arrival whose delay (plus one bin,
-    with ``off_grid_delay``) reaches the delay window k/bw, where it aliases.
+    does, before any trial, the ``ValueError`` of a bad ``PADPKIT_THREADS``,
+    of a beam with no gain one scan step off boresight
+    (``ArrayConfig.require_step_gain``), and of an arrival whose delay
+    (plus one bin, with ``off_grid_delay``) reaches the delay window k/bw,
+    where it aliases.  With threads, one pool runs every sweep point.
     """
-    threads = checks.decimal(os.environ.get("PADPKIT_THREADS") or "1", "PADPKIT_THREADS", 1)
+    env = os.environ.get("PADPKIT_THREADS") or "1"
+    threads = checks.decimal(env, "PADPKIT_THREADS", 1, checks.MAX_THREADS)
+    arr.require_step_gain(pat, "pat.hpbw", pat.hpbw)
     for m in mc.mpcs:  # an off_grid_delay offset adds up to one bin
         cfg.require_in_window(m.tau, "tau", 1.0 if mc.off_grid_delay else 0.0)
     keep_h = Method.HAED_PLUS in mc.methods  # only haed+ reads the delay responses
     points = _sweep_points(mc, cfg, arr, pat)
     rows = []
-    for si, (sweep_value, (mpcs_pt, cfg_pt, crlbs)) in enumerate(zip(mc.sweep_values, points)):
+    with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+        trial_map = pool.map if pool else map
+        for si, (sweep_value, (mpcs_pt, cfg_pt, crlbs)) in enumerate(zip(mc.sweep_values, points)):
 
-        def one_trial(ti, _si=si, _mpcs=mpcs_pt, _cfg=cfg_pt):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=mc.base_seed, spawn_key=(_si, ti))
-            )
-            mpcs = _trial_mpcs(mc, _cfg, _mpcs, rng)
-            # the Padp lives on this thread's workspace: it must not outlive the trial
-            padp = simulate_padp(
-                mpcs, arr, pat, _cfg, seed=rng, keep_cfr=keep_h, workspace=_workspace(arr.m, cfg.k)
-            )
-            record = {}
-            for method in mc.methods:
-                failed = False
-                try:
-                    ests = run_method(method, padp, pat, mc.peak)
-                    matched, extra = associate(ests, mpcs, _cfg.delta_tau, pat.hpbw)
-                except ValueError:
-                    matched, extra, failed = {}, 0, True
-                errs = {}
-                for ti_truth, est in matched.items():
-                    truth = mpcs[ti_truth]
-                    errs[ti_truth] = (
-                        float(np.degrees(circular_delta(est.phi, truth.phi))),
-                        _amp_error(est.power, truth, _cfg),
-                        (est.tau - truth.tau) * 1e9,
-                    )
-                record[method] = (errs, extra, failed)
-            return record
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                records = list(pool.map(one_trial, range(mc.trials)))
-        else:
-            records = [one_trial(ti) for ti in range(mc.trials)]
-
-        n_truth = len(mc.mpcs)
-        for method in mc.methods:
-            outcomes = [record[method] for record in records]
-            false_alarms = sum(extra for _, extra, _ in outcomes)
-            failures = sum(failed for _, _, failed in outcomes)
-            for ti in range(n_truth):
-                hits = [errs[ti] for errs, _, _ in outcomes if ti in errs]
-                misses = len(outcomes) - len(hits)
-                for axis, param in enumerate(("phi_deg", "amp_norm", "tau_ns")):
-                    stats = ErrorStats.from_samples(
-                        [hit[axis] for hit in hits], misses, false_alarms, failures
-                    )
-                    rows.append(
-                        SweepRow(
-                            sweep_value=float(sweep_value),
-                            method=method,
-                            param=param if n_truth == 1 else f"{param}:{ti}",
-                            truth_index=ti,
-                            stats=stats,
-                            sqrt_crlb=crlbs[ti][axis],
+            def one_trial(ti, _si=si, _mpcs=mpcs_pt, _cfg=cfg_pt):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=mc.base_seed, spawn_key=(_si, ti))
+                )
+                mpcs = _trial_mpcs(mc, _cfg, _mpcs, rng)
+                # the Padp lives on this thread's workspace: it must not outlive the trial
+                ws = _workspace(arr.m, cfg.k)
+                padp = simulate_padp(mpcs, arr, pat, _cfg, seed=rng, keep_cfr=keep_h, workspace=ws)
+                record = {}
+                for method in mc.methods:
+                    failed = False
+                    try:
+                        ests = run_method(method, padp, pat, mc.peak)
+                        matched, extra = associate(ests, mpcs, _cfg.delta_tau, pat.hpbw)
+                    except ValueError:
+                        matched, extra, failed = {}, 0, True
+                    errs = {}
+                    for ti_truth, est in matched.items():
+                        truth = mpcs[ti_truth]
+                        errs[ti_truth] = (
+                            float(np.degrees(circular_delta(est.phi, truth.phi))),
+                            _amp_error(est.power, truth, _cfg),
+                            (est.tau - truth.tau) * 1e9,
                         )
-                    )
-        if progress is not None:
-            progress(si + 1, len(mc.sweep_values))
+                    record[method] = (errs, extra, failed)
+                return record
+
+            records = list(trial_map(one_trial, range(mc.trials)))
+
+            n_truth = len(mc.mpcs)
+            for method in mc.methods:
+                outcomes = [record[method] for record in records]
+                false_alarms = sum(extra for _, extra, _ in outcomes)
+                failures = sum(failed for _, _, failed in outcomes)
+                for ti in range(n_truth):
+                    hits = [errs[ti] for errs, _, _ in outcomes if ti in errs]
+                    misses = len(outcomes) - len(hits)
+                    for axis, param in enumerate(("phi_deg", "amp_norm", "tau_ns")):
+                        stats = ErrorStats.from_samples(
+                            [hit[axis] for hit in hits], misses, false_alarms, failures
+                        )
+                        rows.append(
+                            SweepRow(
+                                sweep_value=float(sweep_value),
+                                method=method,
+                                param=param if n_truth == 1 else f"{param}:{ti}",
+                                truth_index=ti,
+                                stats=stats,
+                                sqrt_crlb=crlbs[ti][axis],
+                            )
+                        )
+            if progress is not None:
+                progress(si + 1, len(mc.sweep_values))
     return rows
 
 
@@ -379,10 +383,13 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
     {method: {param: ErrorStats}} for params 'phi_deg' and 'power_db'.
     The delay responses ``h`` are kept only when haed+, which reads them,
     is requested; the other methods' statistics are the same either way.
-    ``methods`` is a non-empty tuple of distinct ``Method`` members.
+    ``methods`` is a non-empty tuple of distinct ``Method`` members, and
+    ``pat`` must keep a gain one scan step off boresight
+    (``ArrayConfig.require_step_gain``).
     """
-    checks.integer(n_mpcs, "n_mpcs", 1)
+    checks.integer(n_mpcs, "n_mpcs", 1, checks.MAX_DRAWS)
     _require_methods(methods)
+    arr.require_step_gain(pat, "pat.hpbw", pat.hpbw)
     cfg0 = replace(cfg, sigma2=0.0)
     p_ref = cfg0.k * cfg0.pu * cfg0.g_tx**2
     samples = {m: {"phi_deg": [], "power_db": []} for m in methods}

@@ -80,7 +80,9 @@ def parse_scenario(text, base_dir=None):
     an arrival at or past the delay window k/bw (it would alias) included.
     The ``array.m`` x ``sounding.k`` scan map may hold at most ``MAX_MAP_CELLS``
     (2**24) cells; a larger one is rejected, naming the field, before any allocation.
-    The peak cell power k * pu * g_tx**2 * g_max * (sum of alpha)**2 must be finite.
+    The peak cell power k * pu * g_tx**2 * g_max * (sum of alpha)**2 must be finite,
+    and so must the beam's power gain one scan step off boresight be a normal float,
+    naming ``pattern.hpbw_deg`` (``pattern.table_path`` for a tabulated pattern).
     """
     sha256 = sha256_bytes(text.encode() if isinstance(text, str) else text)
     with _section():
@@ -104,7 +106,10 @@ def parse_scenario(text, base_dir=None):
         with _section("array"):
             arr = ArrayConfig(m=m)
 
-        pattern = _parse_pattern(_json_field(doc, "pattern", "pattern", dict), base_dir)
+        pat_doc = _json_field(doc, "pattern", "pattern", dict)
+        pattern = _parse_pattern(pat_doc, base_dir)
+        key = "hpbw_deg" if pattern.table is None else "table_path"
+        arr.require_step_gain(pattern, f"pattern.{key}", pat_doc[key])
 
         mpcs_doc = _json_field(doc, "mpcs", "mpcs", list)
         checks.require(mpcs_doc, "mpcs", "at least one entry", mpcs_doc)

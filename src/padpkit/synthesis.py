@@ -62,13 +62,14 @@ a call without one builds one for that call.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import checks
 from .angles import wrap_pm_pi, wrap_two_pi
-from .antenna import gain
+from .antenna import gain, power_gain
 
 
 def _read_only(a):
@@ -153,6 +154,19 @@ class ArrayConfig:
     def asi(self):
         """Angular sampling interval 2*pi/m."""
         return 2.0 * np.pi / self.m
+
+    def require_step_gain(self, pat, field, value):
+        """Refuse ``value``, naming ``field``, unless ``pat`` keeps a gain one scan step out.
+
+        ``pat``'s power gain one step (2*pi/m) off boresight, on either
+        side, must be a normal float.  Under a narrower beam an arrival
+        between two scan directions has a gain that underflows to 0 in both,
+        so the map holds only noise and its Fisher bound is infinite.
+        """
+        step_gain = float(np.min(power_gain(pat, np.array([-self.asi, self.asi]))))
+        rule = (f"a beam whose power gain one scan step ({np.degrees(self.asi):.6g} deg) off"
+                f" boresight is a normal float (>= {sys.float_info.min:.6g})")
+        checks.require(step_gain >= sys.float_info.min, field, rule, value)
 
 
 @dataclass(frozen=True)

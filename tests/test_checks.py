@@ -27,6 +27,8 @@ from padpkit import checks
         (checks.grid, (), [True, False]),
         (checks.finite_array, (0.0,), np.array([1.0, -1e-300])),
         (checks.finite_array, (), np.array([1.0, complex(0.0, np.inf)])),
+        (checks.integer, (1, 5), 6),
+        (checks.decimal, (1, 5), "6"),
     ],
 )
 def test_every_rule_refuses_in_one_form(rule, args, value):
@@ -40,6 +42,7 @@ def test_rules_return_the_checked_value():
     n = checks.integer(np.int64(3), "n", 1)
     assert n == 3 and type(n) is int
     assert checks.decimal("042", "n", 1) == 42
+    assert checks.integer(5, "n", 1, 5) == 5 == checks.decimal("5", "n", 1, 5)
     assert checks.finite(np.float32(0.5), "x") == 0.5
     assert checks.gain_db(20.0, "g") == 100.0
     assert checks.hpbw_deg(180.0, "h") == np.pi == checks.hpbw(np.pi, "h")

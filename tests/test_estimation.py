@@ -21,7 +21,6 @@ from padpkit.estimation import (
     estimate_haed,
     estimate_o1,
     estimate_o2,
-    _row_power,
     _subbin_kernel,
     _subbin_powers,
     haed_plus_refine,
@@ -33,6 +32,18 @@ from padpkit.estimation import (
 )
 
 K_SMALL = 257
+
+
+def _row_power(cfr_row, delta_f, taus):
+    """|h(tau)|**2 of one row's band-limited delay response at arbitrary taus.
+
+    The absolute band position only contributes a unimodular factor, so
+    baseband frequency indices suffice for magnitudes.
+    """
+    k = cfr_row.shape[0]
+    phases = np.exp(2j * np.pi * np.outer(taus, np.arange(k) * delta_f))
+    h = phases @ cfr_row / np.sqrt(k)
+    return np.abs(h) ** 2
 
 
 def _padp_for(phi_deg, cfg, arr, pat, tau=32e-9, alpha=1.0, seed=0):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from padpkit import AntennaPattern, MpcTruth, SoundingConfig, crlb_from_fim, fim, gain
+from padpkit import AntennaPattern, MpcTruth, SoundingConfig, checks, crlb_from_fim, fim, gain
 from padpkit.angles import circular_delta
 from padpkit.estimation import Method, MpcEstimate, PeakConfig, estimate_haed
 from padpkit.crlb import crlb_single_alpha, crlb_single_phi
@@ -218,6 +218,43 @@ def test_run_sweep_refuses_delays_that_reach_the_window_before_any_trial(
     error, message = (ValueError, "^tau: .* delay window") if refused else (AssertionError, "trial")
     with pytest.raises(error, match=message):
         run_sweep(mc, CFG, arr36, pat10)
+
+
+def _no_trial(monkeypatch):
+    """Make any trial, bound overlay or thread pool fail the test."""
+    import padpkit.experiments as experiments
+
+    def boom(*_a, **_k):
+        raise AssertionError("a trial, bound or pool ran")
+
+    for name in ("simulate_padp", "crlb_sweep", "ThreadPoolExecutor"):
+        monkeypatch.setattr(experiments, name, boom)
+
+
+def test_sweeps_refuse_a_beam_narrower_than_the_scan_step_before_any_trial(arr36, monkeypatch):
+    """At 0.45 deg the power gain one 10 deg step off boresight underflows to 0."""
+    _no_trial(monkeypatch)
+    narrow = AntennaPattern.gaussian(100.0, np.radians(0.45))
+    message = r"^pat\.hpbw: expected a beam whose power gain one scan step \(10 deg\) off"
+    with pytest.raises(ValueError, match=message):
+        run_sweep(_small_mc(), CFG, arr36, narrow)
+    with pytest.raises(ValueError, match=message):
+        uniform_offset_study(3, 0, CFG, arr36, narrow)
+
+
+def test_counts_past_their_caps_are_refused_before_any_trial_or_thread(arr36, pat10, monkeypatch):
+    _no_trial(monkeypatch)
+    cap = checks.MAX_TRIALS
+    assert _small_mc(trials=cap).trials == cap
+    with pytest.raises(ValueError, match=rf"^trials: expected at most {cap}, got {cap + 1}$"):
+        _small_mc(trials=cap + 1)
+    cap = checks.MAX_DRAWS
+    with pytest.raises(ValueError, match=rf"^n_mpcs: expected at most {cap}, got {cap + 1}$"):
+        uniform_offset_study(cap + 1, 0, CFG, arr36, pat10)
+    cap = checks.MAX_THREADS
+    monkeypatch.setenv("PADPKIT_THREADS", str(cap + 1))
+    with pytest.raises(ValueError, match=rf"^PADPKIT_THREADS: expected at most {cap}, got '"):
+        run_sweep(_small_mc(), CFG, arr36, pat10)
 
 
 def test_run_sweep_structure(arr36, pat10):
@@ -640,7 +677,7 @@ def test_run_sweep_rows_equal_with_two_threads(arr36, pat10, monkeypatch):
     made = _counting_workspaces(monkeypatch)
     threaded = run_sweep(mc, cfg, arr36, pat10)
     assert _fingerprint(threaded) == _fingerprint(serial)
-    assert 1 <= len(made) <= 2 * len(mc.sweep_values)  # one per pool thread and point
+    assert 1 <= len(made) <= 2  # one per pool thread: the pool serves every point
 
 
 def test_serial_sweep_and_offset_study_allocate_one_workspace(arr36, pat10, monkeypatch):

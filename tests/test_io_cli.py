@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from padpkit import MpcTruth, Padp, simulate_padp
+from padpkit import MpcTruth, Padp, checks, simulate_padp
 from padpkit.antenna import PatternKind, gain
 from padpkit.cli import _parser, build_parser, main
 from padpkit.estimation import HAED_PLUS_UPSAMPLE, Method, PeakConfig
@@ -1017,7 +1017,7 @@ def test_repeated_in_process_cli_matches_fresh_processes(tmp_path, capsys):
     assert runs[1] == expected
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-2", "2.5"])
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", "2.5", str(checks.MAX_THREADS + 1)])
 def test_cli_montecarlo_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, raw):
     monkeypatch.setenv("PADPKIT_THREADS", raw)
     sc = scenario_file(tmp_path)
@@ -1058,6 +1058,17 @@ def test_cli_sweep_grid_refuses_non_finite_values(tmp_path, capsys, command, val
     rc = main(argv + [f"--values={values}", "--out", str(out)])
     assert rc == 2
     assert "--values: expected finite entries" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [sc]
+
+
+@pytest.mark.parametrize("command", ["montecarlo", "crlb"])
+def test_cli_sweep_grid_refuses_a_point_count_past_its_cap(tmp_path, capsys, command):
+    """A grid of MAX_SWEEP_POINTS + 1 points exits 2 naming --values before it is allocated."""
+    sc = scenario_file(tmp_path)
+    argv = [a.format(sc=sc, out=tmp_path / "out.csv") for a in _COMMAND_ARGV[command]]
+    argv[argv.index("--values") + 1] = f"0:10:{checks.MAX_SWEEP_POINTS + 1}"
+    assert main(argv) == 2
+    assert f"--values: num: expected at most {checks.MAX_SWEEP_POINTS}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [sc]
 
 
@@ -1135,6 +1146,10 @@ _PARSED_FLAGS = {
         ("--trials", "2.5", "expected an integer >= 1 in decimal digits, got '2.5'"),
         ("--n", "0", "expected an integer >= 1 in decimal digits, got '0'"),
         ("--n", "-3", "expected an integer >= 1 in decimal digits, got '-3'"),
+        ("--trials", str(checks.MAX_TRIALS + 1),
+         f"expected at most {checks.MAX_TRIALS}, got '{checks.MAX_TRIALS + 1}'"),
+        ("--n", str(checks.MAX_DRAWS + 1),
+         f"expected at most {checks.MAX_DRAWS}, got '{checks.MAX_DRAWS + 1}'"),
         ("--threshold-db", "-1", "expected a finite number > 0, got -1.0"),
         ("--threshold-db", "inf", "expected a finite number > 0, got inf"),
         ("--threshold-db", "x", "expected a finite number > 0, got 'x'"),
@@ -1260,6 +1275,7 @@ _COMMAND_ARGV = {
              "--out", "{out}"],
     "montecarlo": ["montecarlo", "--scenario", "{sc}", "--sweep", "output-snr", "--values", "30",
                    "--trials", "2", "--out", "{out}"],
+    "offset-study": ["offset-study", "--scenario", "{sc}", "--n", "3", "--out", "{out}"],
 }
 
 
@@ -1268,6 +1284,12 @@ _COMMAND_ARGV = {
     [
         ("pattern", "hpbw_deg", 1e-7, ("simulate", "crlb", "montecarlo"),
          "pattern.hpbw_deg: expected a beamwidth in [0.1, 180] degrees, got 1e-07"),
+        ("pattern", "hpbw_deg", 0.1, ("simulate", "crlb", "montecarlo", "offset-study"),
+         "pattern.hpbw_deg: expected a beam whose power gain one scan step (10 deg) off"
+         " boresight is a normal float (>= 2.22507e-308), got 0.1"),
+        ("pattern", "hpbw_deg", 0.45, ("simulate", "crlb", "montecarlo", "offset-study"),
+         "pattern.hpbw_deg: expected a beam whose power gain one scan step (10 deg) off"
+         " boresight is a normal float (>= 2.22507e-308), got 0.45"),
         ("sounding", "g_tx", 0.0, ("simulate", "crlb", "montecarlo"),
          "sounding: g_tx: expected an amplitude > 0 with a finite square, got 0.0"),
         ("sounding", "g_tx", -1.0, ("simulate",),
@@ -1282,8 +1304,8 @@ _COMMAND_ARGV = {
         ("sounding", "pu", 1e300, ("montecarlo",),
          "sigma2 = alpha**2 * pu * g_max / SNR at 30.0 dB: expected a noise height"),
     ],
-    ids=["narrow-beam", "no-tx-gain", "negative-tx-gain", "huge-alpha", "peak-power",
-         "huge-sigma2", "huge-pu"],
+    ids=["narrow-beam", "beam-under-step-0.1", "beam-under-step-0.45", "no-tx-gain",
+         "negative-tx-gain", "huge-alpha", "peak-power", "huge-sigma2", "huge-pu"],
 )
 def test_cli_refuses_scenario_values_that_would_give_non_finite_output(
     tmp_path, capsys, section, key, value, commands, message

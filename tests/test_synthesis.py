@@ -64,6 +64,32 @@ def test_mpc_truth_rejects_non_finite(field, bad):
         MpcTruth(**kw)
 
 
+@pytest.mark.parametrize("hpbw_deg, refused", [(0.1, True), (0.45, True), (0.62, True),
+                                               (0.63, False), (10.0, False)])
+def test_a_beam_must_keep_a_gain_one_scan_step_off_boresight(arr36, hpbw_deg, refused):
+    """At 36 directions, 10 deg apart, the power gain there underflows below about 0.623 deg."""
+    pat = AntennaPattern.gaussian(100.0, np.radians(hpbw_deg))
+    if refused:
+        with pytest.raises(ValueError, match=r"^h: expected a beam whose power gain one scan"
+                                             r" step \(10 deg\) off boresight is a normal float"):
+            arr36.require_step_gain(pat, "h", hpbw_deg)
+    else:
+        arr36.require_step_gain(pat, "h", hpbw_deg)
+
+
+def test_the_step_gain_rule_reads_both_sides_of_a_tabulated_beam(arr36, pat10):
+    """A table whose gain is 0 from -9.5 deg down is refused although +10 deg keeps a gain."""
+    angles = np.radians(np.arange(-180.0, 180.0, 0.5))
+    gains = np.where(angles > np.radians(-9.4), gain(pat10, angles), 0.0)
+    one_sided = AntennaPattern.from_table(angles, gains, hpbw=pat10.hpbw)
+    with pytest.raises(ValueError, match="^table: expected a beam"):
+        arr36.require_step_gain(one_sided, "table", "one-sided")
+    mirrored = AntennaPattern.from_table(angles, gains[::-1], hpbw=pat10.hpbw)
+    with pytest.raises(ValueError, match="^table: expected a beam"):
+        arr36.require_step_gain(mirrored, "table", "one-sided")
+    arr36.require_step_gain(AntennaPattern.from_table(angles, gain(pat10, angles)), "table", "ok")
+
+
 def test_mpc_phi_wrapped():
     m = MpcTruth(alpha=1.0, phase=0.0, tau=0.0, phi=-np.pi / 2)
     assert m.phi == pytest.approx(1.5 * np.pi)
