@@ -151,6 +151,8 @@ refuse big_gain.csv --gmax-db -- padpkit estimate --padp scan.padp --gmax-db 1e5
   --out big_gain.csv
 refuse wide.csv --hpbw-deg -- padpkit estimate --padp scan.padp --gmax-db 20 --hpbw-deg 400 \
   --out wide.csv
+refuse step.csv '--hpbw-deg: expected a beam' -- padpkit estimate --padp scan.padp --gmax-db 20 \
+  --hpbw-deg 0.45 --out step.csv  # no gain one of the PADP's 10 deg steps out
 refuse no_trials.csv --trials -- padpkit "${one[@]}" --values 30 --trials 0 --out no_trials.csv
 refuse narrow.padp pattern.hpbw_deg -- padpkit simulate --scenario narrow.json --out narrow.padp
 refuse step.padp pattern.hpbw_deg -- padpkit simulate --scenario step.json --out step.padp

@@ -25,7 +25,7 @@ from .experiments import (
     run_sweep,
     uniform_offset_study,
 )
-from .synthesis import simulate_padp
+from .synthesis import ArrayConfig, simulate_padp
 
 
 def _parse_values(spec):
@@ -101,14 +101,27 @@ def _cmd_simulate(args):
     return 0
 
 
-def _load_pattern_for_estimate(args):
+def _load_pattern_for_estimate(args, m):
+    """The pattern ``estimate`` assumes, checked against the PADP's ``m`` scan directions.
+
+    A pattern with no gain one scan step off boresight
+    (``ArrayConfig.require_step_gain``) is refused naming the flag or
+    scenario field that supplied it.
+    """
     if args.scenario:
-        return io.load_scenario(args.scenario).pattern
-    if args.pattern_csv:
-        return load_pattern_csv(args.pattern_csv)
-    if args.gmax_db is not None and args.hpbw_deg is not None:
-        return io.gaussian_pattern(args.gmax_db, args.hpbw_deg, "--gmax-db", "--hpbw-deg")
-    raise ValueError("give --scenario, --pattern-csv, or both --gmax-db and --hpbw-deg")
+        pattern = io.load_scenario(args.scenario).pattern
+        key = "hpbw_deg" if pattern.table is None else "table_path"
+        field, value = f"{args.scenario}: pattern.{key}", float(np.degrees(pattern.hpbw))
+    elif args.pattern_csv:
+        pattern = load_pattern_csv(args.pattern_csv)
+        field, value = "--pattern-csv", args.pattern_csv
+    elif args.gmax_db is not None and args.hpbw_deg is not None:
+        pattern = io.gaussian_pattern(args.gmax_db, args.hpbw_deg, "--gmax-db", "--hpbw-deg")
+        field, value = "--hpbw-deg", args.hpbw_deg
+    else:
+        raise ValueError("give --scenario, --pattern-csv, or both --gmax-db and --hpbw-deg")
+    ArrayConfig(m).require_step_gain(pattern, field, value)
+    return pattern
 
 
 def _with_spectra(padp, path):
@@ -141,7 +154,7 @@ def _cmd_estimate(args):
     padp, header = io.read_padp(args.padp)
     if args.cfr:
         padp = _with_spectra(padp, args.cfr)
-    pattern = _load_pattern_for_estimate(args)
+    pattern = _load_pattern_for_estimate(args, padp.values.shape[0])
     methods = io.parse_methods(args.methods)
     if Method.HAED_PLUS in methods and padp.h is None:
         raise ValueError(

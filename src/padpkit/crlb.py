@@ -6,11 +6,11 @@ noise of spectral height sigma2 is
 
     F_ij = (2 / sigma2) * Re sum_{m,k} conj(dS/dtheta_i) * dS/dtheta_j,
 
-with analytic derivatives of the noise-free signal.  The signal model
-itself lives in ``synthesis._arrival_terms``, the same forward model the
-simulator draws from; this module only chooses its phase reference and
-adds the derivative factors.  Two conventions keep the single-arrival
-matrix interpretable:
+with analytic derivatives of the noise-free signal.  The signal model is
+the simulator's own forward model, ``synthesis._arrival_weights`` times
+``synthesis._arrival_ramps``; this module only chooses its phase
+reference and adds the derivative factors.  Two conventions keep the
+single-arrival matrix interpretable:
 
 * the delay derivative is referenced to the mean grid frequency (phase is
   the value at band centre), which decouples phase from delay exactly;
@@ -29,14 +29,15 @@ decoupled expressions, at one arrival angle or at an array of them
 
 with d_m the offsets of the scan directions from the arrival.
 
-A sweep is bounded in one stacked pass: ``fim_sweep`` forms the (P, 4L,
-4L) matrices of P points with one batched product, and the frequency-axis
-Gram behind them once per distinct set of delays in the call (a sweep
-that keeps its delays forms one); ``crlb_from_fims`` inverts them with
-one batched ``eigh``; ``crlb_sweep`` chains the two in chunks of
-``SWEEP_CHUNK`` points, so memory stays bounded on any grid.
-``fim`` and ``crlb_from_fim`` are the one-point case of the same code,
-and each stacked result equals the one-point result bit for bit.
+A sweep at one noise height (``cfg.sigma2``) is bounded in one stacked
+pass: ``fim_sweep`` forms the (P, 4L, 4L) matrices of P points with one
+batched product, and the frequency-axis Gram behind them once per
+distinct set of delays in the call (a sweep that keeps its delays forms
+one); ``crlb_from_fims`` inverts them with one batched ``eigh``;
+``crlb_sweep`` chains the two in chunks of ``SWEEP_CHUNK`` points, so
+memory stays bounded on any grid.  ``fim`` and ``crlb_from_fim`` are the
+one-point case of the same code, and each stacked result equals the
+one-point result bit for bit.
 """
 
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ import numpy as np
 from . import checks
 from .angles import wrap_pm_pi
 from .antenna import PatternKind, gain
-from .synthesis import _arrival_ramps, _arrival_terms, _arrival_weights
+from .synthesis import _arrival_ramps, _arrival_weights
 
 CONDITION_LIMIT = 1e12
 SWEEP_CHUNK = 256  # sweep points per stacked pass of ``crlb_sweep``
@@ -94,18 +95,17 @@ def signal_model(theta, arr, pat, cfg):
     """Noise-free signal for a flat parameter vector (4L values).
 
     Layout per arrival: (alpha, phase_at_band_centre, phi, tau).  Returns
-    the (m, k) complex matrix: the synthesis forward model
-    (``synthesis._arrival_terms``) with its phase referenced to the band
-    centre.  This is the function the Fisher matrix differentiates; the
-    test suite checks the analytic derivatives against finite differences
-    of it.
+    the (m, k) complex matrix: the synthesis forward model, weights times
+    ramps, with its phase referenced to the band centre.  This is the
+    function the Fisher matrix differentiates; the test suite checks the
+    analytic derivatives against finite differences of it.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.size % 4:
         raise ValueError("theta length must be a multiple of 4")
+    alpha, phase, phi, tau = theta.reshape(-1, 4).T
     fbar = float(np.mean(cfg.freqs))
-    weights, ramps = _arrival_terms(*theta.reshape(-1, 4).T, arr, pat, cfg, fbar)
-    return weights @ ramps
+    return _arrival_weights(alpha, phase, phi, arr, pat, cfg) @ _arrival_ramps(tau, cfg, fbar)
 
 
 def _theta_rows(points, cfg):
@@ -132,21 +132,8 @@ def _theta_from_mpcs(mpcs, cfg):
     return _theta_rows([mpcs], cfg)[0].ravel()
 
 
-def _jacobian_factors(mpcs, arr, pat, cfg):
-    """Rank-1 factors of the Jacobian: scan-axis ``u`` (m, 4L), frequency-axis ``v`` (k, 4L).
-
-    Column i of the Jacobian is ``outer(u[:, i], v[:, i]).ravel()``: every
-    derivative of one arrival's term is its weight column (or that times
-    the log-gain's angle derivative) times its delay ramp (or the ramp's
-    delay derivative).  Weights and ramps are those of ``signal_model`` at
-    ``_theta_from_mpcs(mpcs, cfg)``.
-    """
-    theta = _theta_from_mpcs(mpcs, cfg).reshape(-1, 4)
-    return _scan_factor(theta, arr, pat, cfg), _frequency_factor(theta[:, 3], cfg)
-
-
 def _scan_factor(theta, arr, pat, cfg):
-    """``u`` of ``_jacobian_factors`` for parameter rows ``theta`` (..., L, 4): (..., m, 4L)."""
+    """Scan-axis factors ``u`` of ``jacobian`` for rows ``theta`` (..., L, 4): (..., m, 4L)."""
     # each (..., 1, L), so that the weights come out (..., m, L)
     alpha, phase, phi, _ = np.moveaxis(theta[..., None, :, :], -1, 0)
     g = _arrival_weights(alpha, phase, phi, arr, pat, cfg)
@@ -156,7 +143,7 @@ def _scan_factor(theta, arr, pat, cfg):
 
 
 def _frequency_factor(tau, cfg):
-    """``v`` of ``_jacobian_factors`` for the arrival delays ``tau``; reads only the band of ``cfg``."""
+    """Frequency-axis factors ``v`` (k, 4L) of ``jacobian`` for delays ``tau``; reads the band."""
     fbar = float(np.mean(cfg.freqs))
     r = _arrival_ramps(tau, cfg, fbar).T
     dr = -1j * (2.0 * np.pi * (cfg.freqs - fbar))[:, None] * r
@@ -173,43 +160,36 @@ def jacobian(mpcs, arr, pat, cfg):
     """Analytic derivatives dS/dtheta, shape (m*k, 4L) complex.
 
     Amplitude columns are pre-scaled by alpha (normalized-amplitude
-    parameterization).  Materialized from ``_jacobian_factors``, the
-    factors ``fim`` uses.
+    parameterization).  Column i is ``outer(u[:, i], v[:, i]).ravel()``
+    of the rank-1 factors ``fim`` uses, scan-axis ``u`` (m, 4L) and
+    frequency-axis ``v`` (k, 4L): every derivative of one arrival's term
+    is its weight column (or that times the log-gain's angle derivative)
+    times its delay ramp (or the ramp's delay derivative), at the weights
+    and ramps of ``signal_model``.
     """
-    u, v = _jacobian_factors(mpcs, arr, pat, cfg)
+    theta = _theta_rows([mpcs], cfg)[0]
+    u, v = _scan_factor(theta, arr, pat, cfg), _frequency_factor(theta[:, 3], cfg)
     return (u[:, None, :] * v[None, :, :]).reshape(-1, u.shape[1])
 
 
-def _information_scale(sigma2, n_points):
-    """2 / sigma2 for one noise height or one per sweep point, shaped (-1, 1, 1).
-
-    Raises ``ValueError`` naming sigma2 when it is not positive, when
-    2 / sigma2 overflows or when it holds neither 1 nor ``n_points`` values.
-    """
-    sigma2 = np.asarray(sigma2, dtype=np.float64)
-    heights = f"1 or {n_points} noise heights"
-    checks.require(sigma2.size in (1, n_points), "sigma2", heights, sigma2.size)
-    for s in sigma2.ravel().tolist():
-        checks.finite(2.0 / checks.positive(s, "sigma2"), f"2/sigma2 at sigma2 = {s!r}")
-    return np.reshape(2.0 / sigma2, (-1, 1, 1))
-
-
-def fim_sweep(points, arr, pat, cfg, sigma2=None):
+def fim_sweep(points, arr, pat, cfg):
     """Fisher information matrices of a sweep, real symmetric (P, 4L, 4L).
 
-    ``points`` holds P lists of arrivals, all of the same length L;
-    ``sigma2`` is the noise height per point (default ``cfg.sigma2`` for
-    every point).  With Jacobian columns outer(u_i, v_i), the sum over
-    (m, k) factors: F_ij = (2 / sigma2) Re[(u_i^H u_j) (v_i^H v_j)], so
-    the (m*k, 4L) Jacobian is never formed.  The frequency-axis Gram
-    v^H v depends only on the delays and the band, so it is formed once
-    per distinct delay tuple of the call; the (P, m, 4L) scan factors are
-    formed and multiplied as one stack.  Each matrix is bit for bit
-    the one ``fim`` gives for its point alone.  ``crlb_sweep`` runs long
-    sweeps through here in chunks.
+    ``points`` holds P lists of arrivals, all of the same length L, each
+    bounded at the noise height ``cfg.sigma2``.  With Jacobian columns
+    outer(u_i, v_i), the sum over (m, k) factors: F_ij = (2 / sigma2)
+    Re[(u_i^H u_j) (v_i^H v_j)], so the (m*k, 4L) Jacobian is never
+    formed.  The frequency-axis Gram v^H v depends only on the delays and
+    the band, so it is formed once per distinct delay tuple of the call;
+    the (P, m, 4L) scan factors are formed and multiplied as one stack.
+    Each matrix is bit for bit the one ``fim`` gives for its point alone.
+    Raises ``ValueError`` naming sigma2 when it is not positive or 2 /
+    sigma2 overflows.  ``crlb_sweep`` runs long sweeps through here in
+    chunks.
     """
     theta = _theta_rows(points, cfg)
-    scale = _information_scale(cfg.sigma2 if sigma2 is None else sigma2, len(theta))
+    s = float(cfg.sigma2)
+    scale = checks.finite(2.0 / checks.positive(s, "sigma2"), f"2/sigma2 at sigma2 = {s!r}")
     u = _scan_factor(theta, arr, pat, cfg)
     keys = [tuple(tau) for tau in theta[:, :, 3].tolist()]
     grams = {key: _frequency_gram(key, cfg) for key in dict.fromkeys(keys)}
@@ -310,19 +290,16 @@ def crlb_from_fim(f):
     return crlb_from_fims(f[None])[0]
 
 
-def crlb_sweep(points, arr, pat, cfg, sigma2=None):
+def crlb_sweep(points, arr, pat, cfg):
     """``crlb_from_fims(fim_sweep(...))`` of a sweep, ``SWEEP_CHUNK`` points at a time.
 
-    The stacked temporaries stay bounded on any grid; the reports are
-    those of the single-point calls.
+    Every point is bounded at ``cfg.sigma2``; the stacked temporaries stay
+    bounded on any grid, and the reports are those of the single-point calls.
     """
     points = list(points)
-    per_point = sigma2 is not None and np.ndim(sigma2) > 0
     reports = []
     for lo in range(0, max(len(points), 1), SWEEP_CHUNK):
-        chunk = slice(lo, lo + SWEEP_CHUNK)
-        s2 = np.asarray(sigma2)[chunk] if per_point else sigma2
-        reports += crlb_from_fims(fim_sweep(points[chunk], arr, pat, cfg, s2))
+        reports += crlb_from_fims(fim_sweep(points[lo:lo + SWEEP_CHUNK], arr, pat, cfg))
     return reports
 
 

@@ -190,17 +190,19 @@ def apply_sweep(mpcs, variable, value):
     ``angular_separation_deg`` places the second of exactly two arrivals
     ``value`` degrees from the first; ``true_angle_deg`` sets the first
     arrival's angle to ``value`` degrees; ``output_snr_db`` changes only
-    the noise height, so the arrivals are returned unchanged.
+    the noise height, so the arrivals are returned unchanged.  Any other
+    variable, or a separation sweep of other than two arrivals, is refused
+    naming ``sweep_variable``.
     """
     mpcs = list(mpcs)
+    names = ("angular_separation_deg", "true_angle_deg", "output_snr_db")
+    checks.require(variable in names, "sweep_variable", f"one of {names}", variable)
     if variable == "angular_separation_deg":
-        if len(mpcs) != 2:
-            raise ValueError("separation sweeps need exactly two arrivals")
+        rule = f"a separation sweep of exactly two arrivals, not {len(mpcs)}"
+        checks.require(len(mpcs) == 2, "sweep_variable", rule, variable)
         mpcs[1] = replace(mpcs[1], phi=mpcs[0].phi + np.radians(value))
     elif variable == "true_angle_deg":
         mpcs[0] = replace(mpcs[0], phi=np.radians(value))
-    elif variable != "output_snr_db":
-        raise ValueError(f"unknown sweep variable {variable!r}")
     return mpcs
 
 
@@ -221,7 +223,8 @@ def _sweep_points(mc, cfg, arr, pat):
     deg, normalized amplitude, delay ns).  The bound is (0, 0, nan) at a
     noise-free point (the Fisher matrix is not defined there), the closed
     forms for one arrival under a Gaussian beam, and otherwise the joint
-    Fisher bound, every such point in one stacked ``crlb_sweep`` pass.
+    Fisher bound, one ``crlb_sweep`` call per such point at its own noise
+    height.
     With ``randomize_angle`` (one arrival) each axis is sqrt(bound)
     averaged over 181 arrival angles across one scan step.
     """
@@ -232,7 +235,7 @@ def _sweep_points(mc, cfg, arr, pat):
         cfgs = [replace(cfg, sigma2=s) for s in heights]
     grid = np.linspace(0.0, arr.asi, 181)
     closed_form = len(mc.mpcs) == 1 and pat.kind is PatternKind.GAUSSIAN_BEAM
-    crlbs, fisher, stacked, sigma2s = [], [], [], []
+    crlbs = []
     for mpcs, cfg_pt in zip(points, cfgs):
         if cfg_pt.sigma2 == 0.0:
             crlbs.append({ti: (0.0, 0.0, np.nan) for ti in range(len(mpcs))})
@@ -244,24 +247,16 @@ def _sweep_points(mc, cfg, arr, pat):
             crlbs.append({0: (float(np.degrees(sphi)), float(salpha), np.nan)})
         else:
             sets = [[replace(mpcs[0], phi=a)] for a in grid] if mc.randomize_angle else [mpcs]
-            fisher.append((len(crlbs), slice(len(stacked), len(stacked) + len(sets))))
-            crlbs.append(None)
-            stacked += sets
-            sigma2s += [cfg_pt.sigma2] * len(sets)
-    reports = crlb_sweep(stacked, arr, pat, cfg, sigma2=sigma2s) if stacked else []
-
-    def mean_sqrt(part, param, ti):
-        return np.mean(np.sqrt([r.value(param, ti) for r in reports[part]]))
-
-    for si, part in fisher:
-        crlbs[si] = {
-            ti: (
-                float(np.degrees(mean_sqrt(part, "phi", ti))),
-                float(mean_sqrt(part, "amp_norm", ti)),
-                float(mean_sqrt(part, "tau", ti) * 1e9),
-            )
-            for ti in range(len(mc.mpcs))
-        }
+            reports = crlb_sweep(sets, arr, pat, cfg_pt)
+            means = [
+                [np.mean(np.sqrt([r.value(p, ti) for r in reports]))
+                 for p in ("phi", "amp_norm", "tau")]
+                for ti in range(len(mpcs))
+            ]
+            crlbs.append({
+                ti: (float(np.degrees(ang)), float(amp), float(tau * 1e9))
+                for ti, (ang, amp, tau) in enumerate(means)
+            })
     return list(zip(points, cfgs, crlbs))
 
 
@@ -296,10 +291,10 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
     Returns a list of ``SweepRow``; angle errors are in degrees
     (circularly wrapped), amplitude errors are normalized (alpha ratio
     minus one), delays in nanoseconds.  A method that raises ``ValueError``
-    (the estimators' failure type, which covers ``ChiSaturationError`` and
-    ``SingularFimError``) on a trial misses every arrival of that trial and
-    is counted in ``ErrorStats.failures``; the other methods of the trial
-    are unaffected.  Any other exception is a bug and propagates, and so
+    (the estimators' failure type; ``haed_refine`` clamps a saturated
+    contrast rather than raise) on a trial misses every arrival of that
+    trial and is counted in ``ErrorStats.failures``; the other methods of
+    the trial are unaffected.  Any other exception is a bug and propagates, and so
     does, before any trial, the ``ValueError`` of a bad ``PADPKIT_THREADS``,
     of a beam with no gain one scan step off boresight
     (``ArrayConfig.require_step_gain``), and of an arrival whose delay

@@ -252,21 +252,17 @@ class Padp:
         return np.fft.fft(self.h[rows] * ramp.conj(), axis=-1, norm="ortho")
 
 
-def _arrival_terms(alpha, phase, phi, tau, arr, pat, cfg, f_ref):
-    """The scan signal model, as rank-L factors: (m, L) weights and (L, k) ramps.
+def _arrival_weights(alpha, phase, phi, arr, pat, cfg):
+    """The (m, L) scan-direction weights of the scan signal model.
 
     Arrival l contributes sqrt(pu) * g_tx * alpha_l e^{j phase_l}
     * g(steer_m - phi_l) * exp(-j 2 pi (f_k - f_ref) tau_l), so ``phase``
-    is the arrival's phase at frequency ``f_ref``: 0 for ``MpcTruth``, the
-    band centre for the Fisher parameterization (``crlb``).  The spectra
-    are ``weights @ ramps``; the weights carry transmit power, antenna
-    gains and the complex amplitudes, the ramps the delays.
+    is the arrival's phase at the ramps' reference frequency ``f_ref``: 0
+    for ``MpcTruth``, the band centre for the Fisher parameterization
+    (``crlb``).  The spectra are ``weights @ ramps``; the weights carry
+    transmit power, antenna gains and the complex amplitudes, the ramps
+    (``_arrival_ramps``) the delays.
     """
-    return _arrival_weights(alpha, phase, phi, arr, pat, cfg), _arrival_ramps(tau, cfg, f_ref)
-
-
-def _arrival_weights(alpha, phase, phi, arr, pat, cfg):
-    """The (m, L) scan-direction weights of ``_arrival_terms``."""
     if np.size(alpha) == 0:
         raise ValueError("at least one multipath component required")
     coeff = alpha * np.exp(1j * phase)
@@ -275,19 +271,19 @@ def _arrival_weights(alpha, phase, phi, arr, pat, cfg):
 
 
 def _arrival_ramps(tau, cfg, f_ref):
-    """The (L, k) delay ramps of ``_arrival_terms``."""
+    """The (L, k) delay ramps of the scan signal model (``_arrival_weights``)."""
     return np.exp(-2j * np.pi * np.outer(tau, cfg.freqs - f_ref))
 
 
 def _truth_params(mpcs):
-    """(alpha, phase, phi, tau) arrays of MpcTruth arrivals, for ``_arrival_terms``."""
+    """(alpha, phase, phi, tau) arrays of MpcTruth arrivals, for the scan signal model."""
     return np.array([(m.alpha, m.phase, m.phi, m.tau) for m in mpcs]).reshape(-1, 4).T
 
 
 def synth_cfr(mpcs, arr, pat, cfg):
     """Noise-free received spectra for all scan directions, (m, k) complex."""
-    weights, ramps = _arrival_terms(*_truth_params(mpcs), arr, pat, cfg, 0.0)
-    return weights @ ramps
+    alpha, phase, phi, tau = _truth_params(mpcs)
+    return _arrival_weights(alpha, phase, phi, arr, pat, cfg) @ _arrival_ramps(tau, cfg, 0.0)
 
 
 def add_noise(s, sigma2, seed, draw=None):

@@ -266,11 +266,12 @@ def test_closed_forms_require_gaussian(pat10):
 
 def test_fim_shares_one_frequency_gram_across_noise_and_power(pat10):
     """The Gram v^H v leaves the Fisher matrix bit for bit as the direct product."""
-    from padpkit.crlb import _jacobian_factors
+    from padpkit.crlb import _frequency_factor, _scan_factor, _theta_rows
 
     mpcs = [_one(13.0, alpha=1.3), _one(27.0, alpha=0.8, tau=30.5e-9, phase=1.9)]
     for cfg in [CFG, replace(CFG, sigma2=0.01), replace(CFG, pu=3.0, g_tx=0.5)]:
-        u, v = _jacobian_factors(mpcs, ARR, pat10, cfg)
+        theta = _theta_rows([mpcs], cfg)[0]
+        u, v = _scan_factor(theta, ARR, pat10, cfg), _frequency_factor(theta[:, 3], cfg)
         f = (2.0 / cfg.sigma2) * np.real((u.conj().T @ u) * (v.conj().T @ v))
         assert fim(mpcs, ARR, pat10, cfg).tobytes() == (0.5 * (f + f.T)).tobytes()
 
@@ -329,7 +330,7 @@ def test_stacked_pass_equals_single_point_calls(
     pat = tab10 if tabulated else pat10
     rng = np.random.default_rng(seed)
     base_tau = rng.uniform(5e-9, 120e-9, n_mpcs)
-    sigma2 = 10.0 ** rng.uniform(-3.0, 3.0, n_points)
+    cfg = replace(CFG, sigma2=10.0 ** rng.uniform(-3.0, 3.0))
     points = []
     for p in range(n_points):
         tau = base_tau if shared_delays else rng.uniform(5e-9, 120e-9, n_mpcs)
@@ -341,23 +342,16 @@ def test_stacked_pass_equals_single_point_calls(
         if coincident and n_mpcs > 1 and p % 2 == 0:
             mpcs[1] = replace(mpcs[1], tau=mpcs[0].tau, phi=mpcs[0].phi)
         points.append(mpcs)
-    stack = fim_sweep(points, ARR, pat, CFG, sigma2=sigma2)
-    reports = crlb_sweep(points, ARR, pat, CFG, sigma2=sigma2)
+    stack = fim_sweep(points, ARR, pat, cfg)
+    reports = crlb_sweep(points, ARR, pat, cfg)
     assert stack.shape == (n_points, 4 * n_mpcs, 4 * n_mpcs)
     assert len(reports) == n_points
     for p, mpcs in enumerate(points):
-        single = fim(mpcs, ARR, pat, replace(CFG, sigma2=float(sigma2[p])))
+        single = fim(mpcs, ARR, pat, cfg)
         assert stack[p].tobytes() == single.tobytes()
         _assert_same_report(reports[p], crlb_from_fim(single))
     if coincident and n_mpcs > 1:
         assert reports[0].flagged and len(reports[0].singular_subspace) > 0
-
-
-def test_fim_sweep_defaults_to_the_config_noise_height(pat10):
-    points = [[_one(3.0)], [_one(17.0, tau=40e-9)]]
-    assert fim_sweep(points, ARR, pat10, CFG).tobytes() == (
-        fim_sweep(points, ARR, pat10, CFG, sigma2=[CFG.sigma2] * 2).tobytes()
-    )
 
 
 def test_stacked_errors(pat10):
@@ -378,14 +372,8 @@ def test_stacked_errors(pat10):
         fim_sweep([], ARR, pat10, CFG)
     with pytest.raises(ValueError, match="at least one arrival"):
         fim_sweep([[_one(3.0)], []], ARR, pat10, CFG)
-    with pytest.raises(ValueError, match="sigma2: expected 1 or 2 noise heights, got 3"):
-        fim_sweep([[_one(3.0)], [_one(9.0)]], ARR, pat10, CFG, sigma2=[1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="sigma2: expected 1 or 2 noise heights, got 3"):
-        crlb_sweep([[_one(3.0)], [_one(9.0)]], ARR, pat10, CFG, sigma2=[1.0, 2.0, 3.0])
-    one_height = crlb_sweep([[_one(3.0)], [_one(9.0)]], ARR, pat10, CFG, sigma2=2.0)
-    for got, want in zip(one_height, crlb_sweep([[_one(3.0)], [_one(9.0)]], ARR, pat10, CFG,
-                                                 sigma2=[2.0, 2.0])):
-        _assert_same_report(got, want)
+    with pytest.raises(ValueError, match="^sigma2: expected a finite number > 0, got 0.0"):
+        crlb_sweep([[_one(3.0)], [_one(9.0)]], ARR, pat10, replace(CFG, sigma2=0.0))
 
 
 COUPLED = np.array([[2.0, 1.0, 0, 0], [1.0, 2.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
@@ -430,7 +418,7 @@ def test_fim_rejects_noise_height_whose_information_scale_overflows(pat10, sigma
         with pytest.raises(ValueError, match=f"^2/sigma2 at sigma2 = {sigma2!r}: expected a finite"):
             fim([_one(3.0)], ARR, pat10, replace(CFG, sigma2=sigma2))
         with pytest.raises(ValueError, match="sigma2"):
-            fim_sweep([[_one(3.0)]] * 2, ARR, pat10, CFG, sigma2=[1.0, sigma2])
+            crlb_sweep([[_one(3.0)]] * 2, ARR, pat10, replace(CFG, sigma2=sigma2))
         # a representable 2/sigma2 whose information overflows: the delay entry is inf
         f = fim([_one(3.0)], ARR, pat10, replace(CFG, sigma2=1e-300))
     assert f[3, 3] == np.inf and np.all(np.isfinite(f[:3, :3]))

@@ -491,7 +491,7 @@ def test_apply_sweep_rules():
     assert apply_sweep((a, b), "output_snr_db", 20.0) == [a, b]
     with pytest.raises(ValueError, match="two arrivals"):
         apply_sweep((a,), "angular_separation_deg", 30.0)
-    with pytest.raises(ValueError, match="unknown sweep variable"):
+    with pytest.raises(ValueError, match="^sweep_variable: expected one of"):
         apply_sweep((a,), "bogus", 1.0)
 
 
@@ -524,6 +524,34 @@ def test_fim_overlay_follows_true_angle_sweep(arr36, pat10, two_arrivals):
             assert r.sqrt_crlb == pytest.approx(want, rel=1e-12)
     first = {r.sweep_value: r.sqrt_crlb for r in rows if r.param in ("phi_deg", "phi_deg:0")}
     assert first[0.0] != pytest.approx(first[5.0], rel=1e-3)
+
+
+def test_two_arrival_snr_overlay_bounds_each_point_at_its_own_noise_height(arr36, pat10):
+    """Each point of a two-arrival output-SNR sweep is bounded at its own noise height.
+
+    The overlay equals the one-point Fisher bound under ``replace(cfg,
+    sigma2=height)`` bit for bit; the base config's height would differ.
+    """
+    cfg = SoundingConfig(fc=37.5e9, bw=2e9, k=129, pu=1.0, sigma2=1.0)
+    mpcs = (
+        MpcTruth(alpha=1.0, phase=0.3, tau=16e-9, phi=np.radians(13.0)),
+        MpcTruth(alpha=0.7, phase=1.1, tau=40e-9, phi=np.radians(120.0)),
+    )
+    mc = MonteCarloConfig(trials=1, sweep_values=(10.0, 25.0, 40.0), mpcs=mpcs)
+    points = _sweep_points(mc, cfg, arr36, pat10)
+    assert len(points) == len(mc.sweep_values)
+    for snr_db, (got_mpcs, cfg_got, got) in zip(mc.sweep_values, points):
+        height = cfg.pu / (10.0 ** (snr_db / 10.0) / pat10.g_max)  # alpha of arrival 0 is 1
+        assert got_mpcs == list(mpcs) and cfg_got == replace(cfg, sigma2=height)
+        report = crlb_from_fim(fim(list(mpcs), arr36, pat10, replace(cfg, sigma2=height)))
+        assert got == {
+            ti: (
+                float(np.degrees(np.sqrt(report.value("phi", ti)))),
+                float(np.sqrt(report.value("amp_norm", ti))),
+                float(np.sqrt(report.value("tau", ti)) * 1e9),
+            )
+            for ti in range(2)
+        }
 
 
 def test_run_method_matches_estimators(arr36, pat10):

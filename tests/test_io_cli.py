@@ -1087,6 +1087,51 @@ def test_cli_estimate_refuses_a_gain_beyond_the_float_range(tmp_path, capsys):
     assert main(argv + ["--gmax-db", "20"]) == 0
 
 
+def _narrow_table(path, hpbw_deg):
+    """A pattern CSV of a 20 dB Gaussian beam ``hpbw_deg`` wide, every 0.05 deg."""
+    from padpkit import AntennaPattern
+
+    beam = AntennaPattern.gaussian(100.0, np.radians(hpbw_deg))
+    deg = np.arange(-180.0, 180.0, 0.05)
+    rows = "".join(f"{d:.2f},{g:.17g}\n" for d, g in zip(deg, gain(beam, np.radians(deg))))
+    path.write_text("offset_deg,gain\n" + rows)
+    return path
+
+
+@pytest.mark.parametrize("source", ["flags", "pattern_csv", "gaussian", "tabulated"])
+def test_cli_estimate_checks_the_pattern_against_the_padps_scan_step(tmp_path, capsys, source):
+    """A 0.45 deg beam has no gain one 10 deg step out: estimate on a 36-direction PADP exits 2.
+
+    The scenario patterns pass the rule for their own 360-direction array,
+    whose step is 1 deg, but estimate reads a 36-direction map.
+    """
+    padp_path = tmp_path / "sim.padp"
+    base = scenario_file(tmp_path)
+    assert main(["simulate", "--scenario", str(base), "--out", str(padp_path)]) == 0
+    table = _narrow_table(tmp_path / "narrow.csv", 0.45)
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["array"]["m"] = 360
+    if source == "gaussian":
+        doc["pattern"]["hpbw_deg"] = 0.45
+    else:
+        doc["pattern"] = {"kind": "tabulated", "table_path": table.name}
+    sc = scenario_file(tmp_path, doc, "narrow.json")
+    flags, field = {
+        "flags": (["--gmax-db", "20", "--hpbw-deg", "0.45"], "--hpbw-deg: "),
+        "pattern_csv": (["--pattern-csv", str(table)], "--pattern-csv: "),
+        "gaussian": (["--scenario", str(sc)], f"{sc}: pattern.hpbw_deg: "),
+        "tabulated": (["--scenario", str(sc)], f"{sc}: pattern.table_path: "),
+    }[source]
+    assert main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "fine.padp")]) == 0
+    out = tmp_path / "est.csv"
+    capsys.readouterr()
+    assert main(["estimate", "--padp", str(padp_path), *flags, "--methods", "haed",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field + "expected a beam whose power gain one scan step (10 deg) off boresight" in err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
 _HPBW_400 = "expected a beamwidth in [0.1, 180] degrees, got 400.0"
 _G_MAX = "expected a gain in dB with a positive finite linear value, got"
 
