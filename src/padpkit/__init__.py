@@ -26,6 +26,7 @@ from .crlb import (
     crlb_from_fim,
     crlb_from_fims,
     crlb_single_alpha,
+    crlb_single_bounds,
     crlb_single_phi,
     crlb_sweep,
     fim,

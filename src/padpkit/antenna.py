@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checks
-from .angles import wrap_pm_pi
+from .angles import float_or_array, wrap_pm_pi
 
 CHI_CLAMP = 1.0 - 1e-12
 DEFAULT_INVERSION_GRID_STEP = np.radians(0.01)
@@ -169,7 +169,11 @@ def _tabulated_hpbw(angles, gains):
 
 
 def gain(pattern, offset):
-    """Amplitude gain at an offset from boresight (offset wrapped to [-pi, pi))."""
+    """Amplitude gain at an offset from boresight (offset wrapped to [-pi, pi)).
+
+    A float offset gives a Python float, equal bit for bit to the
+    one-element array's gain: numpy's ufuncs run every transcendental step.
+    """
     offset = wrap_pm_pi(offset)
     if pattern.kind is PatternKind.GAUSSIAN_BEAM:
         out = np.sqrt(pattern.g_max) * np.exp(pattern.kappa * (np.cos(offset) - 1.0))
@@ -179,13 +183,21 @@ def gain(pattern, offset):
         ext_a = np.concatenate([angles, angles[:1] + 2.0 * np.pi])
         ext_g = np.concatenate([gains, gains[:1]])
         out = np.interp(offset, ext_a, ext_g)
-    if np.ndim(offset) == 0:
-        return float(out)
-    return out
+    return _float_unless_array(out)
+
+
+def _float_unless_array(out):
+    """A scalar result as a Python float, an array result as it is.
+
+    Scalar arguments give floats or numpy scalars here (ufuncs return
+    those for 0-d arrays too), so ``isinstance`` tells them apart; it
+    costs a tenth of ``np.ndim``.
+    """
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def power_gain(pattern, offset):
-    """Power gain g(offset)**2."""
+    """Power gain g(offset)**2; a float offset gives a float, as for ``gain``."""
     g = gain(pattern, offset)
     return g * g
 
@@ -205,10 +217,7 @@ def chi(pattern, eps, side, spacing=None):
     shift = spacing if side is Side.MINUS else -spacing
     p0 = power_gain(pattern, eps)
     p1 = power_gain(pattern, np.asarray(eps, dtype=np.float64) + shift)
-    out = (p0 - p1) / (p0 + p1)
-    if np.ndim(eps) == 0:
-        return float(out)
-    return out
+    return _float_unless_array((p0 - p1) / (p0 + p1))
 
 
 def invert_chi_closed(chi_val, side, hpbw, kappa, spacing=None):
@@ -224,20 +233,21 @@ def invert_chi_closed(chi_val, side, hpbw, kappa, spacing=None):
     """
     if spacing is None:
         spacing = hpbw
-    chi_arr = np.asarray(chi_val, dtype=np.float64)
-    if np.any(np.abs(chi_arr) >= 1.0):
+    chi_val = float_or_array(chi_val)
+    if _max_abs(chi_val) >= 1.0:
         raise ValueError("chi must lie strictly inside (-1, 1); clamp before inverting")
-    log_ratio = np.log((chi_arr + 1.0) / (1.0 - chi_arr))
+    log_ratio = np.log((chi_val + 1.0) / (1.0 - chi_val))
     sign = 1.0 if side is Side.MINUS else -1.0
     arg = sign * log_ratio / (4.0 * kappa * np.sin(0.5 * spacing))
-    if np.any(np.abs(arg) > 1.0):
-        raise ChiSaturationError(
-            f"arcsin argument out of range (max |arg| = {np.max(np.abs(arg)):.6g})"
-        )
+    if _max_abs(arg) > 1.0:
+        raise ChiSaturationError(f"arcsin argument out of range (max |arg| = {_max_abs(arg):.6g})")
     eps = np.arcsin(arg) - sign * 0.5 * spacing
-    if np.ndim(chi_val) == 0:
-        return float(eps)
-    return eps
+    return _float_unless_array(eps)
+
+
+def _max_abs(x):
+    """max |x| of a float or an array (0.0 for an empty one; NaN stays NaN)."""
+    return abs(x) if isinstance(x, float) else np.max(np.abs(x), initial=0.0)
 
 
 def invert_chi_tabulated(chi_hat, side, pattern, spacing=None):

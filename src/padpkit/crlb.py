@@ -320,15 +320,26 @@ def _reciprocal(scale, ring_sum, phi_l):
     return float(bound) if np.ndim(phi_l) == 0 else bound
 
 
+def crlb_single_bounds(gamma_i, cfg, arr, pat, phi_l):
+    """Closed-form (angle, normalized-amplitude) bounds for one arrival (Gaussian beam).
+
+    Both from one pass over the scan ring (``_ring_sums``): the angle bound
+    in rad**2, the amplitude bound dimensionless.  ``phi_l`` may be an array
+    of arrival angles; each element is the scalar call's bound at that angle.
+    """
+    checks.require(pat.kind is PatternKind.GAUSSIAN_BEAM, "pat", "a Gaussian beam", pat.kind)
+    r0, r2 = _ring_sums(pat, arr, phi_l)
+    scale = 2.0 * gamma_i * cfg.k * cfg.g_tx**2
+    return _reciprocal(scale * pat.kappa**2, r2, phi_l), _reciprocal(scale, r0, phi_l)
+
+
 def crlb_single_phi(gamma_i, cfg, arr, pat, phi_l):
     """Closed-form angle bound for one arrival (Gaussian beam), rad**2.
 
     ``phi_l`` may be an array of arrival angles; each element is the
-    scalar call's bound at that angle.
+    scalar call's bound at that angle.  The first of ``crlb_single_bounds``.
     """
-    checks.require(pat.kind is PatternKind.GAUSSIAN_BEAM, "pat", "a Gaussian beam", pat.kind)
-    _, r2 = _ring_sums(pat, arr, phi_l)
-    return _reciprocal(2.0 * gamma_i * cfg.k * cfg.g_tx**2 * pat.kappa**2, r2, phi_l)
+    return crlb_single_bounds(gamma_i, cfg, arr, pat, phi_l)[0]
 
 
 def crlb_single_alpha(gamma_i, cfg, arr, pat, phi_l):
@@ -336,8 +347,6 @@ def crlb_single_alpha(gamma_i, cfg, arr, pat, phi_l):
 
     ``phi_l`` may be an array of arrival angles, as for
     ``crlb_single_phi``.  The phase bound is numerically identical under
-    the band-centre phase convention.
+    the band-centre phase convention.  The second of ``crlb_single_bounds``.
     """
-    checks.require(pat.kind is PatternKind.GAUSSIAN_BEAM, "pat", "a Gaussian beam", pat.kind)
-    r0, _ = _ring_sums(pat, arr, phi_l)
-    return _reciprocal(2.0 * gamma_i * cfg.k * cfg.g_tx**2, r0, phi_l)
+    return crlb_single_bounds(gamma_i, cfg, arr, pat, phi_l)[1]

@@ -43,6 +43,7 @@ from .antenna import (
 
 RELATIVE_FLOOR = 1e-12
 HAED_PLUS_UPSAMPLE = 16  # haed+ sub-bin interpolation factor
+_LN2 = float(np.log(2.0))  # the median of Exp(1)
 
 
 class Method(enum.Enum):
@@ -116,10 +117,10 @@ def noise_threshold(values, pk):
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
         return 0.0
-    vmax = float(np.max(v))
+    vmax = float(v.max())
     if vmax <= 0.0:
         return 0.0
-    sigma2_hat = _median(v) / np.log(2.0)
+    sigma2_hat = _median(v) / _LN2
     floor = sigma2_hat * np.log(max(v.size, 2))
     thr = floor * 10.0 ** (pk.noise_floor_db_offset / 10.0)
     return max(thr, vmax * RELATIVE_FLOOR)
@@ -215,12 +216,14 @@ def haed_refine(padp, coarse, pat):
     m_total = len(padp.angles)
     spacing = padp.asi
     closed = pat.kind is PatternKind.GAUSSIAN_BEAM
-    tiny = np.finfo(np.float64).tiny
+    tiny = float(np.finfo(np.float64).tiny)
     half = 0.5 * pat.hpbw
     out = []
+    # Python floats per peak, so the antenna helpers take their scalar paths
     for m, j, val in coarse:
-        p_minus = padp.values[(m - 1) % m_total, j]
-        p_plus = padp.values[(m + 1) % m_total, j]
+        m, j, val = int(m), int(j), float(val)
+        p_minus = float(padp.values[(m - 1) % m_total, j])
+        p_plus = float(padp.values[(m + 1) % m_total, j])
         side = Side.MINUS if p_minus >= p_plus else Side.PLUS
         p_adj = max(p_minus if side is Side.MINUS else p_plus, tiny)
         chi_meas = (val - p_adj) / (val + p_adj)
@@ -234,20 +237,19 @@ def haed_refine(padp, coarse, pat):
         else:
             eps = invert_chi_tabulated(chi_used, side, pat, spacing=spacing)
         if clamped:
-            eps = float(np.clip(eps, -half, half))
-        roll_off = power_gain(pat, eps)
+            eps = min(max(eps, -half), half)  # np.clip, for a float that is never NaN
         out.append(
             MpcEstimate(
                 tau=float(padp.delays[j]),
-                phi=float(wrap_two_pi(padp.angles[m] + eps)),
-                power=float(val / roll_off),
+                phi=wrap_two_pi(float(padp.angles[m]) + eps),
+                power=val / power_gain(pat, eps),
                 method=Method.HAED,
-                chi_hat=float(chi_meas),
-                eps=float(eps),
+                chi_hat=chi_meas,
+                eps=eps,
                 side=side,
                 clamped=clamped,
-                scan_index=int(m),
-                delay_index=int(j),
+                scan_index=m,
+                delay_index=j,
             )
         )
     return sorted(out, key=lambda e: (e.tau, e.phi))

@@ -24,7 +24,7 @@ import numpy as np
 from . import checks
 from .angles import circular_delta
 from .antenna import PatternKind
-from .crlb import crlb_single_alpha, crlb_single_phi, crlb_sweep
+from .crlb import crlb_single_bounds, crlb_sweep
 from .estimation import (
     Method,
     PeakConfig,
@@ -242,8 +242,8 @@ def _sweep_points(mc, cfg, arr, pat):
         elif closed_form:
             gamma = mpcs[0].alpha ** 2 * cfg_pt.pu / cfg_pt.sigma2
             phi = grid if mc.randomize_angle else mpcs[0].phi
-            sphi = np.mean(np.sqrt(crlb_single_phi(gamma, cfg_pt, arr, pat, phi)))
-            salpha = np.mean(np.sqrt(crlb_single_alpha(gamma, cfg_pt, arr, pat, phi)))
+            bound_phi, bound_alpha = crlb_single_bounds(gamma, cfg_pt, arr, pat, phi)
+            sphi, salpha = np.mean(np.sqrt(bound_phi)), np.mean(np.sqrt(bound_alpha))
             crlbs.append({0: (float(np.degrees(sphi)), float(salpha), np.nan)})
         else:
             sets = [[replace(mpcs[0], phi=a)] for a in grid] if mc.randomize_angle else [mpcs]

@@ -187,7 +187,7 @@ class MpcTruth:
         checks.finite(self.phase, "phase")
         checks.finite(self.tau, "tau", 0.0)
         phi = checks.finite(self.phi, "phi")
-        object.__setattr__(self, "phi", float(wrap_two_pi(phi)))
+        object.__setattr__(self, "phi", wrap_two_pi(phi))
 
 
 @dataclass(frozen=True)
@@ -293,8 +293,8 @@ def add_noise(s, sigma2, seed, draw=None):
     with E ~ Exp(1) and theta uniform on [0, 2 pi]: |w|**2 is sigma2 times
     an exponential, so real and imaginary parts are independent
     N(0, sigma2/2) (Box-Muller).  Both come from 32-bit halves x of raw
-    generator words (``_log_uniforms`` and ``_uniform_phases``): first E =
-    -ln((x + 1) / 2**32) for every sample, then theta = 2 pi x / 2**32.
+    generator words, drawn as the two rows of one ``_uniforms`` stream:
+    first E = -ln((x + 1) / 2**32) for every sample, then theta = 2 pi x / 2**32.
     E, the amplitude sqrt(sigma2 * E), theta, its cos and sin, and so the
     noise components are float32 (about 1e-7 relative, phases within 5e-7
     rad), and E is at most 32 ln 2 (about 22.18: the exponential's tail
@@ -322,15 +322,18 @@ def add_noise(s, sigma2, seed, draw=None):
             raise ValueError("s must be a writeable complex128 array apart from draw")
     if sigma2 == 0:
         return s
-    amp, cos, sin = np.empty((3, *s.shape), dtype=np.float32) if draw is None else draw
-    rng = np.random.default_rng(seed)
-    _log_uniforms(rng, amp)
+    if draw is None:
+        draw = np.empty((3, *s.shape), dtype=np.float32)
+    amp, cos, sin = draw
+    # E's words, then the phases' words: the rows of one draw (into amp and cos)
+    _uniforms(np.random.default_rng(seed), draw.reshape(3, -1)[:2], _STEPS)
+    _log_u(amp)
     # sigma2 * E = -sigma2 * ln u; E = 0 gives an amplitude of -0.0, which adds 0
     np.multiply(amp, np.array(-sigma2, dtype=np.float32), out=amp)
     np.sqrt(amp, out=amp)
-    _uniform_phases(rng, cos, sin)
-    cos *= amp
-    sin *= amp
+    _cos_sin(cos, sin)
+    trig = draw[1:]
+    np.multiply(trig, amp, out=trig)
     s.real += cos
     s.imag += sin
     return s
@@ -344,49 +347,65 @@ _RAW_BLOCK = 12288
 _U_STEP = _read_only(np.array(2.0**-32, dtype=np.float32))
 _PHASE_STEP = _read_only(np.array(2.0 * np.pi / 2.0**32, dtype=np.float32))
 _ZERO = _read_only(np.zeros((), dtype=np.float32))
+# both steps as a (2, 1) column: one per row of a draw of E and then phases
+_STEPS = _read_only(np.stack([_U_STEP, _PHASE_STEP])[:, None])
 
 
-def _uniforms(rng, out, scale):
-    """Fill the C-contiguous float32 array ``out`` with scale * x, x 32-bit halves of raw words.
+def _uniforms(rng, out, scales):
+    """Fill row i of the C-contiguous float32 (r, n) array ``out`` with scales[i] * x.
 
-    A draw of n = out.size values takes ``rng``'s next ceil(n/2) raw words
-    and reads each as two uint32 halves (the words' uint32 view: on a
-    little-endian machine the low half, then the high half), dropping the
-    last half when n is odd.  x is rounded to float32 and the product is
-    float32.  The words come ``_RAW_BLOCK`` at a time, so a call allocates
-    no array of n values.
+    x are 32-bit halves of ``rng``'s raw words, one stream for all rows:
+    row i reads the i-th run of ceil(n/2) words, each as two uint32 halves
+    (the words' uint32 view: on a little-endian machine the low half, then
+    the high half), dropping the last half when n is odd.  x is rounded to
+    float32 and the product with ``scales``, an (r, 1) float32 array, is
+    float32.  One ``random_raw`` call takes as many whole rows as fit in
+    ``_RAW_BLOCK`` words, and a longer row ``_RAW_BLOCK`` words at a time,
+    so a call allocates no array of n values.
     """
-    flat = out.reshape(-1)
+    rows, n = out.shape
+    per_call = max(_RAW_BLOCK // max((n + 1) // 2, 1), 1)  # an empty row fits any number
     raw = rng.bit_generator.random_raw
-    for start in range(0, flat.size, 2 * _RAW_BLOCK):
-        part = flat[start : start + 2 * _RAW_BLOCK]
-        x = raw((part.size + 1) // 2).view(np.uint32)[: part.size]
-        np.multiply(x, scale, out=part, dtype=np.float32)
+    for r in range(0, rows, per_call):
+        for c in range(0, n, 2 * _RAW_BLOCK):
+            part = out[r : r + per_call, c : c + 2 * _RAW_BLOCK]
+            k, width = part.shape
+            x = raw(k * ((width + 1) // 2)).view(np.uint32).reshape(k, -1)[:, :width]
+            np.multiply(x, scales[r : r + per_call], out=part, dtype=np.float32)
 
 
-def _log_uniforms(rng, out):
-    """Fill the C-contiguous float32 array ``out`` with ln u, u = (x + 1) / 2**32 in (0, 1].
+def _log_u(out):
+    """ln u in place, u = (x + 1) / 2**32 in (0, 1], for ``out`` = x / 2**32 from ``_uniforms``.
 
-    x are 32-bit halves of raw words (``_uniforms``), and u is formed and
-    logged in float32: E = -ln u is Exp(1), resolved to float32 and at most
-    32 ln 2, about 22.18.  ln u, not ln(x + 1) - 32 ln 2, which cancels near
-    u = 1 (E = 0).
+    u is formed and logged in float32: E = -ln u is Exp(1), resolved to
+    float32 and at most 32 ln 2, about 22.18.  ln u, not ln(x + 1) - 32 ln 2,
+    which cancels near u = 1 (E = 0).
     """
-    _uniforms(rng, out, _U_STEP)
     out += _U_STEP
     np.log(out, out=out)
 
 
+def _cos_sin(cos, sin):
+    """Overwrite the phases in ``cos`` with their cosines and write their sines into ``sin``."""
+    np.sin(cos, out=sin)
+    np.cos(cos, out=cos)
+
+
+def _log_uniforms(rng, out):
+    """Fill the C-contiguous float32 array ``out`` with ln u (``_log_u``) of ``_uniforms`` halves."""
+    _uniforms(rng, out.reshape(1, -1), _STEPS[:1])
+    _log_u(out)
+
+
 def _uniform_phases(rng, cos, sin):
-    """Draw phases theta = 2 pi x / 2**32 into ``sin`` and write cos and sin of them.
+    """Draw phases theta = 2 pi x / 2**32 into ``cos`` and write cos and sin of them.
 
     x are 32-bit halves of raw words (``_uniforms``), so theta is uniform
     on [0, 2 pi] at float32 resolution.  ``cos`` and ``sin`` are
     C-contiguous float32 arrays of one shape.
     """
-    _uniforms(rng, sin, _PHASE_STEP)
-    np.cos(sin, out=cos)
-    np.sin(sin, out=sin)
+    _uniforms(rng, cos.reshape(1, -1), _STEPS[1:])
+    _cos_sin(cos, sin)
 
 
 def _band_start(cfg):

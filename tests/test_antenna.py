@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from padpkit.angles import wrap_pm_pi, wrap_two_pi
 from padpkit.antenna import (
     CHI_CLAMP,
     DEFAULT_INVERSION_GRID_STEP,
@@ -422,3 +425,76 @@ def test_the_narrowest_beam_keeps_kappa_accurate():
     pat = AntennaPattern.gaussian(100.0, hpbw)
     assert gain(pat, 0.0) == pytest.approx(10.0, rel=1e-15)
     assert power_gain(pat, hpbw / 2.0) == pytest.approx(50.0, rel=1e-6)
+
+
+def _same_bits(got, one_element):
+    """``got`` is a Python float holding the bits of the 1-element array ``one_element``."""
+    assert type(got) is float
+    assert one_element.shape == (1,)
+    assert np.array([got]).tobytes() == one_element.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=np.pi)
+@example(x=-np.pi)
+@example(x=2.0 * np.pi)
+@example(x=-0.0)
+@example(x=-1e-300)
+@example(x=np.nextafter(-np.pi, 0.0))
+def test_wraps_of_a_float_are_bit_for_bit_their_array_wraps(x):
+    """Python's ``%`` on a float is ``np.mod``'s floored remainder, bit for bit."""
+    for wrap in (wrap_pm_pi, wrap_two_pi):
+        want = wrap(np.array([x]))
+        _same_bits(wrap(x), want)
+        _same_bits(wrap(np.float64(x)), want)
+
+
+# pattern: a 10 deg Gaussian beam, tabulated every 0.05 deg
+_TAB_ANGLES = np.radians(np.arange(-180.0, 180.0, 0.05))
+_TAB10 = AntennaPattern.from_table(
+    _TAB_ANGLES, gain(AntennaPattern.gaussian(100.0, np.radians(10.0)), _TAB_ANGLES)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(offset=st.floats(-10.0, 10.0), tabulated=st.booleans())
+@example(offset=-0.09832976367260376, tabulated=False)  # math.exp differs from np.exp here
+@example(offset=np.pi, tabulated=True)
+def test_gains_of_a_float_are_bit_for_bit_their_array_gains(pat10, offset, tabulated):
+    pat = _TAB10 if tabulated else pat10
+    for helper in (gain, power_gain):
+        want = helper(pat, np.array([offset]))
+        _same_bits(helper(pat, offset), want)
+        _same_bits(helper(pat, np.float64(offset)), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chi_val=st.floats(-0.999999, 0.999999), side=st.sampled_from(Side), spacing_deg=st.floats(2.0, 20.0))
+@example(chi_val=0.6901281715646008, side=Side.MINUS, spacing_deg=10.0)  # math.log differs here
+@example(chi_val=0.6819471651927442, side=Side.MINUS, spacing_deg=10.0)  # and math.asin here
+@example(chi_val=-0.3, side=Side.PLUS, spacing_deg=7.5)
+@example(chi_val=0.99999, side=Side.MINUS, spacing_deg=2.0)  # arcsin argument beyond 1
+def test_closed_inversion_of_a_float_is_bit_for_bit_its_array_inversion(
+    pat10, chi_val, side, spacing_deg
+):
+    """Both sides and any spacing; a saturated contrast raises the same error on both forms."""
+    spacing = np.radians(spacing_deg)
+    args = (side, pat10.hpbw, pat10.kappa)
+    try:
+        want = invert_chi_closed(np.array([chi_val]), *args, spacing=spacing)
+    except ChiSaturationError as err:
+        with pytest.raises(ChiSaturationError, match=f"^{re.escape(str(err))}$"):
+            invert_chi_closed(chi_val, *args, spacing=spacing)
+        return
+    _same_bits(invert_chi_closed(chi_val, *args, spacing=spacing), want)
+    _same_bits(invert_chi_closed(np.float64(chi_val), *args, spacing=spacing), want)
+
+
+def test_scalar_forms_keep_their_results_for_ints_and_0d_arrays(pat10):
+    """An int or a 0-d array still gives a float where it did, a numpy scalar for a wrap."""
+    assert type(gain(pat10, 0)) is float and type(power_gain(pat10, np.array(0.1))) is float
+    assert type(invert_chi_closed(np.array(0.2), Side.PLUS, pat10.hpbw, pat10.kappa)) is float
+    assert type(chi(pat10, np.array(0.01), Side.MINUS)) is float
+    assert wrap_two_pi(np.array(7.0)) == wrap_two_pi(7.0)
+    assert invert_chi_closed(np.empty(0), Side.PLUS, pat10.hpbw, pat10.kappa).shape == (0,)

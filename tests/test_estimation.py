@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,21 @@ from padpkit import (
     SoundingConfig,
     simulate_padp,
 )
-from padpkit.angles import circular_delta
-from padpkit.antenna import Side, chi
+from padpkit.angles import circular_delta, wrap_two_pi
+from padpkit.antenna import (
+    CHI_CLAMP,
+    ChiSaturationError,
+    PatternKind,
+    Side,
+    chi,
+    gain,
+    invert_chi_closed,
+    invert_chi_tabulated,
+    power_gain,
+)
 from padpkit.estimation import (
     Method,
+    MpcEstimate,
     _median,
     PeakConfig,
     coarse_peaks_2d,
@@ -538,3 +551,90 @@ def test_empty_when_nothing_above_threshold(pat10):
     assert estimate_o1(padp, pat10) == []
     assert estimate_o2(padp, pat10) == []
     assert coarse_peaks_2d(padp) == []
+
+
+def _haed_reference(padp, coarse, pat):
+    """``haed_refine`` written with the helpers' array forms: every per-peak value a 1-element array."""
+    m_total, half, spacing = len(padp.angles), 0.5 * pat.hpbw, padp.asi
+    out = []
+    for m, j, val in coarse:
+        p_minus, p_plus = padp.values[[(m - 1) % m_total, (m + 1) % m_total], j]
+        side = Side.MINUS if p_minus >= p_plus else Side.PLUS
+        p_adj = np.maximum(np.array([p_minus if side is Side.MINUS else p_plus]), np.finfo(float).tiny)
+        chi_meas = (val - p_adj) / (val + p_adj)
+        clamped = bool(np.abs(chi_meas[0]) >= CHI_CLAMP)
+        chi_used = np.clip(chi_meas, -CHI_CLAMP, CHI_CLAMP)
+        if pat.kind is PatternKind.GAUSSIAN_BEAM:
+            try:
+                eps = invert_chi_closed(chi_used, side, pat.hpbw, pat.kappa, spacing=spacing)
+            except ChiSaturationError:
+                eps, clamped = np.array([half if side is Side.MINUS else -half]), True
+        else:
+            eps = np.array([invert_chi_tabulated(chi_used, side, pat, spacing=spacing)])
+        if clamped:
+            eps = np.clip(eps, -half, half)
+        out.append(
+            MpcEstimate(
+                tau=float(padp.delays[j]),
+                phi=float(wrap_two_pi(padp.angles[[m]] + eps)[0]),
+                power=float((val / power_gain(pat, eps))[0]),
+                method=Method.HAED,
+                chi_hat=float(chi_meas[0]),
+                eps=float(eps[0]),
+                side=side,
+                clamped=clamped,
+                scan_index=m,
+                delay_index=j,
+            )
+        )
+    return sorted(out, key=lambda e: (e.tau, e.phi))
+
+
+_TAB_ANGLES = np.radians(np.arange(-180.0, 180.0, 0.05))
+_HAED_PATTERNS = {
+    # a 12 deg beam scanned every 10 deg: spacing < hpbw, so a steep contrast saturates the arcsin
+    "gaussian-12deg": AntennaPattern.gaussian(100.0, np.radians(12.0)),
+    "tabulated-10deg": AntennaPattern.from_table(
+        _TAB_ANGLES, gain(AntennaPattern.gaussian(100.0, np.radians(10.0)), _TAB_ANGLES)
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(_HAED_PATTERNS))
+def test_haed_refine_is_bit_for_bit_its_array_form(cfg_full, arr36, name, seed):
+    """On noisy 36 x 1001 maps haed's per-peak floats equal the 1-element-array reference.
+
+    The maps carry three random arrivals, planted peaks in rows 0 and
+    m - 1, one whose neighbours are both zero (the clamped contrast) and
+    one whose stronger neighbour is 1e-11 of it (an unclamped contrast
+    whose arcsin argument exceeds 1 under the 12 deg beam).
+    """
+    pat, rng = _HAED_PATTERNS[name], np.random.default_rng(seed)
+    mpcs = [
+        MpcTruth(rng.uniform(0.5, 1.0), rng.uniform(0, 2 * np.pi), rng.integers(10, 800) * 0.5e-9,
+                 rng.uniform(0, 2 * np.pi))
+        for _ in range(3)
+    ]
+    noisy = dataclasses.replace(cfg_full, sigma2=1e-3)
+    padp = simulate_padp(mpcs, arr36, pat, noisy, seed=rng, keep_cfr=False)
+    v = padp.values.copy()
+    v[0, 850] = v[35, 870] = 5e2
+    v[[6, 7, 8], 900] = 0.0, 1e3, 0.0
+    v[[19, 20, 21], 950] = 1e-8, 1e3, 1e-9
+    padp = Padp(v, padp.angles, padp.delays)
+    coarse = coarse_peaks_2d(padp)
+    assert {(0, 850), (35, 870), (7, 900), (20, 950)} <= {(m, j) for m, j, _ in coarse}
+    got, want = haed_refine(padp, coarse, pat), _haed_reference(padp, coarse, pat)
+    assert len(got) == len(want) == len(coarse)
+    for g, w in zip(got, want):
+        for f in dataclasses.fields(MpcEstimate):
+            a, b = getattr(g, f.name), getattr(w, f.name)
+            assert type(a) is type(b), f.name
+            assert np.array([a]).tobytes() == np.array([b]).tobytes() if type(a) is float else a == b
+    planted = {(e.scan_index, e.delay_index): e for e in got}
+    assert planted[7, 900].clamped and planted[7, 900].chi_hat == 1.0
+    saturated = planted[20, 950]
+    assert abs(saturated.chi_hat) < CHI_CLAMP and saturated.side is Side.MINUS
+    if pat.kind is PatternKind.GAUSSIAN_BEAM:  # saturated: the offset is the beam edge on that side
+        assert saturated.clamped and saturated.eps == 0.5 * pat.hpbw

@@ -6,7 +6,8 @@ import pytest
 from padpkit import AntennaPattern, MpcTruth, SoundingConfig, checks, crlb_from_fim, fim, gain
 from padpkit.angles import circular_delta
 from padpkit.estimation import Method, MpcEstimate, PeakConfig, estimate_haed
-from padpkit.crlb import crlb_single_alpha, crlb_single_phi
+from padpkit import crlb
+from padpkit.crlb import crlb_single_alpha, crlb_single_bounds, crlb_single_phi
 from padpkit.experiments import (
     ErrorStats,
     MonteCarloConfig,
@@ -422,6 +423,25 @@ def test_randomized_angle_overlay_is_mean_of_scalar_bounds(arr36, pat10, snr_db)
     assert mpcs == [mpc] and cfg_got == cfg_pt
     assert got[0][:2] == (float(np.degrees(sphi)), float(salpha))
     assert np.isnan(got[0][2])
+
+
+def test_closed_form_overlay_sums_the_scan_ring_once_per_point(arr36, pat10, monkeypatch):
+    """Both closed forms of a sweep point come from one ``_ring_sums`` pass over the angle grid."""
+    ring_sums, passes = crlb._ring_sums, []
+
+    def counted(pat, arr, phi_l):
+        passes.append(np.shape(phi_l))
+        return ring_sums(pat, arr, phi_l)
+
+    monkeypatch.setattr(crlb, "_ring_sums", counted)
+    mpc = MpcTruth(alpha=1.0, phase=0.0, tau=16e-9, phi=np.radians(13.0))
+    mc = MonteCarloConfig(trials=1, sweep_values=(15.0, 30.0), mpcs=(mpc,), randomize_angle=True)
+    _sweep_points(mc, CFG, arr36, pat10)
+    assert passes == [(181,), (181,)]
+    grid = np.linspace(0.0, arr36.asi, 181)
+    bounds = crlb_single_bounds(2.0, CFG, arr36, pat10, grid)
+    for got, single in zip(bounds, (crlb_single_phi, crlb_single_alpha)):
+        assert got.tobytes() == single(2.0, CFG, arr36, pat10, grid).tobytes()
 
 
 @pytest.mark.parametrize("snr_db", [20.0, 30.0])

@@ -574,11 +574,17 @@ def test_add_noise_into_draw_adds_in_place():
 
 
 def test_add_noise_draws_the_documented_law_in_order():
-    """Exponential powers for every sample, then float32 phases: the reference formula."""
-    s = np.linspace(-1, 1, 24).reshape(4, 6) * (1 - 2j)
-    got = add_noise(s, 0.3, seed=np.random.default_rng(2))
-    want = s + _noise_reference(np.random.default_rng(2), s.shape, 0.3)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    """Exponential powers for every sample, then float32 phases: the reference formula.
+
+    An odd count drops the last half of each run of words, an empty draw
+    takes none, and a draw longer than one ``random_raw`` block reads the
+    same stream.
+    """
+    for shape in [(4, 6), (3, 5), (0,), (36, 0), (1, 2 * 12288 + 3)]:
+        s = np.linspace(-1, 1, int(np.prod(shape))).reshape(shape) * (1 - 2j)
+        got = add_noise(s, 0.3, seed=np.random.default_rng(2))
+        want = s + _noise_reference(np.random.default_rng(2), s.shape, 0.3)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 _erfc = np.frompyfunc(erfc, 1, 1)
