@@ -2,14 +2,32 @@
 
 Every trial derives its generator from (base seed, sweep index, trial
 index) through a SeedSequence, so runs are bit-reproducible and trials
-may execute in any order.  Set PADPKIT_THREADS to a positive integer (at
-most ``checks.MAX_THREADS``) to run trials on a thread pool, one per
-``run_sweep`` call; reduction collects per-trial records in trial order,
-so the output is identical to the serial run.  Each thread synthesizes its
-trials into one reused ``Workspace``, so a trial's PADP is valid only
-within that trial: the caller's thread keeps its workspace from one call
-to the next while the map shape stays, and pool workers keep theirs for
-one call.
+may execute in any order.  ``run_sweep`` runs a sweep point's trials in
+chunks of 64, each in three passes: (1) on the calling thread, every
+trial's generator and its arrival draws; (2) every trial's map, built
+with that trial's own generator, and each method's estimates; (3) on the
+calling thread, in trial order, association and errors.  Each generator
+still feeds one trial in the order of draws of a one-trial loop, so the
+output does not depend on the chunking.  The small Python work of
+passes 1 and 3 then runs back to back, not between map-sized array
+passes, which made perfbench's serial mc-snr sweep 6% faster
+(``BENCH_run_sweep_phases.json``).
+
+Set PADPKIT_THREADS to a positive integer (at most ``checks.MAX_THREADS``)
+to run pass 2 on a thread pool, one per ``run_sweep`` call; reduction
+collects per-trial records in trial order, so the output is identical to
+the serial run.  A trial holds the interpreter lock for most of its time:
+on a 2-vCPU host with BLAS capped at one thread, over sweeps like
+perfbench's mc-pair-plus, 2 threads took 1.45-1.66 ms of wall time per
+trial against 1.34-1.75 ms serial, burned 1.7-2.3 ms of CPU per trial
+against 1.3-1.8 ms, and made 18-41 voluntary context switches per trial.
+padpkit leaves BLAS threads alone: uncapped, a serial sweep burned
+2.8-3.1 ms of CPU per trial at 1.5-1.6 ms of wall time, so set
+OPENBLAS_NUM_THREADS=1.
+Each thread synthesizes its trials into one reused ``Workspace``, so a
+trial's PADP is valid only within that trial: the caller's thread keeps
+its workspace from one call to the next while the map shape stays, and
+pool workers keep theirs for one call.
 """
 
 import contextlib
@@ -272,6 +290,38 @@ def _amp_error(power, truth, cfg):
     return float(np.sqrt(max(power, 0.0) / ref)) - 1.0
 
 
+def _trial_errors(methods, found, mpcs, cfg, pat):
+    """Per method, (errors per matched truth index, false alarms, failed) of one trial.
+
+    ``found`` holds each method's estimates, or None where the method
+    raised ``ValueError``; a ``ValueError`` from ``associate`` also fails
+    that method alone.  Errors are (angle deg, normalized amplitude, delay ns).
+    """
+    record = {}
+    for method, ests in zip(methods, found):
+        matched, extra, failed = {}, 0, ests is None
+        if not failed:
+            try:
+                matched, extra = associate(ests, mpcs, cfg.delta_tau, pat.hpbw)
+            except ValueError:
+                failed = True
+        errs = {}
+        for ti, est in matched.items():
+            truth = mpcs[ti]
+            errs[ti] = (
+                float(np.degrees(circular_delta(est.phi, truth.phi))),
+                _amp_error(est.power, truth, cfg),
+                (est.tau - truth.tau) * 1e9,
+            )
+        record[method] = (errs, extra, failed)
+    return record
+
+
+# trials per chunk of a sweep point: a chunk's draws, then its maps and estimates,
+# then its associations, so the small-object passes run back to back
+_CHUNK = 64
+
+
 # each thread's synthesis workspace, kept while the thread lives and the map shape
 # stays: consecutive serial sweeps reuse one, and map no fresh pages
 _thread_workspace = threading.local()
@@ -313,34 +363,29 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
         trial_map = pool.map if pool else map
         for si, (sweep_value, (mpcs_pt, cfg_pt, crlbs)) in enumerate(zip(mc.sweep_values, points)):
 
-            def one_trial(ti, _si=si, _mpcs=mpcs_pt, _cfg=cfg_pt):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=mc.base_seed, spawn_key=(_si, ti))
-                )
-                mpcs = _trial_mpcs(mc, _cfg, _mpcs, rng)
+            def estimate(draw, _cfg=cfg_pt):
+                rng, mpcs = draw
                 # the Padp lives on this thread's workspace: it must not outlive the trial
                 ws = _workspace(arr.m, cfg.k)
                 padp = simulate_padp(mpcs, arr, pat, _cfg, seed=rng, keep_cfr=keep_h, workspace=ws)
-                record = {}
+                found = []
                 for method in mc.methods:
-                    failed = False
                     try:
-                        ests = run_method(method, padp, pat, mc.peak)
-                        matched, extra = associate(ests, mpcs, _cfg.delta_tau, pat.hpbw)
+                        found.append(run_method(method, padp, pat, mc.peak))
                     except ValueError:
-                        matched, extra, failed = {}, 0, True
-                    errs = {}
-                    for ti_truth, est in matched.items():
-                        truth = mpcs[ti_truth]
-                        errs[ti_truth] = (
-                            float(np.degrees(circular_delta(est.phi, truth.phi))),
-                            _amp_error(est.power, truth, _cfg),
-                            (est.tau - truth.tau) * 1e9,
-                        )
-                    record[method] = (errs, extra, failed)
-                return record
+                        found.append(None)
+                return found
 
-            records = list(trial_map(one_trial, range(mc.trials)))
+            records = []
+            for start in range(0, mc.trials, _CHUNK):
+                draws = []
+                for ti in range(start, min(start + _CHUNK, mc.trials)):
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence(entropy=mc.base_seed, spawn_key=(si, ti))
+                    )
+                    draws.append((rng, _trial_mpcs(mc, cfg_pt, mpcs_pt, rng)))
+                for (_, mpcs), found in zip(draws, trial_map(estimate, draws)):
+                    records.append(_trial_errors(mc.methods, found, mpcs, cfg_pt, pat))
 
             n_truth = len(mc.mpcs)
             for method in mc.methods:

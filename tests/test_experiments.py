@@ -757,6 +757,110 @@ def test_consecutive_serial_sweeps_share_one_workspace(arr36, pat10, monkeypatch
     assert made == [(arr36.m, CFG.k), (arr36.m, 257)]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_rows_do_not_depend_on_the_chunk_size(arr36, pat10, monkeypatch, chunk, threads):
+    """Chunks of one trial run each trial's three passes back to back, as a one-trial loop."""
+    import padpkit.experiments as exp
+
+    chunk = chunk or exp._CHUNK
+    methods = (Method.O1, Method.HAED, Method.HAED_PLUS)
+    mc = replace(_plus_mc(methods, trials=2 * chunk + 3), sweep_values=(20.0, 30.0))
+    monkeypatch.delenv("PADPKIT_THREADS", raising=False)
+    monkeypatch.setattr(exp, "_CHUNK", 1)
+    want = run_sweep(mc, CFG, arr36, pat10)
+    monkeypatch.setattr(exp, "_CHUNK", chunk)
+    monkeypatch.setenv("PADPKIT_THREADS", threads)
+    assert _fingerprint(run_sweep(mc, CFG, arr36, pat10)) == _fingerprint(want)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_association_failures_stay_isolated(arr36, pat10, monkeypatch, threads):
+    """A ValueError from associate fails its method's trial alone, as an estimator's does."""
+    import padpkit.experiments as exp
+
+    associate_ = exp.associate
+
+    def picky(ests, *args):
+        if any(e.method is Method.HAED_PLUS for e in ests):
+            raise ValueError("synthetic association failure")
+        return associate_(ests, *args)
+
+    methods = (Method.O1, Method.HAED, Method.HAED_PLUS)
+    monkeypatch.setenv("PADPKIT_THREADS", threads)
+    monkeypatch.setattr(exp, "associate", picky)
+    rows = _phi_rows(run_sweep(_plus_mc(methods), CFG, arr36, pat10))
+    plus = rows[Method.HAED_PLUS].stats
+    assert plus.misses == plus.failures == 3 and plus.n == plus.false_alarms == 0
+    assert rows[Method.HAED].stats.n == rows[Method.O1].stats.n == 3
+    assert rows[Method.HAED].stats.failures == rows[Method.O1].stats.failures == 0
+
+
+def test_unexpected_error_in_a_pooled_map_propagates(arr36, pat10, monkeypatch):
+    """A RuntimeError building a map on a pool thread, in the second chunk, leaves run_sweep."""
+    import padpkit.experiments as exp
+
+    calls, simulate = [], exp.simulate_padp
+
+    def flaky(*args, **kw):
+        calls.append(None)
+        if len(calls) >= 4:
+            raise RuntimeError("synthetic bug")
+        return simulate(*args, **kw)
+
+    monkeypatch.setenv("PADPKIT_THREADS", "2")
+    monkeypatch.setattr(exp, "_CHUNK", 3)
+    monkeypatch.setattr(exp, "simulate_padp", flaky)
+    with pytest.raises(RuntimeError, match="synthetic bug"):
+        run_sweep(_plus_mc((Method.HAED,), trials=6), CFG, arr36, pat10)
+
+
+def test_pooled_sweep_call_structure(monkeypatch):
+    """The call structure the benchmark's own tests rely on, on its mc-pair-plus scenario.
+
+    With two threads each trial builds its map once, on a pool thread; each
+    of haed and haed+ runs one noise threshold (the 2-D map's) and one
+    association per trial.
+    """
+    import threading
+    from pathlib import Path
+
+    import padpkit.estimation as est
+    import padpkit.experiments as exp
+    from padpkit.io import load_scenario
+
+    sc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "corridor_pair.json")
+    calls = {"simulate_padp": [], "noise_threshold": [], "associate": []}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kw):
+            calls[name].append(threading.get_ident())
+            return fn(*args, **kw)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(exp, "simulate_padp")
+    counted(est, "noise_threshold")
+    counted(exp, "associate")
+    monkeypatch.setenv("PADPKIT_THREADS", "2")
+    mc = MonteCarloConfig(
+        trials=4,
+        sweep_variable="angular_separation_deg",
+        sweep_values=(30.0,),
+        mpcs=sc.mpcs,
+        off_grid_delay=True,
+        methods=(Method.HAED, Method.HAED_PLUS),
+        base_seed=1,
+    )
+    run_sweep(mc, sc.sounding, sc.array, sc.pattern)
+    main = threading.main_thread().ident
+    assert len(calls["simulate_padp"]) == 4 and main not in calls["simulate_padp"]
+    assert len(calls["noise_threshold"]) == 8
+    assert len(calls["associate"]) == 8
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_o1_o2_haed_rows_do_not_depend_on_haed_plus(arr36, pat10, monkeypatch, seed):
     """On-grid noisy maps are the same whether or not haed+ asks for their responses h."""
