@@ -96,7 +96,8 @@ def _cmd_simulate(args):
     )
     io.write_padp(args.out, padp, manifest=manifest)
     if args.cfr_out:
-        np.save(args.cfr_out, padp.spectra())
+        with open(args.cfr_out, "wb") as fh:  # a path np.save would give a .npy suffix
+            np.save(fh, padp.spectra())
     print(f"wrote {args.out} ({padp.values.shape[0]}x{padp.values.shape[1]})", file=sys.stderr)
     return 0
 
@@ -106,12 +107,12 @@ def _load_pattern_for_estimate(args, m):
 
     A pattern with no gain one scan step off boresight
     (``ArrayConfig.require_step_gain``) is refused naming the flag or
-    scenario field that supplied it.
+    scenario field that supplied it (``Scenario.pattern_field``) and its value.
     """
     if args.scenario:
-        pattern = io.load_scenario(args.scenario).pattern
-        key = "hpbw_deg" if pattern.table is None else "table_path"
-        field, value = f"{args.scenario}: pattern.{key}", float(np.degrees(pattern.hpbw))
+        scenario = io.load_scenario(args.scenario)
+        pattern, (key, value) = scenario.pattern, scenario.pattern_field
+        field = f"{args.scenario}: {key}"
     elif args.pattern_csv:
         pattern = load_pattern_csv(args.pattern_csv)
         field, value = "--pattern-csv", args.pattern_csv

@@ -434,9 +434,9 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
     p_ref = cfg0.k * cfg0.pu * cfg0.g_tx**2
     samples = {m: {"phi_deg": [], "power_db": []} for m in methods}
     misses = {m: 0 for m in methods}
-    ws = Workspace(arr.m, cfg0.k)
+    ws, pk, keep_h = Workspace(arr.m, cfg0.k), PeakConfig(), Method.HAED_PLUS in methods
     for i in range(n_mpcs):
-        truth, found = _offset_draw(i, seed, cfg0, arr, pat, methods, ws)
+        truth, found = _offset_draw(i, seed, cfg0, arr, pat, methods, pk, keep_h, ws)
         for method, est in zip(methods, found):
             if est is None:
                 misses[method] += 1
@@ -454,12 +454,13 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
     }
 
 
-def _offset_draw(i, seed, cfg0, arr, pat, methods, ws):
+def _offset_draw(i, seed, cfg0, arr, pat, methods, pk, keep_h, ws):
     """Draw ``i`` of ``uniform_offset_study``: the truth and, per method, its match or None.
 
-    The draw's Padp is built on the study's workspace ``ws``, so it lives
-    only in this call: the next draw overwrites it.  It carries ``h`` only
-    when haed+, the one method that reads it, is among ``methods``.
+    The methods run with peak settings ``pk``.  The draw's Padp is built on
+    the study's workspace ``ws``, so it lives only in this call: the next
+    draw overwrites it.  It carries ``h`` only with ``keep_h``, which the
+    study sets when haed+, the one method that reads it, is among ``methods``.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
     truth = MpcTruth(
@@ -468,11 +469,10 @@ def _offset_draw(i, seed, cfg0, arr, pat, methods, ws):
         tau=int(rng.integers(cfg0.k // 4, 3 * cfg0.k // 4)) * cfg0.delta_tau,
         phi=rng.uniform(0.0, 2.0 * np.pi),
     )
-    keep_h = Method.HAED_PLUS in methods
     padp = simulate_padp([truth], arr, pat, cfg0, seed=rng, keep_cfr=keep_h, workspace=ws)
     found = []
     for method in methods:
-        ests = run_method(method, padp, pat, PeakConfig())
+        ests = run_method(method, padp, pat, pk)
         matched, _ = associate(ests, [truth], cfg0.delta_tau, pat.hpbw)
         found.append(matched.get(0))
     return truth, found

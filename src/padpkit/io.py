@@ -36,6 +36,9 @@ class Scenario:
     mpcs: tuple
     experiment: dict
     sha256: str
+    # the field that sets the pattern's beam and its value in the file:
+    # pattern.hpbw_deg of a Gaussian beam, pattern.table_path of a table
+    pattern_field: tuple
 
 
 def sha256_bytes(data):
@@ -109,7 +112,8 @@ def parse_scenario(text, base_dir=None):
         pat_doc = _json_field(doc, "pattern", "pattern", dict)
         pattern = _parse_pattern(pat_doc, base_dir)
         key = "hpbw_deg" if pattern.table is None else "table_path"
-        arr.require_step_gain(pattern, f"pattern.{key}", pat_doc[key])
+        pattern_field = (f"pattern.{key}", pat_doc[key])
+        arr.require_step_gain(pattern, *pattern_field)
 
         mpcs_doc = _json_field(doc, "mpcs", "mpcs", list)
         checks.require(mpcs_doc, "mpcs", "at least one entry", mpcs_doc)
@@ -133,7 +137,7 @@ def parse_scenario(text, base_dir=None):
 
         experiment = doc.get("experiment", {})
         checks.require(isinstance(experiment, dict), "experiment", "an object", experiment)
-        return Scenario(cfg, arr, pattern, tuple(mpcs), experiment, sha256)
+        return Scenario(cfg, arr, pattern, tuple(mpcs), experiment, sha256, pattern_field)
 
 
 def _json_object(text, what):

@@ -33,10 +33,13 @@ frequency phase ramp, identical to the direct sum.
    circular Gaussian noise (the Box-Muller identity, ``add_noise``).
    Every uniform is a 32-bit half x of a raw generator word: the power
    is sigma2 * E with E = -ln((x + 1) / 2**32), the phase 2 pi x / 2**32,
-   both formed in float32.  E is thus float32-resolved and at most
-   32 ln 2, about 22.18: the cut tail has a probability of 2.3e-10 per
-   sample, and noise alone stays below the 2-D detection threshold
-   (about 42 sigma2 on a 36 x 1001 map) with or without it.
+   both formed in float32.  Each draw of n powers (``_log_uniforms``) or
+   n phases (``_uniform_phases``) reads the generator's next ceil(n/2)
+   words, and both kinds of map draw through these two.  E is thus
+   float32-resolved and at most 32 ln 2, about 22.18: the cut tail has a
+   probability of 2.3e-10 per sample, and noise alone stays below the 2-D
+   detection threshold (about 42 sigma2 on a 36 x 1001 map) with or
+   without it.
    Off-grid delays leak into every bin, so their maps draw the complex
    noise of every cell, all the powers and then all the phases (or none,
    noise-free).  When every arrival sits on a delay bin, only the
@@ -293,8 +296,9 @@ def add_noise(s, sigma2, seed, draw=None):
     with E ~ Exp(1) and theta uniform on [0, 2 pi]: |w|**2 is sigma2 times
     an exponential, so real and imaginary parts are independent
     N(0, sigma2/2) (Box-Muller).  Both come from 32-bit halves x of raw
-    generator words, drawn as the two rows of one ``_uniforms`` stream:
-    first E = -ln((x + 1) / 2**32) for every sample, then theta = 2 pi x / 2**32.
+    generator words, drawn one after the other from one generator: first
+    E = -ln((x + 1) / 2**32) for every sample (``_log_uniforms``), then
+    theta = 2 pi x / 2**32 (``_uniform_phases``), each from ceil(n/2) words.
     E, the amplitude sqrt(sigma2 * E), theta, its cos and sin, and so the
     noise components are float32 (about 1e-7 relative, phases within 5e-7
     rad), and E is at most 32 ln 2 (about 22.18: the exponential's tail
@@ -325,13 +329,12 @@ def add_noise(s, sigma2, seed, draw=None):
     if draw is None:
         draw = np.empty((3, *s.shape), dtype=np.float32)
     amp, cos, sin = draw
-    # E's words, then the phases' words: the rows of one draw (into amp and cos)
-    _uniforms(np.random.default_rng(seed), draw.reshape(3, -1)[:2], _STEPS)
-    _log_u(amp)
+    rng = np.random.default_rng(seed)
+    _log_uniforms(rng, amp)
     # sigma2 * E = -sigma2 * ln u; E = 0 gives an amplitude of -0.0, which adds 0
     np.multiply(amp, np.array(-sigma2, dtype=np.float32), out=amp)
     np.sqrt(amp, out=amp)
-    _cos_sin(cos, sin)
+    _uniform_phases(rng, cos, sin)
     trig = draw[1:]
     np.multiply(trig, amp, out=trig)
     s.real += cos
@@ -347,54 +350,37 @@ _RAW_BLOCK = 12288
 _U_STEP = _read_only(np.array(2.0**-32, dtype=np.float32))
 _PHASE_STEP = _read_only(np.array(2.0 * np.pi / 2.0**32, dtype=np.float32))
 _ZERO = _read_only(np.zeros((), dtype=np.float32))
-# both steps as a (2, 1) column: one per row of a draw of E and then phases
-_STEPS = _read_only(np.stack([_U_STEP, _PHASE_STEP])[:, None])
 
 
-def _uniforms(rng, out, scales):
-    """Fill row i of the C-contiguous float32 (r, n) array ``out`` with scales[i] * x.
+def _uniforms(rng, out, scale):
+    """Fill the C-contiguous float32 array ``out``, in row-major order, with scale * x.
 
-    x are 32-bit halves of ``rng``'s raw words, one stream for all rows:
-    row i reads the i-th run of ceil(n/2) words, each as two uint32 halves
-    (the words' uint32 view: on a little-endian machine the low half, then
-    the high half), dropping the last half when n is odd.  x is rounded to
-    float32 and the product with ``scales``, an (r, 1) float32 array, is
-    float32.  One ``random_raw`` call takes as many whole rows as fit in
-    ``_RAW_BLOCK`` words, and a longer row ``_RAW_BLOCK`` words at a time,
+    x are 32-bit halves of ``rng``'s raw words: n values read ceil(n/2)
+    words, each as two uint32 halves (the words' uint32 view: on a
+    little-endian machine the low half, then the high half), dropping the
+    last half when n is odd.  x is rounded to float32 and the product with
+    ``scale``, a 0-d float32 array (``_U_STEP`` or ``_PHASE_STEP``), is
+    float32.  ``random_raw`` is called for ``_RAW_BLOCK`` words at a time,
     so a call allocates no array of n values.
     """
-    rows, n = out.shape
-    per_call = max(_RAW_BLOCK // max((n + 1) // 2, 1), 1)  # an empty row fits any number
+    flat = out.reshape(-1)
     raw = rng.bit_generator.random_raw
-    for r in range(0, rows, per_call):
-        for c in range(0, n, 2 * _RAW_BLOCK):
-            part = out[r : r + per_call, c : c + 2 * _RAW_BLOCK]
-            k, width = part.shape
-            x = raw(k * ((width + 1) // 2)).view(np.uint32).reshape(k, -1)[:, :width]
-            np.multiply(x, scales[r : r + per_call], out=part, dtype=np.float32)
-
-
-def _log_u(out):
-    """ln u in place, u = (x + 1) / 2**32 in (0, 1], for ``out`` = x / 2**32 from ``_uniforms``.
-
-    u is formed and logged in float32: E = -ln u is Exp(1), resolved to
-    float32 and at most 32 ln 2, about 22.18.  ln u, not ln(x + 1) - 32 ln 2,
-    which cancels near u = 1 (E = 0).
-    """
-    out += _U_STEP
-    np.log(out, out=out)
-
-
-def _cos_sin(cos, sin):
-    """Overwrite the phases in ``cos`` with their cosines and write their sines into ``sin``."""
-    np.sin(cos, out=sin)
-    np.cos(cos, out=cos)
+    for c in range(0, flat.size, 2 * _RAW_BLOCK):
+        part = flat[c : c + 2 * _RAW_BLOCK]
+        x = raw((part.size + 1) // 2).view(np.uint32)[: part.size]
+        np.multiply(x, scale, out=part, dtype=np.float32)
 
 
 def _log_uniforms(rng, out):
-    """Fill the C-contiguous float32 array ``out`` with ln u (``_log_u``) of ``_uniforms`` halves."""
-    _uniforms(rng, out.reshape(1, -1), _STEPS[:1])
-    _log_u(out)
+    """Fill the C-contiguous float32 array ``out`` with ln u, u = (x + 1) / 2**32 in (0, 1].
+
+    x are ``_uniforms`` halves, and u is formed and logged in float32:
+    E = -ln u is Exp(1), resolved to float32 and at most 32 ln 2, about
+    22.18.  ln u, not ln(x + 1) - 32 ln 2, which cancels near u = 1 (E = 0).
+    """
+    _uniforms(rng, out, _U_STEP)
+    out += _U_STEP
+    np.log(out, out=out)
 
 
 def _uniform_phases(rng, cos, sin):
@@ -404,8 +390,9 @@ def _uniform_phases(rng, cos, sin):
     on [0, 2 pi] at float32 resolution.  ``cos`` and ``sin`` are
     C-contiguous float32 arrays of one shape.
     """
-    _uniforms(rng, cos.reshape(1, -1), _STEPS[1:])
-    _cos_sin(cos, sin)
+    _uniforms(rng, cos, _PHASE_STEP)
+    np.sin(cos, out=sin)
+    np.cos(cos, out=cos)
 
 
 def _band_start(cfg):
@@ -518,32 +505,30 @@ def _on_grid_map(signal, cols, sigma2, seed, keep_cfr, ws):
     """
     if sigma2 == 0:
         ws.power.fill(0.0)
-        ws.power[:, cols] = pdp(signal)
-        if not keep_cfr:
-            return None
-        ws.h.fill(0.0)
-        ws.h[:, cols] = signal
-        return ws.h
-    rng = np.random.default_rng(seed)
-    h_cols = add_noise(signal, sigma2, rng)
-    e, cos, sin = ws.draw
-    _log_uniforms(rng, e)
-    np.subtract(_ZERO, e, out=e)  # E = 0 - ln u: +0.0 at u = 1, not -0.0
-    np.multiply(e, sigma2, out=ws.power, dtype=np.float64)
-    ws.power[:, cols] = pdp(h_cols)
+        if keep_cfr:
+            ws.h.fill(0.0)
+    else:
+        rng = np.random.default_rng(seed)
+        signal = add_noise(signal, sigma2, rng)
+        e, cos, sin = ws.draw
+        _log_uniforms(rng, e)
+        np.subtract(_ZERO, e, out=e)  # E = 0 - ln u: +0.0 at u = 1, not -0.0
+        np.multiply(e, sigma2, out=ws.power, dtype=np.float64)
+        if keep_cfr:  # h off ``cols``: on them it is overwritten below
+            re, im = ws.h.real, ws.h.imag
+            _uniform_phases(rng, cos, sin)
+            # scale = sqrt(P / (cos^2 + sin^2)), formed in re; the squares are exact in float64
+            np.multiply(cos, cos, out=re, dtype=np.float64)
+            np.multiply(sin, sin, out=im, dtype=np.float64)
+            re += im
+            np.divide(ws.power, re, out=re)
+            np.sqrt(re, out=re)
+            np.multiply(sin, re, out=im, dtype=np.float64)
+            np.multiply(cos, re, out=re, dtype=np.float64)
+    ws.power[:, cols] = pdp(signal)
     if not keep_cfr:
         return None
-    re, im = ws.h.real, ws.h.imag
-    _uniform_phases(rng, cos, sin)
-    # scale = sqrt(P / (cos^2 + sin^2)), formed in re; the squares are exact in float64
-    np.multiply(cos, cos, out=re, dtype=np.float64)
-    np.multiply(sin, sin, out=im, dtype=np.float64)
-    re += im
-    np.divide(ws.power, re, out=re)
-    np.sqrt(re, out=re)
-    np.multiply(sin, re, out=im, dtype=np.float64)
-    np.multiply(cos, re, out=re, dtype=np.float64)
-    ws.h[:, cols] = h_cols
+    ws.h[:, cols] = signal
     return ws.h
 
 
@@ -566,20 +551,19 @@ def simulate_padp(mpcs, arr, pat, cfg, seed=0, keep_cfr=True, workspace=None):
     """
     alpha, phase, phi, tau = _truth_params(mpcs)
     cfg.require_in_window(max(tau.tolist()), "tau")
+    ws = Workspace(arr.m, cfg.k) if workspace is None else workspace
+    if ws.power.shape != (arr.m, cfg.k):
+        raise ValueError(f"workspace shape {ws.power.shape} != map shape {(arr.m, cfg.k)}")
     weights = _arrival_weights(alpha, phase, phi, arr, pat, cfg)
     cols = _on_grid_bins(tau, cfg)
     if cols is None:
-        responses = cfr_to_cir(_arrival_ramps(tau, cfg, 0.0), cfg)
+        h = np.matmul(weights, cfr_to_cir(_arrival_ramps(tau, cfg, 0.0), cfg), out=ws.h)
+        pdp(add_noise(h, cfg.sigma2, seed, draw=ws.draw), out=ws.power)
+        h = h if keep_cfr else None
     else:
         signal = np.zeros((arr.m, cols.size), dtype=np.complex128)
         for w, q in zip(weights.T, np.searchsorted(cols, np.rint(tau * cfg.bw))):
             signal[:, q] += w
         signal *= math.sqrt(cfg.k)
-    ws = Workspace(arr.m, cfg.k) if workspace is None else workspace
-    if ws.power.shape != (arr.m, cfg.k):
-        raise ValueError(f"workspace shape {ws.power.shape} != map shape {(arr.m, cfg.k)}")
-    if cols is not None:
         h = _on_grid_map(signal, cols, cfg.sigma2, seed, keep_cfr, ws)
-        return assemble_padp(ws.power, arr, cfg, h=h)
-    h = add_noise(np.matmul(weights, responses, out=ws.h), cfg.sigma2, seed, draw=ws.draw)
-    return assemble_padp(pdp(h, out=ws.power), arr, cfg, h=h if keep_cfr else None)
+    return assemble_padp(ws.power, arr, cfg, h=h)

@@ -861,6 +861,27 @@ def test_pooled_sweep_call_structure(monkeypatch):
     assert len(calls["associate"]) == 8
 
 
+def test_every_name_the_benchmark_traces_resolves_on_padpkit():
+    """Each ``(module, "name")`` of perfbench's ``TARGETS``, and ``kernels.backend_name``.
+
+    ``perfbench/spans.py`` is parsed, not imported, so the check needs no
+    benchmark dependency: removing or renaming a traced function fails here.
+    """
+    import ast
+    import importlib
+    from pathlib import Path
+
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text())
+    (targets,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]]
+    names = [(entry.elts[0].id, entry.elts[1].value) for entry in targets.elts]
+    assert len(names) == len(targets.elts) > 30
+    missing = [f"{module}.{name}" for module, name in [*names, ("kernels", "backend_name")]
+               if not callable(getattr(importlib.import_module(f"padpkit.{module}"), name, None))]
+    assert not missing
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_o1_o2_haed_rows_do_not_depend_on_haed_plus(arr36, pat10, monkeypatch, seed):
     """On-grid noisy maps are the same whether or not haed+ asks for their responses h."""

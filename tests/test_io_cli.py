@@ -568,6 +568,20 @@ def test_cli_simulate_padp_does_not_depend_on_cfr_out(tmp_path, monkeypatch):
     assert plain.read_bytes() == with_cfr.read_bytes()
 
 
+def test_cli_simulate_writes_cfr_out_at_the_path_given(tmp_path):
+    """A --cfr-out path without a .npy suffix is written as given, and estimate --cfr reads it."""
+    sc = scenario_file(tmp_path)
+    padp_path, cfr_path, npy_path = tmp_path / "sim.padp", tmp_path / "xcfr", tmp_path / "x.npy"
+    for path in (cfr_path, npy_path):
+        assert main(["simulate", "--scenario", str(sc), "--out", str(padp_path), "--seed", "2",
+                     "--cfr-out", str(path)]) == 0
+    assert cfr_path.read_bytes() == npy_path.read_bytes()
+    assert not Path(f"{cfr_path}.npy").exists()
+    out = tmp_path / "est.csv"
+    assert main(["estimate", "--padp", str(padp_path), "--scenario", str(sc), "--methods", "haed+",
+                 "--cfr", str(cfr_path), "--out", str(out)]) == 0
+
+
 def test_cli_estimate_pipeline(tmp_path):
     sc = scenario_file(tmp_path)
     padp_path = tmp_path / "sim.padp"
@@ -1130,6 +1144,27 @@ def test_cli_estimate_checks_the_pattern_against_the_padps_scan_step(tmp_path, c
     err = capsys.readouterr().err
     assert field + "expected a beam whose power gain one scan step (10 deg) off boresight" in err
     assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
+def test_cli_estimate_names_a_scenario_table_as_simulate_does(tmp_path, capsys):
+    """A scenario's table refused against the PADP's scan step is quoted by its table_path."""
+    padp_path = tmp_path / "sim.padp"
+    assert main(["simulate", "--scenario", str(scenario_file(tmp_path)), "--out",
+                 str(padp_path)]) == 0
+    _narrow_table(tmp_path / "narrow.csv", 0.45)
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["pattern"] = {"kind": "tabulated", "table_path": "narrow.csv"}
+    at36 = scenario_file(tmp_path, doc, "at36.json")
+    doc["array"]["m"] = 360
+    sc = scenario_file(tmp_path, doc, "at360.json")
+    assert main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "ok.padp")]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(at36), "--out", str(tmp_path / "no.padp")]) == 2
+    refusal = capsys.readouterr().err.split(f"{at36}: ", 1)[1]
+    assert refusal.startswith("pattern.table_path: ") and refusal.endswith(", got 'narrow.csv'\n")
+    assert main(["estimate", "--padp", str(padp_path), "--scenario", str(sc), "--methods", "haed",
+                 "--out", str(tmp_path / "est.csv")]) == 2
+    assert capsys.readouterr().err.split(f"{sc}: ", 1)[1] == refusal
 
 
 _HPBW_400 = "expected a beamwidth in [0.1, 180] degrees, got 400.0"

@@ -471,17 +471,22 @@ def _noise_reference(rng, shape, sigma2):
 
 
 def test_on_grid_map_draws_in_the_documented_order(cfg_small, arr36, pat10):
-    """Complex noise on the signal column, then the power of every cell, then the phases."""
+    """Complex noise on the signal column, then the power of every cell, then the phases.
+
+    With 37 scan directions and one arrival the column's powers and phases
+    each drop a last half-word, and so does the map's power draw (37 x 257).
+    """
     cfg = replace(cfg_small, sigma2=0.7)
     mpcs = [MpcTruth(1.0, 0.3, 25e-9, np.radians(13.0)), MpcTruth(0.6, 1.1, 25e-9, 2.0)]
-    got = simulate_padp(mpcs, arr36, pat10, cfg, seed=8, keep_cfr=False)
-    signal = synth_cfr(mpcs, arr36, pat10, cfg)
-    rng = np.random.default_rng(8)
-    w = _noise_reference(rng, arr36.m, cfg.sigma2)
-    want = _exp_reference(rng, (arr36.m, cfg.k)).astype(np.float64) * cfg.sigma2
-    want[:, 50] = np.abs(cfr_to_cir(signal, cfg)[:, 50] + w) ** 2
-    np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0)
-    np.testing.assert_array_equal(got.values[:, :50], want[:, :50])
+    for arr, arrivals in [(arr36, mpcs), (ArrayConfig(37), mpcs[:1])]:
+        got = simulate_padp(arrivals, arr, pat10, cfg, seed=8, keep_cfr=False)
+        signal = synth_cfr(arrivals, arr, pat10, cfg)
+        rng = np.random.default_rng(8)
+        w = _noise_reference(rng, arr.m, cfg.sigma2)
+        want = _exp_reference(rng, (arr.m, cfg.k)).astype(np.float64) * cfg.sigma2
+        want[:, 50] = np.abs(cfr_to_cir(signal, cfg)[:, 50] + w) ** 2
+        np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(got.values[:, :50], want[:, :50])
 
 
 def test_keep_cfr_draws_phases_after_the_map(cfg_small, arr36, pat10, mpc_13deg):
