@@ -183,10 +183,19 @@ _SWEEP_NAMES = {
 }
 
 
+def _sweep_variable(sweep, scenario):
+    """The library name of ``--sweep``, refused unless 'separation' has exactly two arrivals."""
+    n = len(scenario.mpcs)
+    rule = f"'separation' only on a scenario of exactly two arrivals, not {n}"
+    checks.require(sweep != "separation" or n == 2, "--sweep", rule, sweep)
+    return _SWEEP_NAMES[sweep]
+
+
 def _cmd_crlb(args):
     scenario = io.load_scenario(args.scenario)
+    variable = _sweep_variable(args.sweep, scenario)
     values = _parse_values(args.values)
-    points = [apply_sweep(scenario.mpcs, _SWEEP_NAMES[args.sweep], v) for v in values]
+    points = [apply_sweep(scenario.mpcs, variable, v) for v in values]
     reports = crlb_sweep(points, scenario.array, scenario.pattern, scenario.sounding)
     entries = list(zip(values, reports))
     io.write_crlb_csv(args.out, args.sweep, entries)
@@ -201,11 +210,12 @@ def _cmd_crlb(args):
 
 def _cmd_montecarlo(args):
     scenario = io.load_scenario(args.scenario)
+    variable = _sweep_variable(args.sweep, scenario)
     values = _parse_values(args.values)
     methods = io.parse_methods(args.methods)
     mc = MonteCarloConfig(
         trials=args.trials,
-        sweep_variable=_SWEEP_NAMES[args.sweep],
+        sweep_variable=variable,
         sweep_values=values,
         mpcs=scenario.mpcs,
         randomize_angle=args.randomize_angle,

@@ -6,7 +6,9 @@ may execute in any order.  ``run_sweep`` runs a sweep point's trials in
 chunks of 64, each in three passes: (1) on the calling thread, every
 trial's generator and its arrival draws; (2) every trial's map, built
 with that trial's own generator, and each method's estimates; (3) on the
-calling thread, in trial order, association and errors.  Each generator
+calling thread, in trial order, association, which adds each trial's hits,
+false alarms and failures to its point's per-method totals (misses are the
+trials less the hits, as in ``uniform_offset_study``).  Each generator
 still feeds one trial in the order of draws of a one-trial loop, so the
 output does not depend on the chunking.  The small Python work of
 passes 1 and 3 then runs back to back, not between map-sized array
@@ -14,9 +16,9 @@ passes, which made perfbench's serial mc-snr sweep 6% faster
 (``BENCH_run_sweep_phases.json``).
 
 Set PADPKIT_THREADS to a positive integer (at most ``checks.MAX_THREADS``)
-to run pass 2 on a thread pool, one per ``run_sweep`` call; reduction
-collects per-trial records in trial order, so the output is identical to
-the serial run.  A trial holds the interpreter lock for most of its time:
+to run pass 2 on a thread pool, one per ``run_sweep`` call; pass 3 still
+adds the trials up in trial order, so the output is identical to the
+serial run.  A trial holds the interpreter lock for most of its time:
 on a 2-vCPU host with BLAS capped at one thread, over sweeps like
 perfbench's mc-pair-plus, 2 threads took 1.45-1.66 ms of wall time per
 trial against 1.34-1.75 ms serial, burned 1.7-2.3 ms of CPU per trial
@@ -90,7 +92,8 @@ class MonteCarloConfig:
     peak: PeakConfig = field(default_factory=PeakConfig)
 
     def __post_init__(self):
-        checks.integer(self.trials, "trials", 1, checks.MAX_TRIALS)
+        trials = checks.integer(self.trials, "trials", 1, checks.MAX_TRIALS)
+        object.__setattr__(self, "trials", trials)
         checks.integer(self.base_seed, "base_seed", 0)
         _require_methods(self.methods)
         checks.require(isinstance(self.peak, PeakConfig), "peak", "a PeakConfig", self.peak)
@@ -109,7 +112,7 @@ class ErrorStats:
 
     ``mc_stderr`` is std/sqrt(n) of the sample: the standard error of
     ``mean_err``, not of ``rmsee``.  ``failures`` counts trials whose
-    estimator raised; they are also misses.
+    estimator or its association raised; they are also misses.
     """
 
     rmsee: float
@@ -290,31 +293,10 @@ def _amp_error(power, truth, cfg):
     return float(np.sqrt(max(power, 0.0) / ref)) - 1.0
 
 
-def _trial_errors(methods, found, mpcs, cfg, pat):
-    """Per method, (errors per matched truth index, false alarms, failed) of one trial.
-
-    ``found`` holds each method's estimates, or None where the method
-    raised ``ValueError``; a ``ValueError`` from ``associate`` also fails
-    that method alone.  Errors are (angle deg, normalized amplitude, delay ns).
-    """
-    record = {}
-    for method, ests in zip(methods, found):
-        matched, extra, failed = {}, 0, ests is None
-        if not failed:
-            try:
-                matched, extra = associate(ests, mpcs, cfg.delta_tau, pat.hpbw)
-            except ValueError:
-                failed = True
-        errs = {}
-        for ti, est in matched.items():
-            truth = mpcs[ti]
-            errs[ti] = (
-                float(np.degrees(circular_delta(est.phi, truth.phi))),
-                _amp_error(est.power, truth, cfg),
-                (est.tau - truth.tau) * 1e9,
-            )
-        record[method] = (errs, extra, failed)
-    return record
+def _stats(hits, axis, n, false_alarms=0, failures=0):
+    """``ErrorStats`` of axis ``axis`` of every hit among ``n`` trials: the rest are misses."""
+    samples = [hit[axis] for hit in hits]
+    return ErrorStats.from_samples(samples, n - len(hits), false_alarms, failures)
 
 
 # trials per chunk of a sweep point: a chunk's draws, then its maps and estimates,
@@ -358,47 +340,56 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
         cfg.require_in_window(m.tau, "tau", 1.0 if mc.off_grid_delay else 0.0)
     keep_h = Method.HAED_PLUS in mc.methods  # only haed+ reads the delay responses
     points = _sweep_points(mc, cfg, arr, pat)
-    rows = []
+
+    def estimate(draw):
+        rng, mpcs, cfg_pt = draw
+        # the Padp lives on this thread's workspace: it must not outlive the trial
+        ws = _workspace(arr.m, cfg.k)
+        padp = simulate_padp(mpcs, arr, pat, cfg_pt, seed=rng, keep_cfr=keep_h, workspace=ws)
+        found = []
+        for method in mc.methods:
+            try:
+                found.append(run_method(method, padp, pat, mc.peak))
+            except ValueError:
+                found.append(None)
+        return found
+
+    rows, n_truth = [], len(mc.mpcs)
     with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
         trial_map = pool.map if pool else map
         for si, (sweep_value, (mpcs_pt, cfg_pt, crlbs)) in enumerate(zip(mc.sweep_values, points)):
-
-            def estimate(draw, _cfg=cfg_pt):
-                rng, mpcs = draw
-                # the Padp lives on this thread's workspace: it must not outlive the trial
-                ws = _workspace(arr.m, cfg.k)
-                padp = simulate_padp(mpcs, arr, pat, _cfg, seed=rng, keep_cfr=keep_h, workspace=ws)
-                found = []
-                for method in mc.methods:
-                    try:
-                        found.append(run_method(method, padp, pat, mc.peak))
-                    except ValueError:
-                        found.append(None)
-                return found
-
-            records = []
+            # per method: one list of (angle deg, normalized amplitude, delay ns) hits per arrival
+            hits = {m: [[] for _ in range(n_truth)] for m in mc.methods}
+            false_alarms, failures = dict.fromkeys(mc.methods, 0), dict.fromkeys(mc.methods, 0)
             for start in range(0, mc.trials, _CHUNK):
                 draws = []
                 for ti in range(start, min(start + _CHUNK, mc.trials)):
                     rng = np.random.default_rng(
                         np.random.SeedSequence(entropy=mc.base_seed, spawn_key=(si, ti))
                     )
-                    draws.append((rng, _trial_mpcs(mc, cfg_pt, mpcs_pt, rng)))
-                for (_, mpcs), found in zip(draws, trial_map(estimate, draws)):
-                    records.append(_trial_errors(mc.methods, found, mpcs, cfg_pt, pat))
-
-            n_truth = len(mc.mpcs)
+                    draws.append((rng, _trial_mpcs(mc, cfg_pt, mpcs_pt, rng), cfg_pt))
+                for (_, mpcs, _), found in zip(draws, trial_map(estimate, draws)):
+                    for method, ests in zip(mc.methods, found):
+                        matched = None  # stays None if the method or its association raised
+                        if ests is not None:
+                            with contextlib.suppress(ValueError):
+                                matched, extra = associate(ests, mpcs, cfg_pt.delta_tau, pat.hpbw)
+                        if matched is None:
+                            failures[method] += 1
+                            continue
+                        false_alarms[method] += extra
+                        for ti, est in matched.items():
+                            truth = mpcs[ti]
+                            hits[method][ti].append((
+                                float(np.degrees(circular_delta(est.phi, truth.phi))),
+                                _amp_error(est.power, truth, cfg_pt),
+                                (est.tau - truth.tau) * 1e9,
+                            ))
             for method in mc.methods:
-                outcomes = [record[method] for record in records]
-                false_alarms = sum(extra for _, extra, _ in outcomes)
-                failures = sum(failed for _, _, failed in outcomes)
                 for ti in range(n_truth):
-                    hits = [errs[ti] for errs, _, _ in outcomes if ti in errs]
-                    misses = len(outcomes) - len(hits)
                     for axis, param in enumerate(("phi_deg", "amp_norm", "tau_ns")):
-                        stats = ErrorStats.from_samples(
-                            [hit[axis] for hit in hits], misses, false_alarms, failures
-                        )
+                        stats = _stats(hits[method][ti], axis, mc.trials,
+                                       false_alarms[method], failures[method])
                         rows.append(
                             SweepRow(
                                 sweep_value=float(sweep_value),
@@ -419,7 +410,8 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
 
     Each draw places a single unit arrival at a uniform azimuth and a
     random on-grid delay, runs the requested estimators, and collects the
-    angle error (degrees) and the de-embedded power error (dB).  Returns
+    angle error (degrees) and the de-embedded power error (dB); a draw a
+    method leaves unmatched is one of its misses.  Returns
     {method: {param: ErrorStats}} for params 'phi_deg' and 'power_db'.
     The delay responses ``h`` are kept only when haed+, which reads them,
     is requested; the other methods' statistics are the same either way.
@@ -427,52 +419,30 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
     ``pat`` must keep a gain one scan step off boresight
     (``ArrayConfig.require_step_gain``).
     """
-    checks.integer(n_mpcs, "n_mpcs", 1, checks.MAX_DRAWS)
+    n_mpcs = checks.integer(n_mpcs, "n_mpcs", 1, checks.MAX_DRAWS)
     _require_methods(methods)
     arr.require_step_gain(pat, "pat.hpbw", pat.hpbw)
     cfg0 = replace(cfg, sigma2=0.0)
     p_ref = cfg0.k * cfg0.pu * cfg0.g_tx**2
-    samples = {m: {"phi_deg": [], "power_db": []} for m in methods}
-    misses = {m: 0 for m in methods}
+    hits = {m: [] for m in methods}  # per method, its (angle deg, power dB) hits
     ws, pk, keep_h = Workspace(arr.m, cfg0.k), PeakConfig(), Method.HAED_PLUS in methods
     for i in range(n_mpcs):
-        truth, found = _offset_draw(i, seed, cfg0, arr, pat, methods, pk, keep_h, ws)
-        for method, est in zip(methods, found):
-            if est is None:
-                misses[method] += 1
-                continue
-            samples[method]["phi_deg"].append(
-                float(np.degrees(circular_delta(est.phi, truth.phi)))
-            )
-            samples[method]["power_db"].append(10.0 * np.log10(est.power / p_ref))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        truth = MpcTruth(
+            alpha=1.0,
+            phase=rng.uniform(0.0, 2.0 * np.pi),
+            tau=int(rng.integers(cfg0.k // 4, 3 * cfg0.k // 4)) * cfg0.delta_tau,
+            phi=rng.uniform(0.0, 2.0 * np.pi),
+        )
+        # the Padp lives on the study's workspace: the next draw overwrites it
+        padp = simulate_padp([truth], arr, pat, cfg0, seed=rng, keep_cfr=keep_h, workspace=ws)
+        for method in methods:
+            ests = run_method(method, padp, pat, pk)
+            est = associate(ests, [truth], cfg0.delta_tau, pat.hpbw)[0].get(0)
+            if est is not None:
+                phi_err = float(np.degrees(circular_delta(est.phi, truth.phi)))
+                hits[method].append((phi_err, 10.0 * np.log10(est.power / p_ref)))
     return {
-        m: {
-            p: ErrorStats.from_samples(samples[m][p], misses=misses[m])
-            for p in ("phi_deg", "power_db")
-        }
+        m: {p: _stats(hits[m], axis, n_mpcs) for axis, p in enumerate(("phi_deg", "power_db"))}
         for m in methods
     }
-
-
-def _offset_draw(i, seed, cfg0, arr, pat, methods, pk, keep_h, ws):
-    """Draw ``i`` of ``uniform_offset_study``: the truth and, per method, its match or None.
-
-    The methods run with peak settings ``pk``.  The draw's Padp is built on
-    the study's workspace ``ws``, so it lives only in this call: the next
-    draw overwrites it.  It carries ``h`` only with ``keep_h``, which the
-    study sets when haed+, the one method that reads it, is among ``methods``.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-    truth = MpcTruth(
-        alpha=1.0,
-        phase=rng.uniform(0.0, 2.0 * np.pi),
-        tau=int(rng.integers(cfg0.k // 4, 3 * cfg0.k // 4)) * cfg0.delta_tau,
-        phi=rng.uniform(0.0, 2.0 * np.pi),
-    )
-    padp = simulate_padp([truth], arr, pat, cfg0, seed=rng, keep_cfr=keep_h, workspace=ws)
-    found = []
-    for method in methods:
-        ests = run_method(method, padp, pat, pk)
-        matched, _ = associate(ests, [truth], cfg0.delta_tau, pat.hpbw)
-        found.append(matched.get(0))
-    return truth, found

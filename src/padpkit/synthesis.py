@@ -328,7 +328,7 @@ def add_noise(s, sigma2, seed, draw=None):
         return s
     if draw is None:
         draw = np.empty((3, *s.shape), dtype=np.float32)
-    amp, cos, sin = draw
+    amp, cos, sin = draw[0, ...], draw[1, ...], draw[2, ...]  # views, also of a 0-d s
     rng = np.random.default_rng(seed)
     _log_uniforms(rng, amp)
     # sigma2 * E = -sigma2 * ln u; E = 0 gives an amplitude of -0.0, which adds 0

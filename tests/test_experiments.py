@@ -406,6 +406,39 @@ def test_uniform_offset_study_basics(arr36, pat10):
         uniform_offset_study(0, seed=1, cfg=CFG, arr=arr36, pat=pat10)
 
 
+def test_offset_study_counts_draws_without_an_estimate_as_misses(arr36, pat10, monkeypatch):
+    """o1 emptied on every other draw: those draws are its misses, the rest keep their samples.
+
+    Emptying the odd draws and then the even ones splits the unpatched
+    study's samples between the two runs; o2 does not move.
+    """
+    import padpkit.experiments as exp
+
+    n, methods = 13, (Method.O1, Method.O2)
+    full = uniform_offset_study(n, seed=3, cfg=CFG, arr=arr36, pat=pat10, methods=methods)
+    assert full[Method.O1]["phi_deg"].n == n  # so every miss below is an emptied draw
+    o1, kept = exp.estimate_o1, {"phi_deg": [], "power_db": []}
+    for parity in (0, 1):
+        calls = []
+
+        def sparse(*args):
+            calls.append(len(calls))
+            return [] if calls[-1] % 2 == parity else o1(*args)
+
+        monkeypatch.setattr(exp, "estimate_o1", sparse)
+        study = uniform_offset_study(n, seed=3, cfg=CFG, arr=arr36, pat=pat10, methods=methods)
+        emptied = sum(i % 2 == parity for i in calls)
+        assert len(calls) == n and emptied == (n + 1 - parity) // 2
+        for param, stats in study[Method.O1].items():
+            assert stats.n + stats.misses == n and stats.misses == emptied
+            kept[param].append(stats.cdf)
+        for param, stats in study[Method.O2].items():
+            np.testing.assert_array_equal(stats.cdf, full[Method.O2][param].cdf)
+            assert stats.misses == 0
+    for param, halves in kept.items():
+        np.testing.assert_array_equal(np.sort(np.concatenate(halves)), full[Method.O1][param].cdf)
+
+
 @pytest.mark.parametrize("snr_db", [15.0, 27.5, 40.0])
 def test_randomized_angle_overlay_is_mean_of_scalar_bounds(arr36, pat10, snr_db):
     """The overlay over the 181-angle grid equals the mean of per-angle scalar calls exactly."""

@@ -1086,6 +1086,23 @@ def test_cli_sweep_grid_refuses_a_point_count_past_its_cap(tmp_path, capsys, com
     assert list(tmp_path.iterdir()) == [sc]
 
 
+@pytest.mark.parametrize("arrivals", [1, 3])
+@pytest.mark.parametrize("command", ["montecarlo", "crlb"])
+def test_cli_separation_sweep_refuses_other_than_two_arrivals(tmp_path, capsys, command, arrivals):
+    """Exit 2 naming the flag and the value typed, not the library's field, and write nothing."""
+    doc = json.loads(json.dumps(SCENARIO))
+    doc["mpcs"] = [{**doc["mpcs"][0], "tau_ns": 16.0 * (i + 1)} for i in range(arrivals)]
+    sc = scenario_file(tmp_path, doc)
+    argv = [command, "--scenario", str(sc), "--sweep", "separation", "--values", "30,90",
+            "--out", str(tmp_path / "out.csv")]
+    assert main(argv + (["--trials", "1"] if command == "montecarlo" else [])) == 2
+    err = capsys.readouterr().err
+    assert f"--sweep: expected 'separation' only on a scenario of exactly two arrivals, " \
+           f"not {arrivals}, got 'separation'" in err
+    assert "sweep_variable" not in err and "angular_separation_deg" not in err
+    assert list(tmp_path.iterdir()) == [sc]
+
+
 def test_cli_estimate_refuses_a_gain_beyond_the_float_range(tmp_path, capsys):
     """--gmax-db gets the scenario files' guard: exit 2 naming the flag, not a traceback."""
     sc = scenario_file(tmp_path)

@@ -578,6 +578,17 @@ def test_add_noise_into_draw_adds_in_place():
             add_noise(bad, 1.0, seed=9, draw=scratch)
 
 
+@pytest.mark.parametrize("s", [np.array(1 + 0j), np.complex128(1 + 0j), 1 + 0j])
+def test_add_noise_takes_a_single_sample(s):
+    """A 0-d sample gets the first sample of a one-element vector's noise, as a 0-d array."""
+    want = add_noise(np.array([1 + 0j]), 1.0, 0)[0]
+    got = add_noise(s, 1.0, 0)
+    assert got.shape == () and got == want and got != 1 + 0j
+    target = np.array(1 + 0j)
+    assert add_noise(target, 1.0, 0, draw=np.empty(3, dtype=np.float32)) is target
+    assert target == want
+
+
 def test_add_noise_draws_the_documented_law_in_order():
     """Exponential powers for every sample, then float32 phases: the reference formula.
 
