@@ -3,7 +3,10 @@
 Scenario fields, PADP headers, flags and constructors call them with their own field
 names (None where argparse adds the flag's).  A rule returns the checked value or
 raises ``ValueError`` reading ``<field>: expected <rule>, got <value>``.  Bools are
-never numbers; arrays are checked by their min and max, so no map-sized mask is formed.
+never numbers.  Arrays are checked by their min and max, so no map-sized mask is formed;
+a float64 array bounded below by 0 is first read as uint64 bit patterns, whose max is
+below +inf's exactly when every entry is finite and >= +0.0: one reduction accepts a map,
+and any other array (a -0.0 entry included) takes the min and max rule.
 """
 
 import math
@@ -23,6 +26,7 @@ MAX_TRIALS = 10**6  # Monte Carlo trials per sweep point
 MAX_DRAWS = 10**6  # offset-study draws
 MAX_SWEEP_POINTS = 10**4  # the num of a start:stop:num sweep grid
 MAX_THREADS = 256  # PADPKIT_THREADS
+_INF_BITS = 0x7FF0000000000000  # +inf as uint64: above every finite float64 >= +0.0
 
 
 def require(ok, field, rule, value):
@@ -129,7 +133,7 @@ def finite_array(values, field, low=None):
     a = np.asarray(values)
     if np.iscomplexobj(a):  # the real and imaginary parts, as one contiguous real array
         a = np.ascontiguousarray(a).view(a.real.dtype)
-    if a.size:
+    if a.size and not (low == 0 and a.dtype == np.float64 and a.view(np.uint64).max() < _INF_BITS):
         rule = "finite entries" if low is None else f"finite entries >= {low:g}"
         lo, hi = float(a.min()), float(a.max())  # a NaN reaches both
         require(math.isfinite(lo) and (low is None or lo >= low), field, rule, lo)

@@ -25,6 +25,7 @@ K * pu * g_tx**2.
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -84,24 +85,36 @@ class MpcEstimate:
     delay_index: int | None = field(default=None, repr=False)
 
 
-def _median(v):
-    """Median of a non-empty 1-D array, bit-identical to ``np.median`` but for a zero's sign.
+def _median(v, lo=None):
+    """Median of a 1-D float64 array >= 0, bit-identical to ``np.median`` but for a zero's sign.
 
-    When more than half the input is zero (a noise-free map off its
-    arrivals' delay bins, or a pattern's nulls) the median is 0, whatever
-    the other values, and it is returned as +0.0 without partitioning:
-    ``np.partition`` is about ten times slower on so many ties.  The ``min`` guard
-    keeps inputs with no zero or negative value, such as noisy maps, off
-    the count.  Otherwise one partition around the upper middle element:
-    for even n the lower middle element is the largest of the half below it.
+    ``lo`` is ``v.min()`` when the caller has taken it.  When more than half
+    the input is zero (a noise-free map off its arrivals' delay bins, or a
+    pattern's nulls) the median is 0, whatever the other values, and it is
+    returned as +0.0 without partitioning: ``np.partition`` is about ten times
+    slower on so many ties.  The ``min`` guard keeps inputs with no zero, such
+    as noisy maps, off the count.  Otherwise one partition around the upper
+    middle element, on the bits as int64 keys: finite floats >= 0 sort as
+    their IEEE-754 bit patterns do (-0.0 just below +0.0), integers partition
+    a third faster, and the elements selected are input values, so the result
+    is exact at every numpy dispatch level.  For even n the lower middle
+    element is the largest of the half below it; a zero there enters as
+    0.5 * (+-0 + x) = 0.5 * x, and a zero in the upper middle means a zero
+    majority.
     """
     n = v.size
-    if v.min() <= 0 and 2 * np.count_nonzero(v == 0) > n:
+    if (v.min() if lo is None else lo) <= 0 and 2 * np.count_nonzero(v == 0) > n:
         return 0.0
-    part = np.partition(v, n // 2)
+    part = np.partition(v.view(np.int64), n // 2).view(np.float64)
     if n % 2:
         return float(part[n // 2])
     return float(0.5 * (part[: n // 2].max() + part[n // 2]))
+
+
+@functools.lru_cache(maxsize=32)
+def _log_size(n):
+    """ln(max(n, 2)), the noise-extreme factor of an n-cell map, once per size."""
+    return float(np.log(max(n, 2)))
 
 
 def noise_threshold(values, pk):
@@ -113,17 +126,22 @@ def noise_threshold(values, pk):
     sits on top.  A relative floor of 1e-12 of the map maximum keeps the
     threshold meaningful on noise-free synthetic maps, whose median is 0
     when most cells are exact zeros (``_median`` then skips its partition).
+    A NaN, infinite or negative entry is refused with a ``ValueError`` naming
+    ``values``, read off the map's min and max, which the threshold takes
+    anyway; what passes sorts as its IEEE-754 bit patterns do, so ``_median``
+    partitions those.  Returns a float.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
         return 0.0
-    vmax = float(v.max())
-    if vmax <= 0.0:
+    lo, hi = float(v.min()), float(v.max())  # a NaN reaches both
+    checks.require(lo >= 0.0 and hi < math.inf, "values", "finite entries >= 0",
+                   hi if lo >= 0.0 else lo)
+    if hi == 0.0:
         return 0.0
-    sigma2_hat = _median(v) / _LN2
-    floor = sigma2_hat * np.log(max(v.size, 2))
+    floor = _median(v, lo) / _LN2 * _log_size(v.size)
     thr = floor * 10.0 ** (pk.noise_floor_db_offset / 10.0)
-    return max(thr, vmax * RELATIVE_FLOOR)
+    return max(thr, hi * RELATIVE_FLOOR)
 
 
 def synth_omni_max(padp):

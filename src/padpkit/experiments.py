@@ -290,7 +290,7 @@ def _snr_noise_height(truth, cfg, pat, snr_db):
 
 def _amp_error(power, truth, cfg):
     ref = cfg.k * cfg.pu * cfg.g_tx**2 * truth.alpha**2
-    return float(np.sqrt(max(power, 0.0) / ref)) - 1.0
+    return math.sqrt(max(power, 0.0) / ref) - 1.0
 
 
 def _stats(hits, axis, n, false_alarms=0, failures=0):
@@ -381,7 +381,7 @@ def run_sweep(mc, cfg, arr, pat, progress=None):
                         for ti, est in matched.items():
                             truth = mpcs[ti]
                             hits[method][ti].append((
-                                float(np.degrees(circular_delta(est.phi, truth.phi))),
+                                math.degrees(circular_delta(est.phi, truth.phi)),
                                 _amp_error(est.power, truth, cfg_pt),
                                 (est.tau - truth.tau) * 1e9,
                             ))
@@ -440,7 +440,7 @@ def uniform_offset_study(n_mpcs, seed, cfg, arr, pat, methods=(Method.O1, Method
             ests = run_method(method, padp, pat, pk)
             est = associate(ests, [truth], cfg0.delta_tau, pat.hpbw)[0].get(0)
             if est is not None:
-                phi_err = float(np.degrees(circular_delta(est.phi, truth.phi)))
+                phi_err = math.degrees(circular_delta(est.phi, truth.phi))
                 hits[method].append((phi_err, 10.0 * np.log10(est.power / p_ref)))
     return {
         m: {p: _stats(hits[m], axis, n_mpcs) for axis, p in enumerate(("phi_deg", "power_db"))}

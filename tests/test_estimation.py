@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from padpkit import (
     AntennaPattern,
@@ -161,6 +162,82 @@ def test_median_equals_numpy_on_zero_heavy_inputs(name, monkeypatch):
     got = _median(v)
     assert np.float64(got).tobytes() == ref.tobytes()
     assert bool(partitioned) == partitions
+
+
+def _non_negative(width, edges):
+    """Finite floats >= 0 of one width, with -0.0, ties and the edge values drawn often."""
+    return st.one_of(
+        st.floats(min_value=0.0, allow_infinity=False, allow_subnormal=True, width=width),
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, *edges]),
+    )
+
+
+_F64_EDGES = [5e-324, float(np.finfo(np.float64).tiny), float(np.finfo(np.float64).max)]
+_F32_EDGES = [float(np.float32(1e-45)), float(np.finfo(np.float32).tiny),
+              float(np.finfo(np.float32).max)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.one_of(
+    hnp.arrays(np.float64, st.integers(1, 40), elements=_non_negative(64, _F64_EDGES)),
+    hnp.arrays(np.float32, st.integers(1, 40), elements=_non_negative(32, _F32_EDGES)),
+))
+@example(v=np.array([-0.0]))
+@example(v=np.array([-0.0, 3.0]))  # a zero lower middle: 0.5 * (-0 + 3)
+@example(v=np.array([-0.0, 0.0, 5e-324, 2.0]))
+@example(v=np.array([_F64_EDGES[2]] * 2))  # the two middles sum to inf, on both sides
+@example(v=np.array([1.0, 2.0, 2.0, 2.0, 7.0, 7.0]))
+def test_median_on_bit_patterns_equals_numpy(v):
+    """On finite entries >= 0, even and odd n, ``_median`` is ``np.median`` bit for bit.
+
+    A float32 map enters as ``noise_threshold`` reads it, cast to float64.  The
+    documented exception: a zero majority returns +0.0 where numpy may give -0.0.
+    """
+    x = np.asarray(v, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        ref, got = np.median(x), _median(x)
+    assert type(got) is float
+    expected = np.float64(0.0) if ref == 0 else ref
+    assert np.float64(got).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("values, got", [
+    ([1.0, np.nan, 2.0, 3.0], "nan"),
+    ([1.0, np.inf, 2.0], "inf"),
+    ([1.0, -np.inf, 2.0], "-inf"),
+    ([-5.0, -1.0, 2.0], "-5.0"),
+    ([0.0, -1e-300, 4.0], "-1e-300"),
+    ([[1.0, 2.0], [3.0, -0.5]], "-0.5"),
+])
+def test_noise_threshold_refuses_non_finite_and_negative_entries(values, got):
+    """A NaN or a negative entry no longer yields a finite threshold, nor +inf an infinite one."""
+    with pytest.raises(ValueError, match=rf"^values: expected finite entries >= 0, got {got}$"):
+        noise_threshold(np.array(values), PeakConfig())
+
+
+def test_noise_threshold_reads_negative_zero_as_zero_and_returns_a_float():
+    rng = np.random.default_rng(9)
+    noisy = rng.exponential(1.0, size=(36, 101))
+    peaked = np.zeros(9)
+    peaked[4] = 3.0  # a zero majority: the relative floor decides
+    pk = PeakConfig()
+    for v in (noisy, peaked, np.zeros(5), np.empty(0)):
+        thr = noise_threshold(v, pk)
+        assert type(thr) is float
+        signed = np.where(v == 0, -0.0, v)
+        assert np.float64(noise_threshold(signed, pk)).tobytes() == np.float64(thr).tobytes()
+    assert noise_threshold(peaked, pk) == 3e-12
+
+
+def test_o2_refuses_a_sum_profile_that_overflows(pat10):
+    """A column of 1e308 cells sums to +inf: an error, where the peak used to go unseen."""
+    v = np.zeros((36, 11))
+    v[:, 5] = 1e308
+    padp = Padp(values=v, angles=2 * np.pi * np.arange(36) / 36, delays=np.arange(11) * 0.5e-9)
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="^values: expected finite entries >= 0, got inf$"
+    ):
+        estimate_o2(padp, pat10)
 
 
 def test_peak_config_validation():
