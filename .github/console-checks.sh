@@ -111,6 +111,7 @@ grep -q '"hpbw_deg": 1e-7' narrow.json
 grep -q '"hpbw_deg": 0.45' step.json
 grep -q '"g_tx": 0' no_gain.json
 printf 'not a padp file\n' > bad.padp
+printf 'not a numpy file\n' > bad.npy
 python - "$sc" <<'PY'
 import json, sys
 import numpy as np
@@ -139,6 +140,8 @@ done
 one=(montecarlo --scenario "$sc" --sweep output-snr)
 refuse seed.csv --seed -- padpkit "${one[@]}" --values 30 --trials 2 --seed -1 --out seed.csv
 refuse bad.csv 'PADP header' -- padpkit estimate --padp bad.padp --scenario "$sc" --out bad.csv
+refuse bad_cfr.csv '--cfr: bad.npy:' -- padpkit estimate --padp scan.padp --cfr bad.npy \
+  --scenario "$sc" --methods haed+ --out bad_cfr.csv
 refuse bad_threshold.csv --threshold-db -- padpkit estimate --padp scan.padp --scenario "$sc" \
   --threshold-db nan --out bad_threshold.csv
 refuse late.padp 'mpcs[0].tau_ns' -- padpkit simulate --scenario late.json --out late.padp

@@ -281,6 +281,7 @@ def load_pattern_csv(path, hpbw=None):
     """Load a tabulated pattern from a two-column CSV (offset_deg, gain).
 
     The header line must be ``offset_deg,gain``; gains are linear amplitude.
+    A row without two numbers is refused naming ``path`` and its line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -289,9 +290,10 @@ def load_pattern_csv(path, hpbw=None):
             raise ValueError(f"{path}: expected header 'offset_deg,gain', got {header!r}")
         rows = []
         for r in filter(None, reader):
-            if len(r) < 2:
-                raise ValueError(f"{path}: line {reader.line_num}: expected offset_deg,gain")
-            rows.append((float(r[0]), float(r[1])))
+            try:
+                rows.append((float(r[0]), float(r[1])))
+            except (IndexError, ValueError):  # a short row, or a cell that is no number
+                raise ValueError(f"{path}: line {reader.line_num}: expected two numbers") from None
     if not rows:
         raise ValueError(f"{path}: empty pattern table")
     deg, g = zip(*rows)

@@ -130,11 +130,16 @@ def _with_spectra(padp, path):
 
     The responses are ``ifft(cfr, norm="ortho")``, referenced to band start
     0.  The spectra must be finite and their power must reproduce the PADP
-    values (within 1e-9 of the map maximum).
+    values (within 1e-9 of the map maximum).  Every fault names ``--cfr``.
     """
-    cfr = np.load(path)
+    try:
+        cfr = np.load(path)
+    except OSError as exc:
+        raise ValueError(f"--cfr: {path}: {exc.strerror or exc}") from None
+    except (ValueError, EOFError):  # not .npy (numpy refuses it as a pickle), object or truncated
+        cfr = None
     if not isinstance(cfr, np.ndarray) or cfr.dtype.kind not in "biufc":
-        raise ValueError("--cfr: expected a .npy array of complex spectra")
+        raise ValueError(f"--cfr: {path}: expected a .npy array of complex spectra")
     cfr = cfr.astype(np.complex128)
     if cfr.shape != padp.values.shape:
         raise ValueError(

@@ -222,7 +222,8 @@ def haed_refine(padp, coarse, pat):
 
     For each coarse peak the contrast chi = (P - P_adj) / (P + P_adj) is
     taken against the stronger adjacent scan direction (ties pick the
-    lower one) and inverted to the offset angle; the neighbour shift in
+    lower one; powers whose sum overflows are compared at half their
+    value) and inverted to the offset angle; the neighbour shift in
     the inversion is the actual angular sampling interval of the scan.
     The reported power is the peak corrected by the pattern roll-off at
     the refined offset and de-embedded by the boresight gain, i.e.
@@ -244,7 +245,9 @@ def haed_refine(padp, coarse, pat):
         p_plus = float(padp.values[(m + 1) % m_total, j])
         side = Side.MINUS if p_minus >= p_plus else Side.PLUS
         p_adj = max(p_minus if side is Side.MINUS else p_plus, tiny)
-        chi_meas = (val - p_adj) / (val + p_adj)
+        # powers whose sum overflows are halved, which is exact that far up
+        p, q = (val, p_adj) if val + p_adj < math.inf else (0.5 * val, 0.5 * p_adj)
+        chi_meas = (p - q) / (p + q)
         chi_used, clamped = clamp_chi(chi_meas)
         if closed:
             try:

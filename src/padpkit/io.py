@@ -245,8 +245,9 @@ def read_padp(path):
 
     The header is validated first; a malformed one raises ``ValueError``
     naming the file and the field.  ``asi_deg`` and ``scale`` may be missing;
-    a given ``asi_deg`` must equal 360/m: the angles are ``ArrayConfig(m)``'s
-    full circle.  The last delay, (k - 1) * ``delay_step_ns``, must be finite.
+    a given ``asi_deg`` must equal 360/m, because a Padp scans the full
+    circle.  The last delay, (k - 1) * ``delay_step_ns``, must be finite.
+    The Padp's delay step is ``delay_step_ns * 1e-9`` s.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -275,25 +276,21 @@ def _padp_from_bytes(header_line, blob):
     if values.size != m * k:
         raise ValueError(f"payload has {values.size} values, header says {m}x{k}")
     # m and k now match the payload, so they are small: the delay grid's far end
-    # and the scan grid are checked before either is built
+    # is checked before the map is built
     checks.finite(
         (k - 1) * delay_step_ns * 1e-9,
         "PADP header: delay_step_ns: the last delay (k - 1) * step, in s",
     )
-    grid = ArrayConfig(m)
     if "asi_deg" in header:
         asi_deg = number("asi_deg", float, checks.finite)
-        if not np.isclose(asi_deg, np.degrees(grid.asi), rtol=1e-9, atol=0.0):
-            raise ValueError(
-                f"PADP header: asi_deg: {asi_deg!r} disagrees with 360/m ="
-                f" {np.degrees(grid.asi):.12g} (only full-circle scans are supported)"
-            )
+        ok = bool(np.isclose(asi_deg, 360.0 / m, rtol=1e-9, atol=0.0))
+        rule = f"360/m = {360.0 / m:.12g} (only full-circle scans are supported)"
+        checks.require(ok, "PADP header: asi_deg", rule, asi_deg)
     values = values.reshape(m, k).astype(np.float64)
     if scale == "db":
         with np.errstate(over="ignore"):  # an overflow is refused by Padp, naming values
             values = 10.0 ** (values / 10.0)
-    delays = np.arange(k) * delay_step_ns * 1e-9
-    return Padp(values=values, angles=grid.steering_angles, delays=delays), header
+    return Padp(values, delay_step_ns * 1e-9), header
 
 
 def _fmt(x):

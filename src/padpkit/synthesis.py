@@ -29,27 +29,16 @@ frequency phase ramp, identical to the direct sum.
    noise of height sigma2 to white noise of the same height and the same
    distribution, and drawing it after the transform is exact, not an
    approximation.  Every complex noise sample is drawn as power and
-   phase: sigma2 * Exp(1) and an independent uniform phase, which is
-   circular Gaussian noise (the Box-Muller identity, ``add_noise``).
-   Every uniform is a 32-bit half x of a raw generator word: the power
-   is sigma2 * E with E = -ln((x + 1) / 2**32), the phase 2 pi x / 2**32,
-   both formed in float32.  Each draw of n powers (``_log_uniforms``) or
-   n phases (``_uniform_phases``) reads the generator's next ceil(n/2)
-   words, and both kinds of map draw through these two.  E is thus
-   float32-resolved and at most 32 ln 2, about 22.18: the cut tail has a
-   probability of 2.3e-10 per sample, and noise alone stays below the 2-D
-   detection threshold (about 42 sigma2 on a 36 x 1001 map) with or
-   without it.
+   phase, sigma2 * Exp(1) and an independent uniform phase (Box-Muller,
+   ``add_noise``), from 32-bit halves of raw generator words read by
+   ``_log_uniforms`` and ``_uniform_phases``.  The float32 E is at most
+   32 ln 2, about 22.18: noise alone stays below the 2-D detection threshold
+   (about 42 sigma2 on a 36 x 1001 map) with or without the cut tail.
    Off-grid delays leak into every bin, so their maps draw the complex
-   noise of every cell, all the powers and then all the phases (or none,
-   noise-free).  When every arrival sits on a delay bin, only the
-   arrivals' bins are formed.  Noisy such maps draw, from one
-   generator, the complex noise on the arrivals' bins, then one
-   exponential per cell for the power of the whole map, and then, only
-   when h is kept (``keep_cfr``), the phases, so the map does not depend
-   on whether h is read; noise-free such maps draw nothing and are +0.0
-   off the arrivals' bins, where a transform would leak about 1e-13 of
-   the peak;
+   noise of every cell (or none, noise-free).  When every arrival sits on
+   a delay bin, only the arrivals' bins are formed, and the rest of the
+   map is drawn as power, h's phases only when h is kept
+   (``_on_grid_map``), or is +0.0 noise-free;
 3. the power map is |h|^2 (on on-grid maps formed on the arrivals' bins
    only: elsewhere it is the drawn noise power, or 0), and the responses
    h ride along on the Padp (``Padp.h``): nothing rebuilds the full-map
@@ -57,10 +46,8 @@ frequency phase ramp, identical to the direct sum.
    rows they read (``Padp.spectra``), and all rows are transformed only
    where spectra leave the program (``simulate --cfr-out``).
 
-Every map is written into the arrays of a ``Workspace``: the responses,
-the power map and the noise draw's float32 scratch.  Monte Carlo loops
-pass one and reuse it, so a trial allocates (and page-faults) no new map;
-a call without one builds one for that call.
+Every map is written into the arrays of a ``Workspace``, which Monte Carlo
+loops reuse from one trial to the next.
 """
 
 import functools
@@ -78,6 +65,18 @@ from .antenna import gain, power_gain
 def _read_only(a):
     a.flags.writeable = False
     return a
+
+
+@functools.lru_cache(maxsize=16)
+def _scan_grid(m):
+    """The m scan directions of a full circle, 2*pi*j/m radians: the package's one scan grid."""
+    return _read_only(2.0 * np.pi * np.arange(m) / m)
+
+
+@functools.lru_cache(maxsize=16)
+def _delay_grid(k, delta_tau):
+    """The k delay bins j * delta_tau from 0, in s: the package's one delay grid."""
+    return _read_only(np.arange(k) * delta_tau)
 
 
 @dataclass(frozen=True)
@@ -128,15 +127,15 @@ class SoundingConfig:
                 f" got {tau * 1e9:.6g} ns"
             )
 
-    # the grids below are computed once per config and shared read-only
-
     @functools.cached_property
     def freqs(self):
+        """The frequency grid, computed once per config and shared read-only."""
         return _read_only(self.fc - 0.5 * self.bw + np.arange(self.k) * self.delta_f)
 
-    @functools.cached_property
+    @property
     def delays(self):
-        return _read_only(np.arange(self.k) * self.delta_tau)
+        """The delay grid: the one every Padp of this k and delta_tau reads (``_delay_grid``)."""
+        return _delay_grid(self.k, self.delta_tau)
 
 
 @dataclass(frozen=True)
@@ -148,10 +147,10 @@ class ArrayConfig:
     def __post_init__(self):
         checks.integer(self.m, "m", 3)
 
-    @functools.cached_property
+    @property
     def steering_angles(self):
-        """The scan grid, computed once per config and shared read-only."""
-        return _read_only(2.0 * np.pi * np.arange(self.m) / self.m)
+        """The scan grid: the one every Padp of m scan directions reads (``_scan_grid``)."""
+        return _scan_grid(self.m)
 
     @property
     def asi(self):
@@ -195,7 +194,13 @@ class MpcTruth:
 
 @dataclass(frozen=True)
 class Padp:
-    """Power-angle-delay profile: an (m, k) non-negative power map plus grids.
+    """Power-angle-delay profile: an (m, k) non-negative power map and its delay step.
+
+    Rows are the m scan directions of a full circle, columns k >= 2 delay
+    bins from 0 spaced ``delta_tau`` s (positive, with a finite last delay),
+    so the read-only grids ``angles`` (2*pi*j/m radians) and ``delays``
+    (j * delta_tau) are derived: the arrays ``ArrayConfig.steering_angles``
+    and ``SoundingConfig.delays`` return for that m, k and delta_tau.
 
     ``h`` optionally carries the complex delay responses behind the map
     (``values`` is |h|**2), referenced to the band start frequency
@@ -205,53 +210,42 @@ class Padp:
     ``ifft(cfr, norm="ortho")`` use 0.  Band-limited delay interpolation
     needs them (power samples alone undersample the squared response), so
     estimators that refine the delay axis require a Padp carrying them.
-    ``angles`` and ``delays`` are finite grids; ``angles`` must step by
-    2*pi/m in radians (from any start) and ``delays`` hold at least two
-    entries with a positive first step.
     """
 
     values: np.ndarray
-    angles: np.ndarray
-    delays: np.ndarray
+    delta_tau: float
     h: np.ndarray | None = field(default=None, repr=False)
     f_start: float = 0.0
+    angles: np.ndarray = field(init=False, repr=False)
+    delays: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError("values must be 2-D (scan x delay)")
-        a, d = checks.grid(self.angles, "angles"), checks.grid(self.delays, "delays")
-        if v.shape != (len(a), len(d)):
-            raise ValueError("grid lengths must match the value matrix")
+        rule = "a 2-D map of 1 or more scan directions by 2 or more delay bins"
+        checks.require(v.ndim == 2 and v.shape[0] >= 1 and v.shape[1] >= 2, "values", rule, v.shape)
+        m, k = v.shape
+        delta_tau = checks.positive(self.delta_tau, "delta_tau")
+        checks.finite((k - 1) * delta_tau, "delta_tau: the last delay (k - 1) * delta_tau")
         checks.finite_array(v, "values", 0.0)
         if self.h is not None and self.h.shape != v.shape:
             raise ValueError("h must match the value matrix shape")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "angles", a)
-        object.__setattr__(self, "delays", d)
-        # asi and delta_tau read only the first step of each grid: check just that
-        if len(a) > 1 and not math.isclose(a[1] - a[0], 2 * math.pi / len(a), rel_tol=1e-9):
-            raise ValueError(f"angles: expected a step of 2*pi/m radians, got {a[1] - a[0]:.6g}")
-        if len(d) < 2 or not d[1] > d[0]:
-            raise ValueError(f"delays: expected 2 or more entries, stepping up, got {d[:2]!r}")
+        object.__setattr__(self, "delta_tau", delta_tau)
+        object.__setattr__(self, "angles", _scan_grid(m))
+        object.__setattr__(self, "delays", _delay_grid(k, delta_tau))
 
     @property
     def asi(self):
-        return 2.0 * np.pi / len(self.angles)
-
-    @property
-    def delta_tau(self):
-        return float(self.delays[1] - self.delays[0])
+        return 2.0 * np.pi / self.values.shape[0]
 
     def spectra(self, rows=slice(None)):
         """Complex spectra of the scan ``rows`` (all by default), from ``h``.
 
-        The inverse of the delay transform, applied to those rows only.  The
-        band-start phase ramp comes from a cache shared by maps on one grid.
+        The inverse of the delay transform, applied to those rows only.
         """
         if self.h is None:
             raise ValueError("Padp carries no delay responses (h)")
-        ramp = _band_start_ramp(self.f_start, self.delays.tobytes())
+        ramp = _band_start_ramp(self.f_start, self.values.shape[1], self.delta_tau)
         return np.fft.fft(self.h[rows] * ramp.conj(), axis=-1, norm="ortho")
 
 
@@ -400,27 +394,23 @@ def _band_start(cfg):
 
 
 @functools.lru_cache(maxsize=8)
-def _band_start_ramp(f_start, delays):
-    """exp(j 2 pi f_start tau) on the delays given as float64 bytes, read-only.
-
-    Cached, because every map of a sweep or a file shares its grid.
-    """
-    return _read_only(np.exp(2j * np.pi * f_start * np.frombuffer(delays)))
+def _band_start_ramp(f_start, k, delta_tau):
+    """exp(j 2 pi f_start tau) on ``_delay_grid(k, delta_tau)``, read-only and cached."""
+    return _read_only(np.exp(2j * np.pi * f_start * _delay_grid(k, delta_tau)))
 
 
 def cfr_to_cir(y, cfg):
     """Delay-domain responses h_m(tau_j) from received spectra.
 
     Evaluates the sum of the module docstring as sqrt(K) * ifft times the
-    phase ramp of the band start frequency, which comes from the cache
-    ``Padp.spectra`` reads too; the tests hold the direct exponential sum
-    as its reference.
+    band start's phase ramp (``_band_start_ramp``, which ``Padp.spectra``
+    reads too); the tests hold the direct exponential sum as its reference.
     """
     y = np.asarray(y)
     k = cfg.k
     if y.shape[-1] != k:
         raise ValueError("spectrum length must equal cfg.k")
-    ramp = _band_start_ramp(_band_start(cfg), cfg.delays.tobytes())
+    ramp = _band_start_ramp(_band_start(cfg), k, cfg.delta_tau)
     return np.sqrt(k) * np.fft.ifft(y, axis=-1) * ramp
 
 
@@ -439,12 +429,13 @@ def assemble_padp(pdps, arr, cfg, h=None):
     """Stack per-direction PDPs into a Padp in steering-angle order.
 
     ``h``, when given, are the delay responses behind the PDPs, referenced
-    to the band start of ``cfg``.  ``Padp`` refuses a map that is not
-    ``arr.m`` x ``cfg.k``.
+    to the band start of ``cfg``.  A map that is not ``arr.m`` x ``cfg.k``
+    is refused, naming ``values``; the Padp's grids are then ``arr``'s
+    steering angles and ``cfg``'s delays.
     """
-    return Padp(
-        values=pdps, angles=arr.steering_angles, delays=cfg.delays, h=h, f_start=_band_start(cfg)
-    )
+    shape = np.shape(pdps)
+    checks.require(shape == (arr.m, cfg.k), "values", f"a {arr.m} x {cfg.k} map", shape)
+    return Padp(pdps, cfg.delta_tau, h=h, f_start=_band_start(cfg))
 
 
 class Workspace:

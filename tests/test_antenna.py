@@ -321,10 +321,12 @@ def test_pattern_csv_bad_header(tmp_path):
 
 
 def test_pattern_csv_short_row(tmp_path):
-    path = tmp_path / "short.csv"
-    path.write_text("offset_deg,gain\n0,1\n5\n")
-    with pytest.raises(ValueError, match="line 3"):
-        load_pattern_csv(path)
+    """A short row and a cell that is no number are refused naming the file and the line."""
+    for name, row in (("short", "5"), ("cell", "abc,1")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"offset_deg,gain\n0,1\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: "):
+            load_pattern_csv(path)
 
 
 def _branch_draw(hpbw_deg, ratio, side, frac):

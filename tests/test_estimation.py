@@ -71,21 +71,21 @@ def quantized_angle_error_deg(phi_deg, asi_deg=10.0):
 
 
 def test_omni_max_single_row():
-    p = Padp(values=np.arange(8.0)[None, :], angles=np.zeros(1), delays=np.arange(8.0))
+    p = Padp(np.arange(8.0)[None, :], 1.0)
     np.testing.assert_array_equal(synth_omni_max(p), np.arange(8.0))
     np.testing.assert_array_equal(synth_omni_sum(p), np.arange(8.0))
 
 
 def test_omni_sum_equal_rows():
     v = np.tile(np.arange(6.0), (4, 1))
-    p = Padp(values=v, angles=2 * np.pi * np.arange(4) / 4, delays=np.arange(6.0))
+    p = Padp(v, 1.0)
     np.testing.assert_array_equal(synth_omni_sum(p), 4.0 * np.arange(6.0))
 
 
 def test_omni_max_single_entry():
     v = np.zeros((5, 7))
     v[3, 2] = 2.0
-    p = Padp(values=v, angles=2 * np.pi * np.arange(5) / 5, delays=np.arange(7.0))
+    p = Padp(v, 1.0)
     out = synth_omni_max(p)
     assert out[2] == 2.0 and np.count_nonzero(out) == 1
 
@@ -233,7 +233,7 @@ def test_o2_refuses_a_sum_profile_that_overflows(pat10):
     """A column of 1e308 cells sums to +inf: an error, where the peak used to go unseen."""
     v = np.zeros((36, 11))
     v[:, 5] = 1e308
-    padp = Padp(values=v, angles=2 * np.pi * np.arange(36) / 36, delays=np.arange(11) * 0.5e-9)
+    padp = Padp(v, 0.5e-9)
     with np.errstate(over="ignore"), pytest.raises(
         ValueError, match="^values: expected finite entries >= 0, got inf$"
     ):
@@ -458,7 +458,7 @@ def test_haed_clamps_degenerate_adjacent(pat10):
     # synthetic map with dead adjacent directions: chi saturates at 1
     v = np.zeros((36, 32))
     v[4, 10] = 1000.0
-    padp = Padp(values=v, angles=2 * np.pi * np.arange(36) / 36, delays=np.arange(32.0) * 0.5e-9)
+    padp = Padp(v, 0.5e-9)
     ests = haed_refine(padp, [(4, 10, 1000.0)], pat10)
     assert len(ests) == 1
     assert ests[0].clamped
@@ -474,7 +474,7 @@ def test_haed_takes_the_stronger_neighbour(pat10, p_minus, p_plus, side):
     """The contrast uses the stronger adjacent direction, even 2% stronger; ties take the lower."""
     v = np.zeros((36, 16))
     v[[9, 10, 11], 5] = p_minus, 1.0, p_plus
-    padp = Padp(values=v, angles=2 * np.pi * np.arange(36) / 36, delays=np.arange(16.0) * 0.5e-9)
+    padp = Padp(v, 0.5e-9)
     (est,) = haed_refine(padp, [(10, 5, 1.0)], pat10)
     assert est.side is side
     p_adj = max(p_minus, p_plus)
@@ -482,6 +482,20 @@ def test_haed_takes_the_stronger_neighbour(pat10, p_minus, p_plus, side):
     # the arrival lies towards the stronger neighbour, inside half a scan step
     sign = 1 if side is Side.PLUS else -1
     assert 0 <= sign * est.eps < padp.asi / 2 and not est.clamped
+
+
+def test_haed_contrast_of_powers_whose_sum_overflows(pat10):
+    """A peak and neighbour summing past the float64 maximum keep their contrast, 0.2 here.
+
+    The same map scaled by 2**-1000, an exact scaling, gives the same contrast and angle.
+    """
+    v = np.zeros((36, 11))
+    v[3, 5], v[4, 5] = 1.5e308, 1e308
+    (est,) = estimate_haed(Padp(v, 0.5e-9), pat10)
+    (ref,) = estimate_haed(Padp(v * 2.0**-1000, 0.5e-9), pat10)
+    assert est.chi_hat == ref.chi_hat == pytest.approx(0.2, rel=1e-15)
+    assert est.phi == ref.phi and est.side is Side.PLUS and not est.clamped
+    assert 30.0 < np.degrees(est.phi) < 35.0  # towards the neighbour, short of the midpoint
 
 
 def test_resolvability_contract(cfg, arr36, pat10):
@@ -529,7 +543,7 @@ def test_haed_plus_off_grid_recovery(cfg, arr36, pat10):
 
 def test_haed_plus_requires_cfr(cfg, arr36, pat10):
     padp, _ = _padp_for(13.0, cfg, arr36, pat10)
-    stripped = Padp(values=padp.values, angles=padp.angles, delays=padp.delays)
+    stripped = Padp(padp.values, padp.delta_tau)
     ests = estimate_haed(padp, pat10)
     with pytest.raises(ValueError, match=r"delay responses \(h\)"):
         haed_plus_refine(stripped, ests)
@@ -618,13 +632,13 @@ def test_haed_plus_reads_only_peak_rows(cfg, arr36, pat10):
     assert len(peak_rows) == 2
     h = np.full_like(padp.h, np.nan)
     h[peak_rows] = padp.h[peak_rows]
-    masked = Padp(padp.values, padp.angles, padp.delays, h=h, f_start=padp.f_start)
+    masked = Padp(padp.values, padp.delta_tau, h=h, f_start=padp.f_start)
     assert haed_plus_refine(masked, ests) == haed_plus_refine(padp, ests)
 
 
 def test_empty_when_nothing_above_threshold(pat10):
     v = np.zeros((36, 16))
-    padp = Padp(values=v, angles=2 * np.pi * np.arange(36) / 36, delays=np.arange(16.0))
+    padp = Padp(v, 1.0)
     assert estimate_o1(padp, pat10) == []
     assert estimate_o2(padp, pat10) == []
     assert coarse_peaks_2d(padp) == []
@@ -699,7 +713,7 @@ def test_haed_refine_is_bit_for_bit_its_array_form(cfg_full, arr36, name, seed):
     v[0, 850] = v[35, 870] = 5e2
     v[[6, 7, 8], 900] = 0.0, 1e3, 0.0
     v[[19, 20, 21], 950] = 1e-8, 1e3, 1e-9
-    padp = Padp(v, padp.angles, padp.delays)
+    padp = Padp(v, padp.delta_tau)
     coarse = coarse_peaks_2d(padp)
     assert {(0, 850), (35, 870), (7, 900), (20, 950)} <= {(m, j) for m, j, _ in coarse}
     got, want = haed_refine(padp, coarse, pat), _haed_reference(padp, coarse, pat)

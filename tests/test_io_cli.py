@@ -13,7 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from padpkit import MpcTruth, Padp, checks, simulate_padp
+from padpkit import (
+    AntennaPattern,
+    ArrayConfig,
+    MpcTruth,
+    Padp,
+    SoundingConfig,
+    checks,
+    simulate_padp,
+)
 from padpkit.antenna import PatternKind, gain
 from padpkit.cli import _parser, build_parser, main
 from padpkit.estimation import HAED_PLUS_UPSAMPLE, Method, PeakConfig
@@ -266,8 +274,6 @@ def test_scenario_optional_sounding_fields_are_numbers(key, value):
 
 
 def _tiny_padp(seed=0, sigma2=0.0, k=129, tau=16e-9):
-    from padpkit import AntennaPattern, ArrayConfig, SoundingConfig
-
     cfg = SoundingConfig(fc=37.5e9, bw=2e9, k=k, pu=1.0, sigma2=sigma2)
     arr = ArrayConfig(m=36)
     pat = AntennaPattern.gaussian(100.0, np.radians(10.0))
@@ -285,6 +291,31 @@ def test_padp_file_roundtrip(tmp_path):
     assert header["m"] == 36 and header["k"] == 129
     assert header["manifest"]["seed"] == 3
     assert back.h is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(3, 72),
+    k=st.integers(2, 1001),
+    bw=st.sampled_from([7e8, 2e9, 3e9]) | st.floats(1e6, 1e11),
+)
+@example(m=36, k=1001, bw=3e9)
+@example(m=36, k=1001, bw=7e8)
+def test_padp_file_keeps_the_simulated_grids(tmp_path_factory, m, k, bw):
+    """Read back, a simulated map has its grids bit for bit when its step round-trips in ns."""
+    cfg = SoundingConfig(fc=37.5e9, bw=bw, k=k)
+    pat = AntennaPattern.gaussian(100.0, np.radians(10.0))
+    mpc = MpcTruth(alpha=1.0, phase=0.0, tau=0.0, phi=0.3)
+    padp = simulate_padp([mpc], ArrayConfig(m), pat, cfg, keep_cfr=False)
+    path = tmp_path_factory.mktemp("padp") / "x.padp"
+    write_padp(path, padp)
+    back, _ = read_padp(path)
+    assert back.angles.tobytes() == padp.angles.tobytes()
+    d = padp.delta_tau
+    if (d * 1e9) * 1e-9 == d:
+        assert back.delays.tobytes() == padp.delays.tobytes()
+    else:
+        np.testing.assert_allclose(back.delays, padp.delays, rtol=1e-15)
 
 
 def _write_db_padp(path, padp):
@@ -312,7 +343,7 @@ def _padps(draw, elements):
     m, k = draw(st.integers(3, 12)), draw(st.integers(2, 24))
     values = draw(hnp.arrays(np.float64, (m, k), elements=elements))
     step = draw(st.floats(1e-12, 1e-6))
-    return Padp(values=values, angles=2.0 * np.pi * np.arange(m) / m, delays=np.arange(k) * step)
+    return Padp(values, step)
 
 
 _FINITE_POWERS = st.floats(0.0, np.finfo(np.float64).max)
@@ -696,18 +727,34 @@ def test_haed_plus_same_from_spectra_file(
         assert a.power == pytest.approx(b.power, rel=1e-12)
 
 
-def test_cli_estimate_rejects_npz_spectra(tmp_path, capsys):
+def _unloadable_spectra(path, kind, spectra):
+    """Write to ``path`` a ``kind`` of file that ``estimate --cfr`` cannot load as spectra."""
+    if kind == "npz":
+        np.savez(path, cfr=spectra)
+    elif kind == "garbage":
+        path.write_bytes(b"not a numpy file\n")
+    elif kind == "object":
+        np.save(path, np.array([1.0, "a", None], dtype=object))
+
+
+@pytest.mark.parametrize("kind", ["npz", "garbage", "object", "missing"])
+def test_cli_estimate_refuses_spectra_it_cannot_load(tmp_path, capsys, kind):
+    """Each file names the flag and the path, exits 2 and writes nothing."""
     sc = scenario_file(tmp_path)
     padp_path, cfr_path = tmp_path / "sim.padp", tmp_path / "sim_cfr.npy"
     main(["simulate", "--scenario", str(sc), "--out", str(padp_path), "--cfr-out", str(cfr_path)])
-    npz_path = tmp_path / "sim_cfr.npz"
-    np.savez(npz_path, cfr=np.load(cfr_path))
+    bad_path = tmp_path / f"{kind}.npy"
+    _unloadable_spectra(bad_path, kind, np.load(cfr_path))
+    capsys.readouterr()
+    out = tmp_path / "x.csv"
     rc = main(
         ["estimate", "--padp", str(padp_path), "--scenario", str(sc), "--methods", "haed+",
-         "--cfr", str(npz_path), "--out", str(tmp_path / "x.csv")]
+         "--cfr", str(bad_path), "--out", str(out)]
     )
     assert rc == 2
-    assert "--cfr: expected a .npy array" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"padpkit: error: --cfr: {bad_path}: ") and "pickle" not in err
+    assert not out.exists()
 
 
 def test_cli_estimate_haed_plus_needs_cfr(tmp_path, capsys):

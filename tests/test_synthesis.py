@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from math import erfc
 
 import numpy as np
@@ -215,10 +215,22 @@ def test_padp_assembly(cfg_full, arr36, pat10, mpc_13deg):
     assert np.degrees(p.asi) == pytest.approx(10.0)
     assert p.delta_tau == pytest.approx(0.5e-9)
     assert np.all(p.values >= 0)
-    with pytest.raises(ValueError, match="grid lengths"):
-        assemble_padp(p.values[:-1], arr36, cfg_full)
-    with pytest.raises(ValueError, match="grid lengths"):
-        assemble_padp(p.values[:, :-1], arr36, cfg_full)
+    for bad in (p.values[:-1], p.values[:, :-1], p.values.T):
+        with pytest.raises(ValueError, match="^values: expected a 36 x 1001 map"):
+            assemble_padp(bad, arr36, cfg_full)
+
+
+def test_padp_grids_are_the_configs_grids(cfg_small, arr36, pat10, mpc_13deg):
+    """A map's grids are the configs' arrays, and a map built by hand shares them too."""
+    p = simulate_padp([mpc_13deg], arr36, pat10, cfg_small)
+    by_hand = Padp(p.values.copy(), cfg_small.delta_tau)
+    for q in (p, by_hand):
+        assert q.angles is arr36.steering_angles and q.delays is cfg_small.delays
+        assert q.asi == 2.0 * np.pi / 36 and q.delta_tau == cfg_small.delta_tau
+    with pytest.raises(FrozenInstanceError):
+        p.delays = np.zeros(cfg_small.k)
+    with pytest.raises(TypeError):
+        Padp(p.values, angles=p.angles, delays=p.delays)
 
 
 def test_padp_global_phase_invariance(cfg_small, arr36, pat10):
@@ -248,10 +260,25 @@ def test_output_snr_scales_with_gmax(cfg_small, arr36):
 
 
 def test_padp_validation():
-    with pytest.raises(ValueError):
-        Padp(values=np.ones((2, 3)), angles=np.zeros(3), delays=np.zeros(3))
-    with pytest.raises(ValueError):
-        Padp(values=-np.ones((2, 3)), angles=np.zeros(2), delays=np.zeros(3))
+    with pytest.raises(ValueError, match="^values: expected a 2-D map"):
+        Padp(np.ones(3), 1.0)
+    for shape in ((3, 1), (3, 0), (0, 4)):  # fewer than two delay bins, or no scan direction
+        with pytest.raises(ValueError, match=r"^values: expected a 2-D map of 1 or more scan"):
+            Padp(np.ones(shape), 1.0)
+    with pytest.raises(ValueError, match="^h must match"):
+        Padp(np.ones((3, 4)), 1.0, h=np.ones((3, 5), dtype=complex))
+    assert Padp(np.ones((3, 2)), 1e308).delays[-1] == 1e308  # a finite last delay
+
+
+@pytest.mark.parametrize(
+    "k, delta_tau",
+    [(4, 0.0), (4, -1e-9), (4, np.nan), (4, np.inf), (4, True), (3, 1e308)],
+    ids=["zero", "negative", "nan", "inf", "bool", "last-delay-overflows"],
+)
+def test_padp_refuses_a_delta_tau_that_is_not_positive_and_finite(k, delta_tau):
+    """The delay step must be > 0 and the last delay (k - 1) * delta_tau finite."""
+    with pytest.raises(ValueError, match="^delta_tau: "):
+        Padp(np.ones((3, k)), delta_tau)
 
 
 def _tabulated_copy(pat):
@@ -302,8 +329,8 @@ def test_spectra_reuse_one_read_only_ramp_per_grid(cfg_small, arr36, pat10, mpc_
     for p in (first, second):
         want = np.fft.fft(p.h * ramp.conj(), axis=-1, norm="ortho")
         assert p.spectra().tobytes() == want.tobytes()
-    cached = synthesis._band_start_ramp(first.f_start, first.delays.tobytes())
-    assert cached is synthesis._band_start_ramp(second.f_start, second.delays.tobytes())
+    cached = synthesis._band_start_ramp(first.f_start, cfg.k, first.delta_tau)
+    assert cached is synthesis._band_start_ramp(second.f_start, cfg.k, second.delta_tau)
     assert not cached.flags.writeable
 
 
@@ -718,31 +745,10 @@ def test_noise_free_synthesis_draws_no_noise(cfg_small, arr36, pat10, mpc_13deg,
 def test_padp_rejects_non_finite_or_negative_values(bad):
     v = np.ones((3, 4))
     v[1, 2] = bad
-    angles = 2.0 * np.pi * np.arange(3) / 3
     with pytest.raises(ValueError, match="^values: expected finite entries >= 0"):
-        Padp(v, angles, np.arange(4.0))
+        Padp(v, 1.0)
     v[1, 2] = -0.0  # equal to zero, so allowed
-    assert Padp(v, angles, np.arange(4.0)).values[1, 2] == 0.0
-
-
-def test_padp_rejects_angles_that_are_no_full_circle_in_radians(cfg_small, arr36, pat10):
-    """``asi`` and haed read the angles as radians spaced 2*pi/m: degrees are refused."""
-    good = simulate_padp([MpcTruth(1.0, 0.0, 32e-9, np.radians(13.0))], arr36, pat10, cfg_small)
-    for angles in (np.degrees(good.angles), np.arange(36.0), good.angles[::-1], np.zeros(36)):
-        with pytest.raises(ValueError, match=r"^angles: expected a step of 2\*pi/m"):
-            Padp(good.values, angles, good.delays)
-    rotated = Padp(good.values, good.angles + 0.3, good.delays)  # a rotated start is allowed
-    assert rotated.asi == good.asi
-
-
-@pytest.mark.parametrize(
-    "delays", [[0.0], [1.0, 1.0, 2.0], [2.0, 1.0, 0.0], [np.nan, 1.0, 2.0]], ids=str
-)
-def test_padp_rejects_delay_grids_without_a_positive_first_step(delays):
-    """``delta_tau`` reads the first step: one column or a non-positive step is refused."""
-    v = np.ones((3, len(delays)))
-    with pytest.raises(ValueError, match="^delays: expected (2 or more entries|finite entries)"):
-        Padp(v, 2.0 * np.pi * np.arange(3) / 3, delays)
+    assert Padp(v, 1.0).values[1, 2] == 0.0
 
 
 def test_noise_free_off_grid_maps_are_the_transformed_ramps(cfg_small, arr36, pat10, monkeypatch):
@@ -898,13 +904,3 @@ def test_noise_at_the_height_ceiling_stays_finite():
     assert cfg.sigma2 == NOISE_HEIGHT_MAX
     with pytest.raises(ValueError, match="^sigma2: expected a noise height"):
         add_noise(np.zeros(4, dtype=complex), np.nextafter(NOISE_HEIGHT_MAX, np.inf), seed=0)
-
-
-@pytest.mark.parametrize("name", ["angles", "delays"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_padp_refuses_non_finite_grids(name, bad):
-    grids = {"angles": 2.0 * np.pi * np.arange(3) / 3, "delays": np.arange(4.0)}
-    grids[name] = grids[name].copy()
-    grids[name][-1] = bad
-    with pytest.raises(ValueError, match=f"^{name}: expected finite entries"):
-        Padp(np.ones((3, 4)), **grids)
