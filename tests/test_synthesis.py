@@ -741,6 +741,18 @@ def test_noise_free_synthesis_draws_no_noise(cfg_small, arr36, pat10, mpc_13deg,
     assert np.max(np.abs(p.values - ref)) / np.max(ref) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "delays", [[0.0], [1.0, 1.0, 2.0], [2.0, 1.0, 0.0], [np.nan, 1.0, 2.0]], ids=str
+)
+def test_padp_rejects_delay_grids_without_a_positive_first_step(delays):
+    """A map's delays are j * delta_tau from 0: one column or a non-positive first step is refused."""
+    v = np.ones((3, len(delays)))
+    step = delays[1] - delays[0] if len(delays) > 1 else 1.0
+    with pytest.raises(ValueError, match="^(values: expected a 2-D map|delta_tau: )"):
+        Padp(v, step)
+    np.testing.assert_array_equal(Padp(np.ones((3, 3)), 1.0).delays, [0.0, 1.0, 2.0])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
 def test_padp_rejects_non_finite_or_negative_values(bad):
     v = np.ones((3, 4))
@@ -904,3 +916,13 @@ def test_noise_at_the_height_ceiling_stays_finite():
     assert cfg.sigma2 == NOISE_HEIGHT_MAX
     with pytest.raises(ValueError, match="^sigma2: expected a noise height"):
         add_noise(np.zeros(4, dtype=complex), np.nextafter(NOISE_HEIGHT_MAX, np.inf), seed=0)
+
+
+@pytest.mark.parametrize("name", ["delays"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_padp_refuses_non_finite_grids(name, bad):
+    """A delay grid ending in a non-finite entry has no finite step, and is refused."""
+    k = 4
+    with pytest.raises(ValueError, match="^delta_tau: "):
+        Padp(np.ones((3, k)), bad / (k - 1))
+    assert np.all(np.isfinite(getattr(Padp(np.ones((3, k)), 1.0), name)))
