@@ -135,6 +135,15 @@ PY
 for g in ongrid offgrid offgrid_noisy pair pair_free tabulated; do
   twice "$g"
 done
+# the tabulated beam's haed from the power map alone, as a PADP file is read: its
+# grid-search inversion reruns byte for byte in fresh processes
+for d in tabulated_1 tabulated_2; do
+  padpkit estimate --padp "$d/scan.padp" --scenario tabulated.json --methods o1,o2,haed \
+    --out "$d/haed.csv"
+done
+cmp tabulated_1/haed.csv tabulated_2/haed.csv
+cmp tabulated_1/haed.csv.manifest.json tabulated_2/haed.csv.manifest.json
+grep -q '^haed,' tabulated_1/haed.csv
 
 # inputs refused when parsed or loaded
 one=(montecarlo --scenario "$sc" --sweep output-snr)

@@ -14,6 +14,7 @@ from .antenna import (
     Side,
     chi,
     gain,
+    invert_chi,
     invert_chi_closed,
     invert_chi_tabulated,
     kappa_from_hpbw,

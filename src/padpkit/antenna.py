@@ -229,7 +229,8 @@ def invert_chi_closed(chi_val, side, hpbw, kappa, spacing=None):
     (defaulting to hpbw).
 
     Raises ChiSaturationError when the arcsin argument falls outside
-    [-1, 1] (numerically corrupted chi); callers may clamp chi first.
+    [-1, 1] (numerically corrupted chi); ``invert_chi`` clamps chi first
+    and turns that error into the beam edge.
     """
     if spacing is None:
         spacing = hpbw
@@ -266,15 +267,27 @@ def invert_chi_tabulated(chi_hat, side, pattern, spacing=None):
     return float(candidates[np.argmin(np.abs(candidates))])
 
 
-def clamp_chi(chi_hat):
-    """Clamp a measured contrast into the invertible open interval (-1, 1).
+def invert_chi(pattern, chi_hat, side, spacing):
+    """Offset and flag ``(eps, clamped)`` of a measured float contrast: haed's one inversion rule.
 
-    Returns (clamped value, True if clamping occurred).  Contrasts at or
-    beyond +-1 arise when an adjacent-direction power underflows to ~0.
+    A contrast at or beyond +-``CHI_CLAMP`` (an adjacent power underflowing
+    to ~0) is clamped there and flagged.  A Gaussian beam inverts in closed
+    form, any other pattern by grid search; a saturated arcsin (flagged)
+    gives the beam edge on the stronger neighbour's side, +hpbw/2 on MINUS
+    and -hpbw/2 on PLUS.  A flagged offset is clipped into [-hpbw/2, hpbw/2].
     """
-    if abs(chi_hat) >= CHI_CLAMP:
-        return float(np.sign(chi_hat) * CHI_CLAMP), True
-    return float(chi_hat), False
+    clamped = abs(chi_hat) >= CHI_CLAMP
+    if clamped:
+        chi_hat = CHI_CLAMP if chi_hat > 0 else -CHI_CLAMP
+    half = 0.5 * pattern.hpbw
+    if pattern.kind is PatternKind.GAUSSIAN_BEAM:
+        try:
+            eps = invert_chi_closed(chi_hat, side, pattern.hpbw, pattern.kappa, spacing=spacing)
+        except ChiSaturationError:
+            return (half if side is Side.MINUS else -half), True
+    else:
+        eps = invert_chi_tabulated(chi_hat, side, pattern, spacing=spacing)
+    return (min(max(eps, -half), half) if clamped else eps), clamped
 
 
 def load_pattern_csv(path, hpbw=None):

@@ -10,13 +10,13 @@ Three estimators share the PADP input:
   quantized exactly as in o-1.
 * haed: find 2-D local maxima over (scan direction, delay), then refine
   each angle inside the beam from the power contrast against the stronger
-  adjacent direction.  The refinement inverts the contrast either in
-  closed form (Gaussian beam) or by grid search on the tabulated pattern,
-  and corrects the power by the pattern roll-off at the refined offset.
-  ``haed_plus_refine`` additionally re-reads delay and power on a
-  band-limited interpolation of the aligned row.  It needs the complex
-  delay responses (``Padp.h``), which power-only PADPs cannot supply, and
-  turns only the rows holding peaks into spectra.
+  adjacent direction.  ``antenna.invert_chi`` inverts the contrast, in
+  closed form (Gaussian beam) or by grid search on a tabulated pattern;
+  the refinement then corrects the power by the pattern roll-off at the
+  refined offset.  ``haed_plus_refine`` additionally re-reads delay and
+  power on a band-limited interpolation of the aligned row.  It needs the
+  complex delay responses (``Padp.h``), which power-only PADPs cannot
+  supply, and turns only the rows holding peaks into spectra.
 
 Powers are reported de-embedded (boresight gain removed) so the three
 methods share units; for a unit-amplitude arrival the de-embedded peak is
@@ -32,15 +32,7 @@ import numpy as np
 
 from . import checks, kernels
 from .angles import wrap_two_pi
-from .antenna import (
-    ChiSaturationError,
-    PatternKind,
-    Side,
-    clamp_chi,
-    invert_chi_closed,
-    invert_chi_tabulated,
-    power_gain,
-)
+from .antenna import Side, invert_chi, power_gain
 
 RELATIVE_FLOOR = 1e-12
 HAED_PLUS_UPSAMPLE = 16  # haed+ sub-bin interpolation factor
@@ -227,16 +219,14 @@ def haed_refine(padp, coarse, pat):
     the inversion is the actual angular sampling interval of the scan.
     The reported power is the peak corrected by the pattern roll-off at
     the refined offset and de-embedded by the boresight gain, i.e.
-    P / g**2(eps).  Contrasts at +-1 (an adjacent power underflowing to
-    zero) are clamped and flagged, and a flagged offset is clipped into
-    [-hpbw/2, hpbw/2].  Gaussian beams invert in closed form, tabulated
-    patterns by grid search.
+    P / g**2(eps).  ``antenna.invert_chi`` holds the inversion: its
+    clamp, the closed form or grid search by pattern kind, the saturated
+    beam edge and the clip of a flagged offset; the estimate records the
+    measured contrast and that flag (``clamped``).
     """
     m_total = len(padp.angles)
     spacing = padp.asi
-    closed = pat.kind is PatternKind.GAUSSIAN_BEAM
     tiny = float(np.finfo(np.float64).tiny)
-    half = 0.5 * pat.hpbw
     out = []
     # Python floats per peak, so the antenna helpers take their scalar paths
     for m, j, val in coarse:
@@ -248,17 +238,7 @@ def haed_refine(padp, coarse, pat):
         # powers whose sum overflows are halved, which is exact that far up
         p, q = (val, p_adj) if val + p_adj < math.inf else (0.5 * val, 0.5 * p_adj)
         chi_meas = (p - q) / (p + q)
-        chi_used, clamped = clamp_chi(chi_meas)
-        if closed:
-            try:
-                eps = invert_chi_closed(chi_used, side, pat.hpbw, pat.kappa, spacing=spacing)
-            except ChiSaturationError:
-                eps = half if side is Side.MINUS else -half
-                clamped = True
-        else:
-            eps = invert_chi_tabulated(chi_used, side, pat, spacing=spacing)
-        if clamped:
-            eps = min(max(eps, -half), half)  # np.clip, for a float that is never NaN
+        eps, clamped = invert_chi(pat, chi_meas, side, spacing)
         out.append(
             MpcEstimate(
                 tau=float(padp.delays[j]),

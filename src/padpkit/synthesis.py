@@ -196,16 +196,18 @@ class MpcTruth:
 class Padp:
     """Power-angle-delay profile: an (m, k) non-negative power map and its delay step.
 
-    Rows are the m scan directions of a full circle, columns k >= 2 delay
-    bins from 0 spaced ``delta_tau`` s (positive, with a finite last delay),
-    so the read-only grids ``angles`` (2*pi*j/m radians) and ``delays``
+    Rows are the m >= 3 scan directions of a full circle (haed compares
+    each peak with both neighbours), columns k >= 2 delay bins from 0
+    spaced ``delta_tau`` s (positive, with a finite last delay), so the
+    read-only grids ``angles`` (2*pi*j/m radians) and ``delays``
     (j * delta_tau) are derived: the arrays ``ArrayConfig.steering_angles``
     and ``SoundingConfig.delays`` return for that m, k and delta_tau.
 
     ``h`` optionally carries the complex delay responses behind the map
-    (``values`` is |h|**2), referenced to the band start frequency
-    ``f_start`` in Hz: h_m(tau_j) = K^{-1/2} sum_n Y_m[n]
-    exp(j 2 pi (f_start + n/(K dtau)) tau_j) for the row's spectrum Y_m.
+    (an m x k complex array; ``values`` is |h|**2), referenced to the
+    band start frequency ``f_start``, a finite number of Hz:
+    h_m(tau_j) = K^{-1/2} sum_n Y_m[n] exp(j 2 pi (f_start + n/(K dtau)) tau_j)
+    for the row's spectrum Y_m.
     Simulated maps use fc - bw/2; responses built from stored spectra as
     ``ifft(cfr, norm="ortho")`` use 0.  Band-limited delay interpolation
     needs them (power samples alone undersample the squared response), so
@@ -221,16 +223,20 @@ class Padp:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        rule = "a 2-D map of 1 or more scan directions by 2 or more delay bins"
-        checks.require(v.ndim == 2 and v.shape[0] >= 1 and v.shape[1] >= 2, "values", rule, v.shape)
+        rule = "a 2-D map of 3 or more scan directions by 2 or more delay bins"
+        checks.require(v.ndim == 2 and v.shape[0] >= 3 and v.shape[1] >= 2, "values", rule, v.shape)
         m, k = v.shape
         delta_tau = checks.positive(self.delta_tau, "delta_tau")
         checks.finite((k - 1) * delta_tau, "delta_tau: the last delay (k - 1) * delta_tau")
         checks.finite_array(v, "values", 0.0)
-        if self.h is not None and self.h.shape != v.shape:
-            raise ValueError("h must match the value matrix shape")
+        h, rule = self.h, f"None or an {m} x {k} array"  # by type and shape alone: no map-sized pass
+        if isinstance(h, np.ndarray):
+            checks.require(h.shape == v.shape, "h", rule, h.shape)
+        else:
+            checks.require(h is None, "h", rule, h)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "delta_tau", delta_tau)
+        object.__setattr__(self, "f_start", checks.finite(self.f_start, "f_start"))
         object.__setattr__(self, "angles", _scan_grid(m))
         object.__setattr__(self, "delays", _delay_grid(k, delta_tau))
 

@@ -13,8 +13,8 @@ from padpkit.antenna import (
     ChiSaturationError,
     Side,
     chi,
-    clamp_chi,
     gain,
+    invert_chi,
     invert_chi_closed,
     invert_chi_tabulated,
     kappa_from_hpbw,
@@ -294,12 +294,27 @@ def test_invert_tabulated_tie_breaks_toward_zero():
     assert invert_chi_tabulated(0.3, Side.MINUS, tab) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_clamp_chi():
-    assert clamp_chi(0.5) == (0.5, False)
-    val, flagged = clamp_chi(1.0)
-    assert flagged and val == pytest.approx(1.0 - 1e-12)
-    val, flagged = clamp_chi(-5.0)
-    assert flagged and val == pytest.approx(-(1.0 - 1e-12))
+def test_invert_chi_clamps_saturates_and_clips(pat10):
+    """The clamp, the closed form or grid search, the saturated beam edge and the clip.
+
+    A contrast at +-1 is clamped and flagged, and its offset clipped into
+    the beam; a saturated arcsin gives the edge on the stronger neighbour's side.
+    """
+    spacing, half = pat10.hpbw, 0.5 * pat10.hpbw
+    closed = invert_chi_closed(0.5, Side.MINUS, pat10.hpbw, pat10.kappa)
+    assert invert_chi(pat10, 0.5, Side.MINUS, spacing) == (closed, False)
+    # clamped to +-(1 - 1e-12), the closed form gives about 58 deg from the beam: clipped
+    assert invert_chi(pat10, 1.0, Side.MINUS, spacing) == (half, True)
+    assert invert_chi(pat10, -5.0, Side.MINUS, spacing) == (-half, True)
+    assert invert_chi(pat10, -1.0, Side.PLUS, spacing) == (half, True)
+    wide = AntennaPattern.gaussian(100.0, np.radians(60.0))  # its clamped contrast saturates
+    for side, edge in ((Side.MINUS, 0.5 * wide.hpbw), (Side.PLUS, -0.5 * wide.hpbw)):
+        assert invert_chi(wide, 1.0 - 1e-12, side, wide.hpbw) == (edge, True)
+    ang = np.radians(np.arange(-180.0, 180.0, 0.05))
+    tab = AntennaPattern.from_table(ang, gain(pat10, ang))
+    grid = invert_chi_tabulated(0.5, Side.PLUS, tab, spacing=spacing)
+    assert invert_chi(tab, 0.5, Side.PLUS, spacing) == (grid, False)
+    assert invert_chi(tab, 1.0, Side.MINUS, spacing) == (0.5 * tab.hpbw, True)
 
 
 def test_pattern_csv_roundtrip(tmp_path, pat10):

@@ -22,6 +22,7 @@ from padpkit.antenna import (
     Side,
     chi,
     gain,
+    invert_chi,
     invert_chi_closed,
     invert_chi_tabulated,
     power_gain,
@@ -71,7 +72,7 @@ def quantized_angle_error_deg(phi_deg, asi_deg=10.0):
 
 
 def test_omni_max_single_row():
-    p = Padp(np.arange(8.0)[None, :], 1.0)
+    p = Padp(np.vstack([np.arange(8.0), np.zeros((2, 8))]), 1.0)
     np.testing.assert_array_equal(synth_omni_max(p), np.arange(8.0))
     np.testing.assert_array_equal(synth_omni_sum(p), np.arange(8.0))
 
@@ -729,3 +730,37 @@ def test_haed_refine_is_bit_for_bit_its_array_form(cfg_full, arr36, name, seed):
     assert abs(saturated.chi_hat) < CHI_CLAMP and saturated.side is Side.MINUS
     if pat.kind is PatternKind.GAUSSIAN_BEAM:  # saturated: the offset is the beam edge on that side
         assert saturated.clamped and saturated.eps == 0.5 * pat.hpbw
+
+
+_INVERT_PATTERNS = dict(_HAED_PATTERNS)
+_INVERT_PATTERNS["gaussian-10deg"] = AntennaPattern.gaussian(100.0, np.radians(10.0))
+
+
+@pytest.mark.parametrize("name", sorted(_INVERT_PATTERNS))
+@settings(max_examples=150, deadline=None)
+@given(chi_val=st.floats(-1.0, 1.0), side=st.sampled_from(Side))
+@example(chi_val=1.0, side=Side.MINUS)  # both neighbours zero: clamped
+@example(chi_val=-1.0, side=Side.PLUS)  # a zero peak: clamped
+@example(chi_val=1.0 - 1e-13, side=Side.PLUS)  # |chi| >= CHI_CLAMP short of 1
+@example(chi_val=1.0 - 2e-11, side=Side.MINUS)  # the 1e-11 neighbour: saturates the 12 deg beam
+@example(chi_val=1.0 - 2e-11, side=Side.PLUS)
+def test_invert_chi_is_the_array_reference_inversion(name, chi_val, side):
+    """``invert_chi`` on haed's measured contrast gives the array-form reference's offset and flag.
+
+    A 36 x 2 map holds a peak at (5, 1) whose neighbour on ``side`` meets
+    the contrast ``chi_val`` and whose other neighbour is zero.  The Gaussian
+    10 deg beam's clamped offsets are clipped, the 12 deg beam's saturate.
+    """
+    pat = _INVERT_PATTERNS[name]
+    if chi_val >= 0:
+        val, q = 1.0, (1.0 - chi_val) / (1.0 + chi_val)
+    else:
+        val, q = (1.0 + chi_val) / (1.0 - chi_val), 1.0
+    v = np.zeros((36, 2))
+    v[5, 1], v[4 if side is Side.MINUS else 6, 1] = val, q
+    padp = Padp(v, 1.0)
+    (want,) = _haed_reference(padp, [(5, 1, val)], pat)
+    assert want.side is side or q == 0.0
+    eps, clamped = invert_chi(pat, want.chi_hat, want.side, padp.asi)
+    assert type(eps) is float and np.array([eps]).tobytes() == np.array([want.eps]).tobytes()
+    assert clamped is want.clamped

@@ -263,11 +263,33 @@ def test_padp_validation():
     with pytest.raises(ValueError, match="^values: expected a 2-D map"):
         Padp(np.ones(3), 1.0)
     for shape in ((3, 1), (3, 0), (0, 4)):  # fewer than two delay bins, or no scan direction
-        with pytest.raises(ValueError, match=r"^values: expected a 2-D map of 1 or more scan"):
+        with pytest.raises(ValueError, match=r"^values: expected a 2-D map of 3 or more scan"):
             Padp(np.ones(shape), 1.0)
-    with pytest.raises(ValueError, match="^h must match"):
-        Padp(np.ones((3, 4)), 1.0, h=np.ones((3, 5), dtype=complex))
     assert Padp(np.ones((3, 2)), 1e308).delays[-1] == 1e308  # a finite last delay
+
+
+@pytest.mark.parametrize(
+    "shape, kw, field",
+    [
+        ((1, 16), {}, "values"),
+        ((2, 16), {}, "values"),
+        ((3, 4), {"h": [[0j] * 4] * 3}, "h"),
+        ((3, 4), {"h": np.ones((3, 5), dtype=complex)}, "h"),
+        ((3, 4), {"f_start": np.nan}, "f_start"),
+        ((3, 4), {"f_start": np.inf}, "f_start"),
+        ((3, 4), {"f_start": "x"}, "f_start"),
+    ],
+    ids=["1-row", "2-rows", "h-list", "h-shape", "f_start-nan", "f_start-inf", "f_start-text"],
+)
+def test_padp_refuses_what_haed_and_its_spectra_cannot_use(shape, kw, field):
+    """Fewer than 3 scan directions, an h that is no m x k array, a non-finite f_start.
+
+    haed compares each peak with both neighbours, so 1 and 2 rows gave
+    meaningless angles; a list h and a text f_start failed later with no
+    field named, and a NaN or inf f_start turned every haed+ power to NaN.
+    """
+    with pytest.raises(ValueError, match=f"^{field}: expected "):
+        Padp(np.ones(shape), 1.0, **kw)
 
 
 @pytest.mark.parametrize(
