@@ -14,9 +14,9 @@ Three estimators share the PADP input:
   closed form (Gaussian beam) or by grid search on a tabulated pattern;
   the refinement then corrects the power by the pattern roll-off at the
   refined offset.  ``haed_plus_refine`` additionally re-reads delay and
-  power on a band-limited interpolation of the aligned row.  It needs the
+  power on a band-limited interpolation of the aligned row.  It reads the
   complex delay responses (``Padp.h``), which power-only PADPs cannot
-  supply, and turns only the rows holding peaks into spectra.
+  supply, through the periodic Dirichlet kernel, and inverts no row.
 
 Powers are reported de-embedded (boresight gain removed) so the three
 methods share units; for a unit-amplitude arrival the de-embedded peak is
@@ -26,13 +26,14 @@ K * pu * g_tx**2.
 import enum
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import checks, kernels
 from .angles import wrap_two_pi
 from .antenna import Side, invert_chi, power_gain
+from .synthesis import _band_start_ramp, _read_only
 
 RELATIVE_FLOOR = 1e-12
 HAED_PLUS_UPSAMPLE = 16  # haed+ sub-bin interpolation factor
@@ -262,52 +263,54 @@ def estimate_haed(padp, pat, pk=PeakConfig()):
 
 
 @functools.lru_cache(maxsize=8)
-def _subbin_kernel(k, upsample):
-    """(2U+1, k) phases exp(j 2 pi n u / (k U)) for offsets u = -U..U (U = upsample).
+def _centred_offsets(k):
+    """The k bin offsets d = -(k-1)//2 .. k//2 around a peak bin, as floats, and exp(j pi d / k).
 
-    Read-only, because the cached array is shared between threads.
+    Read-only, as is ``_dirichlet_table``, because cached arrays are shared between threads.
     """
-    n_u = np.outer(np.arange(-upsample, upsample + 1), np.arange(k))
-    kernel = np.exp(2j * np.pi * n_u / (k * upsample))
-    kernel.flags.writeable = False
-    return kernel
+    d = _read_only(np.arange(-((k - 1) // 2), k // 2 + 1, dtype=np.float64))
+    return d, _read_only(np.exp(1j * np.pi / k * d))
+
+
+def _dirichlet_rows(k, deltas):
+    """sin(pi delta) / (k sin(pi (delta - d) / k)) per offset delta (bins) over the centred d.
+
+    The periodic Dirichlet kernel of a k-bin band, its phase factored out:
+    with g_q = h_q exp(-j 2 pi f_start tau_q), a row's baseband response,
+    |H(j + delta)|**2 = |sum_d g_(j+d mod k) e^(j pi d / k) row_d|**2.
+    Centring keeps each sine's argument within pi/2 + pi/k of 0, so the bins
+    next to delta carry their full relative precision.  An integer delta is 0/0.
+    """
+    deltas = np.asarray(deltas, dtype=np.float64)[..., None]
+    return np.sin(np.pi * deltas) / k / np.sin(np.pi / k * (deltas - _centred_offsets(k)[0]))
 
 
 @functools.lru_cache(maxsize=8)
-def _bin_phases(k):
-    """(k,) phases exp(j 2 pi n / k), n = 0..k-1, read-only like ``_subbin_kernel``."""
-    phases = np.exp(2j * np.pi * np.arange(k) / k)
-    phases.flags.writeable = False
-    return phases
+def _dirichlet_table(k, upsample):
+    """(2U+1, k) ``_dirichlet_rows`` at u/U bins, u = -U..U (U = upsample); 0 at integer u/U."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = _dirichlet_rows(k, np.arange(-upsample, upsample + 1) / upsample)
+    table[::upsample] = 0.0
+    return _read_only(table)
 
 
-def _subbin_powers(cfr_row, j, upsample):
-    """|h|**2 of one row's band-limited delay response at the taus (j + u/U) * dtau, u = -U..U.
+def _subbin_window(h_row, ramp, j, upsample):
+    """|h|**2 of one row's band-limited delay response at u/U bins from bin j, u = -U..U.
 
-    Baseband frequency indices suffice for magnitudes: the absolute band
-    position only contributes a unimodular factor.  The phase of delay bin
-    j, exp(j 2 pi j n / k), is factored into the row, so the kernel depends
-    only on (k, U); it is read from the cached table ``_bin_phases(k)`` at
-    the indices j n mod k.
+    ``ramp`` is the band start's phase ramp ``h_row`` is referenced to.
+    Returns the 2U+1 powers, one real product with ``_dirichlet_table``
+    but for the integer offsets, which are |h|**2 of bins j-1, j, j+1 (mod
+    k); and the centred, phased g of ``_dirichlet_rows`` as (k, 2) floats.
     """
-    k = cfr_row.shape[0]
-    bin_phase = _bin_phases(k)[j * np.arange(k) % k]
-    h = _subbin_kernel(k, upsample) @ (cfr_row * bin_phase) / np.sqrt(k)
-    return np.abs(h) ** 2
-
-
-def _offset_power(cfr_row, j, offset):
-    """|h(tau)|**2 of one row's delay response at (j + offset) * dtau, ``offset`` in bins.
-
-    Bin j's phase enters reduced modulo k, as in ``_subbin_powers``, so
-    the phase arguments stay within a few pi instead of growing with j,
-    and this power is as accurate as the kernel samples it is compared
-    with.
-    """
-    k = cfr_row.shape[0]
-    n = np.arange(k)
-    phases = np.exp(2j * np.pi * ((j * n % k) + n * offset) / k)
-    return float(np.abs(phases @ cfr_row / np.sqrt(k)) ** 2)
+    k = h_row.shape[0]
+    start = (j - (k - 1) // 2) % k
+    g = h_row * ramp.conj()
+    g = np.concatenate((g[start:], g[:start])) * _centred_offsets(k)[1]
+    pairs = g.view(np.float64).reshape(k, 2)
+    sums = _dirichlet_table(k, upsample) @ pairs
+    powers = np.einsum("ij,ij->i", sums, sums)
+    powers[::upsample] = np.abs(h_row[np.array([j - 1, j, j + 1]) % k]) ** 2
+    return powers, pairs
 
 
 def haed_plus_refine(padp, estimates):
@@ -315,43 +318,38 @@ def haed_plus_refine(padp, estimates):
 
     Scans ``HAED_PLUS_UPSAMPLE`` times finer than the delay grid across
     the peak's +-1 bin window around its grid delay, then sharpens the
-    maximum with a parabolic vertex step.  Angles are kept from the input
+    maximum with a parabolic vertex step.  Both read the row's delay
+    responses ``h`` through the periodic Dirichlet kernel
+    (``_subbin_window``, ``_dirichlet_rows``): no row is turned back into
+    spectra.  The delay is wrapped into the window [0, k * delta_tau), as
+    the circular transform implies.  Angles are kept from the input
     estimates; powers are rescaled by the interpolated/on-grid peak ratio,
     preserving the de-embedding.  Requires a Padp carrying its delay
-    responses (``h``); only the distinct rows holding peaks are turned
-    into spectra.
+    responses (``h``).
     """
     checks.require(padp.h is not None, "padp", "a Padp carrying its delay responses (h)", None)
     indexed = all(e.scan_index is not None and e.delay_index is not None for e in estimates)
     checks.require(indexed, "estimates", "scan/delay indices (haed output)", estimates)
-    rows = sorted({e.scan_index for e in estimates})
-    spectra = dict(zip(rows, padp.spectra(rows)))
-    step = padp.delta_tau / HAED_PLUS_UPSAMPLE
-    offsets = np.arange(-HAED_PLUS_UPSAMPLE, HAED_PLUS_UPSAMPLE + 1) * step
+    k, upsample = padp.values.shape[1], HAED_PLUS_UPSAMPLE
+    ramp = _band_start_ramp(padp.f_start, k, padp.delta_tau)
     out = []
     for est in estimates:
-        row = spectra[est.scan_index]
-        on_grid = padp.values[est.scan_index, est.delay_index]
-        taus = padp.delays[est.delay_index] + offsets
-        powers = _subbin_powers(row, est.delay_index, HAED_PLUS_UPSAMPLE)
+        m, j = est.scan_index, est.delay_index
+        powers, pairs = _subbin_window(padp.h[m], ramp, j, upsample)
         best = int(np.argmax(powers))
-        tau_hat, p_hat = float(taus[best]), float(powers[best])
-        if 0 < best < len(taus) - 1:
-            pl, p0, pr = powers[best - 1], powers[best], powers[best + 1]
+        offset, p_hat = (best - upsample) / upsample, float(powers[best])
+        if 0 < best < 2 * upsample:
+            pl, p0, pr = (float(p) for p in powers[best - 1 : best + 2])
             denom = pl - 2.0 * p0 + pr
-            if denom < 0:
-                shift = 0.5 * (pl - pr) / denom
-                vertex = taus[best] + shift * step
-                offset = (best - HAED_PLUS_UPSAMPLE + shift) / HAED_PLUS_UPSAMPLE
-                p_vertex = _offset_power(row, est.delay_index, offset)
+            if denom < 0 and pl != pr:  # a zero shift is the grid sample itself
+                vertex = (best - upsample + 0.5 * (pl - pr) / denom) / upsample
+                sums = _dirichlet_rows(k, vertex) @ pairs
+                p_vertex = float(sums @ sums)
                 if p_vertex > p_hat:
-                    tau_hat, p_hat = float(vertex), p_vertex
-        out.append(
-            replace(
-                est,
-                tau=tau_hat,
-                power=est.power * (p_hat / on_grid),
-                method=Method.HAED_PLUS,
-            )
-        )
+                    offset, p_hat = vertex, p_vertex
+        x = j + offset
+        x += k if x < 0 else -k if x >= k else 0
+        power = est.power * (p_hat / float(padp.values[m, j]))
+        out.append(MpcEstimate(x * padp.delta_tau, est.phi, power, Method.HAED_PLUS, est.chi_hat,
+                               est.eps, est.side, est.clamped, m, j))
     return sorted(out, key=lambda e: (e.tau, e.phi))

@@ -23,8 +23,10 @@ on a 2-vCPU host with BLAS capped at one thread, over sweeps like
 perfbench's mc-pair-plus, 2 threads took 1.45-1.66 ms of wall time per
 trial against 1.34-1.75 ms serial, burned 1.7-2.3 ms of CPU per trial
 against 1.3-1.8 ms, and made 18-41 voluntary context switches per trial.
-padpkit leaves BLAS threads alone: uncapped, a serial sweep burned
-2.8-3.1 ms of CPU per trial at 1.5-1.6 ms of wall time, so set
+padpkit leaves BLAS threads alone: uncapped, a serial sweep like that
+burned 2.26 ms of CPU per trial at 1.14 ms of wall time, because the
+off-grid synthesis product (``simulate_padp``'s matmul) runs on
+OpenBLAS threads (haed+ makes no BLAS call that does), so set
 OPENBLAS_NUM_THREADS=1.
 Each thread synthesizes its trials into one reused ``Workspace``, so a
 trial's PADP is valid only within that trial: the caller's thread keeps

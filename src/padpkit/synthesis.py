@@ -41,10 +41,9 @@ frequency phase ramp, identical to the direct sum.
    (``_on_grid_map``), or is +0.0 noise-free;
 3. the power map is |h|^2 (on on-grid maps formed on the arrivals' bins
    only: elsewhere it is the drawn noise power, or 0), and the responses
-   h ride along on the Padp (``Padp.h``): nothing rebuilds the full-map
-   spectra.  Estimators that need spectra (haed+) transform only the
-   rows they read (``Padp.spectra``), and all rows are transformed only
-   where spectra leave the program (``simulate --cfr-out``).
+   h ride along on the Padp (``Padp.h``): no estimator turns them back
+   into spectra (haed+ reads h itself), and ``Padp.spectra`` is called
+   only where spectra leave the program (``simulate --cfr-out``).
 
 Every map is written into the arrays of a ``Workspace``, which Monte Carlo
 loops reuse from one trial to the next.

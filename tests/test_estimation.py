@@ -15,6 +15,7 @@ from padpkit import (
     simulate_padp,
 )
 from padpkit.angles import circular_delta, wrap_two_pi
+from padpkit.synthesis import _band_start_ramp
 from padpkit.antenna import (
     CHI_CLAMP,
     ChiSaturationError,
@@ -36,8 +37,11 @@ from padpkit.estimation import (
     estimate_haed,
     estimate_o1,
     estimate_o2,
-    _subbin_kernel,
-    _subbin_powers,
+    HAED_PLUS_UPSAMPLE,
+    _centred_offsets,
+    _dirichlet_rows,
+    _dirichlet_table,
+    _subbin_window,
     haed_plus_refine,
     haed_refine,
     noise_threshold,
@@ -533,11 +537,15 @@ def test_haed_plus_off_grid_recovery(cfg, arr36, pat10):
     tau = 25.25e-9
     padp, mpc = _padp_for(13.0, cfg, arr36, pat10, tau=tau)
     ests = estimate_haed(padp, pat10)
-    plus = haed_plus_refine(padp, ests)
-    assert abs(plus[0].tau - tau) <= cfg.delta_tau / 16
+    # the arrival is the strongest estimate: its leakage also peaks on the last bin,
+    # whose delay reads k * delta_tau, wrapped to 0
+    haed = max(ests, key=lambda e: e.power)
+    plus = max(haed_plus_refine(padp, ests), key=lambda e: e.power)
+    assert plus.delay_index == haed.delay_index
+    assert abs(plus.tau - tau) <= cfg.delta_tau / 16
     # amplitude recovered to well under the scalloping loss of the on-grid read
-    err_plus = abs(plus[0].power / (cfg.k * cfg.pu) - 1.0)
-    err_haed = abs(ests[0].power / (cfg.k * cfg.pu) - 1.0)
+    err_plus = abs(plus.power / (cfg.k * cfg.pu) - 1.0)
+    err_haed = abs(haed.power / (cfg.k * cfg.pu) - 1.0)
     assert err_plus < 1e-3
     assert err_plus < err_haed / 100
 
@@ -559,23 +567,85 @@ def test_haed_plus_requires_cfr(cfg, arr36, pat10):
     log_scale=st.floats(-6.0, 6.0),
 )
 def test_cached_kernel_matches_row_power(k, upsample, bin_frac, seed, log_scale):
-    """The cached sub-bin kernel reads the powers ``_row_power`` reads at haed+'s taus.
+    """The cached Dirichlet table reads the powers ``_row_power`` reads at haed+'s taus.
 
-    The tolerance is 1e-12 of the row energy, the largest value |h|**2 can
-    take: ``_row_power``'s own phase rounding grows with (delay bin x
-    frequency index), to about 2e-12 of the window maximum at k = 1001.
+    The row's delay responses are referenced to a band start of 36.5 GHz,
+    whose phase ramp ``_subbin_window`` takes off again.  The tolerance is
+    1e-12 of the row energy, the largest value |h|**2 can take:
+    ``_row_power``'s own phase rounding grows with (delay bin x frequency
+    index), to about 2e-12 of the window maximum at k = 1001.
     """
     j = int(bin_frac * k)
     rng = np.random.default_rng(seed)
     row = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * 10.0**log_scale
     delta_tau = 0.5e-9
+    ramp = _band_start_ramp(36.5e9, k, delta_tau)
+    h_row = np.fft.ifft(row, norm="ortho") * ramp
     taus = (np.arange(k) * delta_tau)[j] + np.arange(-upsample, upsample + 1) * (
         delta_tau / upsample
     )
     want = _row_power(row, 1.0 / (k * delta_tau), taus)
-    got = _subbin_powers(row, j, upsample)
+    got, _ = _subbin_window(h_row, ramp, j, upsample)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.sum(np.abs(row) ** 2))
+
+
+@pytest.mark.parametrize("k", [2, 3, 1001, 1024])
+@pytest.mark.parametrize("j", [0, 1, 500])
+def test_integer_offsets_read_the_bins_themselves(k, j):
+    """haed+'s window at -1, 0 and 1 bins is |h|**2 of bins j-1, j, j+1 (mod k), bit for bit.
+
+    Just beside them the Dirichlet closed form tends to the same powers.
+    """
+    j %= k
+    rng = np.random.default_rng(k + j)
+    h_row = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    ramp = _band_start_ramp(36.5e9, k, 0.5e-9)
+    powers, pairs = _subbin_window(h_row, ramp, j, HAED_PLUS_UPSAMPLE)
+    bins = np.abs(h_row[np.array([j - 1, j, j + 1]) % k]) ** 2
+    assert powers[::HAED_PLUS_UPSAMPLE].tobytes() == bins.tobytes()
+    sums = _dirichlet_rows(k, np.array([-1.0, 0.0, 1.0]) + 1e-9) @ pairs
+    beside = np.sum(sums**2, axis=1)
+    np.testing.assert_allclose(beside, bins, rtol=0, atol=1e-6 * np.sum(np.abs(h_row) ** 2))
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 1001, 1024])
+@pytest.mark.parametrize("j, x0", [(1, 0.07), (0, -0.93), (0, 0.5), (1, 1.9), (1, 0.0625 + 1e-9)])
+def test_subbin_window_reads_a_tone_to_its_last_digits(k, j, x0):
+    """A unit tone at x0 bins, read across haed+'s window, against k |D(x - x0)|**2.
+
+    D(x) = sin(pi x) / (k sin(pi x / k)) is the periodic Dirichlet kernel,
+    here in closed form on the small distance x - x0.  The tone sits next
+    to bin j - 1 or j + 1, so the bin offsets that weigh most are -1 and 1:
+    the window's sines keep their relative precision only when the offsets
+    are centred on j (offsets 0..k-1 put that bin at k - 1, about pi, and
+    err by about 1e-12 of k at k = 1001), and their phases exp(j pi d / k)
+    matter whenever the tone spreads over more than one bin.  The bound is
+    2e-14 of the row energy k.
+    """
+    j %= k
+    h_row = np.fft.ifft(np.exp(-2j * np.pi * np.arange(k) * x0 / k), norm="ortho")
+    powers, _ = _subbin_window(h_row, np.ones(k), j, HAED_PLUS_UPSAMPLE)
+    x = j + np.arange(-HAED_PLUS_UPSAMPLE, HAED_PLUS_UPSAMPLE + 1) / HAED_PLUS_UPSAMPLE - x0
+    with np.errstate(invalid="ignore"):
+        want = k * (np.sin(np.pi * x) / (k * np.sin(np.pi * x / k))) ** 2
+    want[x == 0] = k
+    np.testing.assert_allclose(powers, want, rtol=0, atol=2e-14 * k)
+
+
+@pytest.mark.parametrize("bin_frac", [1000.7, 0.2])
+def test_haed_plus_delay_stays_in_the_window(cfg_full, arr36, pat10, bin_frac):
+    """An arrival between the last and the first bin is read back inside [0, k * delta_tau).
+
+    The delay transform is circular, so bins k - 1 and 0 are neighbours; an
+    arrival at 1000.7 bins of a k = 1001 grid peaks on bin 0, 0.3 bins early.
+    """
+    dt = cfg_full.delta_tau
+    padp, _ = _padp_for(13.0, cfg_full, arr36, pat10, tau=bin_frac * dt)
+    strongest = max(estimate_haed(padp, pat10), key=lambda e: e.power)
+    (plus,) = haed_plus_refine(padp, [strongest])
+    assert 0.0 <= plus.tau < cfg_full.k * dt
+    assert abs(plus.tau / dt - bin_frac) < 1e-3
 
 
 @pytest.mark.parametrize(
@@ -614,11 +684,16 @@ def test_haed_plus_vertex_power_is_exact_at_far_delays(cfg_full, arr36, pat10, b
 
 
 def test_subbin_kernel_is_cached_and_read_only():
-    kernel = _subbin_kernel(129, 16)
-    assert kernel.shape == (33, 129)
-    assert _subbin_kernel(129, 16) is kernel
-    with pytest.raises(ValueError):
-        kernel[0, 0] = 0.0
+    """The Dirichlet table is real, cached, read-only, and 0 on its integer-offset rows."""
+    table = _dirichlet_table(129, 16)
+    assert table.shape == (33, 129) and table.dtype == np.float64
+    assert _dirichlet_table(129, 16) is table
+    assert not table[::16].any() and np.isfinite(table).all()
+    d, phases = _centred_offsets(129)
+    assert d[0] == -64 and d[-1] == 64 and _centred_offsets(129)[1] is phases
+    for a in (table, d, phases):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_haed_plus_reads_only_peak_rows(cfg, arr36, pat10):
